@@ -15,16 +15,22 @@ The merge rules:
 
 The variance coefficients are the alternating subset sums
 ``c[S] = sum over T <= S of (-1)**|S - T| * b[T]``; with them the estimator
-variance is ``sum_S c[S]/a**2 * y[S] - y[empty]``.
+variance is ``sum_S c[S]/a**2 * y[S] - y[empty]``. ``c`` is the subset
+Mobius transform of ``b``, computed by ``subset_transform`` in O(n * 2**n)
+(Yates 1937; Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): one pass
+per bit, each adding or subtracting the half of the table without the bit
+to or from the half with it (subsets) or the other way round (supersets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import PlanError, SampleSizeError, SchemaError
-from .model import GusParams, LineageSchema, extend_schema, popcount, submasks
+from .model import GusParams, LineageSchema, extend_schema
 from .plan import (
     BernoulliSpec,
     Cross,
@@ -169,19 +175,32 @@ def gus_of_lineage_bernoulli(dims: Mapping[str, float], schema: LineageSchema) -
     return extend_schema(g, schema)
 
 
+def subset_transform(values: Sequence[float], *, supersets: bool,
+                     inverse: bool) -> np.ndarray:
+    """Fast zeta (``inverse=False``) or Mobius (``inverse=True``) transform of
+    a table indexed by subset mask, over the subsets or the supersets of
+    each mask; returns a new float64 array.
+
+    The zeta transform sums ``values[T]`` over ``T <= S`` (or ``T >= S``);
+    the Mobius transform undoes it, which gives the alternating sums
+    ``sum of (-1)**|S ^ T| * values[T]``.
+    """
+    z = np.array(values, dtype=np.float64)
+    step = 1
+    while step < len(z):
+        v = z.reshape(-1, 2, step)  # v[:, 1, :] holds the masks with this bit
+        dst, src = (v[:, 0, :], v[:, 1, :]) if supersets else (v[:, 1, :], v[:, 0, :])
+        if inverse:
+            dst -= src
+        else:
+            dst += src
+        step <<= 1
+    return z
+
+
 def c_coefficients(g: GusParams) -> dict[int, float]:
     """Alternating subset sums of the pair-inclusion table, one per subset."""
-    out = {}
-    for s in range(g.schema.num_subsets):
-        total = 0.0
-        for t in submasks(s):
-            term = g.b[t]
-            if popcount(s ^ t) & 1:
-                total -= term
-            else:
-                total += term
-        out[s] = total
-    return out
+    return dict(enumerate(subset_transform(g.b, supersets=False, inverse=True).tolist()))
 
 
 @dataclass(frozen=True)
@@ -235,10 +254,16 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
     make the same decisions rather than independent ones, and the merge
     rules, which assume independent filters, would give a wrong table. The
     ``PlanError`` names both dimensions by their path from the root, in the
-    plan document's notation (``plan.child.method.dims.r``).
+    plan document's notation (``plan.child.method.dims.r``). Likewise no
+    two row samplers (Bernoulli, WOR) may share a seed: a row sampler's
+    stream depends only on the run seed and its own seed, so two of them
+    would draw the same numbers. A keyed dimension and a row sampler may
+    share a number, since they draw from different generators. Every other
+    ``PlanError`` is prefixed with the offending node's path as well.
     """
     steps: list[RewriteStep] = []
     keyed_seeds: dict[int, str] = {}
+    row_seeds: dict[int, str] = {}
 
     def emit(rule, note, inputs, output):
         steps.append(RewriteStep(rule, note, tuple(inputs), output))
@@ -254,6 +279,16 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
                     "independent; give each keyed dimension its own seed"
                 )
             keyed_seeds[seed] = where
+
+    def claim_row_seed(method, path: str) -> None:
+        where = f"{path}.method"
+        if method.seed in row_seeds:
+            raise PlanError(
+                f"row samplers {row_seeds[method.seed]} and {where} share seed "
+                f"{method.seed}: both draw the same random stream, so they are "
+                "not independent; give each sampler its own seed"
+            )
+        row_seeds[method.seed] = where
 
     def rec(node: PlanNode, path: str) -> tuple[PlanNode, GusParams]:
         if isinstance(node, Scan):
@@ -280,8 +315,8 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
             rnode, gr = rec(node.right, f"{path}.right")
             if lnode != rnode:
                 raise PlanError(
-                    "union sides must compute the same relation for the result "
-                    "to stay uniformly sampled; rewrite the plan so both sides "
+                    f"{path}: union sides must compute the same relation for the "
+                    "result to stay uniformly sampled; rewrite the plan so both sides "
                     "share one relational subtree"
                 )
             merged = union_merge(gl, gr)
@@ -291,6 +326,8 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
         if isinstance(node, Sample):
             if isinstance(node.method, LineageBernoulliSpec):
                 claim_keyed_seeds(node.method, path)
+            elif isinstance(node.method, (BernoulliSpec, WorSpec)):
+                claim_row_seed(node.method, path)
             child, g_child = rec(node.child, f"{path}.child")
             schema = lineage_schema_of(child)
             method = node.method
@@ -299,12 +336,13 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
             elif isinstance(method, WorSpec):
                 if contains_sampling(node.child):
                     raise PlanError(
-                        "fixed-size sampling over an already randomized input is "
-                        "not analyzable (its population size is random)"
+                        f"{path}: fixed-size sampling over an already randomized "
+                        "input is not analyzable (its population size is random)"
                     )
                 if catalog is None:
                     raise PlanError(
-                        "fixed-size sampling needs a catalog to resolve its input size"
+                        f"{path}: fixed-size sampling needs a catalog to resolve "
+                        "its input size"
                     )
                 from .engine import execute  # deferred: engine imports plan types
 
@@ -314,7 +352,7 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
                 g_s = gus_of_lineage_bernoulli(
                     {name: p for name, p, _ in method.dims}, schema)
             else:
-                raise PlanError(f"unknown sampler spec {type(method).__name__}")
+                raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
             emit("sampler_to_gus", _sampler_note(method), (), g_s)
             if g_child.is_identity:
                 return child, g_s
@@ -332,8 +370,8 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
             emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
             return child, merged
         if isinstance(node, SumAggregate):
-            raise PlanError("sum aggregate may appear only at the plan root")
-        raise PlanError(f"unsupported plan node {type(node).__name__}")
+            raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
+        raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
 
     if isinstance(plan, SumAggregate):
         child, gus = rec(plan.child, "plan.child")

@@ -5,15 +5,27 @@ estimate, variance terms, and confidence intervals.
 The estimate is ``X = (1/a) * sum of f`` over the sample. Its variance
 decomposes into data-dependent terms ``y[S]`` (group by the S part of the
 lineage, sum f within groups, square, sum over groups) weighted by
-coefficients derived from the parameter table. The sample versions ``Y[S]``
-are biased; an unbiased correction runs top-down from the full mask:
+coefficients derived from the parameter table.
 
-    yhat[full] = Y[full] / b[full]
-    yhat[S] = (Y[S] - sum over non-empty T <= complement(S) of
-               k(S, T) * yhat[S | T]) / b[S]
-    k(S, T) = sum over U <= T of (-1)**|T - U| * b[S | U]
+``y_sample_terms`` computes the sample versions ``Y[S]`` with hierarchical
+group ids: the id of a row under ``S`` is the rank of the pair (its id under
+``S`` minus the highest bit, its rank in that bit's lineage column), so each
+subset costs one ``np.unique`` and one ``np.bincount`` over the rows, and a
+depth-first walk keeps at most ``n + 1`` id arrays alive. Column ranks are
+computed on Python ints, so any integer base-tuple id works. Rows are sorted
+by lineage and ranks follow key order, so ``bincount`` adds within each
+group in row order and the squared group totals are then summed
+sequentially in key order: the same additions, in the same order, as the
+sort-based ``gusbox.oracle.exact_y_terms``, which the result matches bit
+for bit. (A pairwise ``np.sum`` would change the last bits.)
 
-which inverts the expectation E[Y[S]] = sum over T of k(S, T) * y[S | T].
+``Y[S]`` sums ``f*f'`` over ordered sample pairs agreeing on at least
+``S``, so it is biased. The correction is two O(n * 2**n) transforms over
+the subset lattice (``algebra.subset_transform``):
+``Z = superset-Mobius(Y)`` keeps the pairs agreeing on exactly ``T``; such
+a pair survives with probability ``b[T]``, so ``Z[T] / b[T]`` is unbiased
+for its full-data counterpart; and ``yHat = superset-zeta(Z / b)`` sums those
+back over the supersets of ``S``.
 """
 
 from __future__ import annotations
@@ -23,10 +35,12 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from . import samplers
-from .algebra import c_coefficients, compact, gus_of_lineage_bernoulli
+from .algebra import c_coefficients, compact, gus_of_lineage_bernoulli, subset_transform
 from .errors import DegenerateSamplingError, NotIdentifiableError, SchemaError
-from .model import GusParams, SampleRelation, popcount, submasks
+from .model import GusParams, SampleRelation
 
 _NORMAL = NormalDist()
 
@@ -40,63 +54,44 @@ def estimate_sum(sample: SampleRelation, a: float) -> float:
 
 def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
     """Per-subset squared group totals of f, grouped by the subset part of
-    the lineage. Streaming implementation: one hash group-by per subset.
-
-    Accumulation order is canonical (rows by full lineage, groups by
-    projected key) so independent implementations agree bit for bit.
-    """
+    the lineage, via hierarchical group ids (see the module docstring)."""
     n = sample.schema.n
+    if not sample.rows:
+        return dict.fromkeys(range(1 << n), 0.0)
     rows = sorted(((r.lineage, r.f) for r in sample.rows), key=lambda x: x[0])
+    f = np.array([x[1] for x in rows], dtype=np.float64)
+    codes = []
+    for i in range(n):
+        column = [lineage[i] for lineage, _ in rows]
+        rank = {v: k for k, v in enumerate(sorted(set(column)))}
+        codes.append((np.array([rank[v] for v in column], dtype=np.int64), len(rank)))
     out: dict[int, float] = {}
-    for s in range(1 << n):
-        positions = [i for i in range(n) if s >> i & 1]
-        groups: dict[tuple, float] = {}
-        for lineage, f in rows:
-            key = tuple(lineage[i] for i in positions)
-            groups[key] = groups.get(key, 0.0) + f
-        total = 0.0
-        for key in sorted(groups):
-            g = groups[key]
-            total += g * g
-        out[s] = total
+
+    def visit(s: int, gid: np.ndarray, lo: int) -> None:
+        g = np.bincount(gid, weights=f)
+        out[s] = float(np.add.accumulate(g * g)[-1])
+        for i in range(lo, n):
+            code, k = codes[i]
+            _, child = np.unique(gid * k + code, return_inverse=True)
+            visit(s | 1 << i, child, i + 1)
+
+    visit(0, np.zeros(len(rows), dtype=np.int64), 0)
     return out
-
-
-def recursion_coefficient(g: GusParams, s: int, t: int) -> float:
-    """Weight of y[s | t] in the expectation of the sample term Y[s]."""
-    total = 0.0
-    for u in submasks(t):
-        term = g.b[s | u]
-        if popcount(t ^ u) & 1:
-            total -= term
-        else:
-            total += term
-    return total
 
 
 def y_unbiased(y_sample: Mapping[int, float], g: GusParams) -> dict[int, float]:
     """Unbiased estimates of the full-data y terms from sample terms."""
-    n = g.schema.n
-    full = g.schema.full_mask
-    for s in range(1 << n):
-        if g.b[s] <= 0.0:
+    b = g.b
+    for s, value in enumerate(b):
+        if value <= 0.0:
             raise NotIdentifiableError(
                 f"pair inclusion probability is 0 for subset "
                 f"{g.schema.subset_key(s) or 'empty'}; its variance term cannot "
                 "be estimated from this sample"
             )
-    yhat: dict[int, float] = {full: y_sample[full] / g.b[full]}
-    for s in sorted(range(1 << n), key=popcount, reverse=True):
-        if s == full:
-            continue
-        complement = full ^ s
-        acc = y_sample[s]
-        for t in submasks(complement):
-            if t == 0:
-                continue
-            acc -= recursion_coefficient(g, s, t) * yhat[s | t]
-        yhat[s] = acc / g.b[s]
-    return yhat
+    z = subset_transform([y_sample[s] for s in range(len(b))], supersets=True, inverse=True)
+    z /= np.array(b, dtype=np.float64)
+    return dict(enumerate(subset_transform(z, supersets=True, inverse=False).tolist()))
 
 
 def variance_estimate(y_hat: Mapping[int, float], c_table: Mapping[int, float],
@@ -180,8 +175,8 @@ class EstimateReport:
         return math.sqrt(self.variance_hat)
 
     def _keyed(self, table: Mapping[int, float]) -> dict[str, float]:
-        schema = self.gus.schema
-        return {schema.subset_key(s): table[s] for s in sorted(table)}
+        keys = self.gus.schema.subset_keys
+        return {keys[s]: table[s] for s in sorted(table)}
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -206,21 +201,35 @@ class EstimateReport:
         return doc
 
 
-def analyze(sample: SampleRelation, gus: GusParams,
-            quantiles: Sequence[float] = (), level: float = 0.95) -> EstimateReport:
-    """Full estimation pipeline on a sample whose f values are bound."""
+def _checked_estimate(sample: SampleRelation, gus: GusParams) -> float:
     if sample.schema != gus.schema:
         raise SchemaError(
             f"sample schema {sample.schema.relations} does not match parameter "
             f"schema {gus.schema.relations}"
         )
+    return estimate_sum(sample, gus.a)
+
+
+def _report(sample: SampleRelation, gus: GusParams, estimate: float,
+            quantiles: Sequence[float], level: float,
+            subsample: Optional[tuple[SampleRelation, GusParams]] = None
+            ) -> EstimateReport:
+    """Variance, intervals and report for an estimate from ``sample`` under
+    ``gus``. The y terms come from ``subsample`` (rows and their parameter
+    table) when given, else from ``sample`` itself; the coefficients always
+    come from ``gus``, the design that produced the estimate."""
+    terms, terms_gus = subsample or (sample, gus)
     diagnostics: list[str] = []
-    estimate = estimate_sum(sample, gus.a)
-    y_s = y_sample_terms(sample)
-    y_hat = y_unbiased(y_s, gus)
+    y_s = y_sample_terms(terms)
+    y_hat = y_unbiased(y_s, terms_gus)
     c_table = c_coefficients(gus)
     if not sample.rows:
         diagnostics.append("empty sample: estimate and variance default to 0")
+    if subsample is not None:
+        diagnostics.append(
+            f"variance terms estimated from a {len(terms.rows)}-row sub-sample "
+            f"of {len(sample.rows)} sampled rows"
+        )
     variance = variance_estimate(y_hat, c_table, gus.a, diagnostics)
     sigma = math.sqrt(variance)
     return EstimateReport(
@@ -236,7 +245,15 @@ def analyze(sample: SampleRelation, gus: GusParams,
         quantile_requests=quantile_bounds(estimate, sigma, quantiles),
         diagnostics=diagnostics,
         sample_rows=len(sample.rows),
+        subsample_rows=None if subsample is None else len(terms.rows),
+        subsample_gus=None if subsample is None else terms_gus,
     )
+
+
+def analyze(sample: SampleRelation, gus: GusParams,
+            quantiles: Sequence[float] = (), level: float = 0.95) -> EstimateReport:
+    """Full estimation pipeline on a sample whose f values are bound."""
+    return _report(sample, gus, _checked_estimate(sample, gus), quantiles, level)
 
 
 def subsample_variance(sample: SampleRelation, gus: GusParams,
@@ -252,40 +269,8 @@ def subsample_variance(sample: SampleRelation, gus: GusParams,
     parameters. The final variance still uses the original table's
     coefficients because the estimate comes from the full sample.
     """
-    if sample.schema != gus.schema:
-        raise SchemaError(
-            f"sample schema {sample.schema.relations} does not match parameter "
-            f"schema {gus.schema.relations}"
-        )
-    diagnostics: list[str] = []
-    estimate = estimate_sum(sample, gus.a)
+    estimate = _checked_estimate(sample, gus)
     sub = samplers.lineage_bernoulli(sample, dims)
     g_sub = compact(
         gus, gus_of_lineage_bernoulli({k: p for k, (p, _) in dims.items()}, gus.schema))
-    y_s = y_sample_terms(sub)
-    y_hat = y_unbiased(y_s, g_sub)
-    c_table = c_coefficients(gus)
-    if not sample.rows:
-        diagnostics.append("empty sample: estimate and variance default to 0")
-    diagnostics.append(
-        f"variance terms estimated from a {len(sub.rows)}-row sub-sample "
-        f"of {len(sample.rows)} sampled rows"
-    )
-    variance = variance_estimate(y_hat, c_table, gus.a, diagnostics)
-    sigma = math.sqrt(variance)
-    return EstimateReport(
-        estimate=estimate,
-        a=gus.a,
-        gus=gus,
-        y_sample=y_s,
-        y_hat=y_hat,
-        c_table=c_table,
-        variance_hat=variance,
-        ci_normal=confidence_interval(estimate, sigma, "normal", level),
-        ci_chebyshev=confidence_interval(estimate, sigma, "chebyshev", level),
-        quantile_requests=quantile_bounds(estimate, sigma, quantiles),
-        diagnostics=diagnostics,
-        sample_rows=len(sample.rows),
-        subsample_rows=len(sub.rows),
-        subsample_gus=g_sub,
-    )
+    return _report(sample, gus, estimate, quantiles, level, (sub, g_sub))

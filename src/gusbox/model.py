@@ -16,25 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SchemaError, SelfJoinError
 
 Lineage = tuple  # vector of base-tuple ids, positionally aligned to a schema
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def submasks(mask: int):
-    """Yield every subset of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 @dataclass(frozen=True)
@@ -89,6 +76,21 @@ class LineageSchema:
         """Serialization key for a subset: names concatenated in canonical
         order, empty string for the empty set."""
         return "".join(self.names_of(mask))
+
+    @cached_property
+    def subset_keys(self) -> tuple[str, ...]:
+        """:meth:`subset_key` of every mask, indexed by mask; computed once
+        per schema. Raises ``SchemaError`` if two masks share a key, since
+        such a schema cannot be serialized."""
+        keys = [""]
+        for name in self.relations:
+            keys += [key + name for key in keys]
+        if len(set(keys)) != len(keys):
+            raise SchemaError(
+                f"schema {self.relations} has ambiguous subset keys; "
+                "rename relations to serialize"
+            )
+        return tuple(keys)
 
     def mask_of_key(self, key: str) -> int:
         """Inverse of :meth:`subset_key`, resolved by backtracking so that
@@ -175,16 +177,10 @@ class GusParams:
         return self.a == 0.0 and all(v == 0.0 for v in self.b)
 
     def to_json_dict(self) -> dict:
-        keys = [self.schema.subset_key(m) for m in range(self.schema.num_subsets)]
-        if len(set(keys)) != len(keys):
-            raise SchemaError(
-                f"schema {self.schema.relations} has ambiguous subset keys; "
-                "rename relations to serialize"
-            )
         return {
             "schema": list(self.schema.relations),
             "a": self.a,
-            "b": {k: v for k, v in zip(keys, self.b)},
+            "b": dict(zip(self.schema.subset_keys, self.b)),
         }
 
     def to_json(self) -> str:

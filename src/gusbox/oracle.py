@@ -1,7 +1,8 @@
 """Ground-truth machinery, independent of the estimator's fast paths.
 
-* exact y terms on the full (unsampled) relational result, via a sort-based
-  group-by kept deliberately different from the estimator's hash group-by;
+* exact y terms on the full (unsampled) relational result, via a row-at-a-
+  time sort-based group-by kept deliberately different from the
+  estimator's hierarchical group ids;
 * exact estimator moments by enumerating every sampling configuration of a
   plan, weighting each outcome by its probability;
 * seeded Monte Carlo moments and per-tuple inclusion frequencies.
@@ -13,8 +14,8 @@ relation, so lineage-keyed dimensions with one seed decide alike on equal
 ids; ``normalize_plan``, and therefore ``enumerate_exact_moments`` and
 ``monte_carlo_moments``, rejects such plans with a ``PlanError``
 (``inclusion_probabilities`` does not normalize and still measures them).
-Row samplers (Bernoulli, WOR) with one seed draw from one stream and are
-not rejected yet.
+Row samplers (Bernoulli, WOR) with one seed draw from one stream, and
+``normalize_plan`` rejects those plans the same way.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ def exact_y_terms(full_result: SampleRelation) -> dict[int, float]:
 
     Sort-based: rows are ordered by full lineage, stable-sorted per subset by
     the projected key, and runs of equal keys are folded. The accumulation
-    order matches the estimator's hash-based group-by exactly, so the two
-    implementations must agree on every bit for identical input.
+    order matches the estimator's group-id ``bincount`` and sequential sum
+    exactly, so the two implementations must agree on every bit for
+    identical input.
     """
     n = full_result.schema.n
     rows = sorted(((r.lineage, r.f) for r in full_result.rows), key=lambda x: x[0])

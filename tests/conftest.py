@@ -4,11 +4,13 @@ two reference plan shapes used across the suite."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from gusbox import (
     BaseTable,
     BernoulliSpec,
     Comparison,
+    GusParams,
     Join,
     JoinSpec,
     LineageSchema,
@@ -50,6 +52,24 @@ def lineage_relation(names, entries, columns=(), types=()):
         values = entry[2] if len(entry) > 2 else ()
         rows.append(Row(tuple(values), tuple(lineage), float(f)))
     return SampleRelation(schema, tuple(columns), tuple(types), tuple(rows))
+
+
+def dyadic(draw, denominator=64):
+    return draw(st.integers(0, denominator)) / denominator
+
+
+@st.composite
+def gus_tables(draw, names=("x", "y")):
+    """Feasible tables on a coarse dyadic grid so double arithmetic in the
+    merge rules is exact and laws can be asserted with ==."""
+    schema = LineageSchema.of(names)
+    a = dyadic(draw)
+    lo = max(0.0, 2.0 * a - 1.0)
+    b = []
+    for _ in range(schema.num_subsets):
+        b.append(lo + dyadic(draw) * (a - lo))
+    b[schema.full_mask] = a
+    return GusParams(schema, a, tuple(b))
 
 
 def small_join_catalog():

@@ -49,7 +49,8 @@ from gusbox.algebra import (
 )
 from gusbox.plan import GusQuasi, Predicate, Comparison, strip_sampling
 
-from conftest import query1_plan, small_join_catalog, small_join_plan
+from conftest import gus_tables, query1_plan, small_join_catalog, small_join_plan
+from test_estimator import recursion_coefficient, submasks
 
 REFERENCE_REL_TOL = 1e-3
 
@@ -65,24 +66,6 @@ def assert_matches_reference(g: GusParams, a: float, table: dict):
 
 def example_join_gus() -> GusParams:
     return join_merge(gus_of_bernoulli(0.1, "l"), gus_of_wor(1000, 150_000, "o"))
-
-
-def dyadic(draw, denominator=64):
-    return draw(st.integers(0, denominator)) / denominator
-
-
-@st.composite
-def gus_tables(draw, names=("x", "y")):
-    """Feasible tables on a coarse dyadic grid so double arithmetic in the
-    merge rules is exact and laws can be asserted with ==."""
-    schema = LineageSchema.of(names)
-    a = dyadic(draw)
-    lo = max(0.0, 2.0 * a - 1.0)
-    b = []
-    for _ in range(schema.num_subsets):
-        b.append(lo + dyadic(draw) * (a - lo))
-    b[schema.full_mask] = a
-    return GusParams(schema, a, tuple(b))
 
 
 class TestSingleRelationTables:
@@ -267,8 +250,6 @@ class TestCoefficients:
     def test_subset_sums_of_c_recover_b(self, g):
         # c is the alternating-difference transform of b, so summing c over
         # the subsets of S must give b[S] back
-        from gusbox.model import submasks
-
         c = c_coefficients(g)
         for s in range(g.schema.num_subsets):
             assert sum(c[t] for t in sorted(submasks(s))) == pytest.approx(
@@ -276,8 +257,6 @@ class TestCoefficients:
 
     @given(gus_tables(names=("x", "y")))
     def test_recursion_weight_at_empty_set_is_b(self, g):
-        from gusbox.estimator import recursion_coefficient
-
         for s in range(g.schema.num_subsets):
             assert recursion_coefficient(g, s, 0) == g.b[s]
 
@@ -452,6 +431,34 @@ class TestNormalizePlan:
             norm = normalize_plan(Sample(keyed, Cross(Scan("r"), Scan("t"))))
             assert norm.gus == gus_of_lineage_bernoulli(
                 {"r": 0.5, "t": 0.6}, LineageSchema.of(["r", "t"]))
+
+    def test_row_samplers_sharing_a_seed_rejected(self):
+        # both Bernoulli samplers would draw the same PCG64 stream
+        plan = Cross(Sample(BernoulliSpec(0.5, seed=0), Scan("r")),
+                     Sample(BernoulliSpec(0.5, seed=0), Scan("t")))
+        with pytest.raises(PlanError, match=r"plan\.left\.method and "
+                                            r"plan\.right\.method share seed 0"):
+            normalize_plan(plan)
+
+    def test_row_samplers_with_distinct_seeds_keep_their_table(self):
+        plan = Cross(Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
+                     Sample(BernoulliSpec(0.5, seed=2), Scan("t")))
+        assert normalize_plan(plan).gus == join_merge(
+            gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "t"))
+
+    def test_row_sampler_and_keyed_dimension_may_share_a_number(self):
+        keyed = LineageBernoulliSpec.of({"t": (0.6, 3)})
+        plan = Cross(Sample(BernoulliSpec(0.5, seed=3), Scan("r")),
+                     Sample(keyed, Scan("t")))
+        assert normalize_plan(plan).gus == join_merge(
+            gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.6, "t"))
+
+    def test_other_plan_errors_name_the_node(self):
+        plan = SumAggregate("l_val", Cross(
+            Scan("o"), Sample(WorSpec(2, seed=1), Select(
+                Predicate((Comparison("l_val", ">", 2.0),)), Scan("l")))))
+        with pytest.raises(PlanError, match=r"^plan\.child\.right: fixed-size .*catalog"):
+            normalize_plan(plan)
 
     def test_four_relation_chain_matches_hand_composition(self, desk_catalog):
         from conftest import four_relation_plan

@@ -165,6 +165,19 @@ class TestEstimateCommand:
         assert "plan.child.child.method.dims.l and plan.child.child.method.dims.o" in err
         assert "share seed 0" in err
 
+    def test_row_samplers_without_seeds_exit_2(self, plan_on_disk, capsys):
+        # both samplers fall back to seed 0 and would draw one stream
+        doc = json.loads(plan_on_disk.read_text())
+        join = doc["plan"]["child"]["child"]
+        del join["left"]["method"]["seed"]
+        del join["right"]["method"]["seed"]
+        bad = plan_on_disk.parent / "shared_row_seed.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "plan.child.child.left.method and plan.child.child.right.method" in err
+        assert "share seed 0" in err
+
     def test_not_identifiable_exits_3(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())
         doc["plan"]["child"]["child"]["right"]["method"]["n"] = 1

@@ -23,7 +23,7 @@ from gusbox import (
     execute_full,
     y_sample_terms,
 )
-from gusbox.algebra import gus_of_lineage_bernoulli, normalize_plan
+from gusbox.algebra import gus_of_bernoulli, gus_of_lineage_bernoulli, join_merge, normalize_plan
 from gusbox.engine import BaseTable
 from gusbox.oracle import (
     compare_inclusion_to_gus,
@@ -158,6 +158,39 @@ class TestSharedKeyedSeeds:
             enumerate_exact_moments(plan, catalog)
         with pytest.raises(PlanError, match="share seed 5"):
             monte_carlo_moments(plan, catalog, trials=10, seed=1)
+
+
+class TestSharedRowSeeds:
+    """Row samplers with one seed draw one PCG64 stream, so on equally long
+    inputs they keep the same positions. The inclusion check sees that
+    correlation; ``normalize_plan`` refuses such plans."""
+
+    @staticmethod
+    def _plan_and_catalog(r_seed, t_seed):
+        catalog = {
+            name: BaseTable(name, (f"{name}_v",), ("float64",), ids=(1, 2, 3),
+                            rows=((1.0,), (2.0,), (3.0,)))
+            for name in ("r", "t")
+        }
+        plan = SumAggregate("r_v*t_v", Cross(
+            Sample(BernoulliSpec(0.5, seed=r_seed), Scan("r")),
+            Sample(BernoulliSpec(0.5, seed=t_seed), Scan("t"))))
+        return plan, catalog
+
+    def test_inclusion_check_sees_the_correlation(self):
+        independent = join_merge(gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "t"))
+        trials = 5000
+        outcomes = {}
+        for seeds in ((1, 2), (0, 0)):
+            plan, catalog = self._plan_and_catalog(*seeds)
+            first, second = inclusion_probabilities(plan, catalog, trials, seed=17)
+            outcomes[seeds] = compare_inclusion_to_gus(
+                first, second, independent, trials)[0]
+        assert not outcomes[(1, 2)]
+        assert outcomes[(0, 0)]
+        plan, catalog = self._plan_and_catalog(0, 0)
+        with pytest.raises(PlanError, match="share seed 0"):
+            normalize_plan(plan, catalog)
 
 
 def exact_inclusion_from_enumeration(node, catalog):

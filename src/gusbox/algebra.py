@@ -290,6 +290,16 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
             )
         row_seeds[method.seed] = where
 
+    def stack(note: str, g_s: GusParams, child: PlanNode,
+              g_child: GusParams) -> tuple[PlanNode, GusParams]:
+        """Emit a sampling node's table and fuse it onto its input's."""
+        emit("sampler_to_gus", note, (), g_s)
+        if g_child.is_identity:
+            return child, g_s
+        merged = compact(g_s, g_child)
+        emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
+        return child, merged
+
     def rec(node: PlanNode, path: str) -> tuple[PlanNode, GusParams]:
         if isinstance(node, Scan):
             return node, identity_gus(LineageSchema.of([node.table]))
@@ -353,22 +363,11 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
                     {name: p for name, p, _ in method.dims}, schema)
             else:
                 raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
-            emit("sampler_to_gus", _sampler_note(method), (), g_s)
-            if g_child.is_identity:
-                return child, g_s
-            merged = compact(g_s, g_child)
-            emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
-            return child, merged
+            return stack(_sampler_note(method), g_s, child, g_child)
         if isinstance(node, GusQuasi):
             child, g_child = rec(node.child, f"{path}.child")
-            schema = lineage_schema_of(child)
-            g_s = extend_schema(node.params, schema)
-            emit("sampler_to_gus", "explicit parameter table", (), g_s)
-            if g_child.is_identity:
-                return child, g_s
-            merged = compact(g_s, g_child)
-            emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
-            return child, merged
+            g_s = extend_schema(node.params, lineage_schema_of(child))
+            return stack("explicit parameter table", g_s, child, g_child)
         if isinstance(node, SumAggregate):
             raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
         raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")

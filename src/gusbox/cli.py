@@ -70,8 +70,8 @@ def _text_report(report: estimator.EstimateReport, trace, oracle_doc) -> str:
     for q, v in report.quantile_requests:
         lines.append(f"quantile {q:<6g} {_fmt(v)}")
     lines.append("subset          b(gus)       c            ySample      yHat")
-    for s in range(schema.num_subsets):
-        key = schema.subset_key(s) or "(empty)"
+    for s, key in enumerate(schema.subset_keys):
+        key = key or "(empty)"
         lines.append(
             f"{key:<15} {_fmt(report.gus.b[s]):<12} {_fmt(report.c_table[s]):<12} "
             f"{_fmt(report.y_sample[s]):<12} {_fmt(report.y_hat[s])}"

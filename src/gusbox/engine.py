@@ -1,22 +1,40 @@
 """Deterministic in-memory execution of plans with lineage propagation.
 
-Operators are pure functions of immutable inputs. Joins hash on equality
-pairs and fall back to nested loops for pure theta conditions; output rows
-carry the canonical merge of both lineage vectors. No NULLs anywhere:
-ingestion rejects missing values, so operators never see them.
+Relations are columnar (see :class:`gusbox.model.SampleRelation`), and every
+operator works on whole columns and index vectors: selection builds a
+boolean mask, an equi-join factorises its keys and matches them with
+``argsort``/``searchsorted``, and a cross product repeats and tiles row
+positions. Join and union outputs are sorted by lineage with ``lexsort``.
+Output rows carry the canonical merge of both lineage vectors. Comparisons
+and join keys follow Python's exact semantics for mixed ints and floats (an
+int column against a float past 2**53, an int key against a float key),
+``-0.0`` equals ``0.0`` and NaN never matches, so results equal the row-at-a-
+time reference kept in the tests. No NULLs anywhere: ingestion rejects
+missing values, so operators never see them.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import samplers
 from .errors import ExpressionError, PlanError, SchemaError
-from .exprs import compile_arith
-from .model import LineageSchema, Row, SampleRelation
+from .exprs import Arith
+from .model import (
+    INT64_MAX,
+    INT64_MIN,
+    LineageSchema,
+    SampleRelation,
+    column_array,
+    lineage_order,
+    value_tuples,
+)
 from .plan import (
     BernoulliSpec,
     Cross,
@@ -47,44 +65,87 @@ _CMP_FUNCS = {
     ">=": operator.ge,
 }
 
+_INT = np.dtype(np.int64)
+_FLOAT = np.dtype(np.float64)
 
-@dataclass(frozen=True)
+
+def _has_duplicates(values: np.ndarray) -> bool:
+    if values.dtype == object:
+        return len(set(values.tolist())) != len(values)
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 class BaseTable:
-    """Typed rows plus a unique 64-bit id per row."""
+    """Typed columns plus a unique 64-bit id per row.
 
-    name: str
-    columns: tuple[str, ...]
-    column_types: tuple[str, ...]
-    ids: tuple[int, ...]
-    rows: tuple[tuple, ...]
+    ``BaseTable(name, columns, column_types, ids, rows)`` type-checks every
+    cell of hand-built rows; :meth:`from_arrays` takes typed column arrays
+    as ingestion parses them. ``rows`` and ``ids`` are views in Python
+    scalars, built on first use.
+    """
 
-    def __post_init__(self):
-        if len(self.columns) != len(self.column_types):
-            raise SchemaError(f"table {self.name}: columns and types must align")
-        for t in self.column_types:
+    def __init__(self, name: str, columns: Sequence[str], column_types: Sequence[str],
+                 ids: Sequence[int], rows: Sequence[tuple]):
+        columns, column_types, rows = tuple(columns), tuple(column_types), tuple(rows)
+        if len(columns) != len(column_types):
+            raise SchemaError(f"table {name}: columns and types must align")
+        for t in column_types:
             if t not in COLUMN_TYPES:
-                raise SchemaError(f"table {self.name}: unknown column type {t!r}")
-        if len(self.ids) != len(self.rows):
-            raise SchemaError(f"table {self.name}: ids and rows must align")
-        if len(set(self.ids)) != len(self.ids):
-            raise SchemaError(f"table {self.name}: duplicate row ids")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise SchemaError(f"table {self.name}: row arity mismatch")
-            for value, ctype in zip(row, self.column_types):
+                raise SchemaError(f"table {name}: unknown column type {t!r}")
+        if len(ids) != len(rows):
+            raise SchemaError(f"table {name}: ids and rows must align")
+        if len(set(ids)) != len(ids):
+            raise SchemaError(f"table {name}: duplicate row ids")
+        for row in rows:
+            if len(row) != len(columns):
+                raise SchemaError(f"table {name}: row arity mismatch")
+            for value, ctype in zip(row, column_types):
                 if type(value) is not _PYTHON_TYPES[ctype]:
                     raise SchemaError(
-                        f"table {self.name}: value {value!r} does not match type {ctype}"
+                        f"table {name}: value {value!r} does not match type {ctype}"
                     )
+        self._set(name, columns, column_types,
+                  [column_array([row[i] for row in rows], t) for i, t in enumerate(column_types)],
+                  column_array(list(ids), "int64"))
+        self.rows = rows
+        self.ids = tuple(ids)
+
+    @classmethod
+    def from_arrays(cls, name: str, columns: Sequence[str], column_types: Sequence[str],
+                    data: Sequence[np.ndarray], ids: np.ndarray) -> "BaseTable":
+        """Table over typed column arrays (see :class:`SampleRelation` for
+        the dtypes); checks only that the ids are unique."""
+        if _has_duplicates(ids):
+            raise SchemaError(f"table {name}: duplicate row ids")
+        table = cls.__new__(cls)
+        table._set(name, tuple(columns), tuple(column_types), data, ids)
+        return table
+
+    def _set(self, name, columns, column_types, data, ids) -> None:
+        self.name = name
+        self.columns = columns
+        self.column_types = column_types
+        self.data = tuple(data)
+        self.id_array = ids
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.id_array)
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(value_tuples(self.data, len(self)))
+
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self.id_array.tolist())
 
     @cached_property
     def relation(self) -> SampleRelation:
-        schema = LineageSchema.of([self.name])
-        rows = tuple(Row(values, (tid,), 0.0) for values, tid in zip(self.rows, self.ids))
-        return SampleRelation(schema, self.columns, self.column_types, rows)
+        return SampleRelation(
+            LineageSchema.of([self.name]), self.columns, self.column_types,
+            data=self.data, lineage=self.id_array.reshape(-1, 1),
+            f=np.zeros(len(self), dtype=np.float64))
 
 
 Catalog = Mapping[str, BaseTable]
@@ -99,16 +160,83 @@ def _check_comparable(lhs_type: str, rhs) -> None:
             raise ExpressionError(f"cannot compare numeric column with {rhs!r}")
 
 
+def _python_mask(op: str, xs, ys, m: int) -> np.ndarray:
+    fn = _CMP_FUNCS[op]
+    return np.fromiter((fn(x, y) for x, y in zip(xs, ys)), dtype=bool, count=m)
+
+
+def _float_to_int(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as int64 where it holds an integer inside the int64 range, and
+    the mask of those positions."""
+    ok = (x >= -2.0**63) & (x < 2.0**63)
+    as_int = np.where(ok, x, 0.0).astype(np.int64)
+    return as_int, ok & (as_int == x)
+
+
+def _int_vs_const(op: str, x: np.ndarray, c: int | float) -> np.ndarray:
+    """``x op c`` for an int64 column and a Python number, exactly."""
+    if type(c) is float:
+        if math.isnan(c):
+            return np.full(len(x), op == "!=")
+        if math.isinf(c):
+            c = INT64_MAX + 1 if c > 0 else INT64_MIN - 1
+        elif c != math.floor(c):
+            if op in ("=", "!="):
+                return np.full(len(x), op == "!=")
+            op, c = ("<=", math.floor(c)) if op in ("<", "<=") else (">=", math.ceil(c))
+        else:
+            c = int(c)
+    if c > INT64_MAX:
+        return np.full(len(x), op in ("<", "<=", "!="))
+    if c < INT64_MIN:
+        return np.full(len(x), op in (">", ">=", "!="))
+    return _CMP_FUNCS[op](x, np.int64(c))
+
+
+def _float_vs_int(op: str, x: np.ndarray, c: int) -> np.ndarray:
+    """``x op c`` for a float64 column and a Python int, exactly: an int no
+    float can hold lies strictly between two neighbouring floats."""
+    try:
+        fc = float(c)
+    except OverflowError:
+        fc = math.inf if c > 0 else -math.inf
+    if fc == c:
+        return _CMP_FUNCS[op](x, fc)
+    if op in ("=", "!="):
+        return np.full(len(x), op == "!=")
+    if op in ("<", "<="):
+        return x <= (fc if fc < c else math.nextafter(fc, -math.inf))
+    return x >= (fc if fc > c else math.nextafter(fc, math.inf))
+
+
+def _compare_const(op: str, x: np.ndarray, c) -> np.ndarray:
+    if x.dtype == _INT:
+        return _int_vs_const(op, x, c)
+    if x.dtype == _FLOAT:
+        return _float_vs_int(op, x, c) if type(c) is int else _CMP_FUNCS[op](x, c)
+    return _python_mask(op, x.tolist(), [c] * len(x), len(x))
+
+
+def _equal_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if x.dtype == object or y.dtype == object:
+        return _python_mask("=", x.tolist(), y.tolist(), len(x))
+    if x.dtype == y.dtype:
+        return x == y
+    ints, floats = (x, y) if x.dtype == _INT else (y, x)
+    as_int, ok = _float_to_int(floats)
+    return ok & (as_int == ints)
+
+
 def bind_predicate(pred: Predicate, columns: Sequence[str],
-                   types: Sequence[str]) -> Callable[[tuple], bool]:
-    """Type-check atoms against the input schema and compile to a row test."""
+                   types: Sequence[str]) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
+    """Type-check atoms against the input schema and compile to a function
+    from column arrays to the boolean mask of rows that pass."""
     columns = list(columns)
     compiled = []
     for atom in pred.atoms:
         if atom.col not in columns:
             raise ExpressionError(f"predicate references unknown column {atom.col!r}")
         i = columns.index(atom.col)
-        fn = _CMP_FUNCS[atom.op]
         if atom.other_col is not None:
             if atom.other_col not in columns:
                 raise ExpressionError(f"predicate references unknown column {atom.other_col!r}")
@@ -118,17 +246,17 @@ def bind_predicate(pred: Predicate, columns: Sequence[str],
                 raise ExpressionError(
                     f"cannot compare {atom.col} ({lt}) with {atom.other_col} ({rt})"
                 )
-            compiled.append((fn, i, j, True))
+            compiled.append(lambda data, i=i, j=j: _equal_columns(data[i], data[j]))
         else:
             _check_comparable(types[i], atom.value)
-            compiled.append((fn, i, atom.value, False))
+            compiled.append(
+                lambda data, i=i, op=atom.op, c=atom.value: _compare_const(op, data[i], c))
 
-    def test(values: tuple) -> bool:
-        for fn, i, rhs, is_col in compiled:
-            other = values[rhs] if is_col else rhs
-            if not fn(values[i], other):
-                return False
-        return True
+    def test(data: Sequence[np.ndarray]) -> np.ndarray:
+        mask = compiled[0](data)
+        for atom_mask in compiled[1:]:
+            mask &= atom_mask(data)
+        return mask
 
     return test
 
@@ -141,7 +269,7 @@ def select(pred: Predicate, r: SampleRelation) -> SampleRelation:
     if not pred.atoms:
         return r
     test = bind_predicate(pred, r.columns, r.column_types)
-    return r.with_rows([row for row in r.rows if test(row.values)])
+    return r.take(test(r.data))
 
 
 @lru_cache(maxsize=None)
@@ -152,13 +280,68 @@ def _merge_maps(left: LineageSchema, right: LineageSchema):
     return merged, tuple(left_pos), tuple(right_pos)
 
 
-def _merge_lineage(left_lin, right_lin, left_pos, right_pos, n):
-    out = [0] * n
-    for value, pos in zip(left_lin, left_pos):
-        out[pos] = value
-    for value, pos in zip(right_lin, right_pos):
-        out[pos] = value
-    return tuple(out)
+def _key_values(x: np.ndarray, y: np.ndarray):
+    """One equi-join column pair as two arrays of one sortable dtype plus
+    the masks of the rows that can match at all (None: every row). Two rows
+    match on the pair exactly when Python's ``==`` holds for their values:
+    an int key meets a float key only where the float is that integer,
+    ``-0.0`` meets ``0.0``, and NaN never matches."""
+    if x.dtype == object or y.dtype == object:
+        seen: dict = {}
+
+        def codes(col: np.ndarray) -> np.ndarray:
+            return np.fromiter((-1 if v != v else seen.setdefault(v, len(seen))
+                                for v in col.tolist()), dtype=np.int64, count=len(col))
+
+        xk, yk = codes(x), codes(y)
+        return xk, yk, xk >= 0, yk >= 0
+    if x.dtype == y.dtype == _INT:
+        return x, y, None, None
+    if x.dtype == y.dtype == _FLOAT:
+        return x + 0.0, y + 0.0, ~np.isnan(x), ~np.isnan(y)  # + 0.0 turns -0.0 into 0.0
+    if x.dtype == _FLOAT:
+        xk, x_ok = _float_to_int(x)
+        return xk, y, x_ok, None
+    yk, y_ok = _float_to_int(y)
+    return x, yk, None, y_ok
+
+
+def _equi_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` of every left row ``i`` and right row ``j``
+    whose keys match on every column pair."""
+    lk, rk, l_ok, r_ok = _key_values(*pairs[0])
+    if len(pairs) > 1:
+        # factorise each pair jointly and fold the codes into one key
+        lk, rk = _factorise(lk, rk)
+        for x, y in pairs[1:]:
+            lc, rc, lc_ok, rc_ok = _key_values(x, y)
+            lc, rc = _factorise(lc, rc)
+            lk, rk = _factorise(lk * (len(x) + len(y)) + lc, rk * (len(x) + len(y)) + rc)
+            l_ok, r_ok = _both(l_ok, lc_ok), _both(r_ok, rc_ok)
+    left = lk.argsort() if l_ok is None else l_ok.nonzero()[0]
+    if l_ok is not None:
+        left = left[lk[left].argsort()]
+    keys = lk[left]
+    right = np.arange(len(rk)) if r_ok is None else r_ok.nonzero()[0]
+    rkeys = rk[right]
+    lo = keys.searchsorted(rkeys, side="left")
+    counts = keys.searchsorted(rkeys, side="right") - lo
+    right = right.repeat(counts)
+    offset = (lo - counts.cumsum() + counts).repeat(counts)
+    return left[np.arange(len(right)) + offset], right
+
+
+def _factorise(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes for the values of two arrays, equal codes for equal values."""
+    _, codes = np.unique(np.concatenate([x, y]), return_inverse=True)
+    return codes[:len(x)].astype(np.int64), codes[len(x):].astype(np.int64)
+
+
+def _both(a, b):
+    if a is None:
+        return b
+    return a if b is None else a & b
 
 
 def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
@@ -173,33 +356,26 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
     if cond.residual.atoms:
         residual = bind_predicate(cond.residual, columns, types)
 
-    out = []
-    n = merged_schema.n
     if cond.equi:
-        left_idx = [left.column_index(lc) for lc, _ in cond.equi]
-        right_idx = [right.column_index(rc) for _, rc in cond.equi]
-        buckets: dict = {}
-        for row in left.rows:
-            key = tuple(row.values[i] for i in left_idx)
-            buckets.setdefault(key, []).append(row)
-        for rrow in right.rows:
-            key = tuple(rrow.values[i] for i in right_idx)
-            for lrow in buckets.get(key, ()):
-                values = lrow.values + rrow.values
-                if residual is not None and not residual(values):
-                    continue
-                lineage = _merge_lineage(lrow.lineage, rrow.lineage, left_pos, right_pos, n)
-                out.append(Row(values, lineage, 0.0))
+        li, ri = _equi_pairs([(left.data[left.column_index(lc)],
+                               right.data[right.column_index(rc)])
+                              for lc, rc in cond.equi])
     else:
-        for lrow in left.rows:
-            for rrow in right.rows:
-                values = lrow.values + rrow.values
-                if residual is not None and not residual(values):
-                    continue
-                lineage = _merge_lineage(lrow.lineage, rrow.lineage, left_pos, right_pos, n)
-                out.append(Row(values, lineage, 0.0))
-    out.sort(key=lambda row: row.lineage)
-    return SampleRelation(merged_schema, columns, types, tuple(out))
+        li = np.repeat(np.arange(len(left)), len(right))
+        ri = np.tile(np.arange(len(right)), len(left))
+    if residual is not None:
+        keep = residual([c[li] for c in left.data] + [c[ri] for c in right.data])
+        li, ri = li[keep], ri[keep]
+    object_ids = left.lineage.dtype == object or right.lineage.dtype == object
+    lineage = np.empty((len(li), merged_schema.n), dtype=object if object_ids else np.int64)
+    lineage[:, left_pos] = left.lineage[li]
+    lineage[:, right_pos] = right.lineage[ri]
+    order = lineage_order(lineage)
+    li, ri = li[order], ri[order]
+    return SampleRelation(
+        merged_schema, columns, types,
+        data=[c[li] for c in left.data] + [c[ri] for c in right.data],
+        lineage=lineage[order], f=np.zeros(len(li), dtype=np.float64))
 
 
 def cross(left: SampleRelation, right: SampleRelation) -> SampleRelation:
@@ -214,17 +390,23 @@ def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
         )
     if left.columns != right.columns or left.column_types != right.column_types:
         raise SchemaError("union sides must have identical columns")
-    seen = {row.lineage for row in left.rows}
-    rows = list(left.rows)
-    rows.extend(row for row in right.rows if row.lineage not in seen)
-    rows.sort(key=lambda row: row.lineage)
-    return left.with_rows(rows)
+    lineage = np.concatenate([left.lineage, right.lineage])
+    # lexsort is stable, so of two equal lineages the left side's row comes first
+    order = lineage_order(lineage)
+    ordered = lineage[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    order = order[first]
+    return SampleRelation(
+        left.schema, left.columns, left.column_types,
+        data=[np.concatenate([a, b])[order] for a, b in zip(left.data, right.data)],
+        lineage=ordered[first], f=np.concatenate([left.f, right.f])[order])
 
 
 def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     """Evaluate the aggregate expression per row into the ``f`` slot."""
-    fn = compile_arith(expr, r.columns, r.column_types, what=f"aggregate {expr!r}")
-    return r.with_rows([Row(row.values, row.lineage, float(fn(row.values))) for row in r.rows])
+    arith = Arith(expr, r.columns, r.column_types, what=f"aggregate {expr!r}")
+    return r.with_f(arith.over(r.data, len(r)))
 
 
 def sum_aggregate(expr: str, r: SampleRelation) -> float:
@@ -241,24 +423,26 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
     """Run a plan, with sampling, against the catalog.
 
     Sampler streams are keyed by (master_seed, per-node seed), so one run is
-    reproducible and distinct operators draw independently.
+    reproducible and distinct operators draw independently. A ``PlanError``
+    starts with the offending node's path, as ``normalize_plan``'s do
+    (``plan.child.left: unknown table 'x'``).
     """
 
-    def rec(n: PlanNode) -> SampleRelation:
+    def rec(n: PlanNode, path: str) -> SampleRelation:
         if isinstance(n, Scan):
             if n.table not in catalog:
-                raise PlanError(f"unknown table {n.table!r}")
+                raise PlanError(f"{path}: unknown table {n.table!r}")
             return scan(catalog[n.table])
         if isinstance(n, Select):
-            return select(n.predicate, rec(n.child))
+            return select(n.predicate, rec(n.child, f"{path}.child"))
         if isinstance(n, Join):
-            return join(n.condition, rec(n.left), rec(n.right))
+            return join(n.condition, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, Cross):
-            return cross(rec(n.left), rec(n.right))
+            return cross(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, UnionDedup):
-            return union_dedup(rec(n.left), rec(n.right))
+            return union_dedup(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, Sample):
-            child = rec(n.child)
+            child = rec(n.child, f"{path}.child")
             m = n.method
             if isinstance(m, BernoulliSpec):
                 return samplers.bernoulli_sample(
@@ -272,17 +456,17 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
                     for name, p, seed in m.dims
                 }
                 return samplers.lineage_bernoulli(child, dims)
-            raise PlanError(f"unknown sampler spec {type(m).__name__}")
+            raise PlanError(f"{path}.method: unknown sampler spec {type(m).__name__}")
         if isinstance(n, GusQuasi):
-            raise PlanError("parameter-only sampling nodes cannot be executed")
+            raise PlanError(f"{path}: parameter-only sampling nodes cannot be executed")
         if isinstance(n, SumAggregate):
-            raise PlanError("sum aggregate may appear only at the plan root")
-        raise PlanError(f"unsupported plan node {type(n).__name__}")
+            raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
+        raise PlanError(f"{path}: unsupported plan node {type(n).__name__}")
 
     if isinstance(node, SumAggregate):
-        relation = bind_aggregate(node.expr, rec(node.child))
+        relation = bind_aggregate(node.expr, rec(node.child, "plan.child"))
         return ExecutionResult(relation, relation.total_f())
-    return ExecutionResult(rec(node), None)
+    return ExecutionResult(rec(node, "plan"), None)
 
 
 def execute_full(node: PlanNode, catalog: Catalog) -> ExecutionResult:

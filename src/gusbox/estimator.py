@@ -11,13 +11,15 @@ coefficients derived from the parameter table.
 group ids: the id of a row under ``S`` is the rank of the pair (its id under
 ``S`` minus the highest bit, its rank in that bit's lineage column), so each
 subset costs one ``np.unique`` and one ``np.bincount`` over the rows, and a
-depth-first walk keeps at most ``n + 1`` id arrays alive. Column ranks are
-computed on Python ints, so any integer base-tuple id works. Rows are sorted
+depth-first walk keeps at most ``n + 1`` id arrays alive. Rows are sorted
 by lineage and ranks follow key order, so ``bincount`` adds within each
 group in row order and the squared group totals are then summed
 sequentially in key order: the same additions, in the same order, as the
 sort-based ``gusbox.oracle.exact_y_terms``, which the result matches bit
-for bit. (A pairwise ``np.sum`` would change the last bits.)
+for bit. (A pairwise ``np.sum`` would change the last bits.) Everything
+reads the relation's lineage matrix and ``f`` array directly; column ranks
+come from ``np.unique``, which orders ints past int64 (object ids) as
+Python does.
 
 ``Y[S]`` sums ``f*f'`` over ordered sample pairs agreeing on at least
 ``S``, so it is biased. The correction is two O(n * 2**n) transforms over
@@ -56,15 +58,14 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
     """Per-subset squared group totals of f, grouped by the subset part of
     the lineage, via hierarchical group ids (see the module docstring)."""
     n = sample.schema.n
-    if not sample.rows:
+    if not len(sample):
         return dict.fromkeys(range(1 << n), 0.0)
-    rows = sorted(((r.lineage, r.f) for r in sample.rows), key=lambda x: x[0])
-    f = np.array([x[1] for x in rows], dtype=np.float64)
+    ordered = sample.in_lineage_order
+    f = ordered.f
     codes = []
     for i in range(n):
-        column = [lineage[i] for lineage, _ in rows]
-        rank = {v: k for k, v in enumerate(sorted(set(column)))}
-        codes.append((np.array([rank[v] for v in column], dtype=np.int64), len(rank)))
+        values, code = np.unique(ordered.lineage[:, i], return_inverse=True)
+        codes.append((code.astype(np.int64), len(values)))
     out: dict[int, float] = {}
 
     def visit(s: int, gid: np.ndarray, lo: int) -> None:
@@ -75,7 +76,7 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
             _, child = np.unique(gid * k + code, return_inverse=True)
             visit(s | 1 << i, child, i + 1)
 
-    visit(0, np.zeros(len(rows), dtype=np.int64), 0)
+    visit(0, np.zeros(len(f), dtype=np.int64), 0)
     return out
 
 
@@ -223,12 +224,12 @@ def _report(sample: SampleRelation, gus: GusParams, estimate: float,
     y_s = y_sample_terms(terms)
     y_hat = y_unbiased(y_s, terms_gus)
     c_table = c_coefficients(gus)
-    if not sample.rows:
+    if not len(sample):
         diagnostics.append("empty sample: estimate and variance default to 0")
     if subsample is not None:
         diagnostics.append(
-            f"variance terms estimated from a {len(terms.rows)}-row sub-sample "
-            f"of {len(sample.rows)} sampled rows"
+            f"variance terms estimated from a {len(terms)}-row sub-sample "
+            f"of {len(sample)} sampled rows"
         )
     variance = variance_estimate(y_hat, c_table, gus.a, diagnostics)
     sigma = math.sqrt(variance)
@@ -244,8 +245,8 @@ def _report(sample: SampleRelation, gus: GusParams, estimate: float,
         ci_chebyshev=confidence_interval(estimate, sigma, "chebyshev", level),
         quantile_requests=quantile_bounds(estimate, sigma, quantiles),
         diagnostics=diagnostics,
-        sample_rows=len(sample.rows),
-        subsample_rows=None if subsample is None else len(terms.rows),
+        sample_rows=len(sample),
+        subsample_rows=None if subsample is None else len(terms),
         subsample_gus=None if subsample is None else terms_gus,
     )
 

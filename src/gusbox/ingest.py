@@ -1,16 +1,86 @@
-"""CSV ingestion into typed base tables with unique row ids."""
+"""CSV ingestion into typed base tables with unique row ids.
+
+Each file is parsed into typed numpy columns by numpy's C tokenizer
+(``np.loadtxt``). That parser accepts no field that Python's ``int()`` or
+``float()`` would reject or read differently, so wherever it fails (and for
+files with quote or NUL characters), the same file goes through the ``csv``
+module row by row, which finds the first bad field and words the error with
+its line.
+Strings, and ints outside the int64 range, land in object columns.
+"""
 
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .engine import COLUMN_TYPES, BaseTable
-from .errors import ExpressionError, IngestError
-from .exprs import compile_int_arith
+from .errors import ExpressionError, IngestError, SchemaError
+from .exprs import Arith
+from .model import column_array
 
 _PARSERS = {"int64": int, "float64": float, "string": str}
+_DTYPES = {"int64": np.int64, "float64": np.float64, "string": object}
+
+
+def _plain(path: Path) -> bool:
+    """Whether the file has no quote and no NUL character, so that splitting
+    lines at commas reads it as the ``csv`` module does."""
+    raw = path.read_bytes()
+    return b'"' not in raw and b"\0" not in raw
+
+
+def _fast_columns(path: Path, header: list[str],
+                  pairs: list[tuple[str, str]]) -> Optional[list[np.ndarray]]:
+    """The declared columns parsed by ``np.loadtxt``, or None when the file
+    needs the row-by-row path."""
+    if not pairs or not _plain(path):
+        return None
+    # a repeated header name maps to its last column, as in csv.DictReader
+    usecols = [len(header) - 1 - header[::-1].index(col) for col, _ in pairs]
+    dtype = np.dtype([(f"c{i}", _DTYPES[ctype]) for i, (_, ctype) in enumerate(pairs)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no records
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, skiprows=1, usecols=usecols, ndmin=1,
+                               encoding="utf-8")
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    columns = [table[name].copy() for name in dtype.names]
+    for (_, ctype), column in zip(pairs, columns):
+        if ctype == "string" and "" in column.tolist():
+            return None
+    return columns
+
+
+def _row_columns(path: Path, name: str,
+                 pairs: list[tuple[str, str]]) -> tuple[list[np.ndarray], int]:
+    """The declared columns parsed row by row, and the number of records;
+    raises on the first missing or unparsable value."""
+    rows = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for lineno, record in enumerate(reader, start=2):
+            values = []
+            for col, ctype in pairs:
+                raw = record.get(col)
+                if raw is None or raw == "":
+                    raise IngestError(
+                        f"table {name}: missing value for {col!r} at line {lineno}")
+                try:
+                    values.append(_PARSERS[ctype](raw))
+                except ValueError:
+                    raise IngestError(
+                        f"table {name}: cannot parse {raw!r} as {ctype} "
+                        f"for {col!r} at line {lineno}") from None
+            rows.append(values)
+    return [column_array([row[i] for row in rows], ctype)
+            for i, (_, ctype) in enumerate(pairs)], len(rows)
 
 
 def ingest_csv(path: Union[str, Path], name: str,
@@ -34,44 +104,33 @@ def ingest_csv(path: Union[str, Path], name: str,
     path = Path(path)
     if not path.exists():
         raise IngestError(f"table {name}: file {path} does not exist")
-    rows = []
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise IngestError(f"table {name}: missing column(s) {missing} in {path}")
-        for lineno, record in enumerate(reader, start=2):
-            values = []
-            for col, ctype in pairs:
-                raw = record.get(col)
-                if raw is None or raw == "":
-                    raise IngestError(
-                        f"table {name}: missing value for {col!r} at line {lineno}")
-                try:
-                    values.append(_PARSERS[ctype](raw))
-                except ValueError:
-                    raise IngestError(
-                        f"table {name}: cannot parse {raw!r} as {ctype} "
-                        f"for {col!r} at line {lineno}") from None
-            rows.append(tuple(values))
+        header = next(csv.reader(handle), [])
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise IngestError(f"table {name}: missing column(s) {missing} in {path}")
+    data = _fast_columns(path, header, pairs)
+    if data is None:
+        data, m = _row_columns(path, name, pairs)
+    else:
+        m = len(data[0])
 
     if id_column == "rowIndex":
-        ids = tuple(range(len(rows)))
+        ids = np.arange(m, dtype=np.int64)
     elif id_column in columns:
         idx = columns.index(id_column)
         if types[idx] != "int64":
             raise IngestError(f"table {name}: id column {id_column!r} must be int64")
-        ids = tuple(row[idx] for row in rows)
+        ids = data[idx]
     else:
         try:
-            fn = compile_int_arith(id_column, columns, types,
-                                   what=f"table {name} id expression")
+            arith = Arith(id_column, columns, types,
+                          what=f"table {name} id expression", integer=True)
         except ExpressionError as exc:
             raise IngestError(str(exc)) from None
-        ids = tuple(fn(row) for row in rows)
+        ids = arith.over(data, m)
 
-    if len(set(ids)) != len(ids):
-        raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
-    return BaseTable(name=name, columns=columns, column_types=types,
-                     ids=ids, rows=tuple(rows))
+    try:
+        return BaseTable.from_arrays(name, columns, types, data, ids)
+    except SchemaError:
+        raise IngestError(f"table {name}: duplicate row ids from {id_column!r}") from None

@@ -1,6 +1,13 @@
 """Core domain types: lineage schemas, subset masks, sampling parameter
 tables, and lineage-carrying relations.
 
+A relation (:class:`SampleRelation`) is columnar: one numpy array per
+column, an ``m x n`` lineage matrix holding each row's base-tuple ids in
+schema order, and an ``f`` array of per-row aggregate values. ``rows``, a
+tuple of :class:`Row` in Python scalars, is a view built on first use for
+callers that want tuples (tests, the oracle); the engine and the estimator
+read the arrays.
+
 A lineage schema is the canonically ordered set of base relations feeding an
 expression. Subsets of it are represented as bitmasks over the canonical
 order, so a parameter table indexed "per subset" is a dense array of length
@@ -14,10 +21,13 @@ maintains that identity bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import SchemaError, SelfJoinError
 
@@ -235,35 +245,141 @@ class Row(NamedTuple):
     f: float
 
 
-@dataclass(frozen=True)
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
+
+def object_array(values: Sequence) -> np.ndarray:
+    """1-d object array holding ``values`` themselves."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _fits_int64(values: Iterable) -> bool:
+    return all(type(v) is int and INT64_MIN <= v <= INT64_MAX for v in values)
+
+
+def column_array(values: Sequence, ctype: str) -> np.ndarray:
+    """One column as an array: int64 when every value is a Python int inside
+    the int64 range, float64 when every value is a float, and otherwise an
+    object array of the values themselves (strings, ints past int64)."""
+    if ctype == "int64" and _fits_int64(values):
+        return np.array(values, dtype=np.int64)
+    if ctype == "float64" and all(type(v) is float for v in values):
+        return np.array(values, dtype=np.float64)
+    return object_array(values)
+
+
+def lineage_array(lineages: Sequence[Lineage], n: int) -> np.ndarray:
+    """``m x n`` lineage matrix: int64, or object when an id is not an int
+    inside the int64 range."""
+    flat = [v for lineage in lineages for v in lineage]
+    arr = np.array(flat, dtype=np.int64) if _fits_int64(flat) else object_array(flat)
+    return arr.reshape(len(lineages), n)
+
+
+def value_tuples(data: Sequence[np.ndarray], m: int) -> Iterable[tuple]:
+    """The rows of ``m``-row column arrays as tuples of Python scalars."""
+    return zip(*(c.tolist() for c in data)) if data else itertools.repeat((), m)
+
+
+def _lineage_sorted(lineage: np.ndarray) -> bool:
+    """Whether the rows of a lineage matrix are in strictly increasing
+    lexicographic order."""
+    m, n = lineage.shape
+    if m < 2 or n == 0:
+        return True
+    a, b = lineage[:-1], lineage[1:]
+    differ = a != b
+    first = differ.argmax(axis=1)
+    pairs = np.arange(m - 1)
+    return bool(np.all(differ[pairs, first] & (a[pairs, first] < b[pairs, first])))
+
+
+def lineage_order(lineage: np.ndarray) -> np.ndarray:
+    """Permutation that sorts the rows of a lineage matrix lexicographically,
+    as Python sorts lineage tuples."""
+    if lineage.shape[1] == 0:
+        return np.arange(len(lineage))
+    return np.lexsort(lineage.T[::-1])
+
+
 class SampleRelation:
-    """Bag of rows with per-row lineage and an aggregate value ``f``.
+    """Bag of rows with per-row lineage and an aggregate value ``f``, held
+    column-wise: one array per column in ``data``, an ``m x n`` lineage
+    matrix over ``schema`` and an ``f`` array. Numeric columns are int64 or
+    float64 arrays; strings, and ints outside the int64 range, sit in object
+    arrays, as do ids outside that range in the lineage matrix.
 
     Duplicate-free by full lineage vector: sampling here is filtering, never
     replication, so a lineage identifies a row.
+
+    ``SampleRelation(schema, columns, column_types, rows)`` builds a relation
+    from :class:`Row` tuples and checks their lineage. The keyword form
+    (``data=``, ``lineage=``, ``f=``) takes arrays as the engine's operators
+    produce them; it checks shapes only, because every operator keeps
+    lineage unique by construction. ``rows`` is a derived view in Python
+    scalars, built on first use; the engine never needs it.
     """
 
-    schema: LineageSchema
-    columns: tuple[str, ...]
-    column_types: tuple[str, ...]
-    rows: tuple[Row, ...]
+    def __init__(self, schema: LineageSchema, columns: Sequence[str],
+                 column_types: Sequence[str], rows: Optional[Sequence[Row]] = None, *,
+                 data: Optional[Sequence[np.ndarray]] = None,
+                 lineage: Optional[np.ndarray] = None, f: Optional[np.ndarray] = None):
+        if (rows is None) == (lineage is None):
+            raise SchemaError("give either rows or the data, lineage and f arrays")
+        self.schema = schema
+        self.columns = tuple(columns)
+        self.column_types = tuple(column_types)
+        if rows is not None:
+            self.rows = tuple(rows)
+        self.data = None if data is None else tuple(data)
+        self.lineage = lineage
+        self.f = f
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.columns) != len(self.column_types):
             raise SchemaError("columns and column_types must align")
         n = self.schema.n
-        seen = set()
-        for row in self.rows:
-            if len(row.lineage) != n:
-                raise SchemaError(
-                    f"lineage {row.lineage} has length {len(row.lineage)}, schema has {n}"
-                )
-            if row.lineage in seen:
-                raise SchemaError(f"duplicate lineage vector {row.lineage}")
-            seen.add(row.lineage)
+        if self.lineage is None:
+            seen = set()
+            for row in self.rows:
+                if len(row.lineage) != n:
+                    raise SchemaError(
+                        f"lineage {row.lineage} has length {len(row.lineage)}, schema has {n}"
+                    )
+                if row.lineage in seen:
+                    raise SchemaError(f"duplicate lineage vector {row.lineage}")
+                seen.add(row.lineage)
+                if len(row.values) != len(self.columns):
+                    raise SchemaError(
+                        f"row {row.values} has {len(row.values)} values for "
+                        f"{len(self.columns)} columns"
+                    )
+            self.data = tuple(
+                column_array([row.values[i] for row in self.rows], ctype)
+                for i, ctype in enumerate(self.column_types)
+            )
+            self.lineage = lineage_array([row.lineage for row in self.rows], n)
+            self.f = np.array([row.f for row in self.rows], dtype=np.float64)
+        m = len(self.f)
+        if self.lineage.shape != (m, n):
+            raise SchemaError(f"lineage matrix has shape {self.lineage.shape}, need {(m, n)}")
+        if len(self.data) != len(self.columns) or {len(c) for c in self.data} - {m}:
+            raise SchemaError(f"data must hold {len(self.columns)} columns of {m} rows")
+        for array in (self.lineage, self.f, *self.data):
+            array.flags.writeable = False  # operators share arrays between relations
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.f)
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """The relation as :class:`Row` tuples of Python scalars."""
+        return tuple(Row(v, tuple(lineage), f) for v, lineage, f in zip(
+            value_tuples(self.data, len(self)), self.lineage.tolist(), self.f.tolist()))
 
     def column_index(self, name: str) -> int:
         try:
@@ -274,5 +390,26 @@ class SampleRelation:
     def with_rows(self, rows: Sequence[Row]) -> "SampleRelation":
         return SampleRelation(self.schema, self.columns, self.column_types, tuple(rows))
 
+    def take(self, index: np.ndarray) -> "SampleRelation":
+        """The rows at ``index`` (positions or a boolean mask), in that order."""
+        return SampleRelation(self.schema, self.columns, self.column_types,
+                              data=[c[index] for c in self.data],
+                              lineage=self.lineage[index], f=self.f[index])
+
+    def with_f(self, f: np.ndarray) -> "SampleRelation":
+        return SampleRelation(self.schema, self.columns, self.column_types,
+                              data=self.data, lineage=self.lineage, f=f)
+
+    @cached_property
+    def in_lineage_order(self) -> "SampleRelation":
+        """This relation with its rows sorted by lineage: itself when they
+        already are, as every join and union output (and any filter of one)
+        is."""
+        if _lineage_sorted(self.lineage):
+            return self
+        return self.take(lineage_order(self.lineage))
+
     def total_f(self) -> float:
-        return sum(row.f for row in sorted(self.rows, key=lambda r: r.lineage))
+        """Sum of ``f``, added in lineage order so that it does not depend on
+        row order."""
+        return sum(self.in_lineage_order.f.tolist())

@@ -1,10 +1,14 @@
 """Executable randomized filters.
 
-All samplers are deterministic functions of (input, parameters, seed).
-Stream-based samplers draw from a PCG64 generator; the lineage-keyed
+All samplers are deterministic functions of (input, parameters, seed),
+and each returns the kept rows of its columnar input in input order.
+Stream-based samplers draw from a PCG64 generator: Bernoulli compares one
+``rng.random(len)`` draw per row with ``p``, and WOR makes one
+``rng.integers(i, m)`` draw per Fisher-Yates step. The lineage-keyed
 Bernoulli derives each decision from a SplitMix-style 64-bit hash of
-(seed, base-tuple id) so a base tuple receives one decision shared across
-every result row that contains it.
+(seed, base-tuple id), computed over the whole lineage column in wrapping
+uint64 arithmetic, so a base tuple receives one decision shared across every
+result row that contains it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .model import SampleRelation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31))
+_MULTIPLIERS = tuple(np.uint64(k) for k in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
 def mix64(x: int) -> int:
@@ -43,14 +49,29 @@ def generator(master: int, node_seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, node_seed))))
 
 
+def keyed_units(seed: int, keys: np.ndarray) -> np.ndarray:
+    """:func:`keyed_unit` of every key, in uint64 arithmetic that wraps as
+    the masks in :func:`mix64` do."""
+    if keys.dtype == object:
+        x = np.array([k & _MASK64 for k in keys.tolist()], dtype=np.uint64)
+    else:
+        x = keys.view(np.uint64)
+    x = x + np.uint64(seed * _GOLDEN & _MASK64)
+    x ^= x >> _SHIFTS[0]
+    x *= _MULTIPLIERS[0]
+    x ^= x >> _SHIFTS[1]
+    x *= _MULTIPLIERS[1]
+    x ^= x >> _SHIFTS[2]
+    return x / 2.0**64
+
+
 def bernoulli_sample(r: SampleRelation, p: float, rng: np.random.Generator) -> SampleRelation:
     """Keep each row independently with probability ``p``."""
     if not 0.0 <= p <= 1.0:
         raise SchemaError(f"Bernoulli probability {p} outside [0, 1]")
-    if not r.rows:
+    if not len(r):
         return r
-    draws = rng.random(len(r.rows))
-    return r.with_rows([row for row, u in zip(r.rows, draws) if u < p])
+    return r.take(rng.random(len(r)) < p)
 
 
 def wor_sample(r: SampleRelation, n: int, rng: np.random.Generator) -> SampleRelation:
@@ -58,30 +79,21 @@ def wor_sample(r: SampleRelation, n: int, rng: np.random.Generator) -> SampleRel
 
     The selected rows keep their input order.
     """
-    m = len(r.rows)
+    m = len(r)
     if n > m:
         raise SampleSizeError(f"cannot draw {n} rows from a relation of {m}")
     idx = list(range(m))
     for i in range(n):
         j = int(rng.integers(i, m))
         idx[i], idx[j] = idx[j], idx[i]
-    chosen = sorted(idx[:n])
-    return r.with_rows([r.rows[i] for i in chosen])
+    return r.take(np.sort(np.array(idx[:n], dtype=np.intp)))
 
 
 def lineage_bernoulli(r: SampleRelation, dims: Mapping[str, tuple[float, int]]) -> SampleRelation:
     """Keep a row iff every covered relation's base-tuple id hashes under
     its threshold. Decisions are per base tuple, not per row."""
-    positions = []
+    keep = None
     for name, (p, seed) in sorted(dims.items()):
-        positions.append((r.schema.index(name), p, seed))
-    kept = []
-    for row in r.rows:
-        ok = True
-        for pos, p, seed in positions:
-            if keyed_unit(seed, row.lineage[pos]) >= p:
-                ok = False
-                break
-        if ok:
-            kept.append(row)
-    return r.with_rows(kept)
+        kept = keyed_units(seed, r.lineage[:, r.schema.index(name)]) < p
+        keep = kept if keep is None else keep & kept
+    return r if keep is None else r.take(keep)

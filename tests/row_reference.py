@@ -1,0 +1,238 @@
+"""Row-at-a-time reference for the columnar engine, samplers and CSV
+ingestion: the operators as they ran over Python ``Row`` tuples before the
+engine went columnar. Tests run a plan through both and require the same
+rows, in the same order, with bit-identical values and ``f``.
+
+Relations here are built with ``SampleRelation(schema, columns, types,
+rows)`` and read through ``.rows``; nothing below touches the column arrays.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+from gusbox.engine import _CMP_FUNCS, _check_comparable
+from gusbox.errors import ExpressionError, IngestError, PlanError, SampleSizeError, SchemaError
+from gusbox.exprs import Arith
+from gusbox.model import Row, SampleRelation
+from gusbox.plan import (
+    BernoulliSpec,
+    Cross,
+    Join,
+    JoinSpec,
+    LineageBernoulliSpec,
+    Sample,
+    Scan,
+    Select,
+    SumAggregate,
+    UnionDedup,
+    WorSpec,
+)
+from gusbox.samplers import derive_seed, generator, keyed_unit
+
+
+def bind_predicate(pred, columns, types):
+    columns = list(columns)
+    compiled = []
+    for atom in pred.atoms:
+        if atom.col not in columns:
+            raise ExpressionError(f"predicate references unknown column {atom.col!r}")
+        i = columns.index(atom.col)
+        fn = _CMP_FUNCS[atom.op]
+        if atom.other_col is not None:
+            if atom.other_col not in columns:
+                raise ExpressionError(f"predicate references unknown column {atom.other_col!r}")
+            j = columns.index(atom.other_col)
+            lt, rt = types[i], types[j]
+            if (lt == "string") != (rt == "string"):
+                raise ExpressionError(
+                    f"cannot compare {atom.col} ({lt}) with {atom.other_col} ({rt})"
+                )
+            compiled.append((fn, i, j, True))
+        else:
+            _check_comparable(types[i], atom.value)
+            compiled.append((fn, i, atom.value, False))
+
+    def test(values: tuple) -> bool:
+        for fn, i, rhs, is_col in compiled:
+            other = values[rhs] if is_col else rhs
+            if not fn(values[i], other):
+                return False
+        return True
+
+    return test
+
+
+def scan(table) -> SampleRelation:
+    rows = tuple(Row(values, (tid,), 0.0) for values, tid in zip(table.rows, table.ids))
+    return SampleRelation(table.relation.schema, table.columns, table.column_types, rows)
+
+
+def select(pred, r: SampleRelation) -> SampleRelation:
+    if not pred.atoms:
+        return r
+    test = bind_predicate(pred, r.columns, r.column_types)
+    return r.with_rows([row for row in r.rows if test(row.values)])
+
+
+def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
+    merged = left.schema.merge_disjoint(right.schema)
+    left_pos = [merged.index(name) for name in left.schema.relations]
+    right_pos = [merged.index(name) for name in right.schema.relations]
+    overlap = set(left.columns) & set(right.columns)
+    if overlap:
+        raise SchemaError(f"join sides share column names {sorted(overlap)}")
+    columns = left.columns + right.columns
+    types = left.column_types + right.column_types
+    residual = bind_predicate(cond.residual, columns, types) if cond.residual.atoms else None
+
+    def merge(llin, rlin):
+        out = [0] * merged.n
+        for value, pos in zip(llin, left_pos):
+            out[pos] = value
+        for value, pos in zip(rlin, right_pos):
+            out[pos] = value
+        return tuple(out)
+
+    out = []
+    if cond.equi:
+        left_idx = [left.column_index(lc) for lc, _ in cond.equi]
+        right_idx = [right.column_index(rc) for _, rc in cond.equi]
+        buckets: dict = {}
+        for row in left.rows:
+            buckets.setdefault(tuple(row.values[i] for i in left_idx), []).append(row)
+        pairs = ((lrow, rrow) for rrow in right.rows
+                 for lrow in buckets.get(tuple(rrow.values[i] for i in right_idx), ()))
+    else:
+        pairs = ((lrow, rrow) for lrow in left.rows for rrow in right.rows)
+    for lrow, rrow in pairs:
+        values = lrow.values + rrow.values
+        if residual is None or residual(values):
+            out.append(Row(values, merge(lrow.lineage, rrow.lineage), 0.0))
+    out.sort(key=lambda row: row.lineage)
+    return SampleRelation(merged, columns, types, tuple(out))
+
+
+def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
+    if left.schema != right.schema:
+        raise SchemaError("union over different lineage schemas")
+    seen = {row.lineage for row in left.rows}
+    rows = list(left.rows)
+    rows.extend(row for row in right.rows if row.lineage not in seen)
+    rows.sort(key=lambda row: row.lineage)
+    return left.with_rows(rows)
+
+
+def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
+    fn = Arith(expr, r.columns, r.column_types, what=f"aggregate {expr!r}")
+    return r.with_rows([Row(row.values, row.lineage, float(fn(row.values))) for row in r.rows])
+
+
+def total_f(r: SampleRelation) -> float:
+    return sum(row.f for row in sorted(r.rows, key=lambda row: row.lineage))
+
+
+def bernoulli_sample(r: SampleRelation, p: float, rng) -> SampleRelation:
+    if not r.rows:
+        return r
+    draws = rng.random(len(r.rows))
+    return r.with_rows([row for row, u in zip(r.rows, draws) if u < p])
+
+
+def wor_sample(r: SampleRelation, n: int, rng) -> SampleRelation:
+    m = len(r.rows)
+    if n > m:
+        raise SampleSizeError(f"cannot draw {n} rows from a relation of {m}")
+    idx = list(range(m))
+    for i in range(n):
+        j = int(rng.integers(i, m))
+        idx[i], idx[j] = idx[j], idx[i]
+    return r.with_rows([r.rows[i] for i in sorted(idx[:n])])
+
+
+def lineage_bernoulli(r: SampleRelation, dims) -> SampleRelation:
+    positions = [(r.schema.index(name), p, seed) for name, (p, seed) in sorted(dims.items())]
+    return r.with_rows([row for row in r.rows
+                        if all(keyed_unit(seed, row.lineage[pos]) < p
+                               for pos, p, seed in positions)])
+
+
+def execute(node, catalog, master_seed: int = 0):
+    """(relation, aggregate) of a plan, as ``gusbox.engine.execute`` gives
+    them in an ``ExecutionResult``."""
+
+    def rec(n) -> SampleRelation:
+        if isinstance(n, Scan):
+            return scan(catalog[n.table])
+        if isinstance(n, Select):
+            return select(n.predicate, rec(n.child))
+        if isinstance(n, Join):
+            return join(n.condition, rec(n.left), rec(n.right))
+        if isinstance(n, Cross):
+            return join(JoinSpec(), rec(n.left), rec(n.right))
+        if isinstance(n, UnionDedup):
+            return union_dedup(rec(n.left), rec(n.right))
+        if isinstance(n, Sample):
+            child, m = rec(n.child), n.method
+            if isinstance(m, BernoulliSpec):
+                return bernoulli_sample(child, m.p, generator(master_seed, m.seed))
+            if isinstance(m, WorSpec):
+                return wor_sample(child, m.n, generator(master_seed, m.seed))
+            if isinstance(m, LineageBernoulliSpec):
+                return lineage_bernoulli(
+                    child, {name: (p, derive_seed(master_seed, seed)) for name, p, seed in m.dims})
+        raise PlanError(f"unsupported plan node {type(n).__name__}")
+
+    if isinstance(node, SumAggregate):
+        relation = bind_aggregate(node.expr, rec(node.child))
+        return relation, total_f(relation)
+    return rec(node), None
+
+
+_PARSERS = {"int64": int, "float64": float, "string": str}
+
+
+def ingest_rows(path: Path, name: str, column_types: dict, id_column: str = "rowIndex"):
+    """(rows, ids) of a CSV as ``gusbox.ingest.ingest_csv`` reads it, parsed
+    record by record with the ``csv`` module."""
+    pairs = list(column_types.items())
+    columns = tuple(c for c, _ in pairs)
+    types = tuple(t for _, t in pairs)
+    rows = []
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise IngestError(f"table {name}: missing column(s) {missing} in {path}")
+        for lineno, record in enumerate(reader, start=2):
+            values = []
+            for col, ctype in pairs:
+                raw = record.get(col)
+                if raw is None or raw == "":
+                    raise IngestError(
+                        f"table {name}: missing value for {col!r} at line {lineno}")
+                try:
+                    values.append(_PARSERS[ctype](raw))
+                except ValueError:
+                    raise IngestError(
+                        f"table {name}: cannot parse {raw!r} as {ctype} "
+                        f"for {col!r} at line {lineno}") from None
+            rows.append(tuple(values))
+    if id_column == "rowIndex":
+        ids = tuple(range(len(rows)))
+    elif id_column in columns:
+        idx = columns.index(id_column)
+        if types[idx] != "int64":
+            raise IngestError(f"table {name}: id column {id_column!r} must be int64")
+        ids = tuple(row[idx] for row in rows)
+    else:
+        try:
+            fn = Arith(id_column, columns, types,
+                       what=f"table {name} id expression", integer=True)
+        except ExpressionError as exc:
+            raise IngestError(str(exc)) from None
+        ids = tuple(fn(row) for row in rows)
+    if len(set(ids)) != len(ids):
+        raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
+    return tuple(rows), ids

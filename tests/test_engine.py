@@ -260,6 +260,16 @@ class TestExecutor:
         with pytest.raises(PlanError, match="unknown table"):
             execute(Scan("nope"), {})
 
+    def test_plan_errors_name_the_node(self):
+        from gusbox import PlanError
+
+        catalog = small_join_catalog()
+        plan = SumAggregate("l_val", Join(JoinSpec(), Scan("l"), Select(Predicate(), Scan("x"))))
+        with pytest.raises(PlanError, match=r"^plan\.child\.right\.child: unknown table 'x'"):
+            execute(plan, catalog)
+        with pytest.raises(PlanError, match=r"^plan: unknown table"):
+            execute(Scan("x"), catalog)
+
     def test_quasi_nodes_are_not_executable(self):
         from gusbox import GusQuasi, PlanError
         from gusbox.algebra import identity_gus

@@ -4,7 +4,9 @@ Relations are columnar (see :class:`gusbox.model.SampleRelation`), and every
 operator works on whole columns and index vectors: selection builds a
 boolean mask, an equi-join factorises its keys and matches them with
 ``argsort``/``searchsorted``, and a cross product repeats and tiles row
-positions. Join and union outputs are sorted by lineage with ``lexsort``.
+positions. A join's residual predicate is tested on blocks of candidate
+pairs, so memory follows the block and the output, not the product of the
+inputs. Join and union outputs are sorted by lineage with ``lexsort``.
 Output rows carry the canonical merge of both lineage vectors. Comparisons
 and join keys follow Python's exact semantics for mixed ints and floats (an
 int column against a float past 2**53, an int key against a float key),
@@ -344,6 +346,35 @@ def _both(a, b):
     return a if b is None else a & b
 
 
+# candidate pairs whose columns a join's residual test gathers at once, so
+# that a selective theta join or cross product never holds the full product
+_PAIR_BLOCK = 1 << 16
+
+
+def _cross_blocks(m_left: int, m_right: int):
+    """Every ``(i, j)`` position pair of a cross product, in blocks of whole
+    left rows holding about ``_PAIR_BLOCK`` pairs each."""
+    step = max(1, _PAIR_BLOCK // max(1, m_right))
+    for start in range(0, m_left, step):
+        stop = min(m_left, start + step)
+        yield (np.arange(start, stop).repeat(m_right),
+               np.tile(np.arange(m_right), stop - start))
+
+
+def _passing_pairs(residual, left: SampleRelation, right: SampleRelation, blocks
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``blocks`` whose joined row passes ``residual`` (all of
+    them when it is None), tested one block at a time."""
+    kept_l, kept_r = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for li, ri in blocks:
+        if residual is not None:
+            keep = residual([c[li] for c in left.data] + [c[ri] for c in right.data])
+            li, ri = li[keep], ri[keep]
+        kept_l.append(li)
+        kept_r.append(ri)
+    return np.concatenate(kept_l), np.concatenate(kept_r)
+
+
 def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
     merged_schema, left_pos, right_pos = _merge_maps(left.schema, right.schema)
     overlap = set(left.columns) & set(right.columns)
@@ -360,12 +391,12 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
         li, ri = _equi_pairs([(left.data[left.column_index(lc)],
                                right.data[right.column_index(rc)])
                               for lc, rc in cond.equi])
+        if residual is not None:
+            li, ri = _passing_pairs(residual, left, right, (
+                (li[k:k + _PAIR_BLOCK], ri[k:k + _PAIR_BLOCK])
+                for k in range(0, len(li), _PAIR_BLOCK)))
     else:
-        li = np.repeat(np.arange(len(left)), len(right))
-        ri = np.tile(np.arange(len(right)), len(left))
-    if residual is not None:
-        keep = residual([c[li] for c in left.data] + [c[ri] for c in right.data])
-        li, ri = li[keep], ri[keep]
+        li, ri = _passing_pairs(residual, left, right, _cross_blocks(len(left), len(right)))
     object_ids = left.lineage.dtype == object or right.lineage.dtype == object
     lineage = np.empty((len(li), merged_schema.n), dtype=object if object_ids else np.int64)
     lineage[:, left_pos] = left.lineage[li]

@@ -46,10 +46,13 @@ def _fast_columns(path: Path, header: list[str],
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no records
+            # numpy releases before the deprecation expired read an int field
+            # through a float ('1.5' as 1, 2**63 as a wrong int64) and only warn
+            warnings.simplefilter("error", DeprecationWarning)
             table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
                                quotechar=None, skiprows=1, usecols=usecols, ndmin=1,
                                encoding="utf-8")
-    except ValueError:  # includes UnicodeDecodeError
+    except (ValueError, DeprecationWarning):  # ValueError includes UnicodeDecodeError
         return None
     columns = [table[name].copy() for name in dtype.names]
     for (_, ctype), column in zip(pairs, columns):

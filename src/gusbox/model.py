@@ -284,19 +284,6 @@ def value_tuples(data: Sequence[np.ndarray], m: int) -> Iterable[tuple]:
     return zip(*(c.tolist() for c in data)) if data else itertools.repeat((), m)
 
 
-def _lineage_sorted(lineage: np.ndarray) -> bool:
-    """Whether the rows of a lineage matrix are in strictly increasing
-    lexicographic order."""
-    m, n = lineage.shape
-    if m < 2 or n == 0:
-        return True
-    a, b = lineage[:-1], lineage[1:]
-    differ = a != b
-    first = differ.argmax(axis=1)
-    pairs = np.arange(m - 1)
-    return bool(np.all(differ[pairs, first] & (a[pairs, first] < b[pairs, first])))
-
-
 def lineage_order(lineage: np.ndarray) -> np.ndarray:
     """Permutation that sorts the rows of a lineage matrix lexicographically,
     as Python sorts lineage tuples."""
@@ -402,11 +389,7 @@ class SampleRelation:
 
     @cached_property
     def in_lineage_order(self) -> "SampleRelation":
-        """This relation with its rows sorted by lineage: itself when they
-        already are, as every join and union output (and any filter of one)
-        is."""
-        if _lineage_sorted(self.lineage):
-            return self
+        """This relation with its rows sorted by lineage."""
         return self.take(lineage_order(self.lineage))
 
     def total_f(self) -> float:

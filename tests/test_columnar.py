@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from gusbox import (
     analyze,
     execute,
 )
+from gusbox import engine, ingest
 from gusbox.algebra import identity_gus
 from gusbox.cli import main
 from gusbox.datagen import generate_tpch_tiny
+from gusbox.errors import IngestError
 from gusbox.ingest import ingest_csv
 from gusbox.samplers import keyed_unit, keyed_units
 
@@ -214,6 +217,43 @@ def test_fixed_edge_cases():
         execute(divide_by_zero, catalog)
 
 
+def test_residual_joins_test_bounded_blocks(monkeypatch):
+    """A theta join and a low-cardinality equi-join with a selective residual
+    match the row reference, and the residual never sees more than one block
+    of candidate pairs, however large the product of the inputs."""
+    rng = np.random.default_rng(7)
+
+    def table(name, m):
+        return BaseTable(name, (f"{name}_k", f"{name}_v"), ("int64", "float64"),
+                         ids=tuple(range(m)),
+                         rows=tuple((int(k), float(v)) for k, v in zip(
+                             rng.integers(0, 3, m), rng.integers(0, 400, m))))
+
+    catalog = {"l": table("l", 400), "r": table("r", 500)}
+    selective = Predicate((Comparison("l_v", "=", other_col="r_v"), Comparison("l_k", "<", 2)))
+    widths = []
+    bind = engine.bind_predicate
+
+    def recording_bind(pred, columns, types):
+        test = bind(pred, columns, types)
+
+        def recording_test(data):
+            widths.append(len(data[0]))
+            return test(data)
+
+        return recording_test
+
+    monkeypatch.setattr(engine, "bind_predicate", recording_bind)
+    for spec in (JoinSpec((), selective), JoinSpec((("l_k", "r_k"),), selective)):
+        widths.clear()
+        plan = SumAggregate("l_v+r_k", Join(spec, Scan("l"), Scan("r")))
+        got = _outcome(lambda: _columnar(plan, catalog, 0))
+        assert got == _outcome(lambda: row_reference.execute(plan, catalog, 0))
+        assert 0 < len(got[4]) < 2000
+        assert sum(widths) > engine._PAIR_BLOCK
+        assert max(widths) <= engine._PAIR_BLOCK
+
+
 @st.composite
 def sampling_free_plans(draw):
     names = tuple(sorted(draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))))
@@ -303,6 +343,29 @@ def test_ingest_matches_row_reference(tmp_path, records, newline, blank, id_colu
 
     assert outcome(columnar) == outcome(
         lambda: row_reference.ingest_rows(path, "t", types, id_column))
+
+
+def test_ingest_takes_row_path_when_numpy_reads_ints_through_floats(tmp_path, monkeypatch):
+    """numpy releases before the deprecation expired parse '1.5' or 2**63 in
+    an int column through a float and only warn; such a file must still go
+    row by row and fail, or land in an object column, as there."""
+    loadtxt = np.loadtxt
+
+    def lenient_loadtxt(fname, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        via_float = np.dtype([(name, np.float64 if dtype[name] == np.int64 else dtype[name])
+                              for name in dtype.names])
+        with np.errstate(invalid="ignore"):
+            return loadtxt(fname, dtype=via_float, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(ingest.np, "loadtxt", lenient_loadtxt)
+    path = tmp_path / "t.csv"
+    path.write_text("k\n1\n1.5\n")
+    with pytest.raises(IngestError, match="cannot parse '1.5' as int64 for 'k' at line 3"):
+        ingest_csv(path, "t", {"k": "int64"})
+    path.write_text("k\n1\n9223372036854775808\n")
+    assert ingest_csv(path, "t", {"k": "int64"}).rows == ((1,), (2**63,))
 
 
 def test_cli_never_builds_rows(tmp_path, monkeypatch):

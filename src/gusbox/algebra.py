@@ -4,8 +4,11 @@ parameter table.
 
 The merge rules:
 
-* ``join_merge``/``compose`` multiply tables across disjoint schemas:
-  ``a = a1*a2`` and ``b[T] = b1[T & L1] * b2[T & L2]``.
+* ``join_merge`` multiplies tables across disjoint schemas:
+  ``a = a1*a2`` and ``b[T] = b1[T & L1] * b2[T & L2]``, each side's entry
+  gathered through ``model.project_masks``. ``compose``, which builds a
+  multi-dimensional sampler from per-relation pieces, is another name for
+  it.
 * ``compact`` stacks two filters over the same schema: ``a = a1*a2``,
   ``b[T] = b1[T] * b2[T]``.
 * ``union_merge`` combines two independent samples of the same relation:
@@ -24,13 +27,14 @@ to or from the half with it (subsets) or the other way round (supersets).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import PlanError, SampleSizeError, SchemaError
-from .model import GusParams, LineageSchema, extend_schema
+from .model import GusParams, LineageSchema, extend_schema, project_masks
 from .plan import (
     BernoulliSpec,
     Cross,
@@ -93,37 +97,20 @@ def gus_of_wor(n: int, N: int, relation: str) -> GusParams:
     return row_wor_gus(n, N, LineageSchema.of([relation]))
 
 
-def _product_merge(g1: GusParams, g2: GusParams) -> GusParams:
+def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
+    """Single table covering both sides of a join over disjoint schemas."""
     merged = g1.schema.merge_disjoint(g2.schema)
-    mask1 = merged.mask_of(g1.schema.relations)
-    mask2 = merged.mask_of(g2.schema.relations)
-    pos1 = {merged.index(r): i for i, r in enumerate(g1.schema.relations)}
-    pos2 = {merged.index(r): i for i, r in enumerate(g2.schema.relations)}
-
-    def project(mask: int, positions: dict) -> int:
-        out = 0
-        for wide, narrow in positions.items():
-            if mask >> wide & 1:
-                out |= 1 << narrow
-        return out
-
     a = g1.a * g2.a
-    b = []
-    for mask in range(merged.num_subsets):
-        b.append(g1.b[project(mask & mask1, pos1)] * g2.b[project(mask & mask2, pos2)])
+    b = list(map(operator.mul,
+                 map(g1.b.__getitem__, project_masks(merged, g1.schema).tolist()),
+                 map(g2.b.__getitem__, project_masks(merged, g2.schema).tolist())))
     b[merged.full_mask] = a
     return GusParams(merged, a, tuple(b))
 
 
-def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
-    """Single table covering both sides of a join over disjoint schemas."""
-    return _product_merge(g1, g2)
-
-
-def compose(g1: GusParams, g2: GusParams) -> GusParams:
-    """Build a multi-dimensional sampler from per-relation pieces; same
-    arithmetic as :func:`join_merge`, used before any join exists."""
-    return _product_merge(g1, g2)
+# Builds a multi-dimensional sampler from per-relation pieces, before any
+# join exists; the same arithmetic as a join.
+compose = join_merge
 
 
 def compact(g1: GusParams, g2: GusParams) -> GusParams:
@@ -169,7 +156,7 @@ def gus_of_lineage_bernoulli(dims: Mapping[str, float], schema: LineageSchema) -
     g: Optional[GusParams] = None
     for name in names:
         piece = gus_of_bernoulli(dims[name], name)
-        g = piece if g is None else compose(g, piece)
+        g = piece if g is None else join_merge(g, piece)
     if g is None:
         return identity_gus(schema)
     return extend_schema(g, schema)

@@ -52,6 +52,38 @@ def _parse_subsample(text: str, master_seed: int) -> dict[str, tuple[float, int]
     return dims
 
 
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def indented_json(doc, newline: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, but faster on reports.
+
+    The standard library encodes with an indent in Python, value by value.
+    Here only containers that hold other containers are walked in Python;
+    a container whose values are all scalars (the 2**n-entry subset tables)
+    goes to the C encoder whole, with the indented line break as its item
+    separator. ``newline`` is a line break plus the indent of ``doc``'s own
+    line.
+    """
+    if not isinstance(doc, (dict, list, tuple)):
+        return json.dumps(doc)
+    brackets = "{}" if isinstance(doc, dict) else "[]"
+    if not doc:
+        return brackets
+    inner = newline + "  "
+    values = doc.values() if isinstance(doc, dict) else doc
+    if set(map(type, values)) <= _SCALAR_TYPES:
+        body = json.dumps(doc, separators=("," + inner, ": "))[1:-1]
+    elif isinstance(doc, dict):
+        # a one-entry dict coerces a non-string key as json.dumps does
+        body = ("," + inner).join(
+            (json.dumps(key) if type(key) is str else json.dumps({key: 0})[1:-4])
+            + ": " + indented_json(value, inner) for key, value in doc.items())
+    else:
+        body = ("," + inner).join(indented_json(value, inner) for value in doc)
+    return brackets[0] + inner + body + newline + brackets[1]
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
@@ -156,7 +188,7 @@ def run_estimate(args) -> int:
             body["trace"] = [step.to_json_dict() for step in normalized.trace]
         if oracle_doc is not None:
             body["oracle"] = oracle_doc
-        output = json.dumps(body, indent=2)
+        output = indented_json(body)
     else:
         output = _text_report(
             report, normalized.trace if args.explain else None, oracle_doc)

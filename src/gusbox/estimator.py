@@ -16,7 +16,18 @@ by lineage and ranks follow key order, so ``bincount`` adds within each
 group in row order and the squared group totals are then summed
 sequentially in key order: the same additions, in the same order, as the
 sort-based ``gusbox.oracle.exact_y_terms``, which the result matches bit
-for bit. (A pairwise ``np.sum`` would change the last bits.) Everything
+for bit. (A pairwise ``np.sum`` would change the last bits.)
+
+The walk adds bits in increasing order, so the subtree below a subset ``s``
+reached with next bit ``lo`` holds the subsets ``s | t`` for ``t`` over the
+bits ``lo..n-1``. Once every row is its own group under ``s``, it stays its
+own group under each ``s | t``, and since ``t``'s bits all sit above ``s``'s,
+the keys under ``s | t`` sort as their ``s`` part does: every subset of the
+subtree sums the same squares in the same order, so it gets ``Y[s]``
+exactly, without a group-by, and the oracle, which sorts by the projected
+key, sums them in that order too. (A bit below ``lo`` could reorder the
+keys; subsets with one lie outside the subtree and get their own group-by.)
+Everything
 reads the relation's lineage matrix and ``f`` array directly; column ranks
 come from ``np.unique``, which orders ints past int64 (object ids) as
 Python does.
@@ -66,18 +77,24 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
     for i in range(n):
         values, code = np.unique(ordered.lineage[:, i], return_inverse=True)
         codes.append((code.astype(np.int64), len(values)))
-    out: dict[int, float] = {}
+    out = [0.0] * (1 << n)
 
     def visit(s: int, gid: np.ndarray, lo: int) -> None:
         g = np.bincount(gid, weights=f)
-        out[s] = float(np.add.accumulate(g * g)[-1])
+        y = float(np.add.accumulate(g * g)[-1])
+        if len(g) == len(f):
+            # every row is its own group: so is it under s | t for every t
+            # over bits lo.., with the same key order (s holds no bit >= lo)
+            out[s::1 << lo] = [y] * (1 << n - lo)
+            return
+        out[s] = y
         for i in range(lo, n):
             code, k = codes[i]
             _, child = np.unique(gid * k + code, return_inverse=True)
             visit(s | 1 << i, child, i + 1)
 
     visit(0, np.zeros(len(f), dtype=np.int64), 0)
-    return out
+    return dict(enumerate(out))
 
 
 def y_unbiased(y_sample: Mapping[int, float], g: GusParams) -> dict[int, float]:

@@ -214,6 +214,20 @@ class GusParams:
         return cls.from_json_dict(json.loads(text))
 
 
+def project_masks(wide: LineageSchema, narrow: LineageSchema) -> np.ndarray:
+    """Index array mapping every subset mask of ``wide`` to the mask, over
+    ``narrow``, of its relations that ``narrow`` holds. Built one bit of
+    ``wide`` at a time: the masks with that bit set are the masks without
+    it, plus the bit's narrow counterpart (none if ``narrow`` lacks it).
+    Parameter tables are re-indexed by gathering through it in Python, so
+    their entries keep their exact values and types."""
+    index = np.zeros(1, dtype=np.intp)
+    for name in wide.relations:
+        bit = 1 << narrow.relations.index(name) if name in narrow.relations else 0
+        index = np.concatenate((index, index | bit))
+    return index
+
+
 def extend_schema(g: GusParams, wider: LineageSchema) -> GusParams:
     """Re-index ``g`` over a wider schema.
 
@@ -225,14 +239,7 @@ def extend_schema(g: GusParams, wider: LineageSchema) -> GusParams:
         raise SchemaError(f"schema {g.schema.relations} is not contained in {wider.relations}")
     if g.schema == wider:
         return g
-    positions = [wider.index(r) for r in g.schema.relations]
-    b = []
-    for wide_mask in range(wider.num_subsets):
-        narrow = 0
-        for i, pos in enumerate(positions):
-            if wide_mask >> pos & 1:
-                narrow |= 1 << i
-        b.append(g.b[narrow])
+    b = list(map(g.b.__getitem__, project_masks(wider, g.schema).tolist()))
     b[wider.full_mask] = g.a
     return GusParams(wider, g.a, tuple(b))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from . import samplers
 from .algebra import normalize_plan
@@ -111,13 +111,32 @@ def _merge_outcomes(outcomes) -> list[tuple[SampleRelation, float]]:
     return list(merged.values())
 
 
+def _comb_capped(m: int, n: int, cap: int) -> Optional[int]:
+    """C(m, n), or None as soon as it is known to exceed ``cap``: the
+    partial products C(m, 1), C(m, 2), ... only grow up to C(m, min(n, m - n))."""
+    count = 1
+    for i in range(min(n, m - n)):
+        count = count * (m - i) // (i + 1)
+        if count > cap:
+            return None
+    return count
+
+
 def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                         budget: int) -> list[tuple[SampleRelation, float]]:
-    def guard(count: int):
-        if count > budget:
+    def guard(used: int, count: Optional[int], what: str):
+        """Raise unless ``used`` states plus ``count`` more fit the budget;
+        ``count`` is None when it is already known not to fit. ``what``
+        names the count, so the message never prints a number past the
+        budget (ints past 4300 digits cannot even be formatted)."""
+        if count is None or used + count > budget:
+            after = f" on top of {used}" if used else ""
             raise EnumerationInfeasibleError(
-                f"enumeration would need {count} states, budget is {budget}"
-            )
+                f"enumeration would need {what} states{after}, budget is {budget}")
+
+    def pow2(k: int) -> Optional[int]:
+        """2**k, or None when it exceeds the budget."""
+        return 1 << k if k < budget.bit_length() else None
 
     if isinstance(node, Scan):
         if node.table not in catalog:
@@ -129,7 +148,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
     if isinstance(node, (Join, Cross)):
         left = enumerate_outcomes(node.left, catalog, budget)
         right = enumerate_outcomes(node.right, catalog, budget)
-        guard(len(left) * len(right))
+        guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
         if isinstance(node, Join):
             pairs = ((join(node.condition, l, r), wl * wr)
                      for l, wl in left for r, wr in right)
@@ -139,7 +158,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
     if isinstance(node, UnionDedup):
         left = enumerate_outcomes(node.left, catalog, budget)
         right = enumerate_outcomes(node.right, catalog, budget)
-        guard(len(left) * len(right))
+        guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
         return _merge_outcomes(
             (union_dedup(l, r), wl * wr) for l, wl in left for r, wr in right)
     if isinstance(node, Sample):
@@ -150,7 +169,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
             p = method.p
             for rel, w in child:
                 m = len(rel.rows)
-                guard(len(out) + (1 << m))
+                guard(len(out), pow2(m), f"2**{m}")
                 for bits in range(1 << m):
                     k = bits.bit_count()
                     weight = w * p**k * (1.0 - p) ** (m - k)
@@ -164,8 +183,8 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                 if method.n > m:
                     raise SampleSizeError(
                         f"cannot draw {method.n} rows from a relation of {m}")
-                count = math.comb(m, method.n)
-                guard(len(out) + count)
+                count = _comb_capped(m, method.n, budget)
+                guard(len(out), count, f"C({m}, {method.n})")
                 for chosen in itertools.combinations(range(m), method.n):
                     rows = [rel.rows[i] for i in chosen]
                     out.append((rel.with_rows(rows), w / count))
@@ -177,7 +196,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                 probs = {key: p for pos, p in positions
                          for key in keys if key[0] == pos}
                 k = len(keys)
-                guard(len(out) + (1 << k))
+                guard(len(out), pow2(k), f"2**{k}")
                 for bits in range(1 << k):
                     weight = w
                     kept = set()

@@ -47,6 +47,7 @@ from gusbox.algebra import (
     row_wor_gus,
     union_merge,
 )
+from gusbox.model import extend_schema, project_masks
 from gusbox.plan import GusQuasi, Predicate, Comparison, strip_sampling
 
 from conftest import gus_tables, query1_plan, small_join_catalog, small_join_plan
@@ -209,6 +210,9 @@ class TestCompose:
         assert_matches_reference(
             g, a=0.06, table={"": 0.0036, "o": 0.012, "l": 0.018, "lo": 0.06})
 
+    def test_compose_is_join_merge(self):
+        assert compose is join_merge
+
     def test_compose_with_identity_equals_extension(self):
         from gusbox.model import extend_schema
 
@@ -232,6 +236,111 @@ class TestCompose:
         partial = gus_of_lineage_bernoulli({"l": 0.2}, schema)
         assert partial.a == 0.2
         assert partial.b[schema.mask_of_key("o")] == pytest.approx(0.04, rel=1e-12)
+
+
+# Reference implementations: the per-mask loops that model.project_masks
+# and its gathers replace in extend_schema and join_merge.
+
+def reference_project(mask, positions):
+    """Narrow mask of wide ``mask``; ``positions`` maps wide bit -> narrow bit."""
+    out = 0
+    for wide, narrow in positions.items():
+        if mask >> wide & 1:
+            out |= 1 << narrow
+    return out
+
+
+def reference_positions(wide, narrow):
+    return {wide.index(r): i for i, r in enumerate(narrow.relations)}
+
+
+def reference_extend_schema(g, wider):
+    if g.schema == wider:
+        return g
+    positions = reference_positions(wider, g.schema)
+    b = [g.b[reference_project(mask, positions)] for mask in range(wider.num_subsets)]
+    b[wider.full_mask] = g.a
+    return GusParams(wider, g.a, tuple(b))
+
+
+def reference_join_merge(g1, g2):
+    merged = g1.schema.merge_disjoint(g2.schema)
+    pos1 = reference_positions(merged, g1.schema)
+    pos2 = reference_positions(merged, g2.schema)
+    a = g1.a * g2.a
+    b = [g1.b[reference_project(mask, pos1)] * g2.b[reference_project(mask, pos2)]
+         for mask in range(merged.num_subsets)]
+    b[merged.full_mask] = a
+    return GusParams(merged, a, tuple(b))
+
+
+def exact_bits(g):
+    """Schema and every entry by ``repr``: tells 1 from 1.0 and -0.0 from 0.0,
+    and pins every bit of a float."""
+    return g.schema.relations, repr(g.a), tuple(map(repr, g.b))
+
+
+@st.composite
+def split_schemas(draw):
+    """Two disjoint, interleaved name sets drawn from a..g (either may be
+    empty) and their union."""
+    names = draw(st.lists(st.sampled_from("abcdefg"), unique=True, max_size=7))
+    sides = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    left = [n for n, side in zip(names, sides) if side]
+    right = [n for n, side in zip(names, sides) if not side]
+    return LineageSchema.of(left), LineageSchema.of(right)
+
+
+class TestMaskProjection:
+    INTERLEAVED = (LineageSchema.of("abcde"), LineageSchema.of("bd"))
+
+    def test_interleaved_schema(self):
+        wide, narrow = self.INTERLEAVED
+        b, d = 1 << 1, 1 << 3
+        expected = [(1 if m & b else 0) | (2 if m & d else 0) for m in range(32)]
+        assert project_masks(wide, narrow).tolist() == expected
+
+    @given(split_schemas())
+    def test_matches_reference_loop(self, schemas):
+        left, right = schemas
+        wide = left.merge_disjoint(right)
+        for narrow in (left, right, wide):
+            positions = reference_positions(wide, narrow)
+            assert project_masks(wide, narrow).tolist() == [
+                reference_project(mask, positions) for mask in range(wide.num_subsets)]
+
+    @given(split_schemas(), st.data())
+    def test_extend_schema_matches_reference_bit_for_bit(self, schemas, data):
+        left, right = schemas
+        g = data.draw(gus_tables(names=left.relations))
+        wide = left.merge_disjoint(right)
+        assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
+
+    @given(split_schemas(), st.data())
+    def test_join_merge_matches_reference_bit_for_bit(self, schemas, data):
+        left, right = schemas
+        g1 = data.draw(gus_tables(names=left.relations))
+        g2 = data.draw(gus_tables(names=right.relations))
+        assert exact_bits(join_merge(g1, g2)) == exact_bits(reference_join_merge(g1, g2))
+
+    def test_interleaved_tables_with_inexact_products(self):
+        wide, narrow = self.INTERLEAVED
+        g = GusParams(narrow, 0.3, (0.1 / 3, 0.07, 0.11, 0.3))
+        other = GusParams(LineageSchema.of("ace"), 0.7,
+                          tuple(0.7 * (k + 1) / 9 for k in range(7)) + (0.7,))
+        assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
+        assert exact_bits(join_merge(g, other)) == exact_bits(reference_join_merge(g, other))
+        assert exact_bits(join_merge(other, g)) == exact_bits(reference_join_merge(other, g))
+
+    def test_entries_keep_their_types(self):
+        # hand-built tables may hold ints; the gathers must not turn them
+        # into floats, or the report would print 1.0 for 1
+        wide, narrow = self.INTERLEAVED
+        g = GusParams(narrow, 1, (1, 1, 0.5, 1))
+        h = GusParams(LineageSchema.of("ace"), 1, (1,) * 8)
+        assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
+        assert exact_bits(join_merge(g, h)) == exact_bits(reference_join_merge(g, h))
+        assert extend_schema(g, wide).to_json() == reference_extend_schema(g, wide).to_json()
 
 
 class TestCoefficients:

@@ -1,11 +1,14 @@
 """End-user surface: data generation and the estimate command."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gusbox import PlanError
-from gusbox.cli import main
+from gusbox import PlanError, cli
+from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny, parse_scale
 from gusbox.ingest import ingest_csv
 
@@ -130,6 +133,29 @@ class TestEstimateCommand:
         assert body["oracle"]["exactYVariance"] == pytest.approx(
             exact["variance"], rel=1e-9)
 
+    def test_oracle_skips_enumeration_on_large_input(self, tmp_path, capsys):
+        # 2**20000 outcomes: the exact oracle must be skipped with a note,
+        # not crash on formatting the state count
+        m = 20_000
+        lines = ["t_id,t_v"] + [f"{k},{k % 7}.5" for k in range(m)]
+        (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+        doc = {
+            "tables": {"t": {"path": "t.csv", "idColumn": "t_id",
+                             "columnTypes": {"t_id": "int64", "t_v": "float64"}}},
+            "plan": {"op": "sum", "expr": "t_v",
+                     "child": {"op": "sample",
+                               "method": {"method": "bernoulli", "p": 0.5, "seed": 1},
+                               "child": {"op": "scan", "table": "t"}}},
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        assert main(["estimate", str(plan_path), "--oracle", "--oracle-trials", "1"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["oracle"]["exact"] is None
+        assert body["oracle"]["monteCarlo"]["trials"] == 1
+        assert any(note.startswith("exact oracle skipped: enumeration would need 2**20000")
+                   for note in body["diagnostics"])
+
     def test_out_file(self, plan_on_disk, tmp_path):
         target = tmp_path / "report.json"
         assert main(["estimate", str(plan_on_disk), "--out", str(target)]) == 0
@@ -206,3 +232,71 @@ class TestEstimateCommand:
         ]
         assert runs[0] == runs[1]
         assert json.loads(runs[0])
+
+
+def json_scalars():
+    return st.one_of(
+        st.none(), st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),  # NaN, +-inf, -0.0 and subnormals included
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.0**-1074 * 3,
+                         2**63, -(2**63) - 1, 2**64 + 1]),
+        st.text(),
+        st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\u2603", "\U0001f600"]),
+    )
+
+
+def json_keys():
+    return st.one_of(st.text(), st.sampled_from(['"q"', "a\nb", "\x7f", "\u00fc\u20ac"]),
+                     st.integers(-(2**70), 2**70), st.floats(), st.booleans(), st.none())
+
+
+def json_documents():
+    return st.recursive(
+        json_scalars(),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.dictionaries(json_keys(), inner, max_size=5)),
+        max_leaves=30)
+
+
+class TestIndentedJson:
+    @settings(max_examples=500, deadline=None)
+    @given(json_documents())
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert indented_json(doc) == json.dumps(doc, indent=2)
+
+    def test_fixed_shapes(self):
+        docs = [{}, [], (), {"a": {}}, {"a": []}, [[]], [{}], {"a": [1, [], {}, {"b": None}]},
+                {"t": {str(k): k / 3 for k in range(50)}, "u": [[1, 2], [3.5, "x"]]},
+                {1: {"x": 1.5}, 2.5: [True], None: {}, False: [None]}, 7, "s", None]
+        for doc in docs:
+            assert indented_json(doc) == json.dumps(doc, indent=2)
+
+    def test_unserializable_values_raise_like_json_dumps(self):
+        for doc in ({"a": {1, 2}}, [object()], {"a": {"b": b"x"}}, {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2)
+            with pytest.raises(TypeError):
+                indented_json(doc)
+
+    @pytest.mark.parametrize("extra", [
+        ["--explain"],
+        ["--subsample", "l=0.5,o=0.7"],
+        ["--explain", "--oracle", "--oracle-trials", "20"],
+    ], ids=["explain", "subsample", "oracle"])
+    def test_cli_reports(self, plan_on_disk, capsys, monkeypatch, extra):
+        seen = []
+
+        def checked(doc, *nested):
+            text = indented_json(doc, *nested)
+            if not nested:  # the whole report, not a value inside it
+                assert text == json.dumps(doc, indent=2)
+                seen.append(doc)
+            return text
+
+        monkeypatch.setattr(cli, "indented_json", checked)
+        assert main(["estimate", str(plan_on_disk), "--seed", "3", *extra]) == 0
+        assert len(seen) == 1
+        assert capsys.readouterr().out == json.dumps(seen[0], indent=2) + "\n"

@@ -3,6 +3,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,73 @@ class TestYSampleTerms:
         assert got.keys() == expected.keys()
         for s, v in expected.items():
             assert got[s].hex() == v.hex(), s
+
+
+@st.composite
+def relations_with_unique_column(draw):
+    """2 to 6 lineage columns; the column at ``where`` (lowest, middle,
+    highest or none) holds a distinct id per row, the others repeat ids
+    from a small pool, so groups first become singletons at different
+    depths of the subset walk."""
+    n = draw(st.integers(2, 6))
+    where = draw(st.sampled_from([0, n // 2, n - 1, None]))
+    m = draw(st.integers(1, 25))
+    unique_ids = draw(st.permutations(range(m)))
+    rows = {}
+    for k in range(m):
+        lineage = [draw(st.integers(0, 2)) for _ in range(n)]
+        if where is not None:
+            lineage[where] = unique_ids[k]
+        rows.setdefault(tuple(lineage), None)
+    # squares of widely spread magnitudes, so that summing the same terms
+    # in another key order changes the last bits
+    fs = draw(st.lists(
+        st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                  st.sampled_from([1e8, -1e8, 1.0, 3.0])),
+        min_size=len(rows), max_size=len(rows)))
+    return lineage_relation([f"r{i}" for i in range(n)], list(zip(rows, fs)))
+
+
+class TestSingletonStop:
+    """``y_sample_terms`` stops descending once every row is its own group."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations_with_unique_column())
+    # unique last column: by it alone the squares add up as 1e16 + 1 + 1,
+    # by (r0, r2) as 1 + 1 + 1e16, which rounds differently
+    @example(lineage_relation(["r0", "r1", "r2"], [
+        ((1, 0, 0), 1e8), ((0, 0, 1), 1.0), ((0, 0, 2), 1.0)]))
+    def test_bit_identical_with_oracle(self, rel):
+        got = y_sample_terms(rel)
+        expected = exact_y_terms(rel)
+        assert got.keys() == expected.keys()
+        for s, v in expected.items():
+            assert got[s].hex() == v.hex(), s
+
+    def test_walk_skips_subtrees_of_singleton_groups(self, monkeypatch):
+        # columns r0 and r5 are unique, so the whole subtree under {r0}
+        # comes from one group-by: at most the root, {r0}, and the 2**5 - 1
+        # non-empty subsets of r1..r5 are grouped, instead of all 2**6
+        # subsets. r5 runs against r0, and the squares 1e16, 1, ..., 1 add
+        # up to different bits in the two orders, so a singleton {r5}
+        # filling {r0, r5} as well would be caught
+        n = 6
+        entries = [((k, k % 2, k % 3, k // 2, k // 3, 11 - k), 1e8 if k == 0 else 1.0)
+                   for k in range(12)]
+        rel = lineage_relation([f"r{i}" for i in range(n)], entries)
+        calls = []
+        real = np.bincount
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        got = y_sample_terms(rel)
+        assert len(got) == 1 << n
+        assert len(calls) <= (1 << n - 1) + 1
+        monkeypatch.undo()
+        assert got == exact_y_terms(rel)
 
 
 class TestYUnbiased:

@@ -2,6 +2,7 @@
 Monte Carlo moments, and inclusion frequencies."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,32 @@ class TestEnumeration:
         plan = SumAggregate("t_v", Sample(BernoulliSpec(0.5, seed=1), Scan("t")))
         with pytest.raises(EnumerationInfeasibleError):
             enumerate_exact_moments(plan, {"t": table}, budget=1000)
+
+    @pytest.mark.parametrize("method, states", [
+        (BernoulliSpec(0.5, seed=1), "2**20000"),
+        (WorSpec(5000, seed=1), "C(20000, 5000)"),
+        (LineageBernoulliSpec((("t", 0.5, 1),)), "2**20000"),
+    ], ids=["bernoulli", "wor", "keyed"])
+    def test_budget_guard_on_large_inputs(self, method, states):
+        # 2**20000 has over 6000 digits: formatting it would raise
+        # ValueError, and computing C(20000, 5000) in full is slow
+        m = 20_000
+        table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(m)),
+                          rows=tuple((float(i),) for i in range(m)))
+        plan = SumAggregate("t_v", Sample(method, Scan("t")))
+        with pytest.raises(EnumerationInfeasibleError,
+                           match=rf"need {re.escape(states)} states, budget is 1048576"):
+            enumerate_exact_moments(plan, {"t": table})
+
+    def test_wor_within_budget_counts_exactly(self):
+        table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(12)),
+                          rows=tuple((float(i),) for i in range(12)))
+        plan = SumAggregate("t_v", Sample(WorSpec(6, seed=1), Scan("t")))
+        # C(12, 6) = 924 states fit a budget of 924 and not one of 923
+        mean, _ = enumerate_exact_moments(plan, {"t": table}, budget=924)
+        assert mean == pytest.approx(66.0, rel=1e-12)
+        with pytest.raises(EnumerationInfeasibleError, match=r"C\(12, 6\)"):
+            enumerate_exact_moments(plan, {"t": table}, budget=923)
 
 
 class TestMonteCarlo:

@@ -12,7 +12,6 @@ from .algebra import (
     RewriteStep,
     c_coefficients,
     compact,
-    compose,
     gus_of_bernoulli,
     gus_of_lineage_bernoulli,
     gus_of_wor,

@@ -2,13 +2,18 @@
 reduces any supported plan to one relational subtree under a single
 parameter table.
 
+The rewriter is the last of three steps: ``plan.validate_plan`` checks the
+plan before any data is read, ``engine.execute`` runs it and records the
+population each fixed-size sampler drew from, and ``normalize_plan`` turns
+the plan into its table and rewrite trace, reading those populations from
+the run instead of executing anything itself.
+
 The merge rules:
 
 * ``join_merge`` multiplies tables across disjoint schemas:
   ``a = a1*a2`` and ``b[T] = b1[T & L1] * b2[T & L2]``, each side's entry
-  gathered through ``model.project_masks``. ``compose``, which builds a
-  multi-dimensional sampler from per-relation pieces, is another name for
-  it.
+  gathered through ``model.project_masks``. It also builds a
+  multi-dimensional sampler from per-relation pieces.
 * ``compact`` stacks two filters over the same schema: ``a = a1*a2``,
   ``b[T] = b1[T] * b2[T]``.
 * ``union_merge`` combines two independent samples of the same relation:
@@ -33,6 +38,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .engine import ExecutionResult, execute
 from .errors import PlanError, SampleSizeError, SchemaError
 from .model import GusParams, LineageSchema, extend_schema, project_masks
 from .plan import (
@@ -40,16 +46,13 @@ from .plan import (
     Cross,
     GusQuasi,
     Join,
-    LineageBernoulliSpec,
     PlanNode,
-    Sample,
     Scan,
     Select,
     SumAggregate,
     UnionDedup,
     WorSpec,
-    contains_sampling,
-    lineage_schema_of,
+    validate_plan,
 )
 
 
@@ -106,11 +109,6 @@ def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
                  map(g2.b.__getitem__, project_masks(merged, g2.schema).tolist())))
     b[merged.full_mask] = a
     return GusParams(merged, a, tuple(b))
-
-
-# Builds a multi-dimensional sampler from per-relation pieces, before any
-# join exists; the same arithmetic as a join.
-compose = join_merge
 
 
 def compact(g1: GusParams, g2: GusParams) -> GusParams:
@@ -220,62 +218,42 @@ def _sampler_note(method) -> str:
         return f"bernoulli(p={method.p})"
     if isinstance(method, WorSpec):
         return f"wor(n={method.n})"
-    if isinstance(method, LineageBernoulliSpec):
-        dims = ", ".join(f"{name}={p}" for name, p, _ in method.dims)
-        return f"lineage_bernoulli({dims})"
-    return type(method).__name__
+    dims = ", ".join(f"{name}={p}" for name, p, _ in method.dims)
+    return f"lineage_bernoulli({dims})"
 
 
-def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
+def normalize_plan(plan: PlanNode, source=None) -> NormalizedPlan:
     """Rewrite a plan so all sampling collapses into one parameter table
     over the sampling-free relational plan.
 
-    Fixed-size samplers need ``catalog`` to resolve their full-data input
-    size, and may not sit above other samplers (their population size would
-    be random). Union sides must compute the same relation once sampling is
-    stripped; otherwise single-tuple inclusion would not be uniform and no
-    single table can describe the result.
-
-    No two lineage-keyed dimensions anywhere in the plan may share a seed.
-    A keyed decision hashes only (seed, base-tuple id), so such dimensions
-    make the same decisions rather than independent ones, and the merge
-    rules, which assume independent filters, would give a wrong table. The
-    ``PlanError`` names both dimensions by their path from the root, in the
-    plan document's notation (``plan.child.method.dims.r``). Likewise no
-    two row samplers (Bernoulli, WOR) may share a seed: a row sampler's
-    stream depends only on the run seed and its own seed, so two of them
-    would draw the same numbers. A keyed dimension and a row sampler may
-    share a number, since they draw from different generators. Every other
-    ``PlanError`` is prefixed with the offending node's path as well.
+    The plan is checked with :func:`validate_plan` first, so the rewrite
+    sees only plans the algebra can describe. A fixed-size (WOR) sampler's
+    table needs the size of the population it draws from, which is the
+    full-data output of its sampling-free input. ``source`` supplies it: an
+    :class:`ExecutionResult` of a run of this same plan (its
+    ``populations``; nothing is executed), or a catalog, against which each
+    WOR input is executed. Plans without a WOR sampler need neither.
     """
+    validate_plan(plan)
     steps: list[RewriteStep] = []
-    keyed_seeds: dict[int, str] = {}
-    row_seeds: dict[int, str] = {}
 
     def emit(rule, note, inputs, output):
         steps.append(RewriteStep(rule, note, tuple(inputs), output))
 
-    def claim_keyed_seeds(method: LineageBernoulliSpec, path: str) -> None:
-        for name, _, seed in method.dims:
-            where = f"{path}.method.dims.{name}"
-            if seed in keyed_seeds:
+    def population(child: PlanNode, path: str) -> int:
+        if isinstance(source, ExecutionResult):
+            if path not in source.populations:
                 raise PlanError(
-                    f"lineage-keyed dimensions {keyed_seeds[seed]} and {where} "
-                    f"share seed {seed}: keyed decisions depend only on the seed "
-                    "and the base-tuple id, so the two filters are not "
-                    "independent; give each keyed dimension its own seed"
+                    f"{path}: the execution result has no population for this "
+                    "fixed-size sampler; pass the result of running this plan"
                 )
-            keyed_seeds[seed] = where
-
-    def claim_row_seed(method, path: str) -> None:
-        where = f"{path}.method"
-        if method.seed in row_seeds:
+            return source.populations[path]
+        if source is None:
             raise PlanError(
-                f"row samplers {row_seeds[method.seed]} and {where} share seed "
-                f"{method.seed}: both draw the same random stream, so they are "
-                "not independent; give each sampler its own seed"
+                f"{path}: fixed-size sampling needs a catalog or a run of the "
+                "plan to resolve its input size"
             )
-        row_seeds[method.seed] = where
+        return len(execute(child, source).relation)
 
     def stack(note: str, g_s: GusParams, child: PlanNode,
               g_child: GusParams) -> tuple[PlanNode, GusParams]:
@@ -310,54 +288,23 @@ def normalize_plan(plan: PlanNode, catalog=None) -> NormalizedPlan:
         if isinstance(node, UnionDedup):
             lnode, gl = rec(node.left, f"{path}.left")
             rnode, gr = rec(node.right, f"{path}.right")
-            if lnode != rnode:
-                raise PlanError(
-                    f"{path}: union sides must compute the same relation for the "
-                    "result to stay uniformly sampled; rewrite the plan so both sides "
-                    "share one relational subtree"
-                )
             merged = union_merge(gl, gr)
             if not (gl.is_identity and gr.is_identity):
                 emit("union_gus_merge", "merge across union", (gl, gr), merged)
             return UnionDedup(lnode, rnode), merged
-        if isinstance(node, Sample):
-            if isinstance(node.method, LineageBernoulliSpec):
-                claim_keyed_seeds(node.method, path)
-            elif isinstance(node.method, (BernoulliSpec, WorSpec)):
-                claim_row_seed(node.method, path)
-            child, g_child = rec(node.child, f"{path}.child")
-            schema = lineage_schema_of(child)
-            method = node.method
-            if isinstance(method, BernoulliSpec):
-                g_s = row_bernoulli_gus(method.p, schema)
-            elif isinstance(method, WorSpec):
-                if contains_sampling(node.child):
-                    raise PlanError(
-                        f"{path}: fixed-size sampling over an already randomized "
-                        "input is not analyzable (its population size is random)"
-                    )
-                if catalog is None:
-                    raise PlanError(
-                        f"{path}: fixed-size sampling needs a catalog to resolve "
-                        "its input size"
-                    )
-                from .engine import execute  # deferred: engine imports plan types
-
-                population = len(execute(child, catalog).relation)
-                g_s = row_wor_gus(method.n, population, schema)
-            elif isinstance(method, LineageBernoulliSpec):
-                g_s = gus_of_lineage_bernoulli(
-                    {name: p for name, p, _ in method.dims}, schema)
-            else:
-                raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
-            return stack(_sampler_note(method), g_s, child, g_child)
+        child, g_child = rec(node.child, f"{path}.child")
         if isinstance(node, GusQuasi):
-            child, g_child = rec(node.child, f"{path}.child")
-            g_s = extend_schema(node.params, lineage_schema_of(child))
+            g_s = extend_schema(node.params, g_child.schema)
             return stack("explicit parameter table", g_s, child, g_child)
-        if isinstance(node, SumAggregate):
-            raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
-        raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
+        method = node.method
+        if isinstance(method, BernoulliSpec):
+            g_s = row_bernoulli_gus(method.p, g_child.schema)
+        elif isinstance(method, WorSpec):
+            g_s = row_wor_gus(method.n, population(child, path), g_child.schema)
+        else:
+            g_s = gus_of_lineage_bernoulli(
+                {name: p for name, p, _ in method.dims}, g_child.schema)
+        return stack(_sampler_note(method), g_s, child, g_child)
 
     if isinstance(plan, SumAggregate):
         child, gus = rec(plan.child, "plan.child")

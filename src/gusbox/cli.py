@@ -139,6 +139,8 @@ def run_estimate(args) -> int:
         print(f"error: cannot read {plan_path}: {exc}", file=sys.stderr)
         return 2
     doc = parse_plan(text)
+    if not isinstance(doc.plan, SumAggregate):
+        raise PlanError("plan: estimation needs a sum aggregate at the root")
     catalog = {}
     for name, spec in doc.tables.items():
         path = Path(spec.path)
@@ -146,11 +148,8 @@ def run_estimate(args) -> int:
             path = plan_path.parent / path
         catalog[name] = ingest_csv(path, name, spec.column_types, spec.id_column)
 
-    if not isinstance(doc.plan, SumAggregate):
-        raise PlanError("plan: estimation needs a sum aggregate at the root")
-
-    normalized = normalize_plan(doc.plan, catalog)
     executed = execute(doc.plan, catalog, master_seed=args.seed)
+    normalized = normalize_plan(doc.plan, executed)
 
     if args.subsample:
         dims = _parse_subsample(args.subsample, args.seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .engine import COLUMN_TYPES
-from .errors import PlanError
+from .errors import PlanError, SchemaError
 from .plan import (
     BernoulliSpec,
     Comparison,
@@ -105,8 +105,7 @@ def _parse_method(doc, path: str):
     raise PlanError(f"{path}: unknown sampling method {kind!r}")
 
 
-def _parse_node(doc, tables: Mapping[str, TableSpec], path: str,
-                at_root: bool) -> PlanNode:
+def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: plan node must be an object")
     op = _need(doc, "op", path)
@@ -122,7 +121,7 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str,
         _no_extras(doc, {"op", "where", "child"}, path)
         return Select(
             _parse_predicate(_need(doc, "where", path), f"{path}.where"),
-            _parse_node(_need(doc, "child", path), tables, f"{path}.child", False),
+            _parse_node(_need(doc, "child", path), tables, f"{path}.child"),
         )
     if op == "join":
         _no_extras(doc, {"op", "eq", "theta", "left", "right"}, path)
@@ -137,36 +136,34 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str,
         residual = _parse_predicate(doc.get("theta", []), f"{path}.theta")
         return Join(
             JoinSpec(tuple(equi), residual),
-            _parse_node(_need(doc, "left", path), tables, f"{path}.left", False),
-            _parse_node(_need(doc, "right", path), tables, f"{path}.right", False),
+            _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
+            _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
         )
     if op == "cross":
         _no_extras(doc, {"op", "left", "right"}, path)
         return Cross(
-            _parse_node(_need(doc, "left", path), tables, f"{path}.left", False),
-            _parse_node(_need(doc, "right", path), tables, f"{path}.right", False),
+            _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
+            _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
         )
     if op == "union":
         _no_extras(doc, {"op", "left", "right"}, path)
         return UnionDedup(
-            _parse_node(_need(doc, "left", path), tables, f"{path}.left", False),
-            _parse_node(_need(doc, "right", path), tables, f"{path}.right", False),
+            _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
+            _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
         )
     if op == "sample":
         _no_extras(doc, {"op", "method", "child"}, path)
         return Sample(
             _parse_method(_need(doc, "method", path), f"{path}.method"),
-            _parse_node(_need(doc, "child", path), tables, f"{path}.child", False),
+            _parse_node(_need(doc, "child", path), tables, f"{path}.child"),
         )
     # op == "sum"
-    if not at_root:
-        raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
     _no_extras(doc, {"op", "expr", "child"}, path)
     expr = _need(doc, "expr", path)
     if not isinstance(expr, str):
         raise PlanError(f"{path}.expr: must be a string expression")
     return SumAggregate(
-        expr, _parse_node(_need(doc, "child", path), tables, f"{path}.child", False))
+        expr, _parse_node(_need(doc, "child", path), tables, f"{path}.child"))
 
 
 def parse_plan(text: str) -> PlanDocument:
@@ -205,12 +202,10 @@ def parse_plan(text: str) -> PlanDocument:
             column_types=tuple(types_doc.items()),
         )
 
-    plan = _parse_node(_need(doc, "plan", "top level"), tables, "plan", True)
+    plan = _parse_node(_need(doc, "plan", "top level"), tables, "plan")
     try:
         validate_plan(plan)
-    except PlanError:
-        raise
-    except Exception as exc:
+    except SchemaError as exc:  # self-joins and unions over different relations
         raise PlanError(f"plan: {exc}") from exc
 
     quantiles_doc = doc.get("quantiles", [])

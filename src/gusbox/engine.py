@@ -52,6 +52,7 @@ from .plan import (
     SumAggregate,
     UnionDedup,
     WorSpec,
+    strip_sampling,
 )
 
 COLUMN_TYPES = ("int64", "float64", "string")
@@ -440,24 +441,24 @@ def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     return r.with_f(arith.over(r.data, len(r)))
 
 
-def sum_aggregate(expr: str, r: SampleRelation) -> float:
-    return bind_aggregate(expr, r).total_f()
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     relation: SampleRelation      # pre-aggregate rows, f bound when aggregated
     aggregate: float | None       # plain sum of f over the rows, if requested
+    populations: Mapping[str, int]  # input rows of each WOR sampler, by plan path
 
 
 def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> ExecutionResult:
     """Run a plan, with sampling, against the catalog.
 
     Sampler streams are keyed by (master_seed, per-node seed), so one run is
-    reproducible and distinct operators draw independently. A ``PlanError``
-    starts with the offending node's path, as ``normalize_plan``'s do
-    (``plan.child.left: unknown table 'x'``).
+    reproducible and distinct operators draw independently. The result
+    records, by plan path, how many rows each fixed-size (WOR) sampler drew
+    from; ``normalize_plan`` reads its population sizes from there. A
+    ``PlanError`` starts with the offending node's path, as
+    ``validate_plan``'s do (``plan.child.left: unknown table 'x'``).
     """
+    populations: dict[str, int] = {}
 
     def rec(n: PlanNode, path: str) -> SampleRelation:
         if isinstance(n, Scan):
@@ -479,6 +480,7 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
                 return samplers.bernoulli_sample(
                     child, m.p, samplers.generator(master_seed, m.seed))
             if isinstance(m, WorSpec):
+                populations[path] = len(child)
                 return samplers.wor_sample(
                     child, m.n, samplers.generator(master_seed, m.seed))
             if isinstance(m, LineageBernoulliSpec):
@@ -490,18 +492,14 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
             raise PlanError(f"{path}.method: unknown sampler spec {type(m).__name__}")
         if isinstance(n, GusQuasi):
             raise PlanError(f"{path}: parameter-only sampling nodes cannot be executed")
-        if isinstance(n, SumAggregate):
-            raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
         raise PlanError(f"{path}: unsupported plan node {type(n).__name__}")
 
     if isinstance(node, SumAggregate):
         relation = bind_aggregate(node.expr, rec(node.child, "plan.child"))
-        return ExecutionResult(relation, relation.total_f())
-    return ExecutionResult(rec(node, "plan"), None)
+        return ExecutionResult(relation, relation.total_f(), populations)
+    return ExecutionResult(rec(node, "plan"), None, populations)
 
 
 def execute_full(node: PlanNode, catalog: Catalog) -> ExecutionResult:
     """Run the sampling-free version of a plan (full-data ground truth)."""
-    from .plan import strip_sampling
-
     return execute(strip_sampling(node), catalog)

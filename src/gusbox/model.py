@@ -22,10 +22,9 @@ maintains that identity bit-exactly.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,12 +70,6 @@ class LineageSchema:
         except ValueError:
             raise SchemaError(f"unknown relation {name!r} in schema {self.relations}") from None
 
-    def mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
-        return mask
-
     def names_of(self, mask: int) -> tuple[str, ...]:
         if not 0 <= mask <= self.full_mask:
             raise SchemaError(f"mask {mask} out of range for schema of size {self.n}")
@@ -101,26 +94,6 @@ class LineageSchema:
                 "rename relations to serialize"
             )
         return tuple(keys)
-
-    def mask_of_key(self, key: str) -> int:
-        """Inverse of :meth:`subset_key`, resolved by backtracking so that
-        names that are prefixes of other names still parse."""
-
-        def walk(pos: int, rel_idx: int) -> int | None:
-            if pos == len(key):
-                return 0
-            for i in range(rel_idx, self.n):
-                name = self.relations[i]
-                if key.startswith(name, pos):
-                    rest = walk(pos + len(name), i + 1)
-                    if rest is not None:
-                        return rest | (1 << i)
-            return None
-
-        mask = walk(0, 0)
-        if mask is None:
-            raise SchemaError(f"subset key {key!r} does not match schema {self.relations}")
-        return mask
 
     def is_subschema_of(self, wider: "LineageSchema") -> bool:
         return set(self.relations) <= set(wider.relations)
@@ -175,9 +148,6 @@ class GusParams:
                 f"b at the full mask ({self.b[self.schema.full_mask]}) must equal a ({self.a})"
             )
 
-    def b_of(self, mask: int) -> float:
-        return self.b[mask]
-
     @property
     def is_identity(self) -> bool:
         return self.a == 1.0 and all(v == 1.0 for v in self.b)
@@ -192,26 +162,6 @@ class GusParams:
             "a": self.a,
             "b": dict(zip(self.schema.subset_keys, self.b)),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "GusParams":
-        schema = LineageSchema(tuple(doc["schema"]))
-        table = doc["b"]
-        if len(table) != schema.num_subsets:
-            raise SchemaError(
-                f"b table has {len(table)} keys, schema needs {schema.num_subsets}"
-            )
-        b = [0.0] * schema.num_subsets
-        for key, value in table.items():
-            b[schema.mask_of_key(key)] = value
-        return cls(schema, doc["a"], tuple(b))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GusParams":
-        return cls.from_json_dict(json.loads(text))
 
 
 def project_masks(wide: LineageSchema, narrow: LineageSchema) -> np.ndarray:

@@ -11,11 +11,11 @@ Enumeration and Monte Carlo treat distinct sampling operators as
 independent, which matches execution as long as no two samplers share a
 seed. A keyed decision hashes only (seed, base-tuple id), whatever the
 relation, so lineage-keyed dimensions with one seed decide alike on equal
-ids; ``normalize_plan``, and therefore ``enumerate_exact_moments`` and
-``monte_carlo_moments``, rejects such plans with a ``PlanError``
-(``inclusion_probabilities`` does not normalize and still measures them).
-Row samplers (Bernoulli, WOR) with one seed draw from one stream, and
-``normalize_plan`` rejects those plans the same way.
+ids, and row samplers (Bernoulli, WOR) with one seed draw from one stream.
+``plan.validate_plan`` rejects both kinds of plan with a ``PlanError``;
+``enumerate_exact_moments`` and ``monte_carlo_moments`` reach it through
+``normalize_plan``, while ``inclusion_probabilities`` does not normalize
+and still measures such plans.
 """
 
 from __future__ import annotations

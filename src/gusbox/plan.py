@@ -3,7 +3,9 @@ interspersed, plus the predicate and sampler descriptions they carry.
 
 Plans are immutable; rewriting produces new trees. A sum aggregate may
 appear once, at the root. Analysis-only parameter nodes (:class:`GusQuasi`)
-are produced by the rewriter and are not executable.
+carry a hand-built parameter table and are not executable.
+:func:`validate_plan` holds every structural check and reads no data, so a
+malformed plan fails before any table is loaded.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class Predicate:
     """Conjunction of comparison atoms; empty conjunction is always true."""
 
     atoms: tuple[Comparison, ...] = ()
-
-    def conjoin(self, other: "Predicate") -> "Predicate":
-        return Predicate(self.atoms + other.atoms)
 
 
 ALWAYS_TRUE = Predicate()
@@ -163,33 +162,6 @@ class SumAggregate(PlanNode):
     child: PlanNode
 
 
-def lineage_schema_of(node: PlanNode) -> LineageSchema:
-    """Lineage schema of a node's output, validating join disjointness and
-    union schema agreement along the way."""
-    if isinstance(node, Scan):
-        return LineageSchema.of([node.table])
-    if isinstance(node, (Select, Sample, GusQuasi, SumAggregate)):
-        return lineage_schema_of(node.child)
-    if isinstance(node, (Join, Cross)):
-        left = lineage_schema_of(node.left)
-        right = lineage_schema_of(node.right)
-        overlap = set(left.relations) & set(right.relations)
-        if overlap:
-            raise SelfJoinError(
-                f"join sides share base relation(s) {sorted(overlap)}; self-joins are unsupported"
-            )
-        return left.merge_disjoint(right)
-    if isinstance(node, UnionDedup):
-        left = lineage_schema_of(node.left)
-        right = lineage_schema_of(node.right)
-        if left != right:
-            raise SchemaError(
-                f"union sides cover different base relations: {left.relations} vs {right.relations}"
-            )
-        return left
-    raise PlanError(f"unsupported plan node {type(node).__name__}")
-
-
 def strip_sampling(node: PlanNode) -> PlanNode:
     """The plan with every sampling node removed; what runs on full data."""
     if isinstance(node, Scan):
@@ -209,32 +181,111 @@ def strip_sampling(node: PlanNode) -> PlanNode:
     raise PlanError(f"unsupported plan node {type(node).__name__}")
 
 
-def contains_sampling(node: PlanNode) -> bool:
-    if isinstance(node, (Sample, GusQuasi)):
-        return True
-    if isinstance(node, Scan):
-        return False
-    if isinstance(node, (Select, SumAggregate)):
-        return contains_sampling(node.child)
-    if isinstance(node, (Join, Cross, UnionDedup)):
-        return contains_sampling(node.left) or contains_sampling(node.right)
-    raise PlanError(f"unsupported plan node {type(node).__name__}")
-
-
 def validate_plan(root: PlanNode) -> None:
-    """Structural checks: aggregate only at the root, schemas consistent."""
+    """Every structural check a plan needs, in one walk that reads no data.
 
-    def no_aggregate(node: PlanNode):
+    A sum aggregate may appear only at the root. Join and cross sides cover
+    disjoint base relations (``SelfJoinError``); union sides cover the same
+    ones (``SchemaError``) and, once sampling is stripped, compute the same
+    relation, or a single parameter table could not describe the result.
+    Lineage-keyed dimensions name relations of their input. A fixed-size
+    (WOR) sampler may not sit above another sampler, whose output size is
+    random. No two lineage-keyed dimensions anywhere in the plan share a
+    seed: a keyed decision hashes only (seed, base-tuple id), so such
+    dimensions make the same decisions rather than independent ones, and
+    the merge rules, which assume independent filters, would give a wrong
+    table. Likewise no two row samplers (Bernoulli, WOR) share a seed: a row
+    sampler's stream depends only on the run seed and its own seed. A keyed
+    dimension and a row sampler may share a number, since they draw from
+    different generators.
+
+    A ``PlanError`` starts with the offending node's path from the root, in
+    the plan document's notation (``plan.child.method.dims.r``); a shared
+    seed names both nodes.
+    """
+    keyed_seeds: dict[int, str] = {}
+    row_seeds: dict[int, str] = {}
+
+    def claim_keyed_seeds(method: LineageBernoulliSpec, path: str) -> None:
+        for name, _, seed in method.dims:
+            where = f"{path}.method.dims.{name}"
+            if seed in keyed_seeds:
+                raise PlanError(
+                    f"lineage-keyed dimensions {keyed_seeds[seed]} and {where} "
+                    f"share seed {seed}: keyed decisions depend only on the seed "
+                    "and the base-tuple id, so the two filters are not "
+                    "independent; give each keyed dimension its own seed"
+                )
+            keyed_seeds[seed] = where
+
+    def claim_row_seed(method: Union[BernoulliSpec, WorSpec], path: str) -> None:
+        where = f"{path}.method"
+        if method.seed in row_seeds:
+            raise PlanError(
+                f"row samplers {row_seeds[method.seed]} and {where} share seed "
+                f"{method.seed}: both draw the same random stream, so they are "
+                "not independent; give each sampler its own seed"
+            )
+        row_seeds[method.seed] = where
+
+    def rec(node: PlanNode, path: str) -> tuple[LineageSchema, bool]:
+        """The node's lineage schema, and whether its output is random."""
+        if isinstance(node, Scan):
+            return LineageSchema.of([node.table]), False
+        if isinstance(node, Select):
+            return rec(node.child, f"{path}.child")
+        if isinstance(node, (Join, Cross, UnionDedup)):
+            left, l_random = rec(node.left, f"{path}.left")
+            right, r_random = rec(node.right, f"{path}.right")
+            if isinstance(node, UnionDedup):
+                if left != right:
+                    raise SchemaError(
+                        f"union sides cover different base relations: "
+                        f"{left.relations} vs {right.relations}"
+                    )
+                if strip_sampling(node.left) != strip_sampling(node.right):
+                    raise PlanError(
+                        f"{path}: union sides must compute the same relation for the "
+                        "result to stay uniformly sampled; rewrite the plan so both sides "
+                        "share one relational subtree"
+                    )
+                return left, l_random or r_random
+            overlap = set(left.relations) & set(right.relations)
+            if overlap:
+                raise SelfJoinError(
+                    f"join sides share base relation(s) {sorted(overlap)}; "
+                    "self-joins are unsupported"
+                )
+            return left.merge_disjoint(right), l_random or r_random
+        if isinstance(node, Sample):
+            method = node.method
+            if isinstance(method, LineageBernoulliSpec):
+                claim_keyed_seeds(method, path)
+            elif isinstance(method, (BernoulliSpec, WorSpec)):
+                claim_row_seed(method, path)
+            else:
+                raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
+            schema, randomized = rec(node.child, f"{path}.child")
+            if isinstance(method, WorSpec) and randomized:
+                raise PlanError(
+                    f"{path}: fixed-size sampling over an already randomized "
+                    "input is not analyzable (its population size is random)"
+                )
+            if isinstance(method, LineageBernoulliSpec):
+                for name, _, _ in method.dims:
+                    if name not in schema.relations:
+                        raise PlanError(
+                            f"{path}.method.dims.{name}: dimension {name!r} not in "
+                            f"schema {schema.relations}"
+                        )
+            return schema, True
+        if isinstance(node, GusQuasi):
+            return rec(node.child, f"{path}.child")[0], True
         if isinstance(node, SumAggregate):
-            raise PlanError("sum aggregate may appear only at the plan root")
-        if isinstance(node, (Select, Sample, GusQuasi)):
-            no_aggregate(node.child)
-        elif isinstance(node, (Join, Cross, UnionDedup)):
-            no_aggregate(node.left)
-            no_aggregate(node.right)
+            raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
+        raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
 
     if isinstance(root, SumAggregate):
-        no_aggregate(root.child)
+        rec(root.child, "plan.child")
     else:
-        no_aggregate(root)
-    lineage_schema_of(root)
+        rec(root, "plan")

@@ -1,7 +1,12 @@
-"""Shared fixtures: hand-built tables, desk-scale generated data, and the
-two reference plan shapes used across the suite."""
+"""Shared fixtures: hand-built tables, desk-scale generated data, the
+two reference plan shapes used across the suite, and small helpers that
+only the tests need (subset masks by name, parameter tables as JSON text,
+the sum of an aggregate)."""
 
 from __future__ import annotations
+
+import json
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import strategies as st
@@ -24,7 +29,59 @@ from gusbox import (
     WorSpec,
 )
 from gusbox.datagen import generate_tpch_tiny
+from gusbox.engine import bind_aggregate
+from gusbox.errors import SchemaError
 from gusbox.ingest import ingest_csv
+
+def mask_of(schema: LineageSchema, names: Iterable[str]) -> int:
+    """Subset mask of the named relations."""
+    mask = 0
+    for name in names:
+        mask |= 1 << schema.index(name)
+    return mask
+
+
+def mask_of_key(schema: LineageSchema, key: str) -> int:
+    """Inverse of ``schema.subset_key``, resolved by backtracking so that
+    names that are prefixes of other names still parse."""
+
+    def walk(pos: int, rel_idx: int) -> int | None:
+        if pos == len(key):
+            return 0
+        for i in range(rel_idx, schema.n):
+            name = schema.relations[i]
+            if key.startswith(name, pos):
+                rest = walk(pos + len(name), i + 1)
+                if rest is not None:
+                    return rest | (1 << i)
+        return None
+
+    mask = walk(0, 0)
+    if mask is None:
+        raise SchemaError(f"subset key {key!r} does not match schema {schema.relations}")
+    return mask
+
+
+def gus_to_json(g: GusParams) -> str:
+    return json.dumps(g.to_json_dict())
+
+
+def gus_from_json(text: str) -> GusParams:
+    """Inverse of :func:`gus_to_json`."""
+    doc: Mapping = json.loads(text)
+    schema = LineageSchema(tuple(doc["schema"]))
+    table = doc["b"]
+    if len(table) != schema.num_subsets:
+        raise SchemaError(f"b table has {len(table)} keys, schema needs {schema.num_subsets}")
+    b = [0.0] * schema.num_subsets
+    for key, value in table.items():
+        b[mask_of_key(schema, key)] = value
+    return GusParams(schema, doc["a"], tuple(b))
+
+
+def sum_aggregate(expr: str, r: SampleRelation) -> float:
+    return bind_aggregate(expr, r).total_f()
+
 
 LINEITEM_TYPES = {
     "l_orderkey": "int64",

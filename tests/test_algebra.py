@@ -9,6 +9,8 @@ significant digits, so golden comparisons use a 1e-3 relative tolerance;
 algebraic identities are checked exactly or at 1e-12.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,6 @@ from gusbox import (
 from gusbox.algebra import (
     c_coefficients,
     compact,
-    compose,
     gus_of_bernoulli,
     gus_of_lineage_bernoulli,
     gus_of_wor,
@@ -47,10 +48,20 @@ from gusbox.algebra import (
     row_wor_gus,
     union_merge,
 )
+from gusbox.dsl import parse_plan
+from gusbox.engine import execute
 from gusbox.model import extend_schema, project_masks
 from gusbox.plan import GusQuasi, Predicate, Comparison, strip_sampling
 
-from conftest import gus_tables, query1_plan, small_join_catalog, small_join_plan
+from conftest import (
+    gus_tables,
+    gus_to_json,
+    mask_of_key,
+    query1_plan,
+    small_join_catalog,
+    small_join_plan,
+)
+from test_dsl_ingest import query1_document
 from test_estimator import recursion_coefficient, submasks
 
 REFERENCE_REL_TOL = 1e-3
@@ -61,7 +72,7 @@ def assert_matches_reference(g: GusParams, a: float, table: dict):
     assert g.a == pytest.approx(a, rel=REFERENCE_REL_TOL)
     assert set(table) == {g.schema.subset_key(m) for m in range(g.schema.num_subsets)}
     for key, expected in table.items():
-        mask = g.schema.mask_of_key(key)
+        mask = mask_of_key(g.schema, key)
         assert g.b[mask] == pytest.approx(expected, rel=REFERENCE_REL_TOL), key
 
 
@@ -206,22 +217,19 @@ class TestCompact:
 
 class TestCompose:
     def test_bidimensional_bernoulli(self):
-        g = compose(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+        g = join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
         assert_matches_reference(
             g, a=0.06, table={"": 0.0036, "o": 0.012, "l": 0.018, "lo": 0.06})
-
-    def test_compose_is_join_merge(self):
-        assert compose is join_merge
 
     def test_compose_with_identity_equals_extension(self):
         from gusbox.model import extend_schema
 
         g = gus_of_bernoulli(0.2, "l")
-        wide = compose(g, identity_gus(LineageSchema.of(["o"])))
+        wide = join_merge(g, identity_gus(LineageSchema.of(["o"])))
         assert wide == extend_schema(g, LineageSchema.of(["l", "o"]))
 
     def test_subsample_stack_on_join_table(self):
-        bidim = compose(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+        bidim = join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
         g = compact(example_join_gus(), bidim)
         assert_matches_reference(
             g,
@@ -232,10 +240,10 @@ class TestCompose:
     def test_lineage_bernoulli_table_builder(self):
         schema = LineageSchema.of(["l", "o"])
         g = gus_of_lineage_bernoulli({"l": 0.2, "o": 0.3}, schema)
-        assert g == compose(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+        assert g == join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
         partial = gus_of_lineage_bernoulli({"l": 0.2}, schema)
         assert partial.a == 0.2
-        assert partial.b[schema.mask_of_key("o")] == pytest.approx(0.04, rel=1e-12)
+        assert partial.b[mask_of_key(schema, "o")] == pytest.approx(0.04, rel=1e-12)
 
 
 # Reference implementations: the per-mask loops that model.project_masks
@@ -340,7 +348,7 @@ class TestMaskProjection:
         h = GusParams(LineageSchema.of("ace"), 1, (1,) * 8)
         assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
         assert exact_bits(join_merge(g, h)) == exact_bits(reference_join_merge(g, h))
-        assert extend_schema(g, wide).to_json() == reference_extend_schema(g, wide).to_json()
+        assert gus_to_json(extend_schema(g, wide)) == gus_to_json(reference_extend_schema(g, wide))
 
 
 class TestCoefficients:
@@ -393,7 +401,7 @@ class TestMergeLaws:
     def test_product_merge_commutes_and_associates(self, g1, g2, g3):
         assert join_merge(g1, g2) == join_merge(g2, g1)
         assert join_merge(join_merge(g1, g2), g3) == join_merge(g1, join_merge(g2, g3))
-        assert compose(g1, g2) == compose(g2, g1)
+        assert join_merge(g1, g2) == join_merge(g2, g1)
 
     @given(gus_tables())
     def test_results_keep_full_mask_pinned_to_a(self, g):
@@ -602,3 +610,60 @@ class TestNormalizePlan:
             "l_val", Join(JoinSpec(), Scan("l"), Sample(BernoulliSpec(0.5), Scan("l"))))
         with pytest.raises(SelfJoinError):
             normalize_plan(plan, catalog)
+
+
+
+_OVER_2 = Predicate((Comparison("l_val", ">", 2.0),))  # keeps 4 of the 6 l rows
+
+# plan, and the plan path and full-data population size of each WOR in it
+WOR_PLANS = {
+    "under_select": (
+        SumAggregate("l_val", Select(_OVER_2, Sample(WorSpec(2, seed=1), Select(
+            Predicate((Comparison("l_val", "<", 7.0),)), Scan("l"))))),
+        {"plan.child.child": 5}),
+    "over_join": (
+        SumAggregate("l_val*o_w", Sample(WorSpec(4, seed=3), Join(
+            JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o")))),
+        {"plan.child": 6}),
+    "join_side": (small_join_plan(BernoulliSpec(0.5, seed=1), WorSpec(2, seed=2)),
+                  {"plan.child.right": 3}),
+    "both_union_sides": (
+        SumAggregate("l_val", UnionDedup(
+            Sample(WorSpec(2, seed=1), Select(_OVER_2, Scan("l"))),
+            Sample(WorSpec(3, seed=2), Select(_OVER_2, Scan("l"))))),
+        {"plan.child.left": 4, "plan.child.right": 4}),
+}
+
+
+class TestRewriteFromExecution:
+    @pytest.mark.parametrize("name", sorted(WOR_PLANS))
+    def test_result_and_catalog_give_the_same_rewrite(self, name):
+        plan, populations = WOR_PLANS[name]
+        catalog = small_join_catalog()
+        executed = execute(plan, catalog, master_seed=3)
+        assert executed.populations == populations
+        from_run = normalize_plan(plan, executed)
+        from_catalog = normalize_plan(plan, catalog)
+        assert from_run.gus == from_catalog.gus
+        assert from_run.trace == from_catalog.trace
+        assert from_run.relational == from_catalog.relational == strip_sampling(plan)
+
+    def test_population_keys_are_plan_document_paths(self, desk_catalog):
+        doc = query1_document(n=20)
+        right = doc["plan"]["child"]["child"]["right"]
+        right["child"] = {"op": "select", "child": right["child"],
+                          "where": [{"col": "o_totalprice", "cmp": ">", "value": 0.0}]}
+        plan = parse_plan(json.dumps(doc)).plan
+        assert plan.child.child.right.method == WorSpec(20, seed=2)
+        assert execute(plan, desk_catalog).populations == {"plan.child.child.right": 75}
+
+    def test_run_of_another_plan_is_rejected_with_the_path(self):
+        plan, _ = WOR_PLANS["both_union_sides"]
+        other, _ = WOR_PLANS["under_select"]
+        catalog = small_join_catalog()
+        with pytest.raises(PlanError, match=r"^plan\.child\.left: .*no population"):
+            normalize_plan(plan, execute(other, catalog))
+        unsampled = execute(strip_sampling(plan), catalog)
+        assert unsampled.populations == {}
+        with pytest.raises(PlanError, match=r"^plan\.child\.left: .*no population"):
+            normalize_plan(plan, unsampled)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusbox import PlanError, cli
+from gusbox import PlanError, cli, engine
 from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny, parse_scale
 from gusbox.ingest import ingest_csv
@@ -203,6 +203,47 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "plan.child.child.left.method and plan.child.child.right.method" in err
         assert "share seed 0" in err
+
+    def test_structural_errors_come_before_ingest(self, plan_on_disk, capsys):
+        doc = json.loads(plan_on_disk.read_text())
+        doc["tables"]["l"]["path"] = "missing.csv"
+        join = doc["plan"]["child"]["child"]
+        del join["left"]["method"]["seed"], join["right"]["method"]["seed"]
+        bad = plan_on_disk.parent / "shared_seed_no_data.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "plan.child.child.left.method and plan.child.child.right.method" in err
+        assert "share seed 0" in err
+
+    def test_wor_larger_than_its_input_exits_2(self, plan_on_disk, capsys):
+        doc = json.loads(plan_on_disk.read_text())
+        doc["plan"]["child"]["child"]["right"]["method"]["n"] = 51
+        bad = plan_on_disk.parent / "too_big.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad)]) == 2
+        assert "cannot draw 51 rows from a relation of 50" in capsys.readouterr().err
+
+    def test_plan_nodes_execute_once(self, plan_on_disk, monkeypatch, capsys):
+        # the WOR sits above a select, so its population is that select's output
+        doc = json.loads(plan_on_disk.read_text())
+        right = doc["plan"]["child"]["child"]["right"]
+        right["child"] = {"op": "select", "child": right["child"],
+                          "where": [{"col": "o_totalprice", "cmp": ">", "value": 0.0}]}
+        plan_path = plan_on_disk.parent / "wor_over_select.json"
+        plan_path.write_text(json.dumps(doc))
+        calls = []
+        real_select = engine.select
+
+        def counted(predicate, relation):
+            calls.append(predicate.atoms[0].col)
+            return real_select(predicate, relation)
+
+        monkeypatch.setattr(engine, "select", counted)
+        assert main(["estimate", str(plan_path), "--explain"]) == 0
+        assert sorted(calls) == ["l_extendedprice", "o_totalprice"]
+        body = json.loads(capsys.readouterr().out)
+        assert body["a"] == pytest.approx(0.4 * 20 / 50, rel=1e-12)
 
     def test_not_identifiable_exits_3(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())

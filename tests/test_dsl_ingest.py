@@ -161,6 +161,67 @@ class TestParsePlan:
         assert method.dims == (("l", 0.2, 1), ("o", 0.3, 0))
 
 
+def _shared_keyed_seed(doc):
+    join = doc["plan"]["child"]["child"]
+    doc["plan"]["child"]["child"] = {
+        "op": "sample", "child": join,
+        "method": {"method": "lineage_bernoulli", "dims": {"l": {"p": 0.5}, "o": {"p": 0.5}}}}
+
+
+def _shared_row_seed(doc):
+    join = doc["plan"]["child"]["child"]
+    del join["left"]["method"]["seed"], join["right"]["method"]["seed"]
+
+
+def _wor_over_sample(doc):
+    right = doc["plan"]["child"]["child"]["right"]
+    right["child"] = {"op": "sample", "method": {"method": "bernoulli", "p": 0.5, "seed": 9},
+                      "child": right["child"]}
+
+
+def _union_sides_differ(doc):
+    doc["plan"]["child"] = {
+        "op": "union",
+        "left": {"op": "select", "where": [{"col": "l_tax", "cmp": ">", "value": 0.01}],
+                 "child": {"op": "scan", "table": "l"}},
+        "right": {"op": "sample", "method": {"method": "bernoulli", "p": 0.5, "seed": 6},
+                  "child": {"op": "scan", "table": "l"}}}
+
+
+def _keyed_dimension_not_below(doc):
+    doc["plan"]["child"]["child"]["left"]["method"] = {
+        "method": "lineage_bernoulli", "dims": {"o": {"p": 0.5, "seed": 3}}}
+
+
+def _nested_sum(doc):
+    doc["plan"]["child"]["child"]["left"] = {
+        "op": "sum", "expr": "1", "child": {"op": "scan", "table": "l"}}
+
+
+STRUCTURAL_FAULTS = [
+    (_shared_keyed_seed, r"^lineage-keyed dimensions plan\.child\.child\.method\.dims\.l "
+                         r"and plan\.child\.child\.method\.dims\.o share seed 0"),
+    (_shared_row_seed, r"^row samplers plan\.child\.child\.left\.method and "
+                       r"plan\.child\.child\.right\.method share seed 0"),
+    (_wor_over_sample, r"^plan\.child\.child\.right: fixed-size sampling over an already "
+                       r"randomized input"),
+    (_union_sides_differ, r"^plan\.child: union sides must compute the same relation"),
+    (_keyed_dimension_not_below, r"^plan\.child\.child\.left\.method\.dims\.o: "
+                                 r"dimension 'o' not in schema \('l',\)"),
+    (_nested_sum, r"^plan\.child\.child\.left: sum aggregate may appear only at the plan root"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", STRUCTURAL_FAULTS,
+                         ids=[mutate.__name__[1:] for mutate, _ in STRUCTURAL_FAULTS])
+def test_structural_faults_rejected_at_parse(mutate, message):
+    # parse_plan reads no table, so these fail before any ingest
+    doc = query1_document()
+    mutate(doc)
+    with pytest.raises(PlanError, match=message):
+        parse_plan(json.dumps(doc))
+
+
 class TestIngestCsv:
     def test_small_file(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -27,11 +27,10 @@ from gusbox.engine import (
     join,
     scan,
     select,
-    sum_aggregate,
     union_dedup,
 )
 
-from conftest import query1_plan, small_join_catalog
+from conftest import query1_plan, small_join_catalog, sum_aggregate
 
 
 def tiny_table(name="t", ids=(0, 1, 2), vals=(1.0, 2.0, 3.0)):
@@ -84,7 +83,7 @@ class TestSelect:
         rel = scan(desk_catalog["l"])
         a = Predicate((Comparison("l_extendedprice", ">", 20000.0),))
         b = Predicate((Comparison("l_discount", "<=", 0.05),))
-        assert select(a, select(b, rel)).rows == select(a.conjoin(b), rel).rows
+        assert select(a, select(b, rel)).rows == select(Predicate(a.atoms + b.atoms), rel).rows
 
     def test_lineage_unchanged(self, desk_catalog):
         rel = scan(desk_catalog["o"])

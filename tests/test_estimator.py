@@ -27,7 +27,6 @@ from gusbox import (
 from gusbox.algebra import (
     c_coefficients,
     compact,
-    compose,
     gus_of_bernoulli,
     gus_of_lineage_bernoulli,
     gus_of_wor,
@@ -50,6 +49,7 @@ from gusbox.plan import (
 from conftest import (
     gus_tables,
     lineage_relation,
+    mask_of_key,
     query1_plan,
     small_join_catalog,
     small_join_plan,
@@ -172,7 +172,7 @@ class TestYSampleTerms:
 
     def test_two_rows_sharing_one_side(self):
         schema = LineageSchema.of(["l", "o"])
-        l_mask = schema.mask_of_key("l")
+        l_mask = mask_of_key(schema, "l")
         full = schema.full_mask
         rel = lineage_relation(["l", "o"], [((5, 1), 1.0), ((5, 2), 1.0)])
         y = y_sample_terms(rel)
@@ -480,9 +480,9 @@ class TestSubsampleVariance:
         s = g.schema
         assert g.a == pytest.approx(4e-5, rel=1e-3)
         assert g.b[0] == pytest.approx(1.598e-9, rel=1e-3)
-        assert g.b[s.mask_of_key("o")] == pytest.approx(8e-7, rel=1e-3)
-        assert g.b[s.mask_of_key("l")] == pytest.approx(7.992e-8, rel=1e-3)
-        assert g.b[s.mask_of_key("lo")] == pytest.approx(4e-5, rel=1e-3)
+        assert g.b[mask_of_key(s, "o")] == pytest.approx(8e-7, rel=1e-3)
+        assert g.b[mask_of_key(s, "l")] == pytest.approx(7.992e-8, rel=1e-3)
+        assert g.b[mask_of_key(s, "lo")] == pytest.approx(4e-5, rel=1e-3)
 
     def test_subsample_variance_quality_stays_within_3x(self, desk_catalog):
         # the sub-sample only degrades the precision of the variance terms;

@@ -34,7 +34,13 @@ from gusbox.oracle import (
 )
 from gusbox.oracle import exact_y_terms
 
-from conftest import lineage_relation, query1_plan, small_join_catalog, small_join_plan
+from conftest import (
+    lineage_relation,
+    mask_of_key,
+    query1_plan,
+    small_join_catalog,
+    small_join_plan,
+)
 
 
 class TestExactYTerms:
@@ -48,8 +54,8 @@ class TestExactYTerms:
         y = exact_y_terms(rel)
         assert y[schema.full_mask] == 2.0
         assert y[0] == 4.0
-        assert y[schema.mask_of_key("l")] == 2.0
-        assert y[schema.mask_of_key("o")] == 2.0
+        assert y[mask_of_key(schema, "l")] == 2.0
+        assert y[mask_of_key(schema, "o")] == 2.0
 
     def test_agrees_with_streaming_implementation_on_full_data(self, desk_catalog):
         rel = execute_full(query1_plan(), desk_catalog).relation

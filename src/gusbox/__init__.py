@@ -58,8 +58,6 @@ from .model import (
 from .plan import (
     BernoulliSpec,
     Comparison,
-    Cross,
-    GusQuasi,
     Join,
     JoinSpec,
     LineageBernoulliSpec,

@@ -1,6 +1,6 @@
 """Algebra over sampling parameter tables, and the plan rewriter that
-reduces any supported plan to one relational subtree under a single
-parameter table.
+reduces all the sampling in a supported plan to a single parameter table
+over the sampling-free plan.
 
 The rewriter is the last of three steps: ``plan.validate_plan`` checks the
 plan before any data is read, ``engine.execute`` runs it and records the
@@ -43,8 +43,6 @@ from .errors import PlanError, SampleSizeError, SchemaError
 from .model import GusParams, LineageSchema, extend_schema, project_masks
 from .plan import (
     BernoulliSpec,
-    Cross,
-    GusQuasi,
     Join,
     PlanNode,
     Scan,
@@ -208,7 +206,6 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class NormalizedPlan:
-    relational: PlanNode
     gus: GusParams
     trace: tuple[RewriteStep, ...]
 
@@ -223,13 +220,15 @@ def _sampler_note(method) -> str:
 
 
 def normalize_plan(plan: PlanNode, source=None) -> NormalizedPlan:
-    """Rewrite a plan so all sampling collapses into one parameter table
-    over the sampling-free relational plan.
+    """The one parameter table that all the sampling in a plan collapses
+    into, over the sampling-free plan (``plan.strip_sampling``), with the
+    rewrite steps that built it.
 
     The plan is checked with :func:`validate_plan` first, so the rewrite
     sees only plans the algebra can describe. A fixed-size (WOR) sampler's
     table needs the size of the population it draws from, which is the
-    full-data output of its sampling-free input. ``source`` supplies it: an
+    full-data output of its input (sampling-free, as ``validate_plan``
+    forbids sampling below a WOR). ``source`` supplies it: an
     :class:`ExecutionResult` of a run of this same plan (its
     ``populations``; nothing is executed), or a catalog, against which each
     WOR input is executed. Plans without a WOR sampler need neither.
@@ -255,26 +254,15 @@ def normalize_plan(plan: PlanNode, source=None) -> NormalizedPlan:
             )
         return len(execute(child, source).relation)
 
-    def stack(note: str, g_s: GusParams, child: PlanNode,
-              g_child: GusParams) -> tuple[PlanNode, GusParams]:
-        """Emit a sampling node's table and fuse it onto its input's."""
-        emit("sampler_to_gus", note, (), g_s)
-        if g_child.is_identity:
-            return child, g_s
-        merged = compact(g_s, g_child)
-        emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
-        return child, merged
-
-    def rec(node: PlanNode, path: str) -> tuple[PlanNode, GusParams]:
+    def rec(node: PlanNode, path: str) -> GusParams:
         if isinstance(node, Scan):
-            return node, identity_gus(LineageSchema.of([node.table]))
+            return identity_gus(LineageSchema.of([node.table]))
         if isinstance(node, Select):
-            child, g = rec(node.child, f"{path}.child")
             # selection commutes with the filter; parameters unchanged
-            return Select(node.predicate, child), g
-        if isinstance(node, (Join, Cross)):
-            lnode, gl = rec(node.left, f"{path}.left")
-            rnode, gr = rec(node.right, f"{path}.right")
+            return rec(node.child, f"{path}.child")
+        if isinstance(node, Join):
+            gl = rec(node.left, f"{path}.left")
+            gr = rec(node.right, f"{path}.right")
             merged = join_merge(gl, gr)
             if gl.is_identity and not gr.is_identity:
                 emit("identity_gus", f"identity over {gl.schema.relations}", (), gl)
@@ -282,32 +270,31 @@ def normalize_plan(plan: PlanNode, source=None) -> NormalizedPlan:
                 emit("identity_gus", f"identity over {gr.schema.relations}", (), gr)
             if not (gl.is_identity and gr.is_identity):
                 emit("join_gus_merge", "merge across join", (gl, gr), merged)
-            if isinstance(node, Join):
-                return Join(node.condition, lnode, rnode), merged
-            return Cross(lnode, rnode), merged
+            return merged
         if isinstance(node, UnionDedup):
-            lnode, gl = rec(node.left, f"{path}.left")
-            rnode, gr = rec(node.right, f"{path}.right")
+            gl = rec(node.left, f"{path}.left")
+            gr = rec(node.right, f"{path}.right")
             merged = union_merge(gl, gr)
             if not (gl.is_identity and gr.is_identity):
                 emit("union_gus_merge", "merge across union", (gl, gr), merged)
-            return UnionDedup(lnode, rnode), merged
-        child, g_child = rec(node.child, f"{path}.child")
-        if isinstance(node, GusQuasi):
-            g_s = extend_schema(node.params, g_child.schema)
-            return stack("explicit parameter table", g_s, child, g_child)
+            return merged
+        # a sampling node: its own table, fused onto its input's
+        g_child = rec(node.child, f"{path}.child")
         method = node.method
         if isinstance(method, BernoulliSpec):
             g_s = row_bernoulli_gus(method.p, g_child.schema)
         elif isinstance(method, WorSpec):
-            g_s = row_wor_gus(method.n, population(child, path), g_child.schema)
+            g_s = row_wor_gus(method.n, population(node.child, path), g_child.schema)
         else:
             g_s = gus_of_lineage_bernoulli(
                 {name: p for name, p, _ in method.dims}, g_child.schema)
-        return stack(_sampler_note(method), g_s, child, g_child)
+        emit("sampler_to_gus", _sampler_note(method), (), g_s)
+        if g_child.is_identity:
+            return g_s
+        merged = compact(g_s, g_child)
+        emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
+        return merged
 
     if isinstance(plan, SumAggregate):
-        child, gus = rec(plan.child, "plan.child")
-        return NormalizedPlan(SumAggregate(plan.expr, child), gus, tuple(steps))
-    child, gus = rec(plan, "plan")
-    return NormalizedPlan(child, gus, tuple(steps))
+        return NormalizedPlan(rec(plan.child, "plan.child"), tuple(steps))
+    return NormalizedPlan(rec(plan, "plan"), tuple(steps))

@@ -163,7 +163,8 @@ def run_estimate(args) -> int:
     if args.oracle:
         oracle_doc = {"exact": None, "exactYVariance": None, "monteCarlo": None}
         try:
-            mean, variance = oracle.enumerate_exact_moments(doc.plan, catalog)
+            mean, variance = oracle.enumerate_exact_moments(
+                doc.plan, catalog, normalized.gus.a)
             oracle_doc["exact"] = {"mean": mean, "variance": variance}
         except EnumerationInfeasibleError as exc:
             report.diagnostics.append(f"exact oracle skipped: {exc}")
@@ -175,7 +176,7 @@ def run_estimate(args) -> int:
             oracle.exact_y_terms(full.relation),
             report.c_table, normalized.gus.a)
         mean, variance, stderr = oracle.monte_carlo_moments(
-            doc.plan, catalog, trials=args.oracle_trials, seed=args.seed)
+            doc.plan, catalog, normalized.gus.a, trials=args.oracle_trials, seed=args.seed)
         oracle_doc["monteCarlo"] = {
             "mean": mean, "variance": variance, "stderr": stderr,
             "trials": args.oracle_trials,

@@ -2,7 +2,8 @@
 tree, and requested quantiles.
 
 Node objects use an ``op`` discriminator: scan, select, join, cross, union,
-sample, sum. Errors carry the JSON path to the offending element.
+sample, sum. A cross is a join with no equality pairs and no residual.
+Errors carry the JSON path to the offending element.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import PlanError, SchemaError
 from .plan import (
     BernoulliSpec,
     Comparison,
-    Cross,
     Join,
     JoinSpec,
     LineageBernoulliSpec,
@@ -139,18 +139,11 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
             _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
             _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
         )
-    if op == "cross":
+    if op in ("cross", "union"):
         _no_extras(doc, {"op", "left", "right"}, path)
-        return Cross(
-            _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
-            _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
-        )
-    if op == "union":
-        _no_extras(doc, {"op", "left", "right"}, path)
-        return UnionDedup(
-            _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
-            _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
-        )
+        left = _parse_node(_need(doc, "left", path), tables, f"{path}.left")
+        right = _parse_node(_need(doc, "right", path), tables, f"{path}.right")
+        return Join(JoinSpec(), left, right) if op == "cross" else UnionDedup(left, right)
     if op == "sample":
         _no_extras(doc, {"op", "method", "child"}, path)
         return Sample(
@@ -206,7 +199,7 @@ def parse_plan(text: str) -> PlanDocument:
     try:
         validate_plan(plan)
     except SchemaError as exc:  # self-joins and unions over different relations
-        raise PlanError(f"plan: {exc}") from exc
+        raise PlanError(str(exc)) from exc
 
     quantiles_doc = doc.get("quantiles", [])
     if not isinstance(quantiles_doc, list):

@@ -3,16 +3,16 @@
 Relations are columnar (see :class:`gusbox.model.SampleRelation`), and every
 operator works on whole columns and index vectors: selection builds a
 boolean mask, an equi-join factorises its keys and matches them with
-``argsort``/``searchsorted``, and a cross product repeats and tiles row
-positions. A join's residual predicate is tested on blocks of candidate
-pairs, so memory follows the block and the output, not the product of the
-inputs. Join and union outputs are sorted by lineage with ``lexsort``.
-Output rows carry the canonical merge of both lineage vectors. Comparisons
-and join keys follow Python's exact semantics for mixed ints and floats (an
-int column against a float past 2**53, an int key against a float key),
-``-0.0`` equals ``0.0`` and NaN never matches, so results equal the row-at-a-
-time reference kept in the tests. No NULLs anywhere: ingestion rejects
-missing values, so operators never see them.
+``argsort``/``searchsorted``, and a join without equality pairs (a cross
+product) repeats and tiles row positions. A join's residual predicate is
+tested on blocks of candidate pairs, so memory follows the block and the
+output, not the product of the inputs. Join and union outputs are sorted by
+lineage with ``lexsort``. Output rows carry the canonical merge of both
+lineage vectors. Comparisons and join keys follow Python's exact semantics
+for mixed ints and floats (an int column against a float past 2**53, an int
+key against a float key), ``-0.0`` equals ``0.0`` and NaN never matches, so
+results equal the row-at-a-time reference kept in the tests. No NULLs
+anywhere: ingestion rejects missing values, so operators never see them.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .model import (
 )
 from .plan import (
     BernoulliSpec,
-    Cross,
-    GusQuasi,
     Join,
     JoinSpec,
     LineageBernoulliSpec,
@@ -410,10 +408,6 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
         lineage=lineage[order], f=np.zeros(len(li), dtype=np.float64))
 
 
-def cross(left: SampleRelation, right: SampleRelation) -> SampleRelation:
-    return join(JoinSpec(), left, right)
-
-
 def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
     if left.schema != right.schema:
         raise SchemaError(
@@ -469,8 +463,6 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
             return select(n.predicate, rec(n.child, f"{path}.child"))
         if isinstance(n, Join):
             return join(n.condition, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
-        if isinstance(n, Cross):
-            return cross(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, UnionDedup):
             return union_dedup(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, Sample):
@@ -490,8 +482,6 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
                 }
                 return samplers.lineage_bernoulli(child, dims)
             raise PlanError(f"{path}.method: unknown sampler spec {type(m).__name__}")
-        if isinstance(n, GusQuasi):
-            raise PlanError(f"{path}: parameter-only sampling nodes cannot be executed")
         raise PlanError(f"{path}: unsupported plan node {type(n).__name__}")
 
     if isinstance(node, SumAggregate):

@@ -14,7 +14,7 @@ class SchemaError(GusboxError):
 
 
 class SelfJoinError(SchemaError):
-    """Join or cross whose sides share a base relation; not analyzable."""
+    """Join whose sides share a base relation; not analyzable."""
 
 
 class PlanError(GusboxError):

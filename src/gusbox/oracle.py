@@ -13,9 +13,9 @@ seed. A keyed decision hashes only (seed, base-tuple id), whatever the
 relation, so lineage-keyed dimensions with one seed decide alike on equal
 ids, and row samplers (Bernoulli, WOR) with one seed draw from one stream.
 ``plan.validate_plan`` rejects both kinds of plan with a ``PlanError``;
-``enumerate_exact_moments`` and ``monte_carlo_moments`` reach it through
-``normalize_plan``, while ``inclusion_probabilities`` does not normalize
-and still measures such plans.
+``enumerate_exact_moments`` and ``monte_carlo_moments`` call it directly
+and take the plan's inclusion probability ``a`` from the caller, while
+``inclusion_probabilities`` does not validate and still measures such plans.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 from . import samplers
-from .algebra import normalize_plan
 from .engine import (
     Catalog,
     bind_aggregate,
-    cross,
     execute,
     execute_full,
     join,
@@ -47,8 +46,6 @@ from .errors import (
 from .model import GusParams, SampleRelation, common_lineage
 from .plan import (
     BernoulliSpec,
-    Cross,
-    GusQuasi,
     Join,
     LineageBernoulliSpec,
     PlanNode,
@@ -58,6 +55,7 @@ from .plan import (
     SumAggregate,
     UnionDedup,
     WorSpec,
+    validate_plan,
 )
 
 DEFAULT_STATE_BUDGET = 1 << 20
@@ -145,22 +143,12 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
     if isinstance(node, Select):
         child = enumerate_outcomes(node.child, catalog, budget)
         return _merge_outcomes((select(node.predicate, rel), w) for rel, w in child)
-    if isinstance(node, (Join, Cross)):
+    if isinstance(node, (Join, UnionDedup)):
         left = enumerate_outcomes(node.left, catalog, budget)
         right = enumerate_outcomes(node.right, catalog, budget)
         guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
-        if isinstance(node, Join):
-            pairs = ((join(node.condition, l, r), wl * wr)
-                     for l, wl in left for r, wr in right)
-        else:
-            pairs = ((cross(l, r), wl * wr) for l, wl in left for r, wr in right)
-        return _merge_outcomes(pairs)
-    if isinstance(node, UnionDedup):
-        left = enumerate_outcomes(node.left, catalog, budget)
-        right = enumerate_outcomes(node.right, catalog, budget)
-        guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
-        return _merge_outcomes(
-            (union_dedup(l, r), wl * wr) for l, wl in left for r, wr in right)
+        op = union_dedup if isinstance(node, UnionDedup) else partial(join, node.condition)
+        return _merge_outcomes((op(l, r), wl * wr) for l, wl in left for r, wr in right)
     if isinstance(node, Sample):
         child = enumerate_outcomes(node.child, catalog, budget)
         method = node.method
@@ -215,18 +203,17 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
         else:
             raise PlanError(f"unknown sampler spec {type(method).__name__}")
         return _merge_outcomes(out)
-    if isinstance(node, GusQuasi):
-        raise PlanError("parameter-only sampling nodes cannot be enumerated")
     raise PlanError(f"unsupported plan node {type(node).__name__}")
 
 
-def enumerate_exact_moments(plan: PlanNode, catalog: Catalog,
+def enumerate_exact_moments(plan: PlanNode, catalog: Catalog, a: float,
                             budget: int = DEFAULT_STATE_BUDGET) -> tuple[float, float]:
-    """Exact mean and variance of the scaled-sum estimate, by summing over
-    every sampling configuration of the plan."""
+    """Exact mean and variance of the estimate (the sum scaled by ``1/a``,
+    with ``a`` the plan's inclusion probability), by summing over every
+    sampling configuration of the plan."""
     if not isinstance(plan, SumAggregate):
         raise PlanError("exact moments need a plan with a sum aggregate at the root")
-    a = normalize_plan(plan, catalog).gus.a
+    validate_plan(plan)
     if a <= 0.0:
         raise DegenerateSamplingError("inclusion probability a must be positive")
     outcomes = enumerate_outcomes(plan.child, catalog, budget)
@@ -239,15 +226,16 @@ def enumerate_exact_moments(plan: PlanNode, catalog: Catalog,
     return mean, variance
 
 
-def monte_carlo_moments(plan: PlanNode, catalog: Catalog, trials: int,
+def monte_carlo_moments(plan: PlanNode, catalog: Catalog, a: float, trials: int,
                         seed: int) -> tuple[float, float, float]:
-    """Seeded sample mean/variance of the estimate, with the standard error
-    of the mean. Trial streams derive from (seed, trial index)."""
+    """Seeded sample mean/variance of the estimate (the sum scaled by
+    ``1/a``), with the standard error of the mean. Trial streams derive
+    from (seed, trial index)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not isinstance(plan, SumAggregate):
         raise PlanError("estimator moments need a plan with a sum aggregate at the root")
-    a = normalize_plan(plan, catalog).gus.a
+    validate_plan(plan)
     if a <= 0.0:
         raise DegenerateSamplingError("inclusion probability a must be positive")
     values = []

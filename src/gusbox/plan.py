@@ -2,10 +2,10 @@
 interspersed, plus the predicate and sampler descriptions they carry.
 
 Plans are immutable; rewriting produces new trees. A sum aggregate may
-appear once, at the root. Analysis-only parameter nodes (:class:`GusQuasi`)
-carry a hand-built parameter table and are not executable.
-:func:`validate_plan` holds every structural check and reads no data, so a
-malformed plan fails before any table is loaded.
+appear once, at the root. A cross product is a :class:`Join` with no
+equality pairs and no residual. :func:`validate_plan` holds every structural
+check and reads no data, so a malformed plan fails before any table is
+loaded.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import PlanError, SchemaError, SelfJoinError
-from .model import GusParams, LineageSchema
+from .model import LineageSchema
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
@@ -74,8 +74,8 @@ class WorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 0:
-            raise PlanError(f"sample size {self.n} must be >= 0")
+        if self.n < 1:
+            raise PlanError(f"sample size {self.n} must be >= 1")
         if self.seed < 0:
             raise PlanError("seeds must be non-negative")
 
@@ -131,12 +131,6 @@ class Join(PlanNode):
 
 
 @dataclass(frozen=True)
-class Cross(PlanNode):
-    left: PlanNode
-    right: PlanNode
-
-
-@dataclass(frozen=True)
 class UnionDedup(PlanNode):
     left: PlanNode
     right: PlanNode
@@ -145,14 +139,6 @@ class UnionDedup(PlanNode):
 @dataclass(frozen=True)
 class Sample(PlanNode):
     method: SamplerSpec
-    child: PlanNode
-
-
-@dataclass(frozen=True)
-class GusQuasi(PlanNode):
-    """Analysis-only marker carrying sampling parameters; never executed."""
-
-    params: GusParams
     child: PlanNode
 
 
@@ -170,11 +156,9 @@ def strip_sampling(node: PlanNode) -> PlanNode:
         return Select(node.predicate, strip_sampling(node.child))
     if isinstance(node, Join):
         return Join(node.condition, strip_sampling(node.left), strip_sampling(node.right))
-    if isinstance(node, Cross):
-        return Cross(strip_sampling(node.left), strip_sampling(node.right))
     if isinstance(node, UnionDedup):
         return UnionDedup(strip_sampling(node.left), strip_sampling(node.right))
-    if isinstance(node, (Sample, GusQuasi)):
+    if isinstance(node, Sample):
         return strip_sampling(node.child)
     if isinstance(node, SumAggregate):
         return SumAggregate(node.expr, strip_sampling(node.child))
@@ -184,9 +168,9 @@ def strip_sampling(node: PlanNode) -> PlanNode:
 def validate_plan(root: PlanNode) -> None:
     """Every structural check a plan needs, in one walk that reads no data.
 
-    A sum aggregate may appear only at the root. Join and cross sides cover
-    disjoint base relations (``SelfJoinError``); union sides cover the same
-    ones (``SchemaError``) and, once sampling is stripped, compute the same
+    A sum aggregate may appear only at the root. Join sides cover disjoint
+    base relations (``SelfJoinError``); union sides cover the same ones
+    (``SchemaError``) and, once sampling is stripped, compute the same
     relation, or a single parameter table could not describe the result.
     Lineage-keyed dimensions name relations of their input. A fixed-size
     (WOR) sampler may not sit above another sampler, whose output size is
@@ -199,9 +183,9 @@ def validate_plan(root: PlanNode) -> None:
     dimension and a row sampler may share a number, since they draw from
     different generators.
 
-    A ``PlanError`` starts with the offending node's path from the root, in
-    the plan document's notation (``plan.child.method.dims.r``); a shared
-    seed names both nodes.
+    Every error starts with the offending node's path from the root, in the
+    plan document's notation (``plan.child.method.dims.r``); a shared seed
+    names both nodes.
     """
     keyed_seeds: dict[int, str] = {}
     row_seeds: dict[int, str] = {}
@@ -234,13 +218,13 @@ def validate_plan(root: PlanNode) -> None:
             return LineageSchema.of([node.table]), False
         if isinstance(node, Select):
             return rec(node.child, f"{path}.child")
-        if isinstance(node, (Join, Cross, UnionDedup)):
+        if isinstance(node, (Join, UnionDedup)):
             left, l_random = rec(node.left, f"{path}.left")
             right, r_random = rec(node.right, f"{path}.right")
             if isinstance(node, UnionDedup):
                 if left != right:
                     raise SchemaError(
-                        f"union sides cover different base relations: "
+                        f"{path}: union sides cover different base relations: "
                         f"{left.relations} vs {right.relations}"
                     )
                 if strip_sampling(node.left) != strip_sampling(node.right):
@@ -253,7 +237,7 @@ def validate_plan(root: PlanNode) -> None:
             overlap = set(left.relations) & set(right.relations)
             if overlap:
                 raise SelfJoinError(
-                    f"join sides share base relation(s) {sorted(overlap)}; "
+                    f"{path}: join sides share base relation(s) {sorted(overlap)}; "
                     "self-joins are unsupported"
                 )
             return left.merge_disjoint(right), l_random or r_random
@@ -279,8 +263,6 @@ def validate_plan(root: PlanNode) -> None:
                             f"schema {schema.relations}"
                         )
             return schema, True
-        if isinstance(node, GusQuasi):
-            return rec(node.child, f"{path}.child")[0], True
         if isinstance(node, SumAggregate):
             raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
         raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")

@@ -18,7 +18,6 @@ from gusbox.exprs import Arith
 from gusbox.model import Row, SampleRelation
 from gusbox.plan import (
     BernoulliSpec,
-    Cross,
     Join,
     JoinSpec,
     LineageBernoulliSpec,
@@ -169,8 +168,6 @@ def execute(node, catalog, master_seed: int = 0):
             return select(n.predicate, rec(n.child))
         if isinstance(n, Join):
             return join(n.condition, rec(n.left), rec(n.right))
-        if isinstance(n, Cross):
-            return join(JoinSpec(), rec(n.left), rec(n.right))
         if isinstance(n, UnionDedup):
             return union_dedup(rec(n.left), rec(n.right))
         if isinstance(n, Sample):

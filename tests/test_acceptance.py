@@ -180,7 +180,7 @@ def test_criterion_2_variance_matches_enumeration():
             continue
         norm = normalize_plan(plan, catalog)
         truth = full.aggregate
-        mean, variance = enumerate_exact_moments(plan, catalog)
+        mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
         from_tables = variance_estimate(
             exact_y_terms(full.relation), c_coefficients(norm.gus), norm.gus.a)
         assert _close(mean, truth), (checked, mean, truth)

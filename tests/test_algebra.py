@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from gusbox import (
     BernoulliSpec,
-    Cross,
     GusParams,
     Join,
     JoinSpec,
@@ -51,7 +50,7 @@ from gusbox.algebra import (
 from gusbox.dsl import parse_plan
 from gusbox.engine import execute
 from gusbox.model import extend_schema, project_masks
-from gusbox.plan import GusQuasi, Predicate, Comparison, strip_sampling
+from gusbox.plan import Predicate, Comparison, strip_sampling
 
 from conftest import (
     gus_tables,
@@ -417,7 +416,6 @@ class TestNormalizePlan:
         expected = join_merge(
             gus_of_bernoulli(0.5, "l"), gus_of_wor(2, 3, "o"))
         assert norm.gus == expected
-        assert norm.relational == strip_sampling(plan)
         assert [s.rule for s in norm.trace] == [
             "sampler_to_gus", "sampler_to_gus", "join_gus_merge"]
 
@@ -446,7 +444,6 @@ class TestNormalizePlan:
             "l_val", Select(pred, Sample(BernoulliSpec(0.25, seed=1), Scan("l"))))
         norm = normalize_plan(plan, catalog)
         assert norm.gus == gus_of_bernoulli(0.25, "l")
-        assert isinstance(norm.relational.child, Select)
 
     def test_stacked_samplers_fuse(self):
         catalog = small_join_catalog()
@@ -537,7 +534,7 @@ class TestNormalizePlan:
 
     def test_keyed_dimensions_sharing_a_seed_rejected(self):
         plan = Sample(LineageBernoulliSpec.of({"r": (0.5, 5), "t": (0.6, 5)}),
-                      Cross(Scan("r"), Scan("t")))
+                      Join(JoinSpec(), Scan("r"), Scan("t")))
         with pytest.raises(PlanError, match=r"plan\.method\.dims\.r and "
                                             r"plan\.method\.dims\.t share seed 5"):
             normalize_plan(plan)
@@ -545,34 +542,34 @@ class TestNormalizePlan:
     def test_keyed_plans_with_distinct_seeds_keep_their_tables(self):
         for r_seed, t_seed in ((5, 6), (6, 5), (7, 90)):
             keyed = LineageBernoulliSpec.of({"r": (0.5, r_seed), "t": (0.6, t_seed)})
-            norm = normalize_plan(Sample(keyed, Cross(Scan("r"), Scan("t"))))
+            norm = normalize_plan(Sample(keyed, Join(JoinSpec(), Scan("r"), Scan("t"))))
             assert norm.gus == gus_of_lineage_bernoulli(
                 {"r": 0.5, "t": 0.6}, LineageSchema.of(["r", "t"]))
 
     def test_row_samplers_sharing_a_seed_rejected(self):
         # both Bernoulli samplers would draw the same PCG64 stream
-        plan = Cross(Sample(BernoulliSpec(0.5, seed=0), Scan("r")),
-                     Sample(BernoulliSpec(0.5, seed=0), Scan("t")))
+        plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=0), Scan("r")),
+                    Sample(BernoulliSpec(0.5, seed=0), Scan("t")))
         with pytest.raises(PlanError, match=r"plan\.left\.method and "
                                             r"plan\.right\.method share seed 0"):
             normalize_plan(plan)
 
     def test_row_samplers_with_distinct_seeds_keep_their_table(self):
-        plan = Cross(Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
-                     Sample(BernoulliSpec(0.5, seed=2), Scan("t")))
+        plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
+                    Sample(BernoulliSpec(0.5, seed=2), Scan("t")))
         assert normalize_plan(plan).gus == join_merge(
             gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "t"))
 
     def test_row_sampler_and_keyed_dimension_may_share_a_number(self):
         keyed = LineageBernoulliSpec.of({"t": (0.6, 3)})
-        plan = Cross(Sample(BernoulliSpec(0.5, seed=3), Scan("r")),
-                     Sample(keyed, Scan("t")))
+        plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=3), Scan("r")),
+                    Sample(keyed, Scan("t")))
         assert normalize_plan(plan).gus == join_merge(
             gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.6, "t"))
 
     def test_other_plan_errors_name_the_node(self):
-        plan = SumAggregate("l_val", Cross(
-            Scan("o"), Sample(WorSpec(2, seed=1), Select(
+        plan = SumAggregate("l_val", Join(
+            JoinSpec(), Scan("o"), Sample(WorSpec(2, seed=1), Select(
                 Predicate((Comparison("l_val", ">", 2.0),)), Scan("l")))))
         with pytest.raises(PlanError, match=r"^plan\.child\.right: fixed-size .*catalog"):
             normalize_plan(plan)
@@ -595,14 +592,6 @@ class TestNormalizePlan:
             "identity_gus", "join_gus_merge",
             "sampler_to_gus", "join_gus_merge",
         ]
-
-    def test_manual_parameter_node(self):
-        catalog = small_join_catalog()
-        manual = GusParams(
-            LineageSchema.of(["l"]), 0.5, (0.20000000000000001, 0.5))
-        plan = SumAggregate("l_val", GusQuasi(manual, Scan("l")))
-        norm = normalize_plan(plan, catalog)
-        assert norm.gus == manual
 
     def test_self_join_rejected(self):
         catalog = small_join_catalog()
@@ -646,7 +635,6 @@ class TestRewriteFromExecution:
         from_catalog = normalize_plan(plan, catalog)
         assert from_run.gus == from_catalog.gus
         assert from_run.trace == from_catalog.trace
-        assert from_run.relational == from_catalog.relational == strip_sampling(plan)
 
     def test_population_keys_are_plan_document_paths(self, desk_catalog):
         doc = query1_document(n=20)

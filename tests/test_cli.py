@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusbox import PlanError, cli, engine
+from gusbox import PlanError, algebra, cli, engine
 from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny, parse_scale
 from gusbox.ingest import ingest_csv
@@ -173,6 +173,9 @@ class TestEstimateCommand:
         bad = plan_on_disk.parent / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["estimate", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: plan.child.child: join sides share base relation(s) ['l']; "
+            "self-joins are unsupported\n")
 
     def test_keyed_dimensions_without_seeds_exit_2(self, plan_on_disk, capsys):
         # both dimensions fall back to seed 0, so their decisions coincide
@@ -223,6 +226,53 @@ class TestEstimateCommand:
         bad.write_text(json.dumps(doc))
         assert main(["estimate", str(bad)]) == 2
         assert "cannot draw 51 rows from a relation of 50" in capsys.readouterr().err
+
+    def test_wor_of_zero_rows_rejected_before_ingest(self, plan_on_disk, capsys):
+        doc = json.loads(plan_on_disk.read_text())
+        doc["tables"]["o"]["path"] = "missing.csv"
+        doc["plan"]["child"]["child"]["right"]["method"]["n"] = 0
+        bad = plan_on_disk.parent / "n0.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: sample size 0 must be >= 1\n"
+
+    def test_cross_reports_like_a_join_without_conditions(self, plan_on_disk, capsys):
+        doc = json.loads(plan_on_disk.read_text())
+        doc["plan"]["expr"] = "l_discount*o_totalprice"
+        join = doc["plan"]["child"]["child"]
+        del join["eq"]
+        reports = []
+        for op in ("cross", "join"):
+            join["op"] = op
+            plan_path = plan_on_disk.parent / f"{op}.json"
+            plan_path.write_text(json.dumps(doc))
+            assert main(["estimate", str(plan_path), "--explain", "--oracle",
+                         "--oracle-trials", "3"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["sampleRows"] > 0
+
+    def test_oracle_runs_no_wor_input_again(self, plan_on_disk, monkeypatch, capsys):
+        # the CLI hands the oracles the table's a, so nothing re-executes the
+        # WOR's input (a select) to size its population
+        doc = json.loads(plan_on_disk.read_text())
+        right = doc["plan"]["child"]["child"]["right"]
+        right["child"] = {"op": "select", "child": right["child"],
+                          "where": [{"col": "o_totalprice", "cmp": ">", "value": 0.0}]}
+        plan_path = plan_on_disk.parent / "wor_over_select.json"
+        plan_path.write_text(json.dumps(doc))
+        calls = []
+        real_execute = algebra.execute
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, "execute", counted)
+        assert main(["estimate", str(plan_path), "--oracle", "--oracle-trials", "1"]) == 0
+        assert calls == []
+        body = json.loads(capsys.readouterr().out)
+        assert body["oracle"]["monteCarlo"]["trials"] == 1
 
     def test_plan_nodes_execute_once(self, plan_on_disk, monkeypatch, capsys):
         # the WOR sits above a select, so its population is that select's output

@@ -19,7 +19,6 @@ from gusbox import (
     BaseTable,
     BernoulliSpec,
     Comparison,
-    Cross,
     Join,
     JoinSpec,
     LineageBernoulliSpec,
@@ -99,7 +98,7 @@ def relations(draw, names):
         left, right = draw(relations(names[:k])), draw(relations(names[k:]))
         kind = draw(st.sampled_from(["join", "cross", "theta"]))
         if kind == "cross":
-            node = Cross(left, right)
+            node = Join(JoinSpec(), left, right)
         else:
             equi = ()
             if kind == "join":
@@ -118,7 +117,7 @@ def relations(draw, names):
         elif wrap == "bernoulli":
             node = Sample(BernoulliSpec(draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])), seed), node)
         elif wrap == "wor":
-            node = Sample(WorSpec(draw(st.integers(0, 4)), seed), node)
+            node = Sample(WorSpec(draw(st.integers(1, 4)), seed), node)
         elif wrap == "keyed":
             dims = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
             node = Sample(LineageBernoulliSpec.of(
@@ -265,7 +264,7 @@ def sampling_free_plans(draw):
             k = draw(st.integers(1, len(group) - 1))
             left, right = build(group[:k]), build(group[k:])
             if draw(st.booleans()):
-                node = Cross(left, right)
+                node = Join(JoinSpec(), left, right)
             else:
                 node = Join(JoinSpec(((f"{group[0]}_i", f"{group[k]}_i"),)), left, right)
         if draw(st.booleans()):

@@ -4,16 +4,20 @@ import json
 
 import pytest
 
-from gusbox import IngestError, PlanError
+from gusbox import IngestError, PlanError, SchemaError, SelfJoinError
 from gusbox.dsl import parse_plan
 from gusbox.ingest import ingest_csv
 from gusbox.plan import (
     BernoulliSpec,
     Join,
+    JoinSpec,
     Sample,
+    Scan,
     Select,
     SumAggregate,
+    UnionDedup,
     WorSpec,
+    validate_plan,
 )
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES
@@ -143,6 +147,18 @@ class TestParsePlan:
         with pytest.raises(PlanError, match="unexpected"):
             parse_plan(json.dumps(doc))
 
+    def test_cross_parses_to_a_join_without_conditions(self):
+        doc = query1_document()
+        join = doc["plan"]["child"]["child"]
+        doc["plan"]["child"]["child"] = {"op": "cross", "left": join["left"],
+                                         "right": join["right"]}
+        cross = parse_plan(json.dumps(doc)).plan.child.child
+        assert cross == Join(JoinSpec(), Sample(BernoulliSpec(0.1, seed=1), Scan("l")),
+                             Sample(WorSpec(1000, seed=2), Scan("o")))
+        doc["plan"]["child"]["child"]["eq"] = []
+        with pytest.raises(PlanError, match=r"^plan\.child\.child: unexpected key\(s\) \['eq'\]"):
+            parse_plan(json.dumps(doc))
+
     def test_lineage_bernoulli_method(self):
         doc = query1_document()
         doc["plan"]["child"]["child"] = {
@@ -188,6 +204,19 @@ def _union_sides_differ(doc):
                   "child": {"op": "scan", "table": "l"}}}
 
 
+def _self_join(doc):
+    doc["plan"]["child"]["child"]["right"]["child"]["table"] = "l"
+
+
+def _union_relations_differ(doc):
+    join = doc["plan"]["child"]["child"]
+    doc["plan"]["child"] = {"op": "union", "left": join["left"], "right": join["right"]}
+
+
+def _wor_of_zero(doc):
+    doc["plan"]["child"]["child"]["right"]["method"]["n"] = 0
+
+
 def _keyed_dimension_not_below(doc):
     doc["plan"]["child"]["child"]["left"]["method"] = {
         "method": "lineage_bernoulli", "dims": {"o": {"p": 0.5, "seed": 3}}}
@@ -206,6 +235,11 @@ STRUCTURAL_FAULTS = [
     (_wor_over_sample, r"^plan\.child\.child\.right: fixed-size sampling over an already "
                        r"randomized input"),
     (_union_sides_differ, r"^plan\.child: union sides must compute the same relation"),
+    (_self_join, r"^plan\.child\.child: join sides share base relation\(s\) \['l'\]; "
+                 r"self-joins are unsupported$"),
+    (_union_relations_differ, r"^plan\.child: union sides cover different base relations: "
+                              r"\('l',\) vs \('o',\)$"),
+    (_wor_of_zero, r"^sample size 0 must be >= 1$"),
     (_keyed_dimension_not_below, r"^plan\.child\.child\.left\.method\.dims\.o: "
                                  r"dimension 'o' not in schema \('l',\)"),
     (_nested_sum, r"^plan\.child\.child\.left: sum aggregate may appear only at the plan root"),
@@ -220,6 +254,17 @@ def test_structural_faults_rejected_at_parse(mutate, message):
     mutate(doc)
     with pytest.raises(PlanError, match=message):
         parse_plan(json.dumps(doc))
+
+
+@pytest.mark.parametrize("plan, error", [
+    (Join(JoinSpec(), Scan("l"), Scan("l")), SelfJoinError),
+    (UnionDedup(Scan("l"), Scan("o")), SchemaError),
+], ids=["self_join", "union_relations_differ"])
+def test_relation_set_faults_keep_their_type(plan, error):
+    # parse_plan re-raises these as PlanError with the same message
+    with pytest.raises(error, match=r"^plan: ") as raised:
+        validate_plan(plan)
+    assert type(raised.value) is error
 
 
 class TestIngestCsv:

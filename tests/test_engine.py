@@ -9,7 +9,6 @@ from gusbox import (
     BaseTable,
     BernoulliSpec,
     Comparison,
-    Cross,
     ExpressionError,
     Join,
     JoinSpec,
@@ -23,7 +22,6 @@ from gusbox import (
     execute,
 )
 from gusbox.engine import (
-    cross,
     join,
     scan,
     select,
@@ -110,7 +108,7 @@ class TestJoin:
     def test_cross_product_size(self):
         l = tiny_table("l")
         r = tiny_table("r", ids=(5, 6), vals=(1.0, 2.0))
-        out = cross(scan(l), scan(r))
+        out = join(JoinSpec(), scan(l), scan(r))
         assert len(out) == len(l) * len(r)
 
     def test_matches_nested_loop_reference(self, desk_catalog):
@@ -269,12 +267,3 @@ class TestExecutor:
         with pytest.raises(PlanError, match=r"^plan: unknown table"):
             execute(Scan("x"), catalog)
 
-    def test_quasi_nodes_are_not_executable(self):
-        from gusbox import GusQuasi, PlanError
-        from gusbox.algebra import identity_gus
-        from gusbox.model import LineageSchema
-
-        catalog = small_join_catalog()
-        node = GusQuasi(identity_gus(LineageSchema.of(["l"])), Scan("l"))
-        with pytest.raises(PlanError, match="cannot be executed"):
-            execute(node, catalog)

@@ -348,7 +348,7 @@ class TestVarianceEstimate:
         norm = normalize_plan(plan, catalog)
         from gusbox.oracle import enumerate_exact_moments
 
-        _, exact_var = enumerate_exact_moments(plan, catalog)
+        _, exact_var = enumerate_exact_moments(plan, catalog, norm.gus.a)
         y = exact_y_terms(execute_full(plan, catalog).relation)
         got = variance_estimate(y, c_coefficients(norm.gus), norm.gus.a)
         assert got == pytest.approx(exact_var, rel=1e-9)

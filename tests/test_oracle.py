@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from gusbox import (
     BernoulliSpec,
-    Cross,
     EnumerationInfeasibleError,
+    Join,
+    JoinSpec,
     LineageBernoulliSpec,
     LineageSchema,
     PlanError,
@@ -76,7 +77,7 @@ class TestEnumeration:
         catalog = small_join_catalog()
         plan = small_join_plan()
         truth = execute_full(plan, catalog).aggregate
-        mean, variance = enumerate_exact_moments(plan, catalog)
+        mean, variance = enumerate_exact_moments(plan, catalog, 1.0)
         assert mean == pytest.approx(truth, rel=1e-12)
         assert variance == pytest.approx(0.0, abs=1e-18)
 
@@ -85,7 +86,7 @@ class TestEnumeration:
                           rows=((2.0,), (3.0,), (5.0,)))
         p = 0.4
         plan = SumAggregate("t_v", Sample(BernoulliSpec(p, seed=1), Scan("t")))
-        mean, variance = enumerate_exact_moments(plan, {"t": table})
+        mean, variance = enumerate_exact_moments(plan, {"t": table}, p)
         assert mean == pytest.approx(10.0, rel=1e-12)
         expected = (1.0 / p - 1.0) * (4.0 + 9.0 + 25.0)
         assert variance == pytest.approx(expected, rel=1e-12)
@@ -94,7 +95,7 @@ class TestEnumeration:
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), None)
         truth = execute_full(plan, catalog).aggregate
-        mean, variance = enumerate_exact_moments(plan, catalog)
+        mean, variance = enumerate_exact_moments(plan, catalog, 0.5)
         assert mean == pytest.approx(truth, rel=1e-12)
         assert variance > 0.0
 
@@ -103,7 +104,7 @@ class TestEnumeration:
                           rows=tuple((float(i),) for i in range(12)))
         plan = SumAggregate("t_v", Sample(BernoulliSpec(0.5, seed=1), Scan("t")))
         with pytest.raises(EnumerationInfeasibleError):
-            enumerate_exact_moments(plan, {"t": table}, budget=1000)
+            enumerate_exact_moments(plan, {"t": table}, 0.5, budget=1000)
 
     @pytest.mark.parametrize("method, states", [
         (BernoulliSpec(0.5, seed=1), "2**20000"),
@@ -117,34 +118,35 @@ class TestEnumeration:
         table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(m)),
                           rows=tuple((float(i),) for i in range(m)))
         plan = SumAggregate("t_v", Sample(method, Scan("t")))
+        a = normalize_plan(plan, {"t": table}).gus.a
         with pytest.raises(EnumerationInfeasibleError,
                            match=rf"need {re.escape(states)} states, budget is 1048576"):
-            enumerate_exact_moments(plan, {"t": table})
+            enumerate_exact_moments(plan, {"t": table}, a)
 
     def test_wor_within_budget_counts_exactly(self):
         table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(12)),
                           rows=tuple((float(i),) for i in range(12)))
         plan = SumAggregate("t_v", Sample(WorSpec(6, seed=1), Scan("t")))
         # C(12, 6) = 924 states fit a budget of 924 and not one of 923
-        mean, _ = enumerate_exact_moments(plan, {"t": table}, budget=924)
+        mean, _ = enumerate_exact_moments(plan, {"t": table}, 0.5, budget=924)
         assert mean == pytest.approx(66.0, rel=1e-12)
         with pytest.raises(EnumerationInfeasibleError, match=r"C\(12, 6\)"):
-            enumerate_exact_moments(plan, {"t": table}, budget=923)
+            enumerate_exact_moments(plan, {"t": table}, 0.5, budget=923)
 
 
 class TestMonteCarlo:
     def test_deterministic_plan_has_zero_spread(self):
         catalog = small_join_catalog()
         mean, variance, stderr = monte_carlo_moments(
-            small_join_plan(), catalog, trials=50, seed=1)
+            small_join_plan(), catalog, 1.0, trials=50, seed=1)
         assert variance == 0.0
         assert stderr == 0.0
 
     def test_agrees_with_enumeration(self):
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), None)
-        exact_mean, exact_var = enumerate_exact_moments(plan, catalog)
-        mean, variance, stderr = monte_carlo_moments(plan, catalog, trials=5000, seed=3)
+        exact_mean, exact_var = enumerate_exact_moments(plan, catalog, 0.5)
+        mean, variance, stderr = monte_carlo_moments(plan, catalog, 0.5, trials=5000, seed=3)
         assert abs(mean - exact_mean) <= 5.0 * stderr
         # sampled variance tracks the exact one loosely at this trial count
         assert variance == pytest.approx(exact_var, rel=0.2)
@@ -152,8 +154,8 @@ class TestMonteCarlo:
     def test_reproducible(self):
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), None)
-        assert monte_carlo_moments(plan, catalog, 200, seed=9) == \
-            monte_carlo_moments(plan, catalog, 200, seed=9)
+        assert monte_carlo_moments(plan, catalog, 0.5, 200, seed=9) == \
+            monte_carlo_moments(plan, catalog, 0.5, 200, seed=9)
 
 
 class TestSharedKeyedSeeds:
@@ -170,7 +172,8 @@ class TestSharedKeyedSeeds:
                            rows=((1.0,), (1.0,), (2.0,))),
         }
         keyed = LineageBernoulliSpec.of({"r": (0.5, r_seed), "t": (0.6, t_seed)})
-        return SumAggregate("r_v*t_v", Sample(keyed, Cross(Scan("r"), Scan("t")))), catalog
+        plan = SumAggregate("r_v*t_v", Sample(keyed, Join(JoinSpec(), Scan("r"), Scan("t"))))
+        return plan, catalog
 
     def test_inclusion_check_sees_the_correlation(self):
         schema = LineageSchema.of(["r", "t"])
@@ -188,9 +191,9 @@ class TestSharedKeyedSeeds:
     def test_moment_oracles_reject(self):
         plan, catalog = self._plan_and_catalog(5, 5)
         with pytest.raises(PlanError, match="share seed 5"):
-            enumerate_exact_moments(plan, catalog)
+            enumerate_exact_moments(plan, catalog, 0.3)
         with pytest.raises(PlanError, match="share seed 5"):
-            monte_carlo_moments(plan, catalog, trials=10, seed=1)
+            monte_carlo_moments(plan, catalog, 0.3, trials=10, seed=1)
 
 
 class TestSharedRowSeeds:
@@ -205,7 +208,8 @@ class TestSharedRowSeeds:
                             rows=((1.0,), (2.0,), (3.0,)))
             for name in ("r", "t")
         }
-        plan = SumAggregate("r_v*t_v", Cross(
+        plan = SumAggregate("r_v*t_v", Join(
+            JoinSpec(),
             Sample(BernoulliSpec(0.5, seed=r_seed), Scan("r")),
             Sample(BernoulliSpec(0.5, seed=t_seed), Scan("t"))))
         return plan, catalog
@@ -365,7 +369,7 @@ class TestVarianceFormulaOnEveryRule:
 
         norm = normalize_plan(plan, catalog)
         full = execute_full(plan, catalog)
-        mean, variance = enumerate_exact_moments(plan, catalog)
+        mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
         assert mean == pytest.approx(full.aggregate, rel=1e-12)
         from_tables = variance_estimate(
             exact_y_terms(full.relation), c_coefficients(norm.gus), norm.gus.a)

@@ -23,7 +23,7 @@ from .algebra import (
     row_wor_gus,
     union_merge,
 )
-from .engine import BaseTable, ExecutionResult, execute, execute_full
+from .engine import ExecutionResult, execute, execute_full
 from .errors import (
     DegenerateSamplingError,
     EnumerationInfeasibleError,

@@ -5,8 +5,10 @@ over the sampling-free plan.
 The rewriter is the last of three steps: ``plan.validate_plan`` checks the
 plan before any data is read, ``engine.execute`` runs it and records the
 population each fixed-size sampler drew from, and ``normalize_plan`` turns
-the plan into its table and rewrite trace, reading those populations from
-the run instead of executing anything itself.
+the plan into its table and rewrite trace. Every sampler commutes up past
+selection and join, so the table depends only on the plan's shape and those
+population sizes; this module reads no data and imports nothing from the
+engine.
 
 The merge rules:
 
@@ -34,11 +36,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .engine import ExecutionResult, execute
 from .errors import PlanError, SampleSizeError, SchemaError
 from .model import GusParams, LineageSchema, extend_schema, project_masks
 from .plan import (
@@ -219,40 +221,24 @@ def _sampler_note(method) -> str:
     return f"lineage_bernoulli({dims})"
 
 
-def normalize_plan(plan: PlanNode, source=None) -> NormalizedPlan:
+def normalize_plan(plan: PlanNode,
+                   populations: Mapping[str, int] = MappingProxyType({})) -> NormalizedPlan:
     """The one parameter table that all the sampling in a plan collapses
     into, over the sampling-free plan (``plan.strip_sampling``), with the
     rewrite steps that built it.
 
     The plan is checked with :func:`validate_plan` first, so the rewrite
     sees only plans the algebra can describe. A fixed-size (WOR) sampler's
-    table needs the size of the population it draws from, which is the
-    full-data output of its input (sampling-free, as ``validate_plan``
-    forbids sampling below a WOR). ``source`` supplies it: an
-    :class:`ExecutionResult` of a run of this same plan (its
-    ``populations``; nothing is executed), or a catalog, against which each
-    WOR input is executed. Plans without a WOR sampler need neither.
+    table needs the size of the population it draws from: ``populations``
+    maps each WOR sampler's plan path to it, as a run of the plan records
+    them (``ExecutionResult.populations``). Plans without a WOR sampler
+    need none.
     """
     validate_plan(plan)
     steps: list[RewriteStep] = []
 
     def emit(rule, note, inputs, output):
         steps.append(RewriteStep(rule, note, tuple(inputs), output))
-
-    def population(child: PlanNode, path: str) -> int:
-        if isinstance(source, ExecutionResult):
-            if path not in source.populations:
-                raise PlanError(
-                    f"{path}: the execution result has no population for this "
-                    "fixed-size sampler; pass the result of running this plan"
-                )
-            return source.populations[path]
-        if source is None:
-            raise PlanError(
-                f"{path}: fixed-size sampling needs a catalog or a run of the "
-                "plan to resolve its input size"
-            )
-        return len(execute(child, source).relation)
 
     def rec(node: PlanNode, path: str) -> GusParams:
         if isinstance(node, Scan):
@@ -284,7 +270,10 @@ def normalize_plan(plan: PlanNode, source=None) -> NormalizedPlan:
         if isinstance(method, BernoulliSpec):
             g_s = row_bernoulli_gus(method.p, g_child.schema)
         elif isinstance(method, WorSpec):
-            g_s = row_wor_gus(method.n, population(node.child, path), g_child.schema)
+            if path not in populations:
+                raise PlanError(f"{path}: no population size for this fixed-size sampler; "
+                                "pass the populations of a run of this plan")
+            g_s = row_wor_gus(method.n, populations[path], g_child.schema)
         else:
             g_s = gus_of_lineage_bernoulli(
                 {name: p for name, p, _ in method.dims}, g_child.schema)

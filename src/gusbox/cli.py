@@ -21,12 +21,9 @@ from .engine import execute, execute_full
 from .errors import (
     DegenerateSamplingError,
     EnumerationInfeasibleError,
-    ExpressionError,
     GusboxError,
-    IngestError,
     NotIdentifiableError,
     PlanError,
-    SchemaError,
 )
 from .ingest import ingest_csv
 from .plan import SumAggregate
@@ -40,13 +37,16 @@ def _parse_subsample(text: str, master_seed: int) -> dict[str, tuple[float, int]
         if "=" not in part:
             raise PlanError(f"bad subsample entry {part!r}; expected relation=p")
         name, _, value = part.partition("=")
+        name = name.strip()
+        if name in dims:
+            raise PlanError(f"subsample relation {name!r} given more than once")
         try:
             p = float(value)
         except ValueError:
             raise PlanError(f"bad subsample probability {value!r}") from None
         if not 0.0 <= p <= 1.0:
             raise PlanError(f"subsample probability {p} outside [0, 1]")
-        dims[name.strip()] = (p, samplers.derive_seed(master_seed, _SUBSAMPLE_SEED_SPACE + i))
+        dims[name] = (p, samplers.derive_seed(master_seed, _SUBSAMPLE_SEED_SPACE + i))
     if not dims:
         raise PlanError("empty subsample spec")
     return dims
@@ -149,7 +149,7 @@ def run_estimate(args) -> int:
         catalog[name] = ingest_csv(path, name, spec.column_types, spec.id_column)
 
     executed = execute(doc.plan, catalog, master_seed=args.seed)
-    normalized = normalize_plan(doc.plan, executed)
+    normalized = normalize_plan(doc.plan, executed.populations)
 
     if args.subsample:
         dims = _parse_subsample(args.subsample, args.seed)
@@ -247,9 +247,6 @@ def main(argv=None) -> int:
     except (NotIdentifiableError, DegenerateSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PlanError, IngestError, ExpressionError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GusboxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

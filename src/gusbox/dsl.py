@@ -9,11 +9,12 @@ Errors carry the JSON path to the offending element.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
-from .engine import COLUMN_TYPES
 from .errors import PlanError, SchemaError
+from .model import COLUMN_TYPES
 from .plan import (
     BernoulliSpec,
     Comparison,
@@ -61,15 +62,24 @@ def _no_extras(obj: Mapping, allowed: set, path: str):
         raise PlanError(f"{path}: unexpected key(s) {sorted(extra)}")
 
 
+@contextmanager
+def _at(path: str):
+    """Prefix ``path`` to conversion errors and the spec constructors' own."""
+    try:
+        yield
+    except (TypeError, ValueError, PlanError) as exc:
+        raise PlanError(f"{path}: {exc}") from None
+
+
 def _parse_atom(doc, path: str) -> Comparison:
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: predicate atom must be an object")
     _no_extras(doc, {"col", "cmp", "value", "col2"}, path)
     col = _need(doc, "col", path)
     cmp_op = _need(doc, "cmp", path)
-    if "col2" in doc:
-        return Comparison(col, cmp_op, other_col=doc["col2"])
-    return Comparison(col, cmp_op, value=_need(doc, "value", path))
+    other = {"other_col": doc["col2"]} if "col2" in doc else {"value": _need(doc, "value", path)}
+    with _at(path):
+        return Comparison(col, cmp_op, **other)
 
 
 def _parse_predicate(doc, path: str) -> Predicate:
@@ -82,26 +92,32 @@ def _parse_method(doc, path: str):
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: sampler method must be an object")
     kind = _need(doc, "method", path)
-    try:
-        if kind == "bernoulli":
-            _no_extras(doc, {"method", "p", "seed"}, path)
-            return BernoulliSpec(float(_need(doc, "p", path)), int(doc.get("seed", 0)))
-        if kind == "wor":
-            _no_extras(doc, {"method", "n", "seed"}, path)
-            return WorSpec(int(_need(doc, "n", path)), int(doc.get("seed", 0)))
-        if kind == "lineage_bernoulli":
-            _no_extras(doc, {"method", "dims"}, path)
-            dims_doc = _need(doc, "dims", path)
-            if not isinstance(dims_doc, dict) or not dims_doc:
-                raise PlanError(f"{path}.dims: need a non-empty object of relations")
-            dims = {}
-            for name, entry in dims_doc.items():
-                _no_extras(entry, {"p", "seed"}, f"{path}.dims.{name}")
-                dims[name] = (float(_need(entry, "p", f"{path}.dims.{name}")),
-                              int(entry.get("seed", 0)))
+    if kind == "bernoulli":
+        _no_extras(doc, {"method", "p", "seed"}, path)
+        p = _need(doc, "p", path)
+        with _at(path):
+            return BernoulliSpec(float(p), int(doc.get("seed", 0)))
+    if kind == "wor":
+        _no_extras(doc, {"method", "n", "seed"}, path)
+        n = _need(doc, "n", path)
+        with _at(path):
+            return WorSpec(int(n), int(doc.get("seed", 0)))
+    if kind == "lineage_bernoulli":
+        _no_extras(doc, {"method", "dims"}, path)
+        dims_doc = _need(doc, "dims", path)
+        if not isinstance(dims_doc, dict) or not dims_doc:
+            raise PlanError(f"{path}.dims: need a non-empty object of relations")
+        dims = {}
+        for name, entry in dims_doc.items():
+            where = f"{path}.dims.{name}"
+            if not isinstance(entry, dict):
+                raise PlanError(f"{where}: must be an object")
+            _no_extras(entry, {"p", "seed"}, where)
+            p = _need(entry, "p", where)
+            with _at(path):
+                dims[name] = (float(p), int(entry.get("seed", 0)))
+        with _at(path):
             return LineageBernoulliSpec.of(dims)
-    except (TypeError, ValueError) as exc:
-        raise PlanError(f"{path}: {exc}") from None
     raise PlanError(f"{path}: unknown sampling method {kind!r}")
 
 
@@ -186,7 +202,7 @@ def parse_plan(text: str) -> PlanDocument:
             if ctype not in COLUMN_TYPES:
                 raise PlanError(
                     f"{path}.columnTypes.{col}: unknown type {ctype!r}; "
-                    f"expected one of {COLUMN_TYPES}"
+                    f"expected one of {tuple(COLUMN_TYPES)}"
                 )
         tables[name] = TableSpec(
             name=name,

@@ -1,18 +1,20 @@
 """Deterministic in-memory execution of plans with lineage propagation.
 
-Relations are columnar (see :class:`gusbox.model.SampleRelation`), and every
-operator works on whole columns and index vectors: selection builds a
-boolean mask, an equi-join factorises its keys and matches them with
-``argsort``/``searchsorted``, and a join without equality pairs (a cross
-product) repeats and tiles row positions. A join's residual predicate is
-tested on blocks of candidate pairs, so memory follows the block and the
-output, not the product of the inputs. Join and union outputs are sorted by
-lineage with ``lexsort``. Output rows carry the canonical merge of both
-lineage vectors. Comparisons and join keys follow Python's exact semantics
-for mixed ints and floats (an int column against a float past 2**53, an int
-key against a float key), ``-0.0`` equals ``0.0`` and NaN never matches, so
-results equal the row-at-a-time reference kept in the tests. No NULLs
-anywhere: ingestion rejects missing values, so operators never see them.
+Relations are columnar (see :class:`gusbox.model.SampleRelation`). A catalog
+maps table names to the stored tables ``ingest.ingest_csv`` builds, and a
+scan returns its table as it is. Every operator works on whole columns and
+index vectors: selection builds a boolean mask, an equi-join factorises its
+keys and matches them with ``argsort``/``searchsorted``, and a join without
+equality pairs (a cross product) repeats and tiles row positions. A join's
+residual predicate is tested on blocks of candidate pairs, so memory follows
+the block and the output, not the product of the inputs. Join and union
+outputs are sorted by lineage with ``lexsort``. Output rows carry the
+canonical merge of both lineage vectors. Comparisons and join keys follow
+Python's exact semantics for mixed ints and floats (an int column against a
+float past 2**53, an int key against a float key), ``-0.0`` equals ``0.0``
+and NaN never matches, so results equal the row-at-a-time reference kept in
+the tests. No NULLs anywhere: ingestion rejects missing values, so operators
+never see them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,9 +35,7 @@ from .model import (
     INT64_MIN,
     LineageSchema,
     SampleRelation,
-    column_array,
     lineage_order,
-    value_tuples,
 )
 from .plan import (
     BernoulliSpec,
@@ -53,10 +53,6 @@ from .plan import (
     strip_sampling,
 )
 
-COLUMN_TYPES = ("int64", "float64", "string")
-
-_PYTHON_TYPES = {"int64": int, "float64": float, "string": str}
-
 _CMP_FUNCS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -69,87 +65,7 @@ _CMP_FUNCS = {
 _INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
 
-
-def _has_duplicates(values: np.ndarray) -> bool:
-    if values.dtype == object:
-        return len(set(values.tolist())) != len(values)
-    ordered = np.sort(values)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
-
-
-class BaseTable:
-    """Typed columns plus a unique 64-bit id per row.
-
-    ``BaseTable(name, columns, column_types, ids, rows)`` type-checks every
-    cell of hand-built rows; :meth:`from_arrays` takes typed column arrays
-    as ingestion parses them. ``rows`` and ``ids`` are views in Python
-    scalars, built on first use.
-    """
-
-    def __init__(self, name: str, columns: Sequence[str], column_types: Sequence[str],
-                 ids: Sequence[int], rows: Sequence[tuple]):
-        columns, column_types, rows = tuple(columns), tuple(column_types), tuple(rows)
-        if len(columns) != len(column_types):
-            raise SchemaError(f"table {name}: columns and types must align")
-        for t in column_types:
-            if t not in COLUMN_TYPES:
-                raise SchemaError(f"table {name}: unknown column type {t!r}")
-        if len(ids) != len(rows):
-            raise SchemaError(f"table {name}: ids and rows must align")
-        if len(set(ids)) != len(ids):
-            raise SchemaError(f"table {name}: duplicate row ids")
-        for row in rows:
-            if len(row) != len(columns):
-                raise SchemaError(f"table {name}: row arity mismatch")
-            for value, ctype in zip(row, column_types):
-                if type(value) is not _PYTHON_TYPES[ctype]:
-                    raise SchemaError(
-                        f"table {name}: value {value!r} does not match type {ctype}"
-                    )
-        self._set(name, columns, column_types,
-                  [column_array([row[i] for row in rows], t) for i, t in enumerate(column_types)],
-                  column_array(list(ids), "int64"))
-        self.rows = rows
-        self.ids = tuple(ids)
-
-    @classmethod
-    def from_arrays(cls, name: str, columns: Sequence[str], column_types: Sequence[str],
-                    data: Sequence[np.ndarray], ids: np.ndarray) -> "BaseTable":
-        """Table over typed column arrays (see :class:`SampleRelation` for
-        the dtypes); checks only that the ids are unique."""
-        if _has_duplicates(ids):
-            raise SchemaError(f"table {name}: duplicate row ids")
-        table = cls.__new__(cls)
-        table._set(name, tuple(columns), tuple(column_types), data, ids)
-        return table
-
-    def _set(self, name, columns, column_types, data, ids) -> None:
-        self.name = name
-        self.columns = columns
-        self.column_types = column_types
-        self.data = tuple(data)
-        self.id_array = ids
-
-    def __len__(self) -> int:
-        return len(self.id_array)
-
-    @cached_property
-    def rows(self) -> tuple[tuple, ...]:
-        return tuple(value_tuples(self.data, len(self)))
-
-    @cached_property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(self.id_array.tolist())
-
-    @cached_property
-    def relation(self) -> SampleRelation:
-        return SampleRelation(
-            LineageSchema.of([self.name]), self.columns, self.column_types,
-            data=self.data, lineage=self.id_array.reshape(-1, 1),
-            f=np.zeros(len(self), dtype=np.float64))
-
-
-Catalog = Mapping[str, BaseTable]
+Catalog = Mapping[str, SampleRelation]  # stored tables by name (see ingest.ingest_csv)
 
 
 def _check_comparable(lhs_type: str, rhs) -> None:
@@ -262,8 +178,9 @@ def bind_predicate(pred: Predicate, columns: Sequence[str],
     return test
 
 
-def scan(table: BaseTable) -> SampleRelation:
-    return table.relation
+def scan(table: SampleRelation) -> SampleRelation:
+    """A stored table is already the relation its scan yields."""
+    return table
 
 
 def select(pred: Predicate, r: SampleRelation) -> SampleRelation:

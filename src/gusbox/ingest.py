@@ -1,4 +1,6 @@
-"""CSV ingestion into typed base tables with unique row ids.
+"""CSV ingestion into stored tables. A stored table is a
+:class:`~gusbox.model.SampleRelation` over the one-name schema of its table:
+its lineage holds a unique 64-bit id per row, and its ``f`` is zeros.
 
 Each file is parsed into typed numpy columns by numpy's C tokenizer
 (``np.loadtxt``). That parser accepts no field that Python's ``int()`` or
@@ -18,13 +20,18 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import COLUMN_TYPES, BaseTable
-from .errors import ExpressionError, IngestError, SchemaError
+from .errors import ExpressionError, IngestError
 from .exprs import Arith
-from .model import column_array
+from .model import COLUMN_TYPES, LineageSchema, SampleRelation, column_array
 
-_PARSERS = {"int64": int, "float64": float, "string": str}
 _DTYPES = {"int64": np.int64, "float64": np.float64, "string": object}
+
+
+def _has_duplicates(values: np.ndarray) -> bool:
+    if values.dtype == object:
+        return len(set(values.tolist())) != len(values)
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 def _plain(path: Path) -> bool:
@@ -76,7 +83,7 @@ def _row_columns(path: Path, name: str,
                     raise IngestError(
                         f"table {name}: missing value for {col!r} at line {lineno}")
                 try:
-                    values.append(_PARSERS[ctype](raw))
+                    values.append(COLUMN_TYPES[ctype](raw))
                 except ValueError:
                     raise IngestError(
                         f"table {name}: cannot parse {raw!r} as {ctype} "
@@ -88,8 +95,8 @@ def _row_columns(path: Path, name: str,
 
 def ingest_csv(path: Union[str, Path], name: str,
                column_types: Union[Mapping[str, str], Sequence[tuple[str, str]]],
-               id_column: str = "rowIndex") -> BaseTable:
-    """Load a headered CSV into a typed table.
+               id_column: str = "rowIndex") -> SampleRelation:
+    """Load a headered CSV into a stored table over the schema ``(name,)``.
 
     ``id_column`` selects the unique 64-bit row id: the literal string
     ``"rowIndex"`` numbers rows 0..N-1, a declared int64 column uses its
@@ -133,7 +140,7 @@ def ingest_csv(path: Union[str, Path], name: str,
             raise IngestError(str(exc)) from None
         ids = arith.over(data, m)
 
-    try:
-        return BaseTable.from_arrays(name, columns, types, data, ids)
-    except SchemaError:
-        raise IngestError(f"table {name}: duplicate row ids from {id_column!r}") from None
+    if _has_duplicates(ids):
+        raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
+    return SampleRelation(LineageSchema.of([name]), columns, types, data=data,
+                          lineage=ids.reshape(-1, 1), f=np.zeros(m, dtype=np.float64))

@@ -6,7 +6,9 @@ column, an ``m x n`` lineage matrix holding each row's base-tuple ids in
 schema order, and an ``f`` array of per-row aggregate values. ``rows``, a
 tuple of :class:`Row` in Python scalars, is a view built on first use for
 callers that want tuples (tests, the oracle); the engine and the estimator
-read the arrays.
+read the arrays. A stored table is a relation too: one over the
+one-name schema of its table, whose lineage is the row ids and whose ``f``
+is zeros.
 
 A lineage schema is the canonically ordered set of base relations feeding an
 expression. Subsets of it are represented as bitmasks over the canonical
@@ -205,6 +207,9 @@ class Row(NamedTuple):
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
+# each column type, and the Python type of its values
+COLUMN_TYPES = {"int64": int, "float64": float, "string": str}
+
 
 def object_array(values: Sequence) -> np.ndarray:
     """1-d object array holding ``values`` themselves."""
@@ -260,11 +265,12 @@ class SampleRelation:
     replication, so a lineage identifies a row.
 
     ``SampleRelation(schema, columns, column_types, rows)`` builds a relation
-    from :class:`Row` tuples and checks their lineage. The keyword form
-    (``data=``, ``lineage=``, ``f=``) takes arrays as the engine's operators
-    produce them; it checks shapes only, because every operator keeps
-    lineage unique by construction. ``rows`` is a derived view in Python
-    scalars, built on first use; the engine never needs it.
+    from :class:`Row` tuples and checks their lineage and that every value's
+    Python type is its column's (``int``, ``float`` or ``str``). The keyword
+    form (``data=``, ``lineage=``, ``f=``) takes arrays as ingestion and the
+    engine's operators produce them; it checks shapes only, because every
+    operator keeps lineage unique by construction. ``rows`` is a derived
+    view in Python scalars, built on first use; the engine never needs it.
     """
 
     def __init__(self, schema: LineageSchema, columns: Sequence[str],
@@ -286,6 +292,9 @@ class SampleRelation:
     def __post_init__(self):
         if len(self.columns) != len(self.column_types):
             raise SchemaError("columns and column_types must align")
+        for ctype in self.column_types:
+            if ctype not in COLUMN_TYPES:
+                raise SchemaError(f"unknown column type {ctype!r}")
         n = self.schema.n
         if self.lineage is None:
             seen = set()
@@ -302,6 +311,10 @@ class SampleRelation:
                         f"row {row.values} has {len(row.values)} values for "
                         f"{len(self.columns)} columns"
                     )
+                for value, column, ctype in zip(row.values, self.columns, self.column_types):
+                    if type(value) is not COLUMN_TYPES[ctype]:
+                        raise SchemaError(
+                            f"value {value!r} of column {column!r} does not match type {ctype}")
             self.data = tuple(
                 column_array([row.values[i] for row in self.rows], ctype)
                 for i, ctype in enumerate(self.column_types)

@@ -1,4 +1,4 @@
-"""Shared fixtures: hand-built tables, desk-scale generated data, the
+"""Shared fixtures: hand-built stored tables, desk-scale generated data, the
 two reference plan shapes used across the suite, and small helpers that
 only the tests need (subset masks by name, parameter tables as JSON text,
 the sum of an aggregate)."""
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import strategies as st
 
 from gusbox import (
-    BaseTable,
     BernoulliSpec,
     Comparison,
     GusParams,
@@ -111,6 +110,14 @@ def lineage_relation(names, entries, columns=(), types=()):
     return SampleRelation(schema, tuple(columns), tuple(types), tuple(rows))
 
 
+def base_table(name, columns, column_types, ids, rows):
+    """Stored table from hand-built rows: a relation over ``(name,)`` whose
+    lineage is the row ids and whose ``f`` is zeros, as ``ingest_csv``
+    builds it from a file."""
+    return SampleRelation(LineageSchema.of([name]), tuple(columns), tuple(column_types),
+                          tuple(Row(tuple(row), (tid,), 0.0) for tid, row in zip(ids, rows, strict=True)))
+
+
 def dyadic(draw, denominator=64):
     return draw(st.integers(0, denominator)) / denominator
 
@@ -131,12 +138,12 @@ def gus_tables(draw, names=("x", "y")):
 
 def small_join_catalog():
     """Two toy tables with join fanout, small enough to enumerate."""
-    l = BaseTable(
+    l = base_table(
         "l", ("l_ok", "l_val"), ("int64", "float64"),
         ids=(10, 11, 12, 13, 14, 15),
         rows=((1, 2.0), (1, 3.0), (2, 5.0), (3, 7.0), (2, 1.5), (3, 4.0)),
     )
-    o = BaseTable(
+    o = base_table(
         "o", ("o_ok", "o_w"), ("int64", "float64"),
         ids=(1, 2, 3),
         rows=((1, 1.0), (2, 1.0), (3, 2.0)),

@@ -63,9 +63,9 @@ def bind_predicate(pred, columns, types):
     return test
 
 
-def scan(table) -> SampleRelation:
-    rows = tuple(Row(values, (tid,), 0.0) for values, tid in zip(table.rows, table.ids))
-    return SampleRelation(table.relation.schema, table.columns, table.column_types, rows)
+def scan(table: SampleRelation) -> SampleRelation:
+    """A stored table in its row form (its ``f`` is zeros already)."""
+    return table.with_rows(table.rows)
 
 
 def select(pred, r: SampleRelation) -> SampleRelation:

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from gusbox import (
-    BaseTable,
     BernoulliSpec,
     Comparison,
     GusParams,
@@ -61,7 +60,7 @@ from gusbox.oracle import (
 )
 from gusbox.samplers import derive_seed
 
-from conftest import mask_of_key, query1_plan
+from conftest import base_table, mask_of_key, query1_plan
 
 REFERENCE_REL_TOL = 1e-3
 
@@ -143,7 +142,7 @@ def _random_instance(rng: np.random.Generator, idx: int):
         rows = int(rng.integers(3, max_rows + 1))
         keys = rng.integers(1, 4, rows)
         vals = np.round(rng.uniform(0.5, 3.0, rows), 3)
-        catalog[name] = BaseTable(
+        catalog[name] = base_table(
             name, (f"{name}_k", f"{name}_v"), ("int64", "float64"),
             ids=tuple(range(1, rows + 1)),
             rows=tuple((int(k), float(v)) for k, v in zip(keys, vals)),
@@ -178,7 +177,7 @@ def test_criterion_2_variance_matches_enumeration():
         full = execute_full(plan, catalog)
         if len(full.relation) < 2:
             continue
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         truth = full.aggregate
         mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
         from_tables = variance_estimate(
@@ -202,7 +201,7 @@ def test_criterion_2_variance_matches_enumeration():
 def test_criterion_3_unbiasedness_monte_carlo(desk_catalog):
     started = time.perf_counter()
     plan = query1_plan(p=0.3, n=25)
-    norm = normalize_plan(plan, desk_catalog)
+    norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
     full = execute_full(plan, desk_catalog)
     truth = full.aggregate
     y_true = exact_y_terms(full.relation)
@@ -246,10 +245,10 @@ def test_criterion_3_unbiasedness_monte_carlo(desk_catalog):
 
 
 def _rule_catalog():
-    r = BaseTable(
+    r = base_table(
         "r", ("r_k", "r_v"), ("int64", "float64"),
         ids=(1, 2, 3, 4), rows=((1, 1.0), (1, 2.0), (2, 3.0), (2, 4.0)))
-    t = BaseTable(
+    t = base_table(
         "t", ("t_k", "t_v"), ("int64", "float64"),
         ids=(1, 2, 3), rows=((1, 1.0), (2, 1.0), (2, 2.0)))
     return {"r": r, "t": t}
@@ -284,7 +283,7 @@ def test_criterion_4_soa_equivalence_per_rule(rule):
     catalog = _rule_catalog()
     plan = _rule_plans()[rule]
     trials = 50_000
-    norm = normalize_plan(plan, catalog)
+    norm = normalize_plan(plan, execute(plan, catalog).populations)
     seed = zlib.crc32(rule.encode())  # stable across processes
     first, second = inclusion_probabilities(plan, catalog, trials=trials, seed=seed)
     violations, worst = compare_inclusion_to_gus(first, second, norm.gus, trials)
@@ -388,14 +387,14 @@ def test_criterion_5_distributivity():
     # The factored table describes the distributed plan...
     g_table, h_table, k_table = (
         gus_of_bernoulli(p, "r") for p in (0.5, 0.4, 0.7))
-    factored_gus = normalize_plan(factored, catalog).gus
+    factored_gus = normalize_plan(factored).gus
     factored_ok = factored_gus == compact(g_table, union_merge(h_table, k_table))
     shared_violations, shared_z = _inclusion_check(
         distributed, catalog, factored_gus, "shared")
     # ...and the rewriter refuses the distributed plan rather than return
     # the independent-copies table for it.
     try:
-        normalize_plan(distributed, catalog)
+        normalize_plan(distributed)
         rejection = ""
     except PlanError as exc:
         rejection = str(exc)
@@ -404,7 +403,7 @@ def test_criterion_5_distributivity():
 
     # Distinct seeds make independent copies; then the rewriter's table for
     # the distributed plan is the independent-copies table, and it holds.
-    independent_gus = normalize_plan(independent, catalog).gus
+    independent_gus = normalize_plan(independent).gus
     independent_ok = independent_gus == union_merge(
         compact(g_table, h_table), compact(g_table, k_table))
     copies_violations, copies_z = _inclusion_check(
@@ -440,7 +439,7 @@ def test_criterion_6_interval_multipliers_and_coverage(desk_catalog):
     assert confidence_interval(0.0, 1.0, "chebyshev", 0.95) == (-4.47, 4.47)
 
     plan = query1_plan(p=0.3, n=25)
-    norm = normalize_plan(plan, desk_catalog)
+    norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
     truth = execute_full(plan, desk_catalog).aggregate
     trials = 1000
     cheb_hits = normal_hits = 0

@@ -410,9 +410,8 @@ class TestMergeLaws:
 
 class TestNormalizePlan:
     def test_query1_shape(self):
-        catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), WorSpec(2, seed=2))
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, small_join_catalog()).populations)
         expected = join_merge(
             gus_of_bernoulli(0.5, "l"), gus_of_wor(2, 3, "o"))
         assert norm.gus == expected
@@ -420,16 +419,14 @@ class TestNormalizePlan:
             "sampler_to_gus", "sampler_to_gus", "join_gus_merge"]
 
     def test_no_sampling_gives_identity(self):
-        catalog = small_join_catalog()
-        norm = normalize_plan(small_join_plan(), catalog)
+        norm = normalize_plan(small_join_plan())
         assert norm.gus.is_identity
         assert norm.gus.schema == LineageSchema.of(["l", "o"])
         assert norm.trace == ()
 
     def test_identity_inserted_for_unsampled_join_side(self):
-        catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), None)
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan)
         rules = [s.rule for s in norm.trace]
         assert rules == ["sampler_to_gus", "identity_gus", "join_gus_merge"]
         from gusbox.model import extend_schema
@@ -438,26 +435,23 @@ class TestNormalizePlan:
             gus_of_bernoulli(0.5, "l"), LineageSchema.of(["l", "o"]))
 
     def test_selection_commutes_without_changing_parameters(self):
-        catalog = small_join_catalog()
         pred = Predicate((Comparison("l_val", ">", 2.0),))
         plan = SumAggregate(
             "l_val", Select(pred, Sample(BernoulliSpec(0.25, seed=1), Scan("l"))))
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan)
         assert norm.gus == gus_of_bernoulli(0.25, "l")
 
     def test_stacked_samplers_fuse(self):
-        catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val",
             Sample(BernoulliSpec(0.5, seed=2), Sample(BernoulliSpec(0.25, seed=1), Scan("l"))),
         )
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan)
         assert norm.gus == gus_of_bernoulli(0.125, "l")
         assert [s.rule for s in norm.trace] == [
             "sampler_to_gus", "sampler_to_gus", "gus_compact"]
 
     def test_union_of_two_samples(self):
-        catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val",
             UnionDedup(
@@ -465,11 +459,10 @@ class TestNormalizePlan:
                 Sample(BernoulliSpec(0.5, seed=2), Scan("l")),
             ),
         )
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan)
         assert norm.gus == gus_of_bernoulli(0.75, "l")
 
     def test_union_of_different_relations_rejected(self):
-        catalog = small_join_catalog()
         pred = Predicate((Comparison("l_val", ">", 2.0),))
         plan = SumAggregate(
             "l_val",
@@ -479,32 +472,30 @@ class TestNormalizePlan:
             ),
         )
         with pytest.raises(PlanError, match="same relation"):
-            normalize_plan(plan, catalog)
+            normalize_plan(plan)
 
-    def test_wor_needs_catalog(self):
+    def test_wor_needs_populations(self):
         plan = small_join_plan(None, WorSpec(2, seed=1))
-        with pytest.raises(PlanError, match="catalog"):
+        with pytest.raises(PlanError, match="no population size"):
             normalize_plan(plan)
 
     def test_wor_above_sampling_rejected(self):
-        catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val",
             Sample(WorSpec(2, seed=2), Sample(BernoulliSpec(0.5, seed=1), Scan("l"))),
         )
         with pytest.raises(PlanError, match="randomized input"):
-            normalize_plan(plan, catalog)
+            normalize_plan(plan)
 
     def test_wor_population_resolved_through_selection(self):
         catalog = small_join_catalog()
         pred = Predicate((Comparison("l_val", ">", 2.0),))  # keeps 4 of 6 rows
         plan = SumAggregate(
             "l_val", Sample(WorSpec(2, seed=1), Select(pred, Scan("l"))))
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         assert norm.gus == gus_of_wor(2, 4, "l")
 
     def test_bernoulli_above_join_covers_both_relations(self):
-        catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val*o_w",
             Sample(
@@ -512,7 +503,7 @@ class TestNormalizePlan:
                 Join(JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o")),
             ),
         )
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan)
         assert norm.gus == row_bernoulli_gus(0.5, LineageSchema.of(["l", "o"]))
 
     def test_lineage_bernoulli_above_sampled_join(self):
@@ -525,7 +516,7 @@ class TestNormalizePlan:
                 inner.child,
             ),
         )
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         base = join_merge(gus_of_bernoulli(0.5, "l"), gus_of_wor(2, 3, "o"))
         stacked = compact(
             gus_of_lineage_bernoulli({"l": 0.25, "o": 0.5}, base.schema), base)
@@ -571,14 +562,14 @@ class TestNormalizePlan:
         plan = SumAggregate("l_val", Join(
             JoinSpec(), Scan("o"), Sample(WorSpec(2, seed=1), Select(
                 Predicate((Comparison("l_val", ">", 2.0),)), Scan("l")))))
-        with pytest.raises(PlanError, match=r"^plan\.child\.right: fixed-size .*catalog"):
+        with pytest.raises(PlanError, match=r"^plan\.child\.right: no population size"):
             normalize_plan(plan)
 
     def test_four_relation_chain_matches_hand_composition(self, desk_catalog):
         from conftest import four_relation_plan
 
         plan = four_relation_plan(p_l=0.3, n_o=25, p_p=0.5)
-        norm = normalize_plan(plan, desk_catalog)
+        norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         expected = join_merge(
             join_merge(
                 join_merge(gus_of_bernoulli(0.3, "l"), gus_of_wor(25, 75, "o")),
@@ -594,11 +585,10 @@ class TestNormalizePlan:
         ]
 
     def test_self_join_rejected(self):
-        catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val", Join(JoinSpec(), Scan("l"), Sample(BernoulliSpec(0.5), Scan("l"))))
         with pytest.raises(SelfJoinError):
-            normalize_plan(plan, catalog)
+            normalize_plan(plan)
 
 
 
@@ -631,10 +621,14 @@ class TestRewriteFromExecution:
         catalog = small_join_catalog()
         executed = execute(plan, catalog, master_seed=3)
         assert executed.populations == populations
-        from_run = normalize_plan(plan, executed)
-        from_catalog = normalize_plan(plan, catalog)
-        assert from_run.gus == from_catalog.gus
-        assert from_run.trace == from_catalog.trace
+        # each WOR's population as the catalog gives it: its input, run alone
+        from_catalog = {}
+        for path in populations:
+            node = plan
+            for attr in path.split(".")[1:]:
+                node = getattr(node, attr)
+            from_catalog[path] = len(execute(node.child, catalog).relation)
+        assert normalize_plan(plan, executed.populations) == normalize_plan(plan, from_catalog)
 
     def test_population_keys_are_plan_document_paths(self, desk_catalog):
         doc = query1_document(n=20)
@@ -650,8 +644,8 @@ class TestRewriteFromExecution:
         other, _ = WOR_PLANS["under_select"]
         catalog = small_join_catalog()
         with pytest.raises(PlanError, match=r"^plan\.child\.left: .*no population"):
-            normalize_plan(plan, execute(other, catalog))
+            normalize_plan(plan, execute(other, catalog).populations)
         unsampled = execute(strip_sampling(plan), catalog)
         assert unsampled.populations == {}
         with pytest.raises(PlanError, match=r"^plan\.child\.left: .*no population"):
-            normalize_plan(plan, unsampled)
+            normalize_plan(plan, unsampled.populations)

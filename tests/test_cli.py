@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusbox import PlanError, algebra, cli, engine
+from gusbox import PlanError, SumAggregate, cli, engine, errors, oracle
 from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny, parse_scale
 from gusbox.ingest import ingest_csv
@@ -33,9 +33,9 @@ class TestGenerate:
         l = ingest_csv(paths["lineitem"], "l", LINEITEM_TYPES,
                        "l_orderkey*10+l_linenumber")
         o = ingest_csv(paths["orders"], "o", ORDERS_TYPES, "o_orderkey")
-        orderkeys = {row[0] for row in o.rows}
-        assert {row[0] for row in l.rows} <= orderkeys
-        partkeys = {row[l.columns.index("l_partkey")] for row in l.rows}
+        orderkeys = {row.values[0] for row in o.rows}
+        assert {row.values[0] for row in l.rows} <= orderkeys
+        partkeys = {row.values[l.columns.index("l_partkey")] for row in l.rows}
         assert partkeys <= set(range(1, 16))
 
     def test_value_ranges(self, tmp_path):
@@ -45,10 +45,10 @@ class TestGenerate:
         di = l.columns.index("l_discount")
         ti = l.columns.index("l_tax")
         pi = l.columns.index("l_extendedprice")
-        for row in l.rows:
-            assert 0.0 <= row[di] <= 0.1
-            assert 0.0 <= row[ti] <= 0.08
-            assert 1.0 <= row[pi] <= 100000.0
+        for values, _lineage, _f in l.rows:
+            assert 0.0 <= values[di] <= 0.1
+            assert 0.0 <= values[ti] <= 0.08
+            assert 1.0 <= values[pi] <= 100000.0
 
     def test_line_numbers_stay_single_digit(self, tmp_path):
         with pytest.raises(PlanError, match="single-digit"):
@@ -234,7 +234,8 @@ class TestEstimateCommand:
         bad = plan_on_disk.parent / "n0.json"
         bad.write_text(json.dumps(doc))
         assert main(["estimate", str(bad)]) == 2
-        assert capsys.readouterr().err == "error: sample size 0 must be >= 1\n"
+        assert capsys.readouterr().err == (
+            "error: plan.child.child.right.method: sample size 0 must be >= 1\n")
 
     def test_cross_reports_like_a_join_without_conditions(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())
@@ -253,8 +254,9 @@ class TestEstimateCommand:
         assert json.loads(reports[0])["sampleRows"] > 0
 
     def test_oracle_runs_no_wor_input_again(self, plan_on_disk, monkeypatch, capsys):
-        # the CLI hands the oracles the table's a, so nothing re-executes the
-        # WOR's input (a select) to size its population
+        # the rewriter reads the run's populations and the oracles get the
+        # table's a, so nothing executes the WOR's input (a select) on its
+        # own: every execution is of a whole plan
         doc = json.loads(plan_on_disk.read_text())
         right = doc["plan"]["child"]["child"]["right"]
         right["child"] = {"op": "select", "child": right["child"],
@@ -262,15 +264,18 @@ class TestEstimateCommand:
         plan_path = plan_on_disk.parent / "wor_over_select.json"
         plan_path.write_text(json.dumps(doc))
         calls = []
-        real_execute = algebra.execute
+        real_execute = engine.execute
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return real_execute(*args, **kwargs)
 
-        monkeypatch.setattr(algebra, "execute", counted)
+        for module in (engine, cli, oracle):
+            monkeypatch.setattr(module, "execute", counted)
         assert main(["estimate", str(plan_path), "--oracle", "--oracle-trials", "1"]) == 0
-        assert calls == []
+        # the run, the full-data run and one Monte Carlo trial
+        assert len(calls) == 3
+        assert all(isinstance(node, SumAggregate) for node in calls)
         body = json.loads(capsys.readouterr().out)
         assert body["oracle"]["monteCarlo"]["trials"] == 1
 
@@ -294,6 +299,25 @@ class TestEstimateCommand:
         assert sorted(calls) == ["l_extendedprice", "o_totalprice"]
         body = json.loads(capsys.readouterr().out)
         assert body["a"] == pytest.approx(0.4 * 20 / 50, rel=1e-12)
+
+    def test_repeated_subsample_relation_exits_2(self, plan_on_disk, capsys):
+        assert main(["estimate", str(plan_on_disk), "--subsample", "l=0.2,o=0.5,l=0.3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: subsample relation 'l' given more than once\n")
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.PlanError, 2), (errors.IngestError, 2), (errors.ExpressionError, 2),
+        (errors.SchemaError, 2), (errors.SelfJoinError, 2), (errors.SampleSizeError, 2),
+        (errors.EnumerationInfeasibleError, 2), (errors.GusboxError, 2),
+        (errors.NotIdentifiableError, 3), (errors.DegenerateSamplingError, 3),
+    ], ids=lambda value: value.__name__ if isinstance(value, type) else str(value))
+    def test_exit_codes_by_error_type(self, plan_on_disk, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_estimate", fail)
+        assert main(["estimate", str(plan_on_disk)]) == code
+        assert capsys.readouterr().err == "error: boom\n"
 
     def test_not_identifiable_exits_3(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())

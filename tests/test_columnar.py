@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gusbox import (
-    BaseTable,
     BernoulliSpec,
     Comparison,
     Join,
@@ -42,7 +41,7 @@ from gusbox.ingest import ingest_csv
 from gusbox.samplers import keyed_unit, keyed_units
 
 import row_reference
-from conftest import four_relation_plan, query1_plan
+from conftest import base_table, four_relation_plan, query1_plan
 from test_dsl_ingest import query1_document
 
 NAMES = ("a", "b", "c")
@@ -75,8 +74,8 @@ def tables(draw, name):
                         unique=True, max_size=5))
     ints = st.sampled_from(WIDE_INTS if draw(st.booleans()) else NARROW_INTS)
     rows = tuple((draw(ints), draw(FLOATS), draw(STRINGS)) for _ in ids)
-    return BaseTable(name, tuple(c for c, _ in columns_of([name])), TYPES,
-                     ids=tuple(ids), rows=rows)
+    return base_table(name, tuple(c for c, _ in columns_of([name])), TYPES,
+                      ids=tuple(ids), rows=rows)
 
 
 @st.composite
@@ -177,11 +176,11 @@ def test_columnar_engine_matches_row_reference_on_desk_data(desk_catalog):
 
 def test_fixed_edge_cases():
     """Hand-picked cases the random plans may miss."""
-    l = BaseTable("l", ("l_i", "l_x"), ("int64", "float64"), ids=(2**64 + 1, -2**63, 5, 3, 9),
-                  rows=((2**53 + 1, 2.0**53), (1, -0.0), (2**53, 0.0), (7, float("nan")),
+    l = base_table("l", ("l_i", "l_x"), ("int64", "float64"), ids=(2**64 + 1, -2**63, 5, 3, 9),
+                   rows=((2**53 + 1, 2.0**53), (1, -0.0), (2**53, 0.0), (7, float("nan")),
                         (4, 4.0)))
-    r = BaseTable("r", ("r_i", "r_x", "r_y"), ("int64", "float64", "float64"),
-                  ids=(0, 2**63 - 1), rows=((1, 1.0, float("nan")), (2**53, 2.0**53, 0.0)))
+    r = base_table("r", ("r_i", "r_x", "r_y"), ("int64", "float64", "float64"),
+                   ids=(0, 2**63 - 1), rows=((1, 1.0, float("nan")), (2**53, 2.0**53, 0.0)))
     catalog = {"l": l, "r": r}
     int_to_float = Join(JoinSpec((("l_i", "r_x"),)), Scan("l"), Scan("r"))
     float_to_float = Join(JoinSpec((("l_x", "r_y"),)), Scan("l"), Scan("r"))
@@ -223,10 +222,10 @@ def test_residual_joins_test_bounded_blocks(monkeypatch):
     rng = np.random.default_rng(7)
 
     def table(name, m):
-        return BaseTable(name, (f"{name}_k", f"{name}_v"), ("int64", "float64"),
-                         ids=tuple(range(m)),
-                         rows=tuple((int(k), float(v)) for k, v in zip(
-                             rng.integers(0, 3, m), rng.integers(0, 400, m))))
+        return base_table(name, (f"{name}_k", f"{name}_v"), ("int64", "float64"),
+                          ids=tuple(range(m)),
+                          rows=tuple((int(k), float(v)) for k, v in zip(
+                              rng.integers(0, 3, m), rng.integers(0, 400, m))))
 
     catalog = {"l": table("l", 400), "r": table("r", 500)}
     selective = Predicate((Comparison("l_v", "=", other_col="r_v"), Comparison("l_k", "<", 2)))
@@ -279,8 +278,8 @@ def positive_tables(draw, name):
     ids = draw(st.lists(st.integers(-5, 5), unique=True, max_size=5))
     rows = tuple((draw(st.integers(0, 3)), draw(st.floats(0.0, 1e6)), draw(STRINGS))
                  for _ in ids)
-    return BaseTable(name, tuple(c for c, _ in columns_of([name])), TYPES,
-                     ids=tuple(ids), rows=rows)
+    return base_table(name, tuple(c for c, _ in columns_of([name])), TYPES,
+                      ids=tuple(ids), rows=rows)
 
 
 @given(st.data())
@@ -331,7 +330,7 @@ def test_ingest_matches_row_reference(tmp_path, records, newline, blank, id_colu
 
     def columnar():
         table = ingest_csv(path, "t", types, id_column)
-        return table.rows, table.ids
+        return [row.values for row in table.rows], [row.lineage[0] for row in table.rows]
 
     def outcome(run):
         try:
@@ -364,7 +363,8 @@ def test_ingest_takes_row_path_when_numpy_reads_ints_through_floats(tmp_path, mo
     with pytest.raises(IngestError, match="cannot parse '1.5' as int64 for 'k' at line 3"):
         ingest_csv(path, "t", {"k": "int64"})
     path.write_text("k\n1\n9223372036854775808\n")
-    assert ingest_csv(path, "t", {"k": "int64"}).rows == ((1,), (2**63,))
+    assert [row.values for row in ingest_csv(path, "t", {"k": "int64"}).rows] == [
+        (1,), (2**63,)]
 
 
 def test_cli_never_builds_rows(tmp_path, monkeypatch):
@@ -377,7 +377,6 @@ def test_cli_never_builds_rows(tmp_path, monkeypatch):
         raise AssertionError("rows materialised")
 
     monkeypatch.setattr(SampleRelation, "rows", property(refuse))
-    monkeypatch.setattr(BaseTable, "rows", property(refuse))
     out = tmp_path / "report.json"
     assert main(["estimate", str(plan), "--seed", "3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["sampleRows"] > 0

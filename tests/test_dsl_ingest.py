@@ -217,6 +217,36 @@ def _wor_of_zero(doc):
     doc["plan"]["child"]["child"]["right"]["method"]["n"] = 0
 
 
+def _bernoulli_p_over_one(doc):
+    doc["plan"]["child"]["child"]["left"]["method"]["p"] = 1.5
+
+
+def _negative_seed(doc):
+    doc["plan"]["child"]["child"]["right"]["method"]["seed"] = -1
+
+
+def _missing_p(doc):
+    del doc["plan"]["child"]["child"]["left"]["method"]["p"]
+
+
+def _unknown_comparison(doc):
+    doc["plan"]["child"]["where"][0]["cmp"] = "~"
+
+
+def _col2_with_less_than(doc):
+    doc["plan"]["child"]["where"] = [{"col": "l_discount", "cmp": "<", "col2": "l_tax"}]
+
+
+def _dims_entry_not_object(doc):
+    doc["plan"]["child"]["child"]["left"]["method"] = {
+        "method": "lineage_bernoulli", "dims": {"l": 3}}
+
+
+def _keyed_p_over_one(doc):
+    doc["plan"]["child"]["child"]["left"]["method"] = {
+        "method": "lineage_bernoulli", "dims": {"l": {"p": 2.0, "seed": 3}}}
+
+
 def _keyed_dimension_not_below(doc):
     doc["plan"]["child"]["child"]["left"]["method"] = {
         "method": "lineage_bernoulli", "dims": {"o": {"p": 0.5, "seed": 3}}}
@@ -239,7 +269,17 @@ STRUCTURAL_FAULTS = [
                  r"self-joins are unsupported$"),
     (_union_relations_differ, r"^plan\.child: union sides cover different base relations: "
                               r"\('l',\) vs \('o',\)$"),
-    (_wor_of_zero, r"^sample size 0 must be >= 1$"),
+    (_wor_of_zero, r"^plan\.child\.child\.right\.method: sample size 0 must be >= 1$"),
+    (_bernoulli_p_over_one, r"^plan\.child\.child\.left\.method: "
+                            r"Bernoulli probability 1\.5 outside \[0, 1\]$"),
+    (_negative_seed, r"^plan\.child\.child\.right\.method: seeds must be non-negative$"),
+    (_missing_p, r"^plan\.child\.child\.left\.method: missing required key 'p'$"),
+    (_unknown_comparison, r"^plan\.child\.where\[0\]: unknown comparison operator '~'$"),
+    (_col2_with_less_than, r"^plan\.child\.where\[0\]: "
+                           r"column-to-column comparisons support '=' only$"),
+    (_dims_entry_not_object, r"^plan\.child\.child\.left\.method\.dims\.l: must be an object$"),
+    (_keyed_p_over_one, r"^plan\.child\.child\.left\.method: "
+                        r"probability 2\.0 for 'l' outside \[0, 1\]$"),
     (_keyed_dimension_not_below, r"^plan\.child\.child\.left\.method\.dims\.o: "
                                  r"dimension 'o' not in schema \('l',\)"),
     (_nested_sum, r"^plan\.child\.child\.left: sum aggregate may appear only at the plan root"),
@@ -273,21 +313,23 @@ class TestIngestCsv:
         path.write_text("k,v\n1,1.5\n2,2.5\n3,3.5\n")
         table = ingest_csv(path, "t", {"k": "int64", "v": "float64"}, "k")
         assert len(table) == 3
-        assert table.ids == (1, 2, 3)
-        assert table.rows[0] == (1, 1.5)
+        assert table.lineage[:, 0].tolist() == [1, 2, 3]
+        assert table.rows[0].values == (1, 1.5)
+        assert table.schema.relations == ("t",)
+        assert table.f.tolist() == [0.0, 0.0, 0.0]
 
     def test_row_index_ids(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("v\n1.0\n2.0\n")
         table = ingest_csv(path, "t", {"v": "float64"})
-        assert table.ids == (0, 1)
+        assert table.lineage[:, 0].tolist() == [0, 1]
 
     def test_id_expression_combines_keys(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("ok,ln,v\n1,1,0.5\n1,2,0.5\n2,1,0.5\n")
         table = ingest_csv(
             path, "t", {"ok": "int64", "ln": "int64", "v": "float64"}, "ok*10+ln")
-        assert table.ids == (11, 12, 21)
+        assert table.lineage[:, 0].tolist() == [11, 12, 21]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -317,7 +359,7 @@ class TestIngestCsv:
         path = tmp_path / "t.csv"
         path.write_text("k,name\n1,ann\n2,bob\n")
         table = ingest_csv(path, "t", {"k": "int64", "name": "string"}, "k")
-        assert table.rows[1] == (2, "bob")
+        assert table.rows[1].values == (2, "bob")
 
     def test_id_expression_requires_int_columns(self, tmp_path):
         path = tmp_path / "t.csv"

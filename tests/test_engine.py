@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gusbox import (
-    BaseTable,
     BernoulliSpec,
     Comparison,
     ExpressionError,
@@ -28,12 +27,12 @@ from gusbox.engine import (
     union_dedup,
 )
 
-from conftest import query1_plan, small_join_catalog, sum_aggregate
+from conftest import base_table, query1_plan, small_join_catalog, sum_aggregate
 
 
 def tiny_table(name="t", ids=(0, 1, 2), vals=(1.0, 2.0, 3.0)):
     assert len(ids) == len(vals)
-    return BaseTable(
+    return base_table(
         name, (f"{name}_k", f"{name}_v"), ("int64", "float64"),
         ids=tuple(ids), rows=tuple((i + 1, v) for i, v in enumerate(vals)),
     )
@@ -45,17 +44,21 @@ class TestScan:
         assert [r.lineage for r in rel.rows] == [(0,), (1,), (2,)]
         assert all(r.f == 0.0 for r in rel.rows)
 
+    def test_returns_the_stored_table(self):
+        table = tiny_table()
+        assert scan(table) is table
+
     def test_empty_table(self):
-        rel = scan(BaseTable("t", ("t_k",), ("int64",), (), ()))
+        rel = scan(base_table("t", ("t_k",), ("int64",), (), ()))
         assert len(rel) == 0
 
     def test_duplicate_ids_rejected_at_construction(self):
-        with pytest.raises(SchemaError, match="duplicate row ids"):
-            BaseTable("t", ("t_k",), ("int64",), ids=(1, 1), rows=((1,), (2,)))
+        with pytest.raises(SchemaError, match="duplicate lineage"):
+            base_table("t", ("t_k",), ("int64",), ids=(1, 1), rows=((1,), (2,)))
 
     def test_typed_rows_enforced(self):
         with pytest.raises(SchemaError):
-            BaseTable("t", ("t_v",), ("float64",), ids=(0,), rows=((1,),))
+            base_table("t", ("t_v",), ("float64",), ids=(0,), rows=((1,),))
 
 
 class TestSelect:
@@ -98,8 +101,8 @@ class TestSelect:
 
 class TestJoin:
     def test_single_match_concatenates_lineage(self):
-        l = BaseTable("l", ("l_k",), ("int64",), ids=(7,), rows=((1,),))
-        r = BaseTable("r", ("r_k",), ("int64",), ids=(9,), rows=((1,),))
+        l = base_table("l", ("l_k",), ("int64",), ids=(7,), rows=((1,),))
+        r = base_table("r", ("r_k",), ("int64",), ids=(9,), rows=((1,),))
         out = join(JoinSpec(equi=(("l_k", "r_k"),)), scan(l), scan(r))
         assert len(out) == 1
         assert out.rows[0].lineage == (7, 9)
@@ -142,15 +145,15 @@ class TestJoin:
     )
     @settings(max_examples=150)
     def test_randomized_join_matches_nested_loop(self, left_rows, right_rows):
-        l = BaseTable("l", ("l_k", "l_v"), ("int64", "float64"),
-                      ids=tuple(range(len(left_rows))), rows=tuple(left_rows))
-        r = BaseTable("r", ("r_k", "r_v"), ("int64", "float64"),
-                      ids=tuple(range(len(right_rows))), rows=tuple(right_rows))
+        l = base_table("l", ("l_k", "l_v"), ("int64", "float64"),
+                       ids=tuple(range(len(left_rows))), rows=tuple(left_rows))
+        r = base_table("r", ("r_k", "r_v"), ("int64", "float64"),
+                       ids=tuple(range(len(right_rows))), rows=tuple(right_rows))
         out = join(JoinSpec(equi=(("l_k", "r_k"),)), scan(l), scan(r))
         expected = sorted(
-            (lrow.values + rrow.values, (lid,) + (rid,))
-            for lid, lrow in zip(l.ids, scan(l).rows)
-            for rid, rrow in zip(r.ids, scan(r).rows)
+            (lrow.values + rrow.values, lrow.lineage + rrow.lineage)
+            for lrow in l.rows
+            for rrow in r.rows
             if lrow.values[0] == rrow.values[0]
         )
         got = sorted((row.values, row.lineage) for row in out.rows)
@@ -170,7 +173,7 @@ class TestJoin:
 
     def test_column_collision_rejected(self):
         l = tiny_table("l")
-        other = BaseTable("x", ("l_k",), ("int64",), ids=(0,), rows=((1,),))
+        other = base_table("x", ("l_k",), ("int64",), ids=(0,), rows=((1,),))
         with pytest.raises(SchemaError, match="share column"):
             join(JoinSpec(), scan(l), scan(other))
 
@@ -208,14 +211,14 @@ class TestSumAggregate:
         assert sum_aggregate("t_v", rel) == 0.0
 
     def test_arithmetic(self):
-        t = BaseTable(
+        t = base_table(
             "t", ("t_d", "t_x"), ("float64", "float64"),
             ids=(0, 1), rows=((0.1, 0.0), (0.2, 0.5)),
         )
         assert sum_aggregate("t_d*(1.0-t_x)", scan(t)) == pytest.approx(0.2, rel=1e-12)
 
     def test_non_numeric_column_rejected(self):
-        t = BaseTable("t", ("t_s",), ("string",), ids=(0,), rows=(("x",),))
+        t = base_table("t", ("t_s",), ("string",), ids=(0,), rows=(("x",),))
         with pytest.raises(ExpressionError):
             sum_aggregate("t_s", scan(t))
 

@@ -303,7 +303,7 @@ class TestYUnbiased:
         # the corrected terms must equal the full-data terms
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.6, seed=1), WorSpec(2, seed=2))
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         y_true = exact_y_terms(execute_full(plan, catalog).relation)
         expectation = {s: 0.0 for s in y_true}
         for rel, weight in enumerate_outcomes(plan.child, catalog, 1 << 20):
@@ -345,7 +345,7 @@ class TestVarianceEstimate:
     def test_exact_on_enumerable_instance(self):
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.6, seed=1), WorSpec(2, seed=2))
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         from gusbox.oracle import enumerate_exact_moments
 
         _, exact_var = enumerate_exact_moments(plan, catalog, norm.gus.a)
@@ -418,7 +418,7 @@ class TestAnalyze:
 
     def test_report_serializes_with_subset_keys(self, desk_catalog):
         plan = query1_plan()
-        norm = normalize_plan(plan, desk_catalog)
+        norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         res = execute(plan, desk_catalog, master_seed=2)
         report = analyze(res.relation, norm.gus, quantiles=(0.05, 0.95))
         doc = report.to_json_dict()
@@ -445,7 +445,7 @@ class TestAnalyze:
 class TestSubsampleVariance:
     def test_keep_all_matches_direct_path(self, desk_catalog):
         plan = query1_plan()
-        norm = normalize_plan(plan, desk_catalog)
+        norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         res = execute(plan, desk_catalog, master_seed=4)
         direct = analyze(res.relation, norm.gus, quantiles=(0.05, 0.95))
         via = subsample_variance(
@@ -460,7 +460,7 @@ class TestSubsampleVariance:
 
     def test_effective_parameters_are_the_stacked_tables(self, desk_catalog):
         plan = query1_plan()
-        norm = normalize_plan(plan, desk_catalog)
+        norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         res = execute(plan, desk_catalog, master_seed=4)
         report = subsample_variance(
             res.relation, norm.gus, {"l": (0.5, 1), "o": (0.5, 2)})
@@ -492,7 +492,7 @@ class TestSubsampleVariance:
         from gusbox.samplers import derive_seed
 
         plan = query1_plan(p=0.5, n=38)
-        norm = normalize_plan(plan, desk_catalog)
+        norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         ratios = []
         for t in range(40):
             rel = execute(plan, desk_catalog, master_seed=derive_seed(555, t)).relation
@@ -517,7 +517,7 @@ class TestSubsampleVariance:
                 base.child,
             ),
         )
-        norm = normalize_plan(subbed, catalog)
+        norm = normalize_plan(subbed)
         y_true = exact_y_terms(execute_full(subbed, catalog).relation)
         expectation = {s: 0.0 for s in y_true}
         for rel, weight in enumerate_outcomes(subbed.child, catalog, 1 << 20):

@@ -22,11 +22,11 @@ from gusbox import (
     Scan,
     SumAggregate,
     WorSpec,
+    execute,
     execute_full,
     y_sample_terms,
 )
 from gusbox.algebra import gus_of_bernoulli, gus_of_lineage_bernoulli, join_merge, normalize_plan
-from gusbox.engine import BaseTable
 from gusbox.oracle import (
     compare_inclusion_to_gus,
     enumerate_exact_moments,
@@ -36,6 +36,7 @@ from gusbox.oracle import (
 from gusbox.oracle import exact_y_terms
 
 from conftest import (
+    base_table,
     lineage_relation,
     mask_of_key,
     query1_plan,
@@ -82,8 +83,8 @@ class TestEnumeration:
         assert variance == pytest.approx(0.0, abs=1e-18)
 
     def test_bernoulli_closed_form_variance(self):
-        table = BaseTable("t", ("t_v",), ("float64",), ids=(0, 1, 2),
-                          rows=((2.0,), (3.0,), (5.0,)))
+        table = base_table("t", ("t_v",), ("float64",), ids=(0, 1, 2),
+                           rows=((2.0,), (3.0,), (5.0,)))
         p = 0.4
         plan = SumAggregate("t_v", Sample(BernoulliSpec(p, seed=1), Scan("t")))
         mean, variance = enumerate_exact_moments(plan, {"t": table}, p)
@@ -100,8 +101,8 @@ class TestEnumeration:
         assert variance > 0.0
 
     def test_budget_guard(self):
-        table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(12)),
-                          rows=tuple((float(i),) for i in range(12)))
+        table = base_table("t", ("t_v",), ("float64",), ids=tuple(range(12)),
+                           rows=tuple((float(i),) for i in range(12)))
         plan = SumAggregate("t_v", Sample(BernoulliSpec(0.5, seed=1), Scan("t")))
         with pytest.raises(EnumerationInfeasibleError):
             enumerate_exact_moments(plan, {"t": table}, 0.5, budget=1000)
@@ -115,17 +116,17 @@ class TestEnumeration:
         # 2**20000 has over 6000 digits: formatting it would raise
         # ValueError, and computing C(20000, 5000) in full is slow
         m = 20_000
-        table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(m)),
-                          rows=tuple((float(i),) for i in range(m)))
+        table = base_table("t", ("t_v",), ("float64",), ids=tuple(range(m)),
+                           rows=tuple((float(i),) for i in range(m)))
         plan = SumAggregate("t_v", Sample(method, Scan("t")))
-        a = normalize_plan(plan, {"t": table}).gus.a
+        a = normalize_plan(plan, execute(plan, {"t": table}).populations).gus.a
         with pytest.raises(EnumerationInfeasibleError,
                            match=rf"need {re.escape(states)} states, budget is 1048576"):
             enumerate_exact_moments(plan, {"t": table}, a)
 
     def test_wor_within_budget_counts_exactly(self):
-        table = BaseTable("t", ("t_v",), ("float64",), ids=tuple(range(12)),
-                          rows=tuple((float(i),) for i in range(12)))
+        table = base_table("t", ("t_v",), ("float64",), ids=tuple(range(12)),
+                           rows=tuple((float(i),) for i in range(12)))
         plan = SumAggregate("t_v", Sample(WorSpec(6, seed=1), Scan("t")))
         # C(12, 6) = 924 states fit a budget of 924 and not one of 923
         mean, _ = enumerate_exact_moments(plan, {"t": table}, 0.5, budget=924)
@@ -166,10 +167,10 @@ class TestSharedKeyedSeeds:
     @staticmethod
     def _plan_and_catalog(r_seed, t_seed):
         catalog = {
-            "r": BaseTable("r", ("r_v",), ("float64",), ids=(1, 2, 3, 4),
-                           rows=((1.0,), (2.0,), (3.0,), (4.0,))),
-            "t": BaseTable("t", ("t_v",), ("float64",), ids=(1, 2, 3),
-                           rows=((1.0,), (1.0,), (2.0,))),
+            "r": base_table("r", ("r_v",), ("float64",), ids=(1, 2, 3, 4),
+                            rows=((1.0,), (2.0,), (3.0,), (4.0,))),
+            "t": base_table("t", ("t_v",), ("float64",), ids=(1, 2, 3),
+                            rows=((1.0,), (1.0,), (2.0,))),
         }
         keyed = LineageBernoulliSpec.of({"r": (0.5, r_seed), "t": (0.6, t_seed)})
         plan = SumAggregate("r_v*t_v", Sample(keyed, Join(JoinSpec(), Scan("r"), Scan("t"))))
@@ -204,8 +205,8 @@ class TestSharedRowSeeds:
     @staticmethod
     def _plan_and_catalog(r_seed, t_seed):
         catalog = {
-            name: BaseTable(name, (f"{name}_v",), ("float64",), ids=(1, 2, 3),
-                            rows=((1.0,), (2.0,), (3.0,)))
+            name: base_table(name, (f"{name}_v",), ("float64",), ids=(1, 2, 3),
+                             rows=((1.0,), (2.0,), (3.0,)))
             for name in ("r", "t")
         }
         plan = SumAggregate("r_v*t_v", Join(
@@ -225,9 +226,9 @@ class TestSharedRowSeeds:
                 first, second, independent, trials)[0]
         assert not outcomes[(1, 2)]
         assert outcomes[(0, 0)]
-        plan, catalog = self._plan_and_catalog(0, 0)
+        plan, _ = self._plan_and_catalog(0, 0)
         with pytest.raises(PlanError, match="share seed 0"):
-            normalize_plan(plan, catalog)
+            normalize_plan(plan)
 
 
 def exact_inclusion_from_enumeration(node, catalog):
@@ -258,7 +259,7 @@ class TestExactRewriteSoundness:
         from gusbox import SumAggregate, common_lineage
 
         plan = SumAggregate("l_val", relational_child)
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         first, second = exact_inclusion_from_enumeration(relational_child, catalog)
         universe = sorted(
             row.lineage
@@ -367,7 +368,7 @@ class TestVarianceFormulaOnEveryRule:
         from gusbox.algebra import c_coefficients
         from gusbox.estimator import variance_estimate
 
-        norm = normalize_plan(plan, catalog)
+        norm = normalize_plan(plan, execute(plan, catalog).populations)
         full = execute_full(plan, catalog)
         mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
         assert mean == pytest.approx(full.aggregate, rel=1e-12)
@@ -445,8 +446,8 @@ class TestInclusionProbabilities:
         assert all(v == 1.0 for v in second.values())
 
     def test_bernoulli_scan_first_order(self):
-        table = BaseTable("t", ("t_v",), ("float64",), ids=(0, 1, 2),
-                          rows=((1.0,), (1.0,), (1.0,)))
+        table = base_table("t", ("t_v",), ("float64",), ids=(0, 1, 2),
+                           rows=((1.0,), (1.0,), (1.0,)))
         plan = SumAggregate("t_v", Sample(BernoulliSpec(0.1, seed=1), Scan("t")))
         trials = 20_000
         first, _ = inclusion_probabilities(plan, {"t": table}, trials=trials, seed=5)
@@ -459,12 +460,11 @@ class TestInclusionProbabilities:
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), None)
         trials = 4000
         first, second = inclusion_probabilities(plan, catalog, trials=trials, seed=2)
-        right = normalize_plan(plan, catalog).gus
+        right = normalize_plan(plan).gus
         violations, worst = compare_inclusion_to_gus(first, second, right, trials)
         assert violations == []
         assert worst < 5.0
-        wrong = normalize_plan(
-            small_join_plan(BernoulliSpec(0.25, seed=1), None), catalog).gus
+        wrong = normalize_plan(small_join_plan(BernoulliSpec(0.25, seed=1), None)).gus
         violations, worst = compare_inclusion_to_gus(first, second, wrong, trials)
         assert violations
         assert worst > 5.0

@@ -42,7 +42,6 @@ from .estimator import (
     confidence_interval,
     estimate_sum,
     quantile_bounds,
-    subsample_variance,
     variance_estimate,
     y_sample_terms,
     y_unbiased,
@@ -53,7 +52,6 @@ from .model import (
     Row,
     SampleRelation,
     common_lineage,
-    extend_schema,
 )
 from .plan import (
     BernoulliSpec,

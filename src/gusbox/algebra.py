@@ -15,7 +15,10 @@ The merge rules:
 * ``join_merge`` multiplies tables across disjoint schemas:
   ``a = a1*a2`` and ``b[T] = b1[T & L1] * b2[T & L2]``, each side's entry
   gathered through ``model.project_masks``. It also builds a
-  multi-dimensional sampler from per-relation pieces.
+  multi-dimensional sampler from per-relation pieces, and widens a table:
+  joined with the identity table (``a = 1``, every ``b[T] = 1``) over
+  relations it never filters, each entry keeps its bits, since
+  ``x * 1.0 == x``.
 * ``compact`` stacks two filters over the same schema: ``a = a1*a2``,
   ``b[T] = b1[T] * b2[T]``.
 * ``union_merge`` combines two independent samples of the same relation:
@@ -37,12 +40,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import PlanError, SampleSizeError, SchemaError
-from .model import GusParams, LineageSchema, extend_schema, project_masks
+from .model import GusParams, LineageSchema, project_masks
 from .plan import (
     BernoulliSpec,
     Join,
@@ -146,18 +149,16 @@ def union_merge(g1: GusParams, g2: GusParams) -> GusParams:
 
 def gus_of_lineage_bernoulli(dims: Mapping[str, float], schema: LineageSchema) -> GusParams:
     """Parameter table of the lineage-keyed Bernoulli filter: per-relation
-    coins composed across dimensions, then widened to the target schema."""
+    coins joined onto the identity, then joined with the identity over the
+    schema's other relations, which the filter never looks at."""
     names = sorted(dims)
     for name in names:
         if name not in schema.relations:
             raise SchemaError(f"dimension {name!r} not in schema {schema.relations}")
-    g: Optional[GusParams] = None
+    g = identity_gus(LineageSchema(()))
     for name in names:
-        piece = gus_of_bernoulli(dims[name], name)
-        g = piece if g is None else join_merge(g, piece)
-    if g is None:
-        return identity_gus(schema)
-    return extend_schema(g, schema)
+        g = join_merge(g, gus_of_bernoulli(dims[name], name))
+    return join_merge(g, identity_gus(LineageSchema.of(set(schema.relations) - set(dims))))
 
 
 def subset_transform(values: Sequence[float], *, supersets: bool,

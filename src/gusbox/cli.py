@@ -26,13 +26,16 @@ from .errors import (
     PlanError,
 )
 from .ingest import ingest_csv
-from .plan import SumAggregate
+from .plan import PlanNode, SumAggregate, validate_plan
 
 _SUBSAMPLE_SEED_SPACE = 0x5B5A11CE
 
 
-def _parse_subsample(text: str, master_seed: int) -> dict[str, tuple[float, int]]:
-    dims = {}
+def _parse_subsample(text: str, plan: PlanNode,
+                     master_seed: int) -> dict[str, tuple[float, int]]:
+    """The ``{relation: (p, run seed)}`` keyed filter a ``--subsample`` spec
+    names, checked against the plan before any data is read."""
+    dims, seeds = {}, {}
     for i, part in enumerate(sorted(p.strip() for p in text.split(",") if p.strip())):
         if "=" not in part:
             raise PlanError(f"bad subsample entry {part!r}; expected relation=p")
@@ -46,9 +49,11 @@ def _parse_subsample(text: str, master_seed: int) -> dict[str, tuple[float, int]
             raise PlanError(f"bad subsample probability {value!r}") from None
         if not 0.0 <= p <= 1.0:
             raise PlanError(f"subsample probability {p} outside [0, 1]")
-        dims[name] = (p, samplers.derive_seed(master_seed, _SUBSAMPLE_SEED_SPACE + i))
+        seeds[name] = _SUBSAMPLE_SEED_SPACE + i
+        dims[name] = (p, samplers.derive_seed(master_seed, seeds[name]))
     if not dims:
         raise PlanError("empty subsample spec")
+    validate_plan(plan, seeds)
     return dims
 
 
@@ -141,6 +146,7 @@ def run_estimate(args) -> int:
     doc = parse_plan(text)
     if not isinstance(doc.plan, SumAggregate):
         raise PlanError("plan: estimation needs a sum aggregate at the root")
+    subsample = _parse_subsample(args.subsample, doc.plan, args.seed) if args.subsample else None
     catalog = {}
     for name, spec in doc.tables.items():
         path = Path(spec.path)
@@ -151,13 +157,8 @@ def run_estimate(args) -> int:
     executed = execute(doc.plan, catalog, master_seed=args.seed)
     normalized = normalize_plan(doc.plan, executed.populations)
 
-    if args.subsample:
-        dims = _parse_subsample(args.subsample, args.seed)
-        report = estimator.subsample_variance(
-            executed.relation, normalized.gus, dims, quantiles=doc.quantiles)
-    else:
-        report = estimator.analyze(
-            executed.relation, normalized.gus, quantiles=doc.quantiles)
+    report = estimator.analyze(
+        executed.relation, normalized.gus, quantiles=doc.quantiles, subsample=subsample)
 
     oracle_doc = None
     if args.oracle:

@@ -39,6 +39,10 @@ the subset lattice (``algebra.subset_transform``):
 a pair survives with probability ``b[T]``, so ``Z[T] / b[T]`` is unbiased
 for its full-data counterpart; and ``yHat = superset-zeta(Z / b)`` sums those
 back over the supersets of ``S``.
+
+``analyze`` is the one entry that builds a report. Given a sub-sample spec,
+it takes the y terms from a lineage-keyed sub-sample of the sample, under
+the compaction of the plan's table and the sub-sample filter's table.
 """
 
 from __future__ import annotations
@@ -219,35 +223,34 @@ class EstimateReport:
         return doc
 
 
-def _checked_estimate(sample: SampleRelation, gus: GusParams) -> float:
+def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] = (),
+            subsample: Optional[Mapping[str, tuple[float, int]]] = None) -> EstimateReport:
+    """Full estimation pipeline on a sample whose f values are bound.
+
+    With ``subsample``, a ``{relation: (p, seed)}`` lineage-keyed filter,
+    the y terms come from the rows of ``sample`` that filter keeps. That
+    sub-sample is itself a uniform sample of the full data, whose table is
+    the compaction of ``gus`` and the filter's table, so the same unbiased
+    correction applies with that table. The coefficients still come from
+    ``gus``, because the estimate comes from the full sample.
+    """
     if sample.schema != gus.schema:
         raise SchemaError(
             f"sample schema {sample.schema.relations} does not match parameter "
             f"schema {gus.schema.relations}"
         )
-    return estimate_sum(sample, gus.a)
-
-
-def _report(sample: SampleRelation, gus: GusParams, estimate: float,
-            quantiles: Sequence[float], level: float,
-            subsample: Optional[tuple[SampleRelation, GusParams]] = None
-            ) -> EstimateReport:
-    """Variance, intervals and report for an estimate from ``sample`` under
-    ``gus``. The y terms come from ``subsample`` (rows and their parameter
-    table) when given, else from ``sample`` itself; the coefficients always
-    come from ``gus``, the design that produced the estimate."""
-    terms, terms_gus = subsample or (sample, gus)
-    diagnostics: list[str] = []
+    estimate = estimate_sum(sample, gus.a)
+    diagnostics = [] if len(sample) else ["empty sample: estimate and variance default to 0"]
+    terms, terms_gus = sample, gus
+    if subsample is not None:
+        terms = samplers.lineage_bernoulli(sample, subsample)
+        terms_gus = compact(gus, gus_of_lineage_bernoulli(
+            {name: p for name, (p, _) in subsample.items()}, gus.schema))
+        diagnostics.append(f"variance terms estimated from a {len(terms)}-row "
+                           f"sub-sample of {len(sample)} sampled rows")
     y_s = y_sample_terms(terms)
     y_hat = y_unbiased(y_s, terms_gus)
     c_table = c_coefficients(gus)
-    if not len(sample):
-        diagnostics.append("empty sample: estimate and variance default to 0")
-    if subsample is not None:
-        diagnostics.append(
-            f"variance terms estimated from a {len(terms)}-row sub-sample "
-            f"of {len(sample)} sampled rows"
-        )
     variance = variance_estimate(y_hat, c_table, gus.a, diagnostics)
     sigma = math.sqrt(variance)
     return EstimateReport(
@@ -258,37 +261,11 @@ def _report(sample: SampleRelation, gus: GusParams, estimate: float,
         y_hat=y_hat,
         c_table=c_table,
         variance_hat=variance,
-        ci_normal=confidence_interval(estimate, sigma, "normal", level),
-        ci_chebyshev=confidence_interval(estimate, sigma, "chebyshev", level),
+        ci_normal=confidence_interval(estimate, sigma, "normal"),
+        ci_chebyshev=confidence_interval(estimate, sigma, "chebyshev"),
         quantile_requests=quantile_bounds(estimate, sigma, quantiles),
         diagnostics=diagnostics,
         sample_rows=len(sample),
         subsample_rows=None if subsample is None else len(terms),
         subsample_gus=None if subsample is None else terms_gus,
     )
-
-
-def analyze(sample: SampleRelation, gus: GusParams,
-            quantiles: Sequence[float] = (), level: float = 0.95) -> EstimateReport:
-    """Full estimation pipeline on a sample whose f values are bound."""
-    return _report(sample, gus, _checked_estimate(sample, gus), quantiles, level)
-
-
-def subsample_variance(sample: SampleRelation, gus: GusParams,
-                       dims: Mapping[str, tuple[float, int]],
-                       quantiles: Sequence[float] = (),
-                       level: float = 0.95) -> EstimateReport:
-    """Estimate from the full sample, but pin the variance terms down from a
-    lineage-keyed sub-sample of it.
-
-    The sub-sample is itself a uniform sample of the full data, with
-    parameters equal to the stack of the original table and the keyed
-    filter's table, so the same unbiased correction applies with the stacked
-    parameters. The final variance still uses the original table's
-    coefficients because the estimate comes from the full sample.
-    """
-    estimate = _checked_estimate(sample, gus)
-    sub = samplers.lineage_bernoulli(sample, dims)
-    g_sub = compact(
-        gus, gus_of_lineage_bernoulli({k: p for k, (p, _) in dims.items()}, gus.schema))
-    return _report(sample, gus, estimate, quantiles, level, (sub, g_sub))

@@ -97,9 +97,6 @@ class LineageSchema:
             )
         return tuple(keys)
 
-    def is_subschema_of(self, wider: "LineageSchema") -> bool:
-        return set(self.relations) <= set(wider.relations)
-
     def merge_disjoint(self, other: "LineageSchema") -> "LineageSchema":
         overlap = set(self.relations) & set(other.relations)
         if overlap:
@@ -171,29 +168,13 @@ def project_masks(wide: LineageSchema, narrow: LineageSchema) -> np.ndarray:
     ``narrow``, of its relations that ``narrow`` holds. Built one bit of
     ``wide`` at a time: the masks with that bit set are the masks without
     it, plus the bit's narrow counterpart (none if ``narrow`` lacks it).
-    Parameter tables are re-indexed by gathering through it in Python, so
-    their entries keep their exact values and types."""
+    ``algebra.join_merge`` gathers each side's table through it in Python,
+    so the gathered entries keep their exact values and types."""
     index = np.zeros(1, dtype=np.intp)
     for name in wide.relations:
         bit = 1 << narrow.relations.index(name) if name in narrow.relations else 0
         index = np.concatenate((index, index | bit))
     return index
-
-
-def extend_schema(g: GusParams, wider: LineageSchema) -> GusParams:
-    """Re-index ``g`` over a wider schema.
-
-    A process that never filters a relation keeps both-tuple probabilities
-    unchanged whether or not the two tuples agree there, so the widened table
-    reads ``b[T] = g.b[T & original]``.
-    """
-    if not g.schema.is_subschema_of(wider):
-        raise SchemaError(f"schema {g.schema.relations} is not contained in {wider.relations}")
-    if g.schema == wider:
-        return g
-    b = list(map(g.b.__getitem__, project_masks(wider, g.schema).tolist()))
-    b[wider.full_mask] = g.a
-    return GusParams(wider, g.a, tuple(b))
 
 
 class Row(NamedTuple):

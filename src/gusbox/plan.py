@@ -11,6 +11,7 @@ loaded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import PlanError, SchemaError, SelfJoinError
@@ -165,7 +166,8 @@ def strip_sampling(node: PlanNode) -> PlanNode:
     raise PlanError(f"unsupported plan node {type(node).__name__}")
 
 
-def validate_plan(root: PlanNode) -> None:
+def validate_plan(root: PlanNode,
+                  subsample: Mapping[str, int] = MappingProxyType({})) -> LineageSchema:
     """Every structural check a plan needs, in one walk that reads no data.
 
     A sum aggregate may appear only at the root. Join sides cover disjoint
@@ -181,26 +183,31 @@ def validate_plan(root: PlanNode) -> None:
     table. Likewise no two row samplers (Bernoulli, WOR) share a seed: a row
     sampler's stream depends only on the run seed and its own seed. A keyed
     dimension and a row sampler may share a number, since they draw from
-    different generators.
+    different generators. Keyed seeds are compared as the 64-bit values the
+    hash reads, so seeds equal modulo 2**64 are shared too.
 
     Every error starts with the offending node's path from the root, in the
     plan document's notation (``plan.child.method.dims.r``); a shared seed
-    names both nodes.
+    names both nodes. Returns the lineage schema of the plan's output.
+
+    ``subsample`` maps each relation of a keyed sub-sample of the plan's
+    output to its seed; its relations must be in that schema, and it claims
+    its seeds as keyed dimensions do. Its errors name the relation.
     """
-    keyed_seeds: dict[int, str] = {}
+    keyed_seeds: dict[int, tuple[str, int]] = {}
     row_seeds: dict[int, str] = {}
 
-    def claim_keyed_seeds(method: LineageBernoulliSpec, path: str) -> None:
-        for name, _, seed in method.dims:
-            where = f"{path}.method.dims.{name}"
-            if seed in keyed_seeds:
-                raise PlanError(
-                    f"lineage-keyed dimensions {keyed_seeds[seed]} and {where} "
-                    f"share seed {seed}: keyed decisions depend only on the seed "
-                    "and the base-tuple id, so the two filters are not "
-                    "independent; give each keyed dimension its own seed"
-                )
-            keyed_seeds[seed] = where
+    def claim_keyed_seed(seed: int, where: str) -> None:
+        first, first_seed = keyed_seeds.setdefault(seed % (1 << 64), (where, seed))
+        if first != where:
+            shared = (f"seed {seed}" if seed == first_seed
+                      else f"seeds {first_seed} and {seed} (equal modulo 2**64)")
+            raise PlanError(
+                f"lineage-keyed dimensions {first} and {where} share {shared}: "
+                "keyed decisions depend only on the seed and the base-tuple id, "
+                "so the two filters are not independent; give each keyed "
+                "dimension its own seed"
+            )
 
     def claim_row_seed(method: Union[BernoulliSpec, WorSpec], path: str) -> None:
         where = f"{path}.method"
@@ -244,7 +251,8 @@ def validate_plan(root: PlanNode) -> None:
         if isinstance(node, Sample):
             method = node.method
             if isinstance(method, LineageBernoulliSpec):
-                claim_keyed_seeds(method, path)
+                for name, _, seed in method.dims:
+                    claim_keyed_seed(seed, f"{path}.method.dims.{name}")
             elif isinstance(method, (BernoulliSpec, WorSpec)):
                 claim_row_seed(method, path)
             else:
@@ -267,7 +275,11 @@ def validate_plan(root: PlanNode) -> None:
             raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
         raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
 
-    if isinstance(root, SumAggregate):
-        rec(root.child, "plan.child")
-    else:
-        rec(root, "plan")
+    at_root = isinstance(root, SumAggregate)
+    schema, _ = rec(root.child, "plan.child") if at_root else rec(root, "plan")
+    for name, seed in subsample.items():
+        if name not in schema.relations:
+            raise PlanError(
+                f"subsample relation {name!r} is not in the plan's schema {schema.relations}")
+        claim_keyed_seed(seed, f"subsample relation {name!r}")
+    return schema

@@ -49,12 +49,11 @@ from gusbox.algebra import (
 )
 from gusbox.dsl import parse_plan
 from gusbox.engine import execute
-from gusbox.model import extend_schema, project_masks
+from gusbox.model import project_masks
 from gusbox.plan import Predicate, Comparison, strip_sampling
 
 from conftest import (
     gus_tables,
-    gus_to_json,
     mask_of_key,
     query1_plan,
     small_join_catalog,
@@ -221,11 +220,9 @@ class TestCompose:
             g, a=0.06, table={"": 0.0036, "o": 0.012, "l": 0.018, "lo": 0.06})
 
     def test_compose_with_identity_equals_extension(self):
-        from gusbox.model import extend_schema
-
         g = gus_of_bernoulli(0.2, "l")
         wide = join_merge(g, identity_gus(LineageSchema.of(["o"])))
-        assert wide == extend_schema(g, LineageSchema.of(["l", "o"]))
+        assert wide == reference_extend_schema(g, LineageSchema.of(["l", "o"]))
 
     def test_subsample_stack_on_join_table(self):
         bidim = join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
@@ -246,7 +243,8 @@ class TestCompose:
 
 
 # Reference implementations: the per-mask loops that model.project_masks
-# and its gathers replace in extend_schema and join_merge.
+# and its gathers replace in join_merge, alone and widening a table with
+# the identity table.
 
 def reference_project(mask, positions):
     """Narrow mask of wide ``mask``; ``positions`` maps wide bit -> narrow bit."""
@@ -321,7 +319,8 @@ class TestMaskProjection:
         left, right = schemas
         g = data.draw(gus_tables(names=left.relations))
         wide = left.merge_disjoint(right)
-        assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
+        widened = join_merge(g, identity_gus(right))
+        assert exact_bits(widened) == exact_bits(reference_extend_schema(g, wide))
 
     @given(split_schemas(), st.data())
     def test_join_merge_matches_reference_bit_for_bit(self, schemas, data):
@@ -335,19 +334,18 @@ class TestMaskProjection:
         g = GusParams(narrow, 0.3, (0.1 / 3, 0.07, 0.11, 0.3))
         other = GusParams(LineageSchema.of("ace"), 0.7,
                           tuple(0.7 * (k + 1) / 9 for k in range(7)) + (0.7,))
-        assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
+        widened = join_merge(g, identity_gus(other.schema))
+        assert exact_bits(widened) == exact_bits(reference_extend_schema(g, wide))
         assert exact_bits(join_merge(g, other)) == exact_bits(reference_join_merge(g, other))
         assert exact_bits(join_merge(other, g)) == exact_bits(reference_join_merge(other, g))
 
     def test_entries_keep_their_types(self):
         # hand-built tables may hold ints; the gathers must not turn them
         # into floats, or the report would print 1.0 for 1
-        wide, narrow = self.INTERLEAVED
+        _, narrow = self.INTERLEAVED
         g = GusParams(narrow, 1, (1, 1, 0.5, 1))
         h = GusParams(LineageSchema.of("ace"), 1, (1,) * 8)
-        assert exact_bits(extend_schema(g, wide)) == exact_bits(reference_extend_schema(g, wide))
         assert exact_bits(join_merge(g, h)) == exact_bits(reference_join_merge(g, h))
-        assert gus_to_json(extend_schema(g, wide)) == gus_to_json(reference_extend_schema(g, wide))
 
 
 class TestCoefficients:
@@ -429,9 +427,7 @@ class TestNormalizePlan:
         norm = normalize_plan(plan)
         rules = [s.rule for s in norm.trace]
         assert rules == ["sampler_to_gus", "identity_gus", "join_gus_merge"]
-        from gusbox.model import extend_schema
-
-        assert norm.gus == extend_schema(
+        assert norm.gus == reference_extend_schema(
             gus_of_bernoulli(0.5, "l"), LineageSchema.of(["l", "o"]))
 
     def test_selection_commutes_without_changing_parameters(self):

@@ -305,6 +305,55 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == (
             "error: subsample relation 'l' given more than once\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("l=2", "subsample probability 2.0 outside [0, 1]"),
+        ("x=0.5", "subsample relation 'x' is not in the plan's schema ('l', 'o')"),
+        ("l=0.5,l=0.2", "subsample relation 'l' given more than once"),
+    ])
+    def test_subsample_spec_checked_before_ingest(self, plan_on_disk, capsys, spec, message):
+        doc = json.loads(plan_on_disk.read_text())
+        doc["tables"]["l"]["path"] = "missing.csv"
+        bad = plan_on_disk.parent / "no_lineitem.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad), "--subsample", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_subsample_sharing_a_keyed_seed_exits_2(self, plan_on_disk, capsys):
+        # the first sub-sample relation's seed is 0x5B5A11CE: on the plan's
+        # l it would repeat the plan's own keyed decisions and keep every row
+        doc = json.loads(plan_on_disk.read_text())
+        doc["tables"]["l"]["path"] = "missing.csv"
+        doc["plan"]["child"]["child"]["left"]["method"] = {
+            "method": "lineage_bernoulli", "dims": {"l": {"p": 0.3, "seed": 0x5B5A11CE}}}
+        bad = plan_on_disk.parent / "subsample_seed.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad), "--subsample", "l=0.5", "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: lineage-keyed dimensions plan.child.child.left.method.dims.l and "
+            "subsample relation 'l' share seed 1532629454: ")
+
+    def test_text_report_with_exact_oracle(self, tmp_path, capsys):
+        generate_tpch_tiny({"l": 4, "o": 2, "c": 2, "p": 2}, 2, tmp_path)
+        doc = query1_document(p=0.5, n=1)
+        doc["plan"]["child"]["child"]["right"]["method"] = {
+            "method": "bernoulli", "p": 0.5, "seed": 2}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        assert main(["estimate", str(plan_path), "--oracle", "--oracle-trials", "20"]) == 0
+        exact = json.loads(capsys.readouterr().out)["oracle"]["exact"]
+        assert main(["estimate", str(plan_path), "--format", "text", "--oracle",
+                     "--oracle-trials", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (f"oracle exact    mean={exact['mean']:.4g} "
+                f"variance={exact['variance']:.4g}") in lines
+        assert [line.split()[:2] for line in lines[-4:]] == [
+            ["oracle", "truth"], ["oracle", "exact"], ["oracle", "exact-y"], ["oracle", "mc"]]
+
+    def test_unreadable_plan_path_exits_2(self, tmp_path, capsys):
+        assert main(["estimate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
     @pytest.mark.parametrize("error, code", [
         (errors.PlanError, 2), (errors.IngestError, 2), (errors.ExpressionError, 2),
         (errors.SchemaError, 2), (errors.SelfJoinError, 2), (errors.SampleSizeError, 2),

@@ -37,6 +37,7 @@ from gusbox.algebra import identity_gus
 from gusbox.cli import main
 from gusbox.datagen import generate_tpch_tiny
 from gusbox.errors import IngestError
+from gusbox.exprs import Arith
 from gusbox.ingest import ingest_csv
 from gusbox.samplers import keyed_unit, keyed_units
 
@@ -213,6 +214,55 @@ def test_fixed_edge_cases():
     assert [row.lineage for row in execute(equal, catalog).relation.rows] == [(9,)]
     with pytest.raises(ZeroDivisionError):
         execute(divide_by_zero, catalog)
+
+
+INT_COLUMN = [-2**63, -2**53 - 1, -1, 0, 1, 2**53, 2**53 + 1, 2**63 - 1]
+FLOAT_COLUMN = [-math.inf, -1.7e308, -2.0**53, -1.5, -0.0, 0.0, 2.0**53, 2.0**53 + 2.0,
+                1.7e308, math.inf, math.nan]
+CONSTANT_CASES = [
+    ("float64", 10**400), ("float64", -10**400),  # ints past the float range
+    ("float64", 2**53 + 1), ("float64", -2**53 - 1),  # ints between two floats
+    ("int64", math.inf), ("int64", -math.inf),
+    ("int64", -2**63 - 1), ("int64", 2**63),  # ints outside int64
+]
+
+
+@pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+@pytest.mark.parametrize("ctype, constant", CONSTANT_CASES,
+                         ids=[f"{t}-{c}" for t, c in CONSTANT_CASES])
+def test_constant_comparisons_match_python(ctype, constant, op):
+    """Comparisons that no float conversion gets right, checked against
+    Python's own operator on the same values."""
+    values = INT_COLUMN if ctype == "int64" else FLOAT_COLUMN
+    test = engine.bind_predicate(Predicate((Comparison("x", op, constant),)), ["x"], [ctype])
+    expected = [engine._CMP_FUNCS[op](v, constant) for v in values]
+    assert test([np.array(values, dtype=ctype)]).tolist() == expected
+
+
+@pytest.mark.parametrize("pairs", [
+    (("l_i", "r_i"), ("l_x", "r_j")),  # the first pair int64 = int64 keeps every row
+    (("l_x", "r_j"), ("l_i", "r_i")),
+    (("l_i", "r_x"), ("l_x", "r_j")),
+], ids=["exact_then_float", "float_then_exact", "float_then_float"])
+def test_two_pair_equi_joins_match_row_reference(pairs):
+    l = base_table("l", ("l_i", "l_x"), ("int64", "float64"), ids=(1, 2, 3, 4, 5),
+                   rows=((1, 1.0), (1, 1.5), (2, float("nan")), (2, 2.0), (3, -0.0)))
+    r = base_table("r", ("r_i", "r_j", "r_x"), ("int64", "int64", "float64"), ids=(7, 8, 9),
+                   rows=((1, 1, 1.0), (2, 2, 2.0), (3, 0, 3.0)))
+    catalog = {"l": l, "r": r}
+    plan = Join(JoinSpec(pairs), Scan("l"), Scan("r"))
+    got = _outcome(lambda: _columnar(plan, catalog, 0))
+    assert got == _outcome(lambda: row_reference.execute(plan, catalog, 0))
+    assert got[4]  # some rows match
+
+
+@pytest.mark.parametrize("expr", ["-x", "+x", "-(-x)", "-x+1"])
+@pytest.mark.parametrize("values", [[-2**63 + 1, -5, 0, 7, 2**63 - 1], [-2**63, 3]],
+                         ids=["inside", "with_int64_min"])
+def test_unary_operators_over_int_columns(expr, values):
+    arith = Arith(expr, ["x"], ["int64"])
+    out = arith.over([np.array(values, dtype=np.int64)], len(values))
+    assert [v.hex() for v in out.tolist()] == [float(arith((v,))).hex() for v in values]
 
 
 def test_residual_joins_test_bounded_blocks(monkeypatch):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gusbox import IngestError, PlanError, SchemaError, SelfJoinError
+from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError
 from gusbox.dsl import parse_plan
 from gusbox.ingest import ingest_csv
 from gusbox.plan import (
@@ -184,6 +184,13 @@ def _shared_keyed_seed(doc):
         "method": {"method": "lineage_bernoulli", "dims": {"l": {"p": 0.5}, "o": {"p": 0.5}}}}
 
 
+def _keyed_seeds_equal_modulo_2_64(doc):
+    # the keyed hash reads its seed modulo 2**64, so these two decide alike
+    _shared_keyed_seed(doc)
+    doc["plan"]["child"]["child"]["method"]["dims"] = {
+        "l": {"p": 0.5, "seed": 5}, "o": {"p": 0.5, "seed": 5 + 2**64}}
+
+
 def _shared_row_seed(doc):
     join = doc["plan"]["child"]["child"]
     del join["left"]["method"]["seed"], join["right"]["method"]["seed"]
@@ -260,6 +267,10 @@ def _nested_sum(doc):
 STRUCTURAL_FAULTS = [
     (_shared_keyed_seed, r"^lineage-keyed dimensions plan\.child\.child\.method\.dims\.l "
                          r"and plan\.child\.child\.method\.dims\.o share seed 0"),
+    (_keyed_seeds_equal_modulo_2_64,
+     r"^lineage-keyed dimensions plan\.child\.child\.method\.dims\.l and "
+     r"plan\.child\.child\.method\.dims\.o share seeds 5 and 18446744073709551621 "
+     r"\(equal modulo 2\*\*64\): "),
     (_shared_row_seed, r"^row samplers plan\.child\.child\.left\.method and "
                        r"plan\.child\.child\.right\.method share seed 0"),
     (_wor_over_sample, r"^plan\.child\.child\.right: fixed-size sampling over an already "
@@ -305,6 +316,12 @@ def test_relation_set_faults_keep_their_type(plan, error):
     with pytest.raises(error, match=r"^plan: ") as raised:
         validate_plan(plan)
     assert type(raised.value) is error
+
+
+def test_validate_plan_returns_the_output_schema():
+    plan = parse_plan(json.dumps(query1_document())).plan
+    assert validate_plan(plan) == LineageSchema.of(["l", "o"])
+    assert validate_plan(plan.child, {"o": 1, "l": 2}) == LineageSchema.of(["l", "o"])
 
 
 class TestIngestCsv:

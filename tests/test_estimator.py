@@ -19,7 +19,6 @@ from gusbox import (
     execute,
     execute_full,
     quantile_bounds,
-    subsample_variance,
     variance_estimate,
     y_sample_terms,
     y_unbiased,
@@ -448,9 +447,8 @@ class TestSubsampleVariance:
         norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         res = execute(plan, desk_catalog, master_seed=4)
         direct = analyze(res.relation, norm.gus, quantiles=(0.05, 0.95))
-        via = subsample_variance(
-            res.relation, norm.gus, {"l": (1.0, 1), "o": (1.0, 2)},
-            quantiles=(0.05, 0.95))
+        via = analyze(res.relation, norm.gus, quantiles=(0.05, 0.95),
+                      subsample={"l": (1.0, 1), "o": (1.0, 2)})
         assert via.estimate == direct.estimate
         assert via.y_sample == direct.y_sample
         assert via.y_hat == direct.y_hat
@@ -462,8 +460,7 @@ class TestSubsampleVariance:
         plan = query1_plan()
         norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         res = execute(plan, desk_catalog, master_seed=4)
-        report = subsample_variance(
-            res.relation, norm.gus, {"l": (0.5, 1), "o": (0.5, 2)})
+        report = analyze(res.relation, norm.gus, subsample={"l": (0.5, 1), "o": (0.5, 2)})
         expected = compact(
             norm.gus, gus_of_lineage_bernoulli({"l": 0.5, "o": 0.5}, norm.gus.schema))
         assert report.subsample_gus == expected
@@ -475,7 +472,7 @@ class TestSubsampleVariance:
         # the two-table walkthrough stacked with a (0.2, 0.3) keyed filter
         g12 = join_merge(gus_of_bernoulli(0.1, "l"), gus_of_wor(1000, 150_000, "o"))
         rel = lineage_relation(["l", "o"], [((1, 1), 1.0)])
-        report = subsample_variance(rel, g12, {"l": (0.2, 1), "o": (0.3, 2)})
+        report = analyze(rel, g12, subsample={"l": (0.2, 1), "o": (0.3, 2)})
         g = report.subsample_gus
         s = g.schema
         assert g.a == pytest.approx(4e-5, rel=1e-3)
@@ -497,9 +494,9 @@ class TestSubsampleVariance:
         for t in range(40):
             rel = execute(plan, desk_catalog, master_seed=derive_seed(555, t)).relation
             direct = analyze(rel, norm.gus)
-            via = subsample_variance(
+            via = analyze(
                 rel, norm.gus,
-                {"l": (0.7, derive_seed(t, 1)), "o": (0.7, derive_seed(t, 2))})
+                subsample={"l": (0.7, derive_seed(t, 1)), "o": (0.7, derive_seed(t, 2))})
             assert direct.variance_hat > 0 and via.variance_hat > 0
             ratios.append(via.variance_hat / direct.variance_hat)
         assert 1 / 3 <= statistics.median(ratios) <= 3

@@ -12,9 +12,8 @@ from gusbox import (
     SchemaError,
     SelfJoinError,
     common_lineage,
-    extend_schema,
 )
-from gusbox.algebra import gus_of_bernoulli, identity_gus
+from gusbox.algebra import gus_of_bernoulli, identity_gus, join_merge
 
 from conftest import gus_from_json, gus_to_json, mask_of, mask_of_key
 
@@ -105,7 +104,7 @@ class TestGusParams:
 
     def test_json_shape(self):
         g = gus_of_bernoulli(0.1, "l")
-        g2 = extend_schema(g, LineageSchema.of(["l", "o"]))
+        g2 = join_merge(g, identity_gus(LineageSchema.of(["o"])))
         doc = g2.to_json_dict()
         assert doc["schema"] == ["l", "o"]
         assert set(doc["b"]) == {"", "l", "o", "lo"}
@@ -131,9 +130,11 @@ class TestGusParams:
 
 
 class TestExtendSchema:
+    # a table widens by a join with the identity table over the new relations
+
     def test_bernoulli_widened(self):
         g = gus_of_bernoulli(0.1, "l")
-        wide = extend_schema(g, LineageSchema.of(["l", "o"]))
+        wide = join_merge(g, identity_gus(LineageSchema.of(["o"])))
         s = wide.schema
         assert wide.a == 0.1
         assert wide.b[mask_of_key(s, "o")] == wide.b[0] == pytest.approx(0.01, rel=1e-12)
@@ -141,17 +142,12 @@ class TestExtendSchema:
 
     def test_identity_stays_identity(self):
         g = identity_gus(LineageSchema.of(["l"]))
-        wide = extend_schema(g, LineageSchema.of(["c", "l", "o"]))
+        wide = join_merge(g, identity_gus(LineageSchema.of(["c", "o"])))
         assert wide.is_identity
 
     def test_same_schema_is_noop(self):
         g = gus_of_bernoulli(0.3, "l")
-        assert extend_schema(g, g.schema) == g
-
-    def test_requires_containment(self):
-        g = gus_of_bernoulli(0.3, "l")
-        with pytest.raises(SchemaError):
-            extend_schema(g, LineageSchema.of(["o", "p"]))
+        assert join_merge(g, identity_gus(LineageSchema(()))) == g
 
 
 class TestSampleRelation:

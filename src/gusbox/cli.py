@@ -4,7 +4,7 @@
                     [--subsample l=0.2,o=0.3] [--format json|text] [--out FILE]
     gusbox generate --scale l=1000,o=250,c=50,p=100 --seed 7 --out DIR
 
-Exit codes: 0 success, 2 plan/ingestion errors, 3 estimate not identifiable.
+Exit codes: 0 success, 2 plan/ingestion/file errors, 3 estimate not identifiable.
 """
 
 from __future__ import annotations
@@ -26,35 +26,45 @@ from .errors import (
     PlanError,
 )
 from .ingest import ingest_csv
-from .plan import PlanNode, SumAggregate, validate_plan
+from .plan import PlanNode, SumAggregate, check_seed, validate_plan
 
 _SUBSAMPLE_SEED_SPACE = 0x5B5A11CE
+
+
+def _name_values(text: str, flag: str, key: str, what: str, convert) -> dict:
+    """The ``key=what`` entries of the comma-separated list ``--flag``
+    takes, in sorted entry order, each value read by ``convert``. A repeated
+    name is an error."""
+    entries = {}
+    for part in sorted(p.strip() for p in text.split(",") if p.strip()):
+        if "=" not in part:
+            raise PlanError(f"bad {flag} entry {part!r}; expected {key}={what}")
+        name, _, value = part.partition("=")
+        name = name.strip()
+        if name in entries:
+            raise PlanError(f"{flag} {key} {name!r} given more than once")
+        try:
+            entries[name] = convert(value)
+        except ValueError:
+            raise PlanError(f"bad {flag} {what} {value!r} for {name!r}") from None
+    return entries
 
 
 def _parse_subsample(text: str, plan: PlanNode,
                      master_seed: int) -> dict[str, tuple[float, int]]:
     """The ``{relation: (p, run seed)}`` keyed filter a ``--subsample`` spec
-    names, checked against the plan before any data is read."""
-    dims, seeds = {}, {}
-    for i, part in enumerate(sorted(p.strip() for p in text.split(",") if p.strip())):
-        if "=" not in part:
-            raise PlanError(f"bad subsample entry {part!r}; expected relation=p")
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name in dims:
-            raise PlanError(f"subsample relation {name!r} given more than once")
-        try:
-            p = float(value)
-        except ValueError:
-            raise PlanError(f"bad subsample probability {value!r}") from None
+    names, checked against the plan before any data is read. The i-th entry
+    in sorted order gets the seed ``_SUBSAMPLE_SEED_SPACE + i``."""
+    probabilities = _name_values(text, "subsample", "relation", "probability", float)
+    if not probabilities:
+        raise PlanError("empty subsample spec")
+    for p in probabilities.values():
         if not 0.0 <= p <= 1.0:
             raise PlanError(f"subsample probability {p} outside [0, 1]")
-        seeds[name] = _SUBSAMPLE_SEED_SPACE + i
-        dims[name] = (p, samplers.derive_seed(master_seed, seeds[name]))
-    if not dims:
-        raise PlanError("empty subsample spec")
+    seeds = {name: _SUBSAMPLE_SEED_SPACE + i for i, name in enumerate(probabilities)}
     validate_plan(plan, seeds)
-    return dims
+    return {name: (p, samplers.derive_seed(master_seed, seeds[name]))
+            for name, p in probabilities.items()}
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
@@ -138,11 +148,12 @@ def _text_report(report: estimator.EstimateReport, trace, oracle_doc) -> str:
 
 def run_estimate(args) -> int:
     plan_path = Path(args.plan)
+    if args.oracle_trials < 1:
+        raise PlanError(f"--oracle-trials {args.oracle_trials} must be >= 1")
     try:
         text = plan_path.read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read {plan_path}: {exc}", file=sys.stderr)
-        return 2
+        raise PlanError(f"cannot read {plan_path}: {exc}") from None
     doc = parse_plan(text)
     if not isinstance(doc.plan, SumAggregate):
         raise PlanError("plan: estimation needs a sum aggregate at the root")
@@ -202,7 +213,7 @@ def run_estimate(args) -> int:
 
 
 def run_generate(args) -> int:
-    scale = datagen.parse_scale(args.scale) if args.scale else {}
+    scale = _name_values(args.scale, "scale", "key", "count", int)
     paths = datagen.generate_tpch_tiny(scale, args.seed, args.out)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run a plan document and report the estimate")
     est.add_argument("plan", help="path to the JSON plan document")
-    est.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    est.add_argument("--seed", type=int, default=0, help="run seed in [0, 2**64) (default 0)")
     est.add_argument("--explain", action="store_true",
                      help="include the plan rewrite trace")
     est.add_argument("--oracle", action="store_true",
@@ -244,11 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_seed(args.seed)  # before any file is read
         return args.func(args)
     except (NotIdentifiableError, DegenerateSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GusboxError as exc:
+    except (GusboxError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

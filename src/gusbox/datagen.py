@@ -84,20 +84,3 @@ def generate_tpch_tiny(scale: Mapping[str, int], seed: int,
         ),
     )
     return paths
-
-
-def parse_scale(text: str) -> dict[str, int]:
-    """Parse 'l=1000,o=250,c=50,p=100' style scale flags."""
-    scale = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise PlanError(f"bad scale entry {part!r}; expected key=count")
-        key, _, value = part.partition("=")
-        try:
-            scale[key.strip()] = int(value)
-        except ValueError:
-            raise PlanError(f"bad scale count {value!r} for {key!r}") from None
-    return scale

@@ -88,6 +88,15 @@ def _parse_predicate(doc, path: str) -> Predicate:
     return Predicate(tuple(_parse_atom(a, f"{path}[{i}]") for i, a in enumerate(doc)))
 
 
+def _integer(doc: Mapping, key: str) -> int:
+    """``doc[key]`` (0 if absent), which must be a JSON integer, not a float,
+    bool or string: ``int()`` would truncate 1.9 and accept ``true``."""
+    value = doc.get(key, 0)
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def _parse_method(doc, path: str):
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: sampler method must be an object")
@@ -96,12 +105,12 @@ def _parse_method(doc, path: str):
         _no_extras(doc, {"method", "p", "seed"}, path)
         p = _need(doc, "p", path)
         with _at(path):
-            return BernoulliSpec(float(p), int(doc.get("seed", 0)))
+            return BernoulliSpec(float(p), _integer(doc, "seed"))
     if kind == "wor":
         _no_extras(doc, {"method", "n", "seed"}, path)
-        n = _need(doc, "n", path)
+        _need(doc, "n", path)
         with _at(path):
-            return WorSpec(int(n), int(doc.get("seed", 0)))
+            return WorSpec(_integer(doc, "n"), _integer(doc, "seed"))
     if kind == "lineage_bernoulli":
         _no_extras(doc, {"method", "dims"}, path)
         dims_doc = _need(doc, "dims", path)
@@ -114,8 +123,8 @@ def _parse_method(doc, path: str):
                 raise PlanError(f"{where}: must be an object")
             _no_extras(entry, {"p", "seed"}, where)
             p = _need(entry, "p", where)
-            with _at(path):
-                dims[name] = (float(p), int(entry.get("seed", 0)))
+            with _at(where):
+                dims[name] = (float(p), _integer(entry, "seed"))
         with _at(path):
             return LineageBernoulliSpec.of(dims)
     raise PlanError(f"{path}: unknown sampling method {kind!r}")

@@ -313,8 +313,7 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
                 for k in range(0, len(li), _PAIR_BLOCK)))
     else:
         li, ri = _passing_pairs(residual, left, right, _cross_blocks(len(left), len(right)))
-    object_ids = left.lineage.dtype == object or right.lineage.dtype == object
-    lineage = np.empty((len(li), merged_schema.n), dtype=object if object_ids else np.int64)
+    lineage = np.empty((len(li), merged_schema.n), dtype=np.int64)
     lineage[:, left_pos] = left.lineage[li]
     lineage[:, right_pos] = right.lineage[ri]
     order = lineage_order(lineage)

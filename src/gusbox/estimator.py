@@ -28,9 +28,8 @@ exactly, without a group-by, and the oracle, which sorts by the projected
 key, sums them in that order too. (A bit below ``lo`` could reorder the
 keys; subsets with one lie outside the subtree and get their own group-by.)
 Everything
-reads the relation's lineage matrix and ``f`` array directly; column ranks
-come from ``np.unique``, which orders ints past int64 (object ids) as
-Python does.
+reads the relation's int64 lineage matrix and ``f`` array directly; column
+ranks come from ``np.unique``.
 
 ``Y[S]`` sums ``f*f'`` over ordered sample pairs agreeing on at least
 ``S``, so it is biased. The correction is two O(n * 2**n) transforms over

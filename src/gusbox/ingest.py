@@ -1,6 +1,6 @@
 """CSV ingestion into stored tables. A stored table is a
 :class:`~gusbox.model.SampleRelation` over the one-name schema of its table:
-its lineage holds a unique 64-bit id per row, and its ``f`` is zeros.
+its lineage holds a unique int64 id per row, and its ``f`` is zeros.
 
 Each file is parsed into typed numpy columns by numpy's C tokenizer
 (``np.loadtxt``). That parser accepts no field that Python's ``int()`` or
@@ -8,7 +8,8 @@ Each file is parsed into typed numpy columns by numpy's C tokenizer
 files with quote or NUL characters), the same file goes through the ``csv``
 module row by row, which finds the first bad field and words the error with
 its line.
-Strings, and ints outside the int64 range, land in object columns.
+Strings, and ints outside the int64 range, land in object columns; a row id
+outside that range is an error.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ from .exprs import Arith
 from .model import COLUMN_TYPES, LineageSchema, SampleRelation, column_array
 
 _DTYPES = {"int64": np.int64, "float64": np.float64, "string": object}
-
-
-def _has_duplicates(values: np.ndarray) -> bool:
-    if values.dtype == object:
-        return len(set(values.tolist())) != len(values)
-    ordered = np.sort(values)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 def _plain(path: Path) -> bool:
@@ -98,7 +92,7 @@ def ingest_csv(path: Union[str, Path], name: str,
                id_column: str = "rowIndex") -> SampleRelation:
     """Load a headered CSV into a stored table over the schema ``(name,)``.
 
-    ``id_column`` selects the unique 64-bit row id: the literal string
+    ``id_column`` selects the unique int64 row id: the literal string
     ``"rowIndex"`` numbers rows 0..N-1, a declared int64 column uses its
     values, and anything else is treated as an integer expression over the
     declared columns (e.g. a key combination like ``okey*10+lineno``).
@@ -140,7 +134,10 @@ def ingest_csv(path: Union[str, Path], name: str,
             raise IngestError(str(exc)) from None
         ids = arith.over(data, m)
 
-    if _has_duplicates(ids):
+    if ids.dtype != np.int64:  # an int column or id expression holds ints past int64
+        raise IngestError(f"table {name}: row ids from {id_column!r} must fit int64")
+    ordered = np.sort(ids)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
     return SampleRelation(LineageSchema.of([name]), columns, types, data=data,
                           lineage=ids.reshape(-1, 1), f=np.zeros(m, dtype=np.float64))

@@ -2,8 +2,8 @@
 tables, and lineage-carrying relations.
 
 A relation (:class:`SampleRelation`) is columnar: one numpy array per
-column, an ``m x n`` lineage matrix holding each row's base-tuple ids in
-schema order, and an ``f`` array of per-row aggregate values. ``rows``, a
+column, an ``m x n`` int64 lineage matrix holding each row's base-tuple ids
+in schema order, and an ``f`` array of per-row aggregate values. ``rows``, a
 tuple of :class:`Row` in Python scalars, is a view built on first use for
 callers that want tuples (tests, the oracle); the engine and the estimator
 read the arrays. A stored table is a relation too: one over the
@@ -192,13 +192,6 @@ INT64_MAX = (1 << 63) - 1
 COLUMN_TYPES = {"int64": int, "float64": float, "string": str}
 
 
-def object_array(values: Sequence) -> np.ndarray:
-    """1-d object array holding ``values`` themselves."""
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out
-
-
 def _fits_int64(values: Iterable) -> bool:
     return all(type(v) is int and INT64_MIN <= v <= INT64_MAX for v in values)
 
@@ -211,15 +204,9 @@ def column_array(values: Sequence, ctype: str) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     if ctype == "float64" and all(type(v) is float for v in values):
         return np.array(values, dtype=np.float64)
-    return object_array(values)
-
-
-def lineage_array(lineages: Sequence[Lineage], n: int) -> np.ndarray:
-    """``m x n`` lineage matrix: int64, or object when an id is not an int
-    inside the int64 range."""
-    flat = [v for lineage in lineages for v in lineage]
-    arr = np.array(flat, dtype=np.int64) if _fits_int64(flat) else object_array(flat)
-    return arr.reshape(len(lineages), n)
+    out = np.empty(len(values), dtype=object)  # holding the values themselves
+    out[:] = values
+    return out
 
 
 def value_tuples(data: Sequence[np.ndarray], m: int) -> Iterable[tuple]:
@@ -240,18 +227,20 @@ class SampleRelation:
     column-wise: one array per column in ``data``, an ``m x n`` lineage
     matrix over ``schema`` and an ``f`` array. Numeric columns are int64 or
     float64 arrays; strings, and ints outside the int64 range, sit in object
-    arrays, as do ids outside that range in the lineage matrix.
+    arrays. The lineage matrix is always int64: the keyed samplers hash ids
+    as 64-bit values, so a wider id would share decisions with another.
 
     Duplicate-free by full lineage vector: sampling here is filtering, never
     replication, so a lineage identifies a row.
 
     ``SampleRelation(schema, columns, column_types, rows)`` builds a relation
-    from :class:`Row` tuples and checks their lineage and that every value's
-    Python type is its column's (``int``, ``float`` or ``str``). The keyword
-    form (``data=``, ``lineage=``, ``f=``) takes arrays as ingestion and the
-    engine's operators produce them; it checks shapes only, because every
-    operator keeps lineage unique by construction. ``rows`` is a derived
-    view in Python scalars, built on first use; the engine never needs it.
+    from :class:`Row` tuples and checks their lineage (unique vectors of
+    int64 ids) and that every value's Python type is its column's (``int``,
+    ``float`` or ``str``). The keyword form (``data=``, ``lineage=``,
+    ``f=``) takes arrays as ingestion and the engine's operators produce
+    them; it checks shapes only, because every operator keeps lineage unique
+    by construction. ``rows`` is a derived view in Python scalars, built on
+    first use; the engine never needs it.
     """
 
     def __init__(self, schema: LineageSchema, columns: Sequence[str],
@@ -284,6 +273,9 @@ class SampleRelation:
                     raise SchemaError(
                         f"lineage {row.lineage} has length {len(row.lineage)}, schema has {n}"
                     )
+                if not _fits_int64(row.lineage):
+                    raise SchemaError(
+                        f"lineage {row.lineage} over {self.schema.relations} holds a non-int64 id")
                 if row.lineage in seen:
                     raise SchemaError(f"duplicate lineage vector {row.lineage}")
                 seen.add(row.lineage)
@@ -300,7 +292,8 @@ class SampleRelation:
                 column_array([row.values[i] for row in self.rows], ctype)
                 for i, ctype in enumerate(self.column_types)
             )
-            self.lineage = lineage_array([row.lineage for row in self.rows], n)
+            self.lineage = np.array([row.lineage for row in self.rows],
+                                    dtype=np.int64).reshape(len(self.rows), n)
             self.f = np.array([row.f for row in self.rows], dtype=np.float64)
         m = len(self.f)
         if self.lineage.shape != (m, n):

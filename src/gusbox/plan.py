@@ -57,6 +57,12 @@ class JoinSpec:
     residual: Predicate = ALWAYS_TRUE
 
 
+def check_seed(seed: int) -> None:
+    """Seeds are ints in ``[0, 2**64)``, which the 64-bit keyed hash reads whole."""
+    if not 0 <= seed < 1 << 64:
+        raise PlanError(f"seed {seed} outside [0, 2**64)")
+
+
 @dataclass(frozen=True)
 class BernoulliSpec:
     p: float
@@ -65,8 +71,7 @@ class BernoulliSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise PlanError(f"Bernoulli probability {self.p} outside [0, 1]")
-        if self.seed < 0:
-            raise PlanError("seeds must be non-negative")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,7 @@ class WorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise PlanError(f"sample size {self.n} must be >= 1")
-        if self.seed < 0:
-            raise PlanError("seeds must be non-negative")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,7 @@ class LineageBernoulliSpec:
         for name, p, seed in self.dims:
             if not 0.0 <= p <= 1.0:
                 raise PlanError(f"probability {p} for {name!r} outside [0, 1]")
-            if seed < 0:
-                raise PlanError("seeds must be non-negative")
+            check_seed(seed)
 
     @classmethod
     def of(cls, dims: Mapping[str, tuple[float, int]]) -> "LineageBernoulliSpec":
@@ -183,8 +186,9 @@ def validate_plan(root: PlanNode,
     table. Likewise no two row samplers (Bernoulli, WOR) share a seed: a row
     sampler's stream depends only on the run seed and its own seed. A keyed
     dimension and a row sampler may share a number, since they draw from
-    different generators. Keyed seeds are compared as the 64-bit values the
-    hash reads, so seeds equal modulo 2**64 are shared too.
+    different generators. Seeds are compared exactly: every spec holds its
+    seeds in ``[0, 2**64)``, where the keyed hash's ``mix64`` is a bijection,
+    so distinct seeds never make the same decisions.
 
     Every error starts with the offending node's path from the root, in the
     plan document's notation (``plan.child.method.dims.r``); a shared seed
@@ -194,16 +198,14 @@ def validate_plan(root: PlanNode,
     output to its seed; its relations must be in that schema, and it claims
     its seeds as keyed dimensions do. Its errors name the relation.
     """
-    keyed_seeds: dict[int, tuple[str, int]] = {}
+    keyed_seeds: dict[int, str] = {}
     row_seeds: dict[int, str] = {}
 
     def claim_keyed_seed(seed: int, where: str) -> None:
-        first, first_seed = keyed_seeds.setdefault(seed % (1 << 64), (where, seed))
+        first = keyed_seeds.setdefault(seed, where)
         if first != where:
-            shared = (f"seed {seed}" if seed == first_seed
-                      else f"seeds {first_seed} and {seed} (equal modulo 2**64)")
             raise PlanError(
-                f"lineage-keyed dimensions {first} and {where} share {shared}: "
+                f"lineage-keyed dimensions {first} and {where} share seed {seed}: "
                 "keyed decisions depend only on the seed and the base-tuple id, "
                 "so the two filters are not independent; give each keyed "
                 "dimension its own seed"

@@ -6,9 +6,11 @@ Stream-based samplers draw from a PCG64 generator: Bernoulli compares one
 ``rng.random(len)`` draw per row with ``p``, and WOR makes one
 ``rng.integers(i, m)`` draw per Fisher-Yates step. The lineage-keyed
 Bernoulli derives each decision from a SplitMix-style 64-bit hash of
-(seed, base-tuple id), computed over the whole lineage column in wrapping
-uint64 arithmetic, so a base tuple receives one decision shared across every
-result row that contains it.
+(seed, base-tuple id), computed over the whole int64 lineage column in
+wrapping uint64 arithmetic, so a base tuple receives one decision shared
+across every result row that contains it. Seeds lie in ``[0, 2**64)`` and
+ids in the int64 range (``plan.check_seed``, ingestion), where ``mix64`` is a
+bijection: distinct seeds, and distinct ids, never alias.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def keyed_unit(seed: int, key: int) -> float:
 
 def derive_seed(master: int, node_seed: int) -> int:
     """Combine a run-level seed with a per-operator seed."""
-    return mix64((master & _MASK64) * _GOLDEN ^ mix64(node_seed))
+    return mix64(master * _GOLDEN ^ mix64(node_seed))
 
 
 def generator(master: int, node_seed: int) -> np.random.Generator:
@@ -50,13 +52,9 @@ def generator(master: int, node_seed: int) -> np.random.Generator:
 
 
 def keyed_units(seed: int, keys: np.ndarray) -> np.ndarray:
-    """:func:`keyed_unit` of every key, in uint64 arithmetic that wraps as
-    the masks in :func:`mix64` do."""
-    if keys.dtype == object:
-        x = np.array([k & _MASK64 for k in keys.tolist()], dtype=np.uint64)
-    else:
-        x = keys.view(np.uint64)
-    x = x + np.uint64(seed * _GOLDEN & _MASK64)
+    """:func:`keyed_unit` of every key of an int64 array, in uint64
+    arithmetic that wraps as the masks in :func:`mix64` do."""
+    x = keys.view(np.uint64) + np.uint64(seed * _GOLDEN & _MASK64)
     x ^= x >> _SHIFTS[0]
     x *= _MULTIPLIERS[0]
     x ^= x >> _SHIFTS[1]

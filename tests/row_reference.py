@@ -230,6 +230,8 @@ def ingest_rows(path: Path, name: str, column_types: dict, id_column: str = "row
         except ExpressionError as exc:
             raise IngestError(str(exc)) from None
         ids = tuple(fn(row) for row in rows)
+    if any(not -2**63 <= v < 2**63 for v in ids):
+        raise IngestError(f"table {name}: row ids from {id_column!r} must fit int64")
     if len(set(ids)) != len(ids):
         raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
     return tuple(rows), ids

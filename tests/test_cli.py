@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gusbox import PlanError, SumAggregate, cli, engine, errors, oracle
 from gusbox.cli import indented_json, main
-from gusbox.datagen import generate_tpch_tiny, parse_scale
+from gusbox.datagen import generate_tpch_tiny
 from gusbox.ingest import ingest_csv
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES
@@ -54,10 +54,28 @@ class TestGenerate:
         with pytest.raises(PlanError, match="single-digit"):
             generate_tpch_tiny({"l": 100, "o": 10}, 1, tmp_path)
 
-    def test_parse_scale(self):
-        assert parse_scale("l=10, o=5") == {"l": 10, "o": 5}
-        with pytest.raises(PlanError):
-            parse_scale("l=ten")
+    def test_parse_scale(self, tmp_path, capsys):
+        assert cli._name_values("l=10, o=5", "scale", "key", "count", int) == {"l": 10, "o": 5}
+        assert main(["generate", "--scale", "l=ten", "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: bad scale count 'ten' for 'l'\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_repeated_scale_key_exits_2(self, tmp_path, capsys):
+        # one parser for --scale and --subsample: neither lets a later entry win
+        assert main(["generate", "--scale", "l=5,l=10", "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: scale key 'l' given more than once\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys):
+        assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: seed -1 outside [0, 2**64)\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_output_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        assert main(["generate", "--out", str(tmp_path / "f" / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
 @pytest.fixture()
@@ -353,6 +371,50 @@ class TestEstimateCommand:
     def test_unreadable_plan_path_exits_2(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_unwritable_out_exits_2(self, plan_on_disk, tmp_path, capsys):
+        assert main(["estimate", str(plan_on_disk), "--out",
+                     str(tmp_path / "missing" / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_table_path_that_is_a_directory_exits_2(self, plan_on_disk, tmp_path, capsys):
+        doc = json.loads(plan_on_disk.read_text())
+        doc["tables"]["l"]["path"] = "."
+        bad = tmp_path / "dir_table.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed -1 outside [0, 2**64)"),
+        (["--seed", str(2**64)], "seed 18446744073709551616 outside [0, 2**64)"),
+        (["--oracle", "--oracle-trials", "0"], "--oracle-trials 0 must be >= 1"),
+        (["--oracle-trials", "-3"], "--oracle-trials -3 must be >= 1"),
+    ], ids=["seed_-1", "seed_2_64", "trials_0", "trials_-3"])
+    def test_run_flags_checked_before_ingest(self, plan_on_disk, capsys, flags, message):
+        # a negative run seed used to reach numpy's SeedSequence and exit 1
+        doc = json.loads(plan_on_disk.read_text())
+        doc["tables"]["l"]["path"] = "missing.csv"
+        bad = plan_on_disk.parent / "no_lineitem.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_row_ids_past_int64_exit_2(self, tmp_path, capsys):
+        # a keyed hash reads ids modulo 2**64: -1 and 2**64 - 1 would share
+        # every decision while the table treats them as independent tuples
+        (tmp_path / "t.csv").write_text("k,v\n-1,1.0\n18446744073709551615,2.0\n3,3.0\n")
+        doc = {"tables": {"t": {"path": "t.csv", "idColumn": "k",
+                                "columnTypes": {"k": "int64", "v": "float64"}}},
+               "plan": {"op": "sum", "expr": "v", "child": {
+                   "op": "sample", "child": {"op": "scan", "table": "t"},
+                   "method": {"method": "lineage_bernoulli", "dims": {"t": {"p": 0.5}}}}}}
+        plan_path = tmp_path / "wide.json"
+        plan_path.write_text(json.dumps(doc))
+        assert main(["estimate", str(plan_path)]) == 2
+        assert capsys.readouterr().err == "error: table t: row ids from 'k' must fit int64\n"
 
     @pytest.mark.parametrize("error, code", [
         (errors.PlanError, 2), (errors.IngestError, 2), (errors.ExpressionError, 2),

@@ -1,6 +1,7 @@
 """Plan-document parsing and CSV ingestion."""
 
 import json
+import re
 
 import pytest
 
@@ -184,8 +185,8 @@ def _shared_keyed_seed(doc):
         "method": {"method": "lineage_bernoulli", "dims": {"l": {"p": 0.5}, "o": {"p": 0.5}}}}
 
 
-def _keyed_seeds_equal_modulo_2_64(doc):
-    # the keyed hash reads its seed modulo 2**64, so these two decide alike
+def _keyed_seed_past_2_64(doc):
+    # the keyed hash reads 64 bits of its seed: 5 + 2**64 would decide as 5 does
     _shared_keyed_seed(doc)
     doc["plan"]["child"]["child"]["method"]["dims"] = {
         "l": {"p": 0.5, "seed": 5}, "o": {"p": 0.5, "seed": 5 + 2**64}}
@@ -232,6 +233,31 @@ def _negative_seed(doc):
     doc["plan"]["child"]["child"]["right"]["method"]["seed"] = -1
 
 
+def _float_seed(doc):  # int() would truncate it to 1
+    doc["plan"]["child"]["child"]["left"]["method"]["seed"] = 1.9
+
+
+def _bool_seed(doc):
+    doc["plan"]["child"]["child"]["left"]["method"]["seed"] = True
+
+
+def _string_seed(doc):
+    doc["plan"]["child"]["child"]["right"]["method"]["seed"] = "7"
+
+
+def _huge_float_seed(doc):  # int(1e30) is 1000000000000000019884624838656
+    doc["plan"]["child"]["child"]["right"]["method"]["seed"] = 1e30
+
+
+def _float_sample_size(doc):  # int() would truncate it to 2
+    doc["plan"]["child"]["child"]["right"]["method"]["n"] = 2.7
+
+
+def _keyed_float_seed(doc):
+    doc["plan"]["child"]["child"]["left"]["method"] = {
+        "method": "lineage_bernoulli", "dims": {"l": {"p": 0.5, "seed": 3.0}}}
+
+
 def _missing_p(doc):
     del doc["plan"]["child"]["child"]["left"]["method"]["p"]
 
@@ -267,10 +293,8 @@ def _nested_sum(doc):
 STRUCTURAL_FAULTS = [
     (_shared_keyed_seed, r"^lineage-keyed dimensions plan\.child\.child\.method\.dims\.l "
                          r"and plan\.child\.child\.method\.dims\.o share seed 0"),
-    (_keyed_seeds_equal_modulo_2_64,
-     r"^lineage-keyed dimensions plan\.child\.child\.method\.dims\.l and "
-     r"plan\.child\.child\.method\.dims\.o share seeds 5 and 18446744073709551621 "
-     r"\(equal modulo 2\*\*64\): "),
+    (_keyed_seed_past_2_64, r"^plan\.child\.child\.method: "
+                            r"seed 18446744073709551621 outside \[0, 2\*\*64\)$"),
     (_shared_row_seed, r"^row samplers plan\.child\.child\.left\.method and "
                        r"plan\.child\.child\.right\.method share seed 0"),
     (_wor_over_sample, r"^plan\.child\.child\.right: fixed-size sampling over an already "
@@ -283,7 +307,16 @@ STRUCTURAL_FAULTS = [
     (_wor_of_zero, r"^plan\.child\.child\.right\.method: sample size 0 must be >= 1$"),
     (_bernoulli_p_over_one, r"^plan\.child\.child\.left\.method: "
                             r"Bernoulli probability 1\.5 outside \[0, 1\]$"),
-    (_negative_seed, r"^plan\.child\.child\.right\.method: seeds must be non-negative$"),
+    (_negative_seed, r"^plan\.child\.child\.right\.method: seed -1 outside \[0, 2\*\*64\)$"),
+    (_float_seed, r"^plan\.child\.child\.left\.method: seed must be an integer, not 1\.9$"),
+    (_bool_seed, r"^plan\.child\.child\.left\.method: seed must be an integer, not true$"),
+    (_string_seed, r'^plan\.child\.child\.right\.method: seed must be an integer, not "7"$'),
+    (_huge_float_seed, r"^plan\.child\.child\.right\.method: "
+                       r"seed must be an integer, not 1e\+30$"),
+    (_float_sample_size, r"^plan\.child\.child\.right\.method: "
+                         r"n must be an integer, not 2\.7$"),
+    (_keyed_float_seed, r"^plan\.child\.child\.left\.method\.dims\.l: "
+                        r"seed must be an integer, not 3\.0$"),
     (_missing_p, r"^plan\.child\.child\.left\.method: missing required key 'p'$"),
     (_unknown_comparison, r"^plan\.child\.where\[0\]: unknown comparison operator '~'$"),
     (_col2_with_less_than, r"^plan\.child\.where\[0\]: "
@@ -377,6 +410,28 @@ class TestIngestCsv:
         path.write_text("k,name\n1,ann\n2,bob\n")
         table = ingest_csv(path, "t", {"k": "int64", "name": "string"}, "k")
         assert table.rows[1].values == (2, "bob")
+
+    @pytest.mark.parametrize("rows, id_column", [
+        ("-1,1.0\n18446744073709551615,2.0\n3,3.0\n", "k"),  # read through the row parser
+        ("9223372036854775807,1.0\n", "k+1"),  # an id expression past int64
+        ("-9223372036854775808,1.0\n", "k-1"),
+    ], ids=["column", "expression_above", "expression_below"])
+    def test_row_ids_past_int64_rejected(self, tmp_path, rows, id_column):
+        path = tmp_path / "t.csv"
+        path.write_text("k,v\n" + rows)
+        message = f"table t: row ids from '{id_column}' must fit int64"
+        with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+            ingest_csv(path, "t", {"k": "int64", "v": "float64"}, id_column)
+
+    def test_wide_values_stay_in_object_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("k,v\n-9223372036854775808,1.0\n18446744073709551615,2.0\n")
+        table = ingest_csv(path, "t", {"k": "int64", "v": "float64"})
+        assert table.lineage.dtype == "int64" and table.data[0].dtype == object
+        assert [row.values[0] for row in table.rows] == [-2**63, 2**64 - 1]
+        path.write_text("k,v\n-9223372036854775808,1.0\n9223372036854775807,2.0\n")
+        table = ingest_csv(path, "t", {"k": "int64", "v": "float64"}, "k")
+        assert table.lineage[:, 0].tolist() == [-2**63, 2**63 - 1]
 
     def test_id_expression_requires_int_columns(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -157,6 +157,14 @@ class TestSampleRelation:
         with pytest.raises(SchemaError, match="duplicate lineage"):
             SampleRelation(schema, (), (), rows)
 
+    @pytest.mark.parametrize("bad", [2**63, -2**63 - 1, 2**64 + 5, 1.0, True])
+    def test_lineage_ids_must_be_int64(self, bad):
+        schema = LineageSchema.of(["l", "o"])
+        rows = (Row((), (2**63 - 1, -2**63), 0.0), Row((), (3, bad), 0.0))
+        with pytest.raises(SchemaError, match=r"over \('l', 'o'\) holds a non-int64 id$"):
+            SampleRelation(schema, (), (), rows)
+        assert SampleRelation(schema, (), (), rows[:1]).lineage.dtype == "int64"
+
     def test_lineage_length_checked(self):
         schema = LineageSchema.of(["l", "o"])
         with pytest.raises(SchemaError):

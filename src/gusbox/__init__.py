@@ -12,9 +12,7 @@ from .algebra import (
     RewriteStep,
     c_coefficients,
     compact,
-    gus_of_bernoulli,
     gus_of_lineage_bernoulli,
-    gus_of_wor,
     identity_gus,
     join_merge,
     normalize_plan,

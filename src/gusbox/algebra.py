@@ -95,14 +95,6 @@ def row_wor_gus(n: int, N: int, schema: LineageSchema) -> GusParams:
     return GusParams(schema, a, tuple(b))
 
 
-def gus_of_bernoulli(p: float, relation: str) -> GusParams:
-    return row_bernoulli_gus(p, LineageSchema.of([relation]))
-
-
-def gus_of_wor(n: int, N: int, relation: str) -> GusParams:
-    return row_wor_gus(n, N, LineageSchema.of([relation]))
-
-
 def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
     """Single table covering both sides of a join over disjoint schemas."""
     merged = g1.schema.merge_disjoint(g2.schema)
@@ -157,7 +149,7 @@ def gus_of_lineage_bernoulli(dims: Mapping[str, float], schema: LineageSchema) -
             raise SchemaError(f"dimension {name!r} not in schema {schema.relations}")
     g = identity_gus(LineageSchema(()))
     for name in names:
-        g = join_merge(g, gus_of_bernoulli(dims[name], name))
+        g = join_merge(g, row_bernoulli_gus(dims[name], LineageSchema.of([name])))
     return join_merge(g, identity_gus(LineageSchema.of(set(schema.relations) - set(dims))))
 
 

@@ -152,7 +152,7 @@ def run_estimate(args) -> int:
         raise PlanError(f"--oracle-trials {args.oracle_trials} must be >= 1")
     try:
         text = plan_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlanError(f"cannot read {plan_path}: {exc}") from None
     doc = parse_plan(text)
     if not isinstance(doc.plan, SumAggregate):

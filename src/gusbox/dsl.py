@@ -67,7 +67,7 @@ def _at(path: str):
     """Prefix ``path`` to conversion errors and the spec constructors' own."""
     try:
         yield
-    except (TypeError, ValueError, PlanError) as exc:
+    except (TypeError, ValueError, OverflowError, PlanError) as exc:
         raise PlanError(f"{path}: {exc}") from None
 
 
@@ -97,15 +97,32 @@ def _integer(doc: Mapping, key: str) -> int:
     return value
 
 
+def _probability(doc: Mapping, key: str) -> float:
+    """``doc[key]``, which must be a JSON number, not a bool or a string:
+    ``float()`` would read ``true`` as 1.0 and ``"0.5"`` as 0.5."""
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, not {json.dumps(value)}")
+    return float(value)
+
+
+def _string(doc: Mapping, key: str, default: str | None = None) -> str:
+    """``doc[key]`` (``default`` if absent), which must be a JSON string."""
+    value = doc.get(key, default)
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, not {json.dumps(value)}")
+    return value
+
+
 def _parse_method(doc, path: str):
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: sampler method must be an object")
     kind = _need(doc, "method", path)
     if kind == "bernoulli":
         _no_extras(doc, {"method", "p", "seed"}, path)
-        p = _need(doc, "p", path)
+        _need(doc, "p", path)
         with _at(path):
-            return BernoulliSpec(float(p), _integer(doc, "seed"))
+            return BernoulliSpec(_probability(doc, "p"), _integer(doc, "seed"))
     if kind == "wor":
         _no_extras(doc, {"method", "n", "seed"}, path)
         _need(doc, "n", path)
@@ -122,9 +139,9 @@ def _parse_method(doc, path: str):
             if not isinstance(entry, dict):
                 raise PlanError(f"{where}: must be an object")
             _no_extras(entry, {"p", "seed"}, where)
-            p = _need(entry, "p", where)
+            _need(entry, "p", where)
             with _at(where):
-                dims[name] = (float(p), _integer(entry, "seed"))
+                dims[name] = (_probability(entry, "p"), _integer(entry, "seed"))
         with _at(path):
             return LineageBernoulliSpec.of(dims)
     raise PlanError(f"{path}: unknown sampling method {kind!r}")
@@ -138,7 +155,9 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         raise PlanError(f"{path}: unknown op {op!r}; expected one of {_OPS}")
     if op == "scan":
         _no_extras(doc, {"op", "table"}, path)
-        table = _need(doc, "table", path)
+        _need(doc, "table", path)
+        with _at(path):
+            table = _string(doc, "table")
         if table not in tables:
             raise PlanError(f"{path}: table {table!r} is not declared")
         return Scan(table)
@@ -177,9 +196,9 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         )
     # op == "sum"
     _no_extras(doc, {"op", "expr", "child"}, path)
-    expr = _need(doc, "expr", path)
-    if not isinstance(expr, str):
-        raise PlanError(f"{path}.expr: must be a string expression")
+    _need(doc, "expr", path)
+    with _at(path):
+        expr = _string(doc, "expr")
     return SumAggregate(
         expr, _parse_node(_need(doc, "child", path), tables, f"{path}.child"))
 
@@ -191,6 +210,8 @@ def parse_plan(text: str) -> PlanDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise PlanError(f"top level: {exc}") from None
     if not isinstance(doc, dict):
         raise PlanError("top level: plan document must be an object")
     _no_extras(doc, {"tables", "plan", "quantiles"}, "top level")
@@ -207,18 +228,22 @@ def parse_plan(text: str) -> PlanDocument:
         types_doc = _need(spec, "columnTypes", path)
         if not isinstance(types_doc, dict) or not types_doc:
             raise PlanError(f"{path}.columnTypes: need a non-empty object")
-        for col, ctype in types_doc.items():
+        for col in types_doc:
+            with _at(f"{path}.columnTypes"):
+                ctype = _string(types_doc, col)
             if ctype not in COLUMN_TYPES:
                 raise PlanError(
                     f"{path}.columnTypes.{col}: unknown type {ctype!r}; "
                     f"expected one of {tuple(COLUMN_TYPES)}"
                 )
-        tables[name] = TableSpec(
-            name=name,
-            path=_need(spec, "path", path),
-            id_column=spec.get("idColumn", "rowIndex"),
-            column_types=tuple(types_doc.items()),
-        )
+        _need(spec, "path", path)
+        with _at(path):
+            tables[name] = TableSpec(
+                name=name,
+                path=_string(spec, "path"),
+                id_column=_string(spec, "idColumn", "rowIndex"),
+                column_types=tuple(types_doc.items()),
+            )
 
     plan = _parse_node(_need(doc, "plan", "top level"), tables, "plan")
     try:

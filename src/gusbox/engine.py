@@ -320,8 +320,8 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
     li, ri = li[order], ri[order]
     return SampleRelation(
         merged_schema, columns, types,
-        data=[c[li] for c in left.data] + [c[ri] for c in right.data],
-        lineage=lineage[order], f=np.zeros(len(li), dtype=np.float64))
+        [c[li] for c in left.data] + [c[ri] for c in right.data],
+        lineage[order], np.zeros(len(li), dtype=np.float64))
 
 
 def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
@@ -341,8 +341,8 @@ def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
     order = order[first]
     return SampleRelation(
         left.schema, left.columns, left.column_types,
-        data=[np.concatenate([a, b])[order] for a, b in zip(left.data, right.data)],
-        lineage=ordered[first], f=np.concatenate([left.f, right.f])[order])
+        [np.concatenate([a, b])[order] for a, b in zip(left.data, right.data)],
+        ordered[first], np.concatenate([left.f, right.f])[order])
 
 
 def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:

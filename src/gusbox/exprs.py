@@ -7,8 +7,9 @@ arithmetic, or whole column arrays at once (:meth:`Arith.over`). The
 column form gives the same numbers as the row form on every row: where
 int64 arithmetic would overflow, an int division would round twice, a
 divisor is zero, or a column holds objects (ints past int64), it hands over
-to the row form, which then yields Python's exact result or raises Python's
-own error for the first row that has one.
+to the row form, which then yields Python's exact result or raises an
+``ExpressionError`` carrying Python's own message for the first row that has
+one.
 """
 
 from __future__ import annotations
@@ -135,8 +136,11 @@ class Arith:
     """A checked arithmetic expression over named, typed columns.
 
     With ``integer=True`` every referenced column must be int64 and each
-    row's result must be an int (row ids). Calling the object evaluates one
-    row's value tuple; :meth:`over` evaluates whole columns.
+    row's result must be an int (row ids); otherwise a row's result is a
+    float. Calling the object evaluates one row's value tuple; :meth:`over`
+    evaluates whole columns. Python's arithmetic errors (a zero divisor, an
+    int too large for a float) become an ``ExpressionError`` naming the
+    expression.
     """
 
     def __init__(self, text: str, columns: Sequence[str], types: Sequence[str],
@@ -158,8 +162,13 @@ class Arith:
         self.integer = integer
 
     def __call__(self, values: tuple):
-        out = eval(self.code, {"__builtins__": {}}, {"v": values})
-        if self.integer and not isinstance(out, int):
+        try:
+            out = eval(self.code, {"__builtins__": {}}, {"v": values})
+            if not self.integer:
+                return float(out)
+        except ArithmeticError as exc:  # a zero divisor, or an int too large for a float
+            raise ExpressionError(f"{self.what}: {exc}") from None
+        if not isinstance(out, int):
             raise ExpressionError(f"{self.what}: produced non-integer {out!r}")
         return out
 
@@ -179,4 +188,4 @@ class Arith:
         values = [self(v) for v in value_tuples(data, m)]
         if self.integer:
             return column_array(values, "int64")
-        return np.array([float(x) for x in values], dtype=np.float64)
+        return np.array(values, dtype=np.float64)

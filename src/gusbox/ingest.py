@@ -9,7 +9,7 @@ files with quote or NUL characters), the same file goes through the ``csv``
 module row by row, which finds the first bad field and words the error with
 its line.
 Strings, and ints outside the int64 range, land in object columns; a row id
-outside that range is an error.
+outside that range is an error, and so is a file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -108,16 +108,19 @@ def ingest_csv(path: Union[str, Path], name: str,
     path = Path(path)
     if not path.exists():
         raise IngestError(f"table {name}: file {path} does not exist")
-    with path.open(newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), [])
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise IngestError(f"table {name}: missing column(s) {missing} in {path}")
-    data = _fast_columns(path, header, pairs)
-    if data is None:
-        data, m = _row_columns(path, name, pairs)
-    else:
-        m = len(data[0])
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            header = next(csv.reader(handle), [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise IngestError(f"table {name}: missing column(s) {missing} in {path}")
+        data = _fast_columns(path, header, pairs)
+        if data is None:
+            data, m = _row_columns(path, name, pairs)
+        else:
+            m = len(data[0])
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a NUL before Python 3.11
+        raise IngestError(f"table {name}: cannot read {path}: {exc}") from None
 
     if id_column == "rowIndex":
         ids = np.arange(m, dtype=np.int64)
@@ -139,5 +142,5 @@ def ingest_csv(path: Union[str, Path], name: str,
     ordered = np.sort(ids)
     if np.any(ordered[1:] == ordered[:-1]):
         raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
-    return SampleRelation(LineageSchema.of([name]), columns, types, data=data,
-                          lineage=ids.reshape(-1, 1), f=np.zeros(m, dtype=np.float64))
+    return SampleRelation(LineageSchema.of([name]), columns, types, data,
+                          ids.reshape(-1, 1), np.zeros(m, dtype=np.float64))

@@ -3,12 +3,13 @@ tables, and lineage-carrying relations.
 
 A relation (:class:`SampleRelation`) is columnar: one numpy array per
 column, an ``m x n`` int64 lineage matrix holding each row's base-tuple ids
-in schema order, and an ``f`` array of per-row aggregate values. ``rows``, a
-tuple of :class:`Row` in Python scalars, is a view built on first use for
-callers that want tuples (tests, the oracle); the engine and the estimator
-read the arrays. A stored table is a relation too: one over the
-one-name schema of its table, whose lineage is the row ids and whose ``f``
-is zeros.
+in schema order, and a float64 ``f`` array of per-row aggregate values. Its
+constructor takes those arrays; :meth:`SampleRelation.from_rows` builds one
+from :class:`Row` tuples of Python scalars and checks each cell. ``rows`` is
+the reverse view, built on first use for the readers that want tuples (the
+oracle, tests, the benchmark harness); the engine and the estimator read the
+arrays. A stored table is a relation too: one over the one-name schema of its
+table, whose lineage is the row ids and whose ``f`` is zeros.
 
 A lineage schema is the canonically ordered set of base relations feeding an
 expression. Subsets of it are represented as bitmasks over the canonical
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,6 +197,14 @@ def _fits_int64(values: Iterable) -> bool:
     return all(type(v) is int and INT64_MIN <= v <= INT64_MAX for v in values)
 
 
+def _check_types(columns: Sequence[str], column_types: Sequence[str]) -> None:
+    if len(columns) != len(column_types):
+        raise SchemaError("columns and column_types must align")
+    for ctype in column_types:
+        if ctype not in COLUMN_TYPES:
+            raise SchemaError(f"unknown column type {ctype!r}")
+
+
 def column_array(values: Sequence, ctype: str) -> np.ndarray:
     """One column as an array: int64 when every value is a Python int inside
     the int64 range, float64 when every value is a float, and otherwise an
@@ -233,82 +242,83 @@ class SampleRelation:
     Duplicate-free by full lineage vector: sampling here is filtering, never
     replication, so a lineage identifies a row.
 
-    ``SampleRelation(schema, columns, column_types, rows)`` builds a relation
-    from :class:`Row` tuples and checks their lineage (unique vectors of
-    int64 ids) and that every value's Python type is its column's (``int``,
-    ``float`` or ``str``). The keyword form (``data=``, ``lineage=``,
-    ``f=``) takes arrays as ingestion and the engine's operators produce
-    them; it checks shapes only, because every operator keeps lineage unique
-    by construction. ``rows`` is a derived view in Python scalars, built on
-    first use; the engine never needs it.
+    ``SampleRelation(schema, columns, column_types, data, lineage, f)`` takes
+    arrays as ingestion and the engine's operators produce them. It checks
+    the column types, the shapes, and that ``lineage`` is int64 and ``f``
+    float64, all in O(1) per relation; every operator keeps lineage unique by
+    construction. :meth:`from_rows` builds a relation from :class:`Row`
+    tuples and checks them cell by cell.
     """
 
     def __init__(self, schema: LineageSchema, columns: Sequence[str],
-                 column_types: Sequence[str], rows: Optional[Sequence[Row]] = None, *,
-                 data: Optional[Sequence[np.ndarray]] = None,
-                 lineage: Optional[np.ndarray] = None, f: Optional[np.ndarray] = None):
-        if (rows is None) == (lineage is None):
-            raise SchemaError("give either rows or the data, lineage and f arrays")
+                 column_types: Sequence[str], data: Sequence[np.ndarray],
+                 lineage: np.ndarray, f: np.ndarray):
         self.schema = schema
         self.columns = tuple(columns)
         self.column_types = tuple(column_types)
-        if rows is not None:
-            self.rows = tuple(rows)
-        self.data = None if data is None else tuple(data)
+        self.data = tuple(data)
         self.lineage = lineage
         self.f = f
         self.__post_init__()
 
     def __post_init__(self):
-        if len(self.columns) != len(self.column_types):
-            raise SchemaError("columns and column_types must align")
-        for ctype in self.column_types:
-            if ctype not in COLUMN_TYPES:
-                raise SchemaError(f"unknown column type {ctype!r}")
-        n = self.schema.n
-        if self.lineage is None:
-            seen = set()
-            for row in self.rows:
-                if len(row.lineage) != n:
-                    raise SchemaError(
-                        f"lineage {row.lineage} has length {len(row.lineage)}, schema has {n}"
-                    )
-                if not _fits_int64(row.lineage):
-                    raise SchemaError(
-                        f"lineage {row.lineage} over {self.schema.relations} holds a non-int64 id")
-                if row.lineage in seen:
-                    raise SchemaError(f"duplicate lineage vector {row.lineage}")
-                seen.add(row.lineage)
-                if len(row.values) != len(self.columns):
-                    raise SchemaError(
-                        f"row {row.values} has {len(row.values)} values for "
-                        f"{len(self.columns)} columns"
-                    )
-                for value, column, ctype in zip(row.values, self.columns, self.column_types):
-                    if type(value) is not COLUMN_TYPES[ctype]:
-                        raise SchemaError(
-                            f"value {value!r} of column {column!r} does not match type {ctype}")
-            self.data = tuple(
-                column_array([row.values[i] for row in self.rows], ctype)
-                for i, ctype in enumerate(self.column_types)
-            )
-            self.lineage = np.array([row.lineage for row in self.rows],
-                                    dtype=np.int64).reshape(len(self.rows), n)
-            self.f = np.array([row.f for row in self.rows], dtype=np.float64)
-        m = len(self.f)
+        _check_types(self.columns, self.column_types)
+        m, n = len(self.f), self.schema.n
         if self.lineage.shape != (m, n):
             raise SchemaError(f"lineage matrix has shape {self.lineage.shape}, need {(m, n)}")
+        if self.lineage.dtype != np.int64 or self.f.dtype != np.float64:
+            raise SchemaError(f"lineage must be int64 and f float64, not "
+                              f"{self.lineage.dtype} and {self.f.dtype}")
         if len(self.data) != len(self.columns) or {len(c) for c in self.data} - {m}:
             raise SchemaError(f"data must hold {len(self.columns)} columns of {m} rows")
         for array in (self.lineage, self.f, *self.data):
             array.flags.writeable = False  # operators share arrays between relations
+
+    @classmethod
+    def from_rows(cls, schema: LineageSchema, columns: Sequence[str],
+                  column_types: Sequence[str], rows: Sequence[Row]) -> "SampleRelation":
+        """A relation from :class:`Row` tuples, checking that the lineage
+        vectors are unique and hold int64 ids, and that every value's Python
+        type is its column's (``int``, ``float`` or ``str``)."""
+        columns, column_types, rows = tuple(columns), tuple(column_types), tuple(rows)
+        _check_types(columns, column_types)
+        n = schema.n
+        seen = set()
+        for row in rows:
+            if len(row.lineage) != n:
+                raise SchemaError(
+                    f"lineage {row.lineage} has length {len(row.lineage)}, schema has {n}"
+                )
+            if not _fits_int64(row.lineage):
+                raise SchemaError(
+                    f"lineage {row.lineage} over {schema.relations} holds a non-int64 id")
+            if row.lineage in seen:
+                raise SchemaError(f"duplicate lineage vector {row.lineage}")
+            seen.add(row.lineage)
+            if len(row.values) != len(columns):
+                raise SchemaError(
+                    f"row {row.values} has {len(row.values)} values for "
+                    f"{len(columns)} columns"
+                )
+            for value, column, ctype in zip(row.values, columns, column_types):
+                if type(value) is not COLUMN_TYPES[ctype]:
+                    raise SchemaError(
+                        f"value {value!r} of column {column!r} does not match type {ctype}")
+        return cls(
+            schema, columns, column_types,
+            [column_array([row.values[i] for row in rows], ctype)
+             for i, ctype in enumerate(column_types)],
+            np.array([row.lineage for row in rows], dtype=np.int64).reshape(len(rows), n),
+            np.array([row.f for row in rows], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.f)
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
-        """The relation as :class:`Row` tuples of Python scalars."""
+        """The relation as :class:`Row` tuples of Python scalars, built on
+        first use. The engine and the estimator read the arrays; the oracle
+        (the spec, kept row-at-a-time) and the benchmark harness read this."""
         return tuple(Row(v, tuple(lineage), f) for v, lineage, f in zip(
             value_tuples(self.data, len(self)), self.lineage.tolist(), self.f.tolist()))
 
@@ -318,18 +328,14 @@ class SampleRelation:
         except ValueError:
             raise SchemaError(f"unknown column {name!r}; have {self.columns}") from None
 
-    def with_rows(self, rows: Sequence[Row]) -> "SampleRelation":
-        return SampleRelation(self.schema, self.columns, self.column_types, tuple(rows))
-
     def take(self, index: np.ndarray) -> "SampleRelation":
         """The rows at ``index`` (positions or a boolean mask), in that order."""
         return SampleRelation(self.schema, self.columns, self.column_types,
-                              data=[c[index] for c in self.data],
-                              lineage=self.lineage[index], f=self.f[index])
+                              [c[index] for c in self.data], self.lineage[index], self.f[index])
 
     def with_f(self, f: np.ndarray) -> "SampleRelation":
         return SampleRelation(self.schema, self.columns, self.column_types,
-                              data=self.data, lineage=self.lineage, f=f)
+                              self.data, self.lineage, f)
 
     @cached_property
     def in_lineage_order(self) -> "SampleRelation":

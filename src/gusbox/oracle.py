@@ -163,8 +163,8 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                     weight = w * p**k * (1.0 - p) ** (m - k)
                     if weight == 0.0:
                         continue
-                    rows = [row for i, row in enumerate(rel.rows) if bits >> i & 1]
-                    out.append((rel.with_rows(rows), weight))
+                    positions = [i for i in range(m) if bits >> i & 1]
+                    out.append((rel.take(positions), weight))
         elif isinstance(method, WorSpec):
             for rel, w in child:
                 m = len(rel.rows)
@@ -174,8 +174,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                 count = _comb_capped(m, method.n, budget)
                 guard(len(out), count, f"C({m}, {method.n})")
                 for chosen in itertools.combinations(range(m), method.n):
-                    rows = [rel.rows[i] for i in chosen]
-                    out.append((rel.with_rows(rows), w / count))
+                    out.append((rel.take(list(chosen)), w / count))
         elif isinstance(method, LineageBernoulliSpec):
             for rel, w in child:
                 positions = [(rel.schema.index(name), p) for name, p, _ in method.dims]
@@ -196,10 +195,10 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                             weight *= 1.0 - probs[key]
                     if weight == 0.0:
                         continue
-                    rows = [row for row in rel.rows
-                            if all((pos, row.lineage[pos]) in kept
-                                   for pos, _ in positions)]
-                    out.append((rel.with_rows(rows), weight))
+                    chosen = [i for i, row in enumerate(rel.rows)
+                              if all((pos, row.lineage[pos]) in kept
+                                     for pos, _ in positions)]
+                    out.append((rel.take(chosen), weight))
         else:
             raise PlanError(f"unknown sampler spec {type(method).__name__}")
         return _merge_outcomes(out)

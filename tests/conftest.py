@@ -107,15 +107,16 @@ def lineage_relation(names, entries, columns=(), types=()):
         lineage, f = entry[0], entry[1]
         values = entry[2] if len(entry) > 2 else ()
         rows.append(Row(tuple(values), tuple(lineage), float(f)))
-    return SampleRelation(schema, tuple(columns), tuple(types), tuple(rows))
+    return SampleRelation.from_rows(schema, columns, types, rows)
 
 
 def base_table(name, columns, column_types, ids, rows):
     """Stored table from hand-built rows: a relation over ``(name,)`` whose
     lineage is the row ids and whose ``f`` is zeros, as ``ingest_csv``
     builds it from a file."""
-    return SampleRelation(LineageSchema.of([name]), tuple(columns), tuple(column_types),
-                          tuple(Row(tuple(row), (tid,), 0.0) for tid, row in zip(ids, rows, strict=True)))
+    return SampleRelation.from_rows(
+        LineageSchema.of([name]), columns, column_types,
+        [Row(tuple(row), (tid,), 0.0) for tid, row in zip(ids, rows, strict=True)])
 
 
 def dyadic(draw, denominator=64):

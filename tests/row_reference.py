@@ -3,8 +3,9 @@ ingestion: the operators as they ran over Python ``Row`` tuples before the
 engine went columnar. Tests run a plan through both and require the same
 rows, in the same order, with bit-identical values and ``f``.
 
-Relations here are built with ``SampleRelation(schema, columns, types,
-rows)`` and read through ``.rows``; nothing below touches the column arrays.
+Relations here are built from ``Row`` tuples with
+``SampleRelation.from_rows``, which checks every cell, and read through
+``.rows``; nothing below touches the column arrays.
 """
 
 from __future__ import annotations
@@ -63,16 +64,21 @@ def bind_predicate(pred, columns, types):
     return test
 
 
+def _with_rows(r: SampleRelation, rows) -> SampleRelation:
+    """A relation with ``r``'s schema and columns holding ``rows``."""
+    return SampleRelation.from_rows(r.schema, r.columns, r.column_types, rows)
+
+
 def scan(table: SampleRelation) -> SampleRelation:
     """A stored table in its row form (its ``f`` is zeros already)."""
-    return table.with_rows(table.rows)
+    return _with_rows(table, table.rows)
 
 
 def select(pred, r: SampleRelation) -> SampleRelation:
     if not pred.atoms:
         return r
     test = bind_predicate(pred, r.columns, r.column_types)
-    return r.with_rows([row for row in r.rows if test(row.values)])
+    return _with_rows(r, [row for row in r.rows if test(row.values)])
 
 
 def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
@@ -110,7 +116,7 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
         if residual is None or residual(values):
             out.append(Row(values, merge(lrow.lineage, rrow.lineage), 0.0))
     out.sort(key=lambda row: row.lineage)
-    return SampleRelation(merged, columns, types, tuple(out))
+    return SampleRelation.from_rows(merged, columns, types, out)
 
 
 def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
@@ -120,12 +126,12 @@ def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
     rows = list(left.rows)
     rows.extend(row for row in right.rows if row.lineage not in seen)
     rows.sort(key=lambda row: row.lineage)
-    return left.with_rows(rows)
+    return _with_rows(left, rows)
 
 
 def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     fn = Arith(expr, r.columns, r.column_types, what=f"aggregate {expr!r}")
-    return r.with_rows([Row(row.values, row.lineage, float(fn(row.values))) for row in r.rows])
+    return _with_rows(r, [Row(row.values, row.lineage, float(fn(row.values))) for row in r.rows])
 
 
 def total_f(r: SampleRelation) -> float:
@@ -136,7 +142,7 @@ def bernoulli_sample(r: SampleRelation, p: float, rng) -> SampleRelation:
     if not r.rows:
         return r
     draws = rng.random(len(r.rows))
-    return r.with_rows([row for row, u in zip(r.rows, draws) if u < p])
+    return _with_rows(r, [row for row, u in zip(r.rows, draws) if u < p])
 
 
 def wor_sample(r: SampleRelation, n: int, rng) -> SampleRelation:
@@ -147,14 +153,14 @@ def wor_sample(r: SampleRelation, n: int, rng) -> SampleRelation:
     for i in range(n):
         j = int(rng.integers(i, m))
         idx[i], idx[j] = idx[j], idx[i]
-    return r.with_rows([r.rows[i] for i in sorted(idx[:n])])
+    return _with_rows(r, [r.rows[i] for i in sorted(idx[:n])])
 
 
 def lineage_bernoulli(r: SampleRelation, dims) -> SampleRelation:
     positions = [(r.schema.index(name), p, seed) for name, (p, seed) in sorted(dims.items())]
-    return r.with_rows([row for row in r.rows
-                        if all(keyed_unit(seed, row.lineage[pos]) < p
-                               for pos, p, seed in positions)])
+    return _with_rows(r, [row for row in r.rows
+                          if all(keyed_unit(seed, row.lineage[pos]) < p
+                                 for pos, p, seed in positions)])
 
 
 def execute(node, catalog, master_seed: int = 0):

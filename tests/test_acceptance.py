@@ -43,12 +43,12 @@ from gusbox import (
 from gusbox.algebra import (
     c_coefficients,
     compact,
-    gus_of_bernoulli,
-    gus_of_wor,
     identity_gus,
     join_merge,
     normalize_plan,
     null_gus,
+    row_bernoulli_gus,
+    row_wor_gus,
     union_merge,
 )
 from gusbox.estimator import variance_estimate, y_sample_terms, y_unbiased
@@ -91,12 +91,14 @@ def _check_table(g: GusParams, a: float, table: dict) -> bool:
 
 def test_criterion_1_golden_tables():
     started = time.perf_counter()
-    g_b = gus_of_bernoulli(0.1, "l")
-    g_w = gus_of_wor(1000, 150_000, "o")
+    g_b = row_bernoulli_gus(0.1, LineageSchema.of(["l"]))
+    g_w = row_wor_gus(1000, 150_000, LineageSchema.of(["o"]))
     g_12 = join_merge(g_b, g_w)
     g_121 = join_merge(g_12, identity_gus(LineageSchema.of(["c"])))
-    g_123 = join_merge(g_121, gus_of_bernoulli(0.5, "p"))
-    bidim = join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+    g_123 = join_merge(g_121, row_bernoulli_gus(0.5, LineageSchema.of(["p"])))
+    bidim = join_merge(
+        row_bernoulli_gus(0.2, LineageSchema.of(["l"])),
+        row_bernoulli_gus(0.3, LineageSchema.of(["o"])))
     stacked = compact(g_12, bidim)
 
     ok = (
@@ -386,7 +388,7 @@ def test_criterion_5_distributivity():
 
     # The factored table describes the distributed plan...
     g_table, h_table, k_table = (
-        gus_of_bernoulli(p, "r") for p in (0.5, 0.4, 0.7))
+        row_bernoulli_gus(p, LineageSchema.of(["r"])) for p in (0.5, 0.4, 0.7))
     factored_gus = normalize_plan(factored).gus
     factored_ok = factored_gus == compact(g_table, union_merge(h_table, k_table))
     shared_violations, shared_z = _inclusion_check(

@@ -36,9 +36,7 @@ from gusbox import (
 from gusbox.algebra import (
     c_coefficients,
     compact,
-    gus_of_bernoulli,
     gus_of_lineage_bernoulli,
-    gus_of_wor,
     identity_gus,
     join_merge,
     normalize_plan,
@@ -75,25 +73,27 @@ def assert_matches_reference(g: GusParams, a: float, table: dict):
 
 
 def example_join_gus() -> GusParams:
-    return join_merge(gus_of_bernoulli(0.1, "l"), gus_of_wor(1000, 150_000, "o"))
+    return join_merge(
+        row_bernoulli_gus(0.1, LineageSchema.of(["l"])),
+        row_wor_gus(1000, 150_000, LineageSchema.of(["o"])))
 
 
 class TestSingleRelationTables:
     def test_bernoulli_point_one(self):
-        g = gus_of_bernoulli(0.1, "l")
+        g = row_bernoulli_gus(0.1, LineageSchema.of(["l"]))
         assert g.a == 0.1
         assert g.b[0] == pytest.approx(0.01, rel=1e-12)
         assert g.b[1] == 0.1
 
     def test_bernoulli_identity_at_one(self):
-        assert gus_of_bernoulli(1.0, "l").is_identity
+        assert row_bernoulli_gus(1.0, LineageSchema.of(["l"])).is_identity
 
     def test_bernoulli_half(self):
-        g = gus_of_bernoulli(0.5, "p")
+        g = row_bernoulli_gus(0.5, LineageSchema.of(["p"]))
         assert (g.a, g.b[0], g.b[1]) == (0.5, 0.25, 0.5)
 
     def test_wor_reference_values(self):
-        g = gus_of_wor(1000, 150_000, "o")
+        g = row_wor_gus(1000, 150_000, LineageSchema.of(["o"]))
         assert g.a == pytest.approx(6.667e-3, rel=REFERENCE_REL_TOL)
         assert g.b[0] == pytest.approx(4.44e-5, rel=REFERENCE_REL_TOL)
         assert g.b[1] == g.a
@@ -102,18 +102,18 @@ class TestSingleRelationTables:
         assert g.b[0] == (1000 * 999) / (150_000 * 149_999)
 
     def test_wor_full_is_identity(self):
-        assert gus_of_wor(5, 5, "o").is_identity
+        assert row_wor_gus(5, 5, LineageSchema.of(["o"])).is_identity
 
     def test_wor_single_row_cannot_pair(self):
-        assert gus_of_wor(1, 10, "o").b[0] == 0.0
+        assert row_wor_gus(1, 10, LineageSchema.of(["o"])).b[0] == 0.0
 
     def test_wor_bounds(self):
         with pytest.raises(SampleSizeError):
-            gus_of_wor(6, 5, "o")
+            row_wor_gus(6, 5, LineageSchema.of(["o"]))
         with pytest.raises(SampleSizeError):
-            gus_of_wor(0, 5, "o")
+            row_wor_gus(0, 5, LineageSchema.of(["o"]))
         with pytest.raises(SampleSizeError):
-            gus_of_wor(1, 0, "o")
+            row_wor_gus(1, 0, LineageSchema.of(["o"]))
 
 
 class TestJoinMerge:
@@ -148,7 +148,7 @@ class TestJoinMerge:
 
     def test_three_way_merge_walkthrough(self):
         g121 = join_merge(example_join_gus(), identity_gus(LineageSchema.of(["c"])))
-        g123 = join_merge(g121, gus_of_bernoulli(0.5, "p"))
+        g123 = join_merge(g121, row_bernoulli_gus(0.5, LineageSchema.of(["p"])))
         assert_matches_reference(
             g123,
             a=3.334e-4,
@@ -173,9 +173,9 @@ class TestJoinMerge:
         )
 
     def test_requires_disjoint_schemas(self):
-        g = gus_of_bernoulli(0.5, "l")
+        g = row_bernoulli_gus(0.5, LineageSchema.of(["l"]))
         with pytest.raises(SelfJoinError):
-            join_merge(g, gus_of_bernoulli(0.3, "l"))
+            join_merge(g, row_bernoulli_gus(0.3, LineageSchema.of(["l"])))
 
 
 class TestUnionMerge:
@@ -184,8 +184,10 @@ class TestUnionMerge:
         assert union_merge(g, null_gus(g.schema)) == g
 
     def test_independent_halves_make_three_quarters(self):
-        g = union_merge(gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "r"))
-        assert g == gus_of_bernoulli(0.75, "r")
+        g = union_merge(
+            row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
+            row_bernoulli_gus(0.5, LineageSchema.of(["r"])))
+        assert g == row_bernoulli_gus(0.75, LineageSchema.of(["r"]))
         assert g.b[0] == g.a * g.a
 
     def test_self_union_of_identity(self):
@@ -194,12 +196,16 @@ class TestUnionMerge:
 
     def test_schema_mismatch(self):
         with pytest.raises(SchemaError):
-            union_merge(gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "s"))
+            union_merge(
+                row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
+                row_bernoulli_gus(0.5, LineageSchema.of(["s"])))
 
 
 class TestCompact:
     def test_stacked_bernoulli(self):
-        g = compact(gus_of_bernoulli(0.2, "r"), gus_of_bernoulli(0.3, "r"))
+        g = compact(
+            row_bernoulli_gus(0.2, LineageSchema.of(["r"])),
+            row_bernoulli_gus(0.3, LineageSchema.of(["r"])))
         assert g.a == pytest.approx(0.06, rel=1e-12)
         assert g.b[0] == pytest.approx(0.0036, rel=1e-12)
         assert g.b[1] == g.a
@@ -215,17 +221,21 @@ class TestCompact:
 
 class TestCompose:
     def test_bidimensional_bernoulli(self):
-        g = join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+        g = join_merge(
+            row_bernoulli_gus(0.2, LineageSchema.of(["l"])),
+            row_bernoulli_gus(0.3, LineageSchema.of(["o"])))
         assert_matches_reference(
             g, a=0.06, table={"": 0.0036, "o": 0.012, "l": 0.018, "lo": 0.06})
 
     def test_compose_with_identity_equals_extension(self):
-        g = gus_of_bernoulli(0.2, "l")
+        g = row_bernoulli_gus(0.2, LineageSchema.of(["l"]))
         wide = join_merge(g, identity_gus(LineageSchema.of(["o"])))
         assert wide == reference_extend_schema(g, LineageSchema.of(["l", "o"]))
 
     def test_subsample_stack_on_join_table(self):
-        bidim = join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+        bidim = join_merge(
+            row_bernoulli_gus(0.2, LineageSchema.of(["l"])),
+            row_bernoulli_gus(0.3, LineageSchema.of(["o"])))
         g = compact(example_join_gus(), bidim)
         assert_matches_reference(
             g,
@@ -236,7 +246,9 @@ class TestCompose:
     def test_lineage_bernoulli_table_builder(self):
         schema = LineageSchema.of(["l", "o"])
         g = gus_of_lineage_bernoulli({"l": 0.2, "o": 0.3}, schema)
-        assert g == join_merge(gus_of_bernoulli(0.2, "l"), gus_of_bernoulli(0.3, "o"))
+        assert g == join_merge(
+            row_bernoulli_gus(0.2, LineageSchema.of(["l"])),
+            row_bernoulli_gus(0.3, LineageSchema.of(["o"])))
         partial = gus_of_lineage_bernoulli({"l": 0.2}, schema)
         assert partial.a == 0.2
         assert partial.b[mask_of_key(schema, "o")] == pytest.approx(0.04, rel=1e-12)
@@ -356,7 +368,7 @@ class TestCoefficients:
 
     def test_single_relation_bernoulli(self):
         p = 0.5
-        c = c_coefficients(gus_of_bernoulli(p, "r"))
+        c = c_coefficients(row_bernoulli_gus(p, LineageSchema.of(["r"])))
         assert c[0] == p * p
         assert c[1] == p - p * p
 
@@ -411,7 +423,8 @@ class TestNormalizePlan:
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), WorSpec(2, seed=2))
         norm = normalize_plan(plan, execute(plan, small_join_catalog()).populations)
         expected = join_merge(
-            gus_of_bernoulli(0.5, "l"), gus_of_wor(2, 3, "o"))
+            row_bernoulli_gus(0.5, LineageSchema.of(["l"])),
+            row_wor_gus(2, 3, LineageSchema.of(["o"])))
         assert norm.gus == expected
         assert [s.rule for s in norm.trace] == [
             "sampler_to_gus", "sampler_to_gus", "join_gus_merge"]
@@ -428,14 +441,14 @@ class TestNormalizePlan:
         rules = [s.rule for s in norm.trace]
         assert rules == ["sampler_to_gus", "identity_gus", "join_gus_merge"]
         assert norm.gus == reference_extend_schema(
-            gus_of_bernoulli(0.5, "l"), LineageSchema.of(["l", "o"]))
+            row_bernoulli_gus(0.5, LineageSchema.of(["l"])), LineageSchema.of(["l", "o"]))
 
     def test_selection_commutes_without_changing_parameters(self):
         pred = Predicate((Comparison("l_val", ">", 2.0),))
         plan = SumAggregate(
             "l_val", Select(pred, Sample(BernoulliSpec(0.25, seed=1), Scan("l"))))
         norm = normalize_plan(plan)
-        assert norm.gus == gus_of_bernoulli(0.25, "l")
+        assert norm.gus == row_bernoulli_gus(0.25, LineageSchema.of(["l"]))
 
     def test_stacked_samplers_fuse(self):
         plan = SumAggregate(
@@ -443,7 +456,7 @@ class TestNormalizePlan:
             Sample(BernoulliSpec(0.5, seed=2), Sample(BernoulliSpec(0.25, seed=1), Scan("l"))),
         )
         norm = normalize_plan(plan)
-        assert norm.gus == gus_of_bernoulli(0.125, "l")
+        assert norm.gus == row_bernoulli_gus(0.125, LineageSchema.of(["l"]))
         assert [s.rule for s in norm.trace] == [
             "sampler_to_gus", "sampler_to_gus", "gus_compact"]
 
@@ -456,7 +469,7 @@ class TestNormalizePlan:
             ),
         )
         norm = normalize_plan(plan)
-        assert norm.gus == gus_of_bernoulli(0.75, "l")
+        assert norm.gus == row_bernoulli_gus(0.75, LineageSchema.of(["l"]))
 
     def test_union_of_different_relations_rejected(self):
         pred = Predicate((Comparison("l_val", ">", 2.0),))
@@ -489,7 +502,7 @@ class TestNormalizePlan:
         plan = SumAggregate(
             "l_val", Sample(WorSpec(2, seed=1), Select(pred, Scan("l"))))
         norm = normalize_plan(plan, execute(plan, catalog).populations)
-        assert norm.gus == gus_of_wor(2, 4, "l")
+        assert norm.gus == row_wor_gus(2, 4, LineageSchema.of(["l"]))
 
     def test_bernoulli_above_join_covers_both_relations(self):
         plan = SumAggregate(
@@ -513,7 +526,9 @@ class TestNormalizePlan:
             ),
         )
         norm = normalize_plan(plan, execute(plan, catalog).populations)
-        base = join_merge(gus_of_bernoulli(0.5, "l"), gus_of_wor(2, 3, "o"))
+        base = join_merge(
+            row_bernoulli_gus(0.5, LineageSchema.of(["l"])),
+            row_wor_gus(2, 3, LineageSchema.of(["o"])))
         stacked = compact(
             gus_of_lineage_bernoulli({"l": 0.25, "o": 0.5}, base.schema), base)
         assert norm.gus == stacked
@@ -545,14 +560,16 @@ class TestNormalizePlan:
         plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
                     Sample(BernoulliSpec(0.5, seed=2), Scan("t")))
         assert normalize_plan(plan).gus == join_merge(
-            gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "t"))
+            row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
+            row_bernoulli_gus(0.5, LineageSchema.of(["t"])))
 
     def test_row_sampler_and_keyed_dimension_may_share_a_number(self):
         keyed = LineageBernoulliSpec.of({"t": (0.6, 3)})
         plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=3), Scan("r")),
                     Sample(keyed, Scan("t")))
         assert normalize_plan(plan).gus == join_merge(
-            gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.6, "t"))
+            row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
+            row_bernoulli_gus(0.6, LineageSchema.of(["t"])))
 
     def test_other_plan_errors_name_the_node(self):
         plan = SumAggregate("l_val", Join(
@@ -568,10 +585,12 @@ class TestNormalizePlan:
         norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
         expected = join_merge(
             join_merge(
-                join_merge(gus_of_bernoulli(0.3, "l"), gus_of_wor(25, 75, "o")),
+                join_merge(
+                    row_bernoulli_gus(0.3, LineageSchema.of(["l"])),
+                    row_wor_gus(25, 75, LineageSchema.of(["o"]))),
                 identity_gus(LineageSchema.of(["c"])),
             ),
-            gus_of_bernoulli(0.5, "p"),
+            row_bernoulli_gus(0.5, LineageSchema.of(["p"])),
         )
         assert norm.gus == expected
         assert [s.rule for s in norm.trace] == [

@@ -416,6 +416,84 @@ class TestEstimateCommand:
         assert main(["estimate", str(plan_path)]) == 2
         assert capsys.readouterr().err == "error: table t: row ids from 'k' must fit int64\n"
 
+    @staticmethod
+    def _tiny_document(tmp_path, csv=b"k,v,w\n1,1.0,1\n2,2.0,2\n3,3.0,1" + b"0" * 400 + b"\n",
+                       **changes):
+        """A one-table plan over ``t.csv`` (``k`` int64 ids, a float ``v`` and
+        an int ``w`` that reaches 10**400), after ``changes``: each maps a
+        dotted path in the document to a new value."""
+        (tmp_path / "t.csv").write_bytes(csv)
+        doc = {"tables": {"t": {"path": "t.csv", "idColumn": "k", "columnTypes": {
+                   "k": "int64", "v": "float64", "w": "int64"}}},
+               "plan": {"op": "sum", "expr": "v", "child": {
+                   "op": "sample", "child": {"op": "scan", "table": "t"},
+                   "method": {"method": "bernoulli", "p": 0.5, "seed": 1}}}}
+        for dotted, value in changes.items():
+            *parents, key = dotted.split(".")
+            node = doc
+            for name in parents:
+                node = node[name]
+            node[key] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        return plan_path
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"plan.child.method.p": True},
+         "plan.child.method: p must be a number, not true"),
+        ({"plan.child.method.p": "0.5"},
+         'plan.child.method: p must be a number, not "0.5"'),
+        ({"plan.child.method.p": 10**400},
+         "plan.child.method: int too large to convert to float"),
+        ({"plan.child.method": {"method": "lineage_bernoulli",
+                                "dims": {"t": {"p": True, "seed": 3}}}},
+         "plan.child.method.dims.t: p must be a number, not true"),
+        ({"plan.child.child.table": ["t"]},
+         'plan.child.child: table must be a string, not ["t"]'),
+        ({"tables.t.path": None}, "tables.t: path must be a string, not null"),
+        ({"tables.t.idColumn": 5}, "tables.t: idColumn must be a string, not 5"),
+        ({"tables.t.columnTypes.v": ["float64"]},
+         'tables.t.columnTypes: v must be a string, not ["float64"]'),
+        ({"plan.expr": 5}, "plan: expr must be a string, not 5"),
+        ({"plan.expr": "1 / (v - 2.0)", "plan.child.method.p": 1.0},
+         "aggregate '1 / (v - 2.0)': float division by zero"),
+        ({"tables.t.idColumn": "k // (k - 1)"},
+         "table t id expression: integer division or modulo by zero"),
+        ({"plan.expr": "w", "plan.child.method.p": 1.0},
+         "aggregate 'w': int too large to convert to float"),
+    ], ids=["p_true", "p_string", "p_int_past_float", "keyed_p_true", "table_list", "path_null", "id_column_int",
+            "column_type_list", "expr_int", "aggregate_zero_divisor", "id_zero_divisor",
+            "aggregate_int_past_float"])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, changes, message):
+        # each exited 1 with a traceback, or ("p": true and "0.5") ran as a probability
+        plan_path = self._tiny_document(tmp_path, **changes)
+        assert main(["estimate", str(plan_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("plan_bytes, csv, message", [
+        (b"\xff", None, "cannot read {plan}: 'utf-8' codec can't decode byte 0xff in "
+                        "position 0: invalid start byte"),
+        (None, b"k,v,w\n1,1.0,1\n2,\xff\xfe,2\n", "table t: cannot read {csv}: 'utf-8' codec "
+                                                 "can't decode byte 0xff in position 16: "
+                                                 "invalid start byte"),
+        (None, b"k,v,\xff\n1,1.0,1\n", "table t: cannot read {csv}: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 4: invalid start byte"),
+    ], ids=["plan", "csv_row", "csv_header"])
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, plan_bytes, csv, message):
+        plan_path = self._tiny_document(tmp_path, *([csv] if csv else []))
+        if plan_bytes is not None:
+            plan_path.write_bytes(plan_bytes)
+        assert main(["estimate", str(plan_path)]) == 2
+        assert capsys.readouterr().err == "error: {}\n".format(
+            message.format(plan=plan_path, csv=tmp_path / "t.csv"))
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"quantiles": [1' + "0" * 5000 + "]}")
+        assert main(["estimate", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: top level: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("error, code", [
         (errors.PlanError, 2), (errors.IngestError, 2), (errors.ExpressionError, 2),
         (errors.SchemaError, 2), (errors.SelfJoinError, 2), (errors.SampleSizeError, 2),

@@ -36,7 +36,7 @@ from gusbox import engine, ingest
 from gusbox.algebra import identity_gus
 from gusbox.cli import main
 from gusbox.datagen import generate_tpch_tiny
-from gusbox.errors import IngestError
+from gusbox.errors import ExpressionError, IngestError
 from gusbox.exprs import Arith
 from gusbox.ingest import ingest_csv
 from gusbox.samplers import keyed_unit, keyed_units
@@ -210,7 +210,7 @@ def test_fixed_edge_cases():
     # int = float columns compare exactly: 2**53 + 1 is not 2.0**53
     equal = Select(Predicate((Comparison("l_i", "=", other_col="l_x"),)), Scan("l"))
     assert [row.lineage for row in execute(equal, catalog).relation.rows] == [(9,)]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ExpressionError, match=r"^aggregate 'l_i/l_x': float division by zero$"):
         execute(divide_by_zero, catalog)
 
 

@@ -13,6 +13,7 @@ from gusbox import (
     JoinSpec,
     Predicate,
     Sample,
+    SampleRelation,
     Scan,
     SchemaError,
     Select,
@@ -36,6 +37,11 @@ def tiny_table(name="t", ids=(0, 1, 2), vals=(1.0, 2.0, 3.0)):
         name, (f"{name}_k", f"{name}_v"), ("int64", "float64"),
         ids=tuple(ids), rows=tuple((i + 1, v) for i, v in enumerate(vals)),
     )
+
+
+def with_rows(rel, rows):
+    """A relation with ``rel``'s schema and columns holding ``rows``."""
+    return SampleRelation.from_rows(rel.schema, rel.columns, rel.column_types, rows)
 
 
 class TestScan:
@@ -182,8 +188,8 @@ class TestUnionDedup:
     def test_disjoint_concatenates(self):
         t = tiny_table()
         rel = scan(t)
-        left = rel.with_rows(rel.rows[:1])
-        right = rel.with_rows(rel.rows[1:])
+        left = with_rows(rel, rel.rows[:1])
+        right = with_rows(rel, rel.rows[1:])
         assert len(union_dedup(left, right)) == 3
 
     def test_idempotent(self):
@@ -192,8 +198,8 @@ class TestUnionDedup:
 
     def test_overlap_counted_once(self):
         rel = scan(tiny_table())
-        left = rel.with_rows(rel.rows[:2])
-        right = rel.with_rows(rel.rows[1:])
+        left = with_rows(rel, rel.rows[:2])
+        right = with_rows(rel, rel.rows[1:])
         assert len(union_dedup(left, right)) == 3
 
     def test_schema_mismatch_rejected(self):
@@ -207,7 +213,7 @@ class TestSumAggregate:
         assert sum_aggregate("1", rel) == 3.0
 
     def test_empty_relation(self):
-        rel = scan(tiny_table()).with_rows(())
+        rel = with_rows(scan(tiny_table()), ())
         assert sum_aggregate("t_v", rel) == 0.0
 
     def test_arithmetic(self):

@@ -26,13 +26,12 @@ from gusbox import (
 from gusbox.algebra import (
     c_coefficients,
     compact,
-    gus_of_bernoulli,
     gus_of_lineage_bernoulli,
-    gus_of_wor,
     identity_gus,
     join_merge,
     normalize_plan,
     row_bernoulli_gus,
+    row_wor_gus,
 )
 from gusbox.engine import bind_aggregate
 from gusbox.oracle import enumerate_outcomes, exact_y_terms
@@ -275,7 +274,7 @@ class TestYUnbiased:
 
     def test_single_relation_closed_form(self):
         p = 0.25
-        g = gus_of_bernoulli(p, "r")
+        g = row_bernoulli_gus(p, LineageSchema.of(["r"]))
         y = {0: 40.0, 1: 12.0}
         got = y_unbiased(y, g)
         y_r = y[1] / p
@@ -293,7 +292,7 @@ class TestYUnbiased:
         assert_tables_close(got, alternating_sum_y_unbiased(y, g))
 
     def test_zero_pair_probability_names_subset(self):
-        g = gus_of_wor(1, 4, "o")
+        g = row_wor_gus(1, 4, LineageSchema.of(["o"]))
         with pytest.raises(NotIdentifiableError, match="empty"):
             y_unbiased({0: 1.0, 1: 1.0}, g)
 
@@ -328,14 +327,14 @@ class TestVarianceEstimate:
 
     def test_single_relation_bernoulli_closed_form(self):
         p = 0.25
-        g = gus_of_bernoulli(p, "r")
+        g = row_bernoulli_gus(p, LineageSchema.of(["r"]))
         y = {0: 100.0, 1: 34.0}
         got = variance_estimate(y, c_coefficients(g), g.a)
         assert got == pytest.approx((1.0 / p - 1.0) * y[1], rel=1e-12)
 
     def test_negative_estimate_clamped_with_diagnostic(self):
         # corrected y terms can dip negative on unlucky samples
-        g = gus_of_bernoulli(0.5, "r")
+        g = row_bernoulli_gus(0.5, LineageSchema.of(["r"]))
         diagnostics = []
         got = variance_estimate({0: 100.0, 1: -1.0}, c_coefficients(g), g.a, diagnostics)
         assert got == 0.0
@@ -397,7 +396,7 @@ class TestQuantileBounds:
 class TestAnalyze:
     def test_empty_sample_is_well_defined(self):
         rel = lineage_relation(["r"], [])
-        report = analyze(rel, gus_of_bernoulli(0.5, "r"))
+        report = analyze(rel, row_bernoulli_gus(0.5, LineageSchema.of(["r"])))
         assert report.estimate == 0.0
         assert report.variance_hat == 0.0
         assert report.ci_chebyshev == (0.0, 0.0)
@@ -406,7 +405,7 @@ class TestAnalyze:
     def test_schema_mismatch_rejected(self):
         rel = lineage_relation(["r"], [((1,), 1.0)])
         with pytest.raises(SchemaError):
-            analyze(rel, gus_of_bernoulli(0.5, "s"))
+            analyze(rel, row_bernoulli_gus(0.5, LineageSchema.of(["s"])))
 
     def test_blocking_filter_is_degenerate(self):
         from gusbox.algebra import null_gus
@@ -470,7 +469,9 @@ class TestSubsampleVariance:
 
     def test_walkthrough_parameter_values(self):
         # the two-table walkthrough stacked with a (0.2, 0.3) keyed filter
-        g12 = join_merge(gus_of_bernoulli(0.1, "l"), gus_of_wor(1000, 150_000, "o"))
+        g12 = join_merge(
+            row_bernoulli_gus(0.1, LineageSchema.of(["l"])),
+            row_wor_gus(1000, 150_000, LineageSchema.of(["o"])))
         rel = lineage_relation(["l", "o"], [((1, 1), 1.0)])
         report = analyze(rel, g12, subsample={"l": (0.2, 1), "o": (0.3, 2)})
         g = report.subsample_gus

@@ -1,5 +1,6 @@
 """Lineage schemas, subset masks, parameter tables, and relations."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from gusbox import (
     SelfJoinError,
     common_lineage,
 )
-from gusbox.algebra import gus_of_bernoulli, identity_gus, join_merge
+from gusbox.algebra import identity_gus, join_merge, row_bernoulli_gus
 
 from conftest import gus_from_json, gus_to_json, mask_of, mask_of_key
 
@@ -103,7 +104,7 @@ class TestGusParams:
             GusParams(LineageSchema.of(["l", "o"]), 0.5, (0.25, 0.5))
 
     def test_json_shape(self):
-        g = gus_of_bernoulli(0.1, "l")
+        g = row_bernoulli_gus(0.1, LineageSchema.of(["l"]))
         g2 = join_merge(g, identity_gus(LineageSchema.of(["o"])))
         doc = g2.to_json_dict()
         assert doc["schema"] == ["l", "o"]
@@ -133,7 +134,7 @@ class TestExtendSchema:
     # a table widens by a join with the identity table over the new relations
 
     def test_bernoulli_widened(self):
-        g = gus_of_bernoulli(0.1, "l")
+        g = row_bernoulli_gus(0.1, LineageSchema.of(["l"]))
         wide = join_merge(g, identity_gus(LineageSchema.of(["o"])))
         s = wide.schema
         assert wide.a == 0.1
@@ -146,7 +147,7 @@ class TestExtendSchema:
         assert wide.is_identity
 
     def test_same_schema_is_noop(self):
-        g = gus_of_bernoulli(0.3, "l")
+        g = row_bernoulli_gus(0.3, LineageSchema.of(["l"]))
         assert join_merge(g, identity_gus(LineageSchema(()))) == g
 
 
@@ -155,23 +156,60 @@ class TestSampleRelation:
         schema = LineageSchema.of(["l"])
         rows = (Row((), (1,), 0.0), Row((), (1,), 1.0))
         with pytest.raises(SchemaError, match="duplicate lineage"):
-            SampleRelation(schema, (), (), rows)
+            SampleRelation.from_rows(schema, (), (), rows)
 
     @pytest.mark.parametrize("bad", [2**63, -2**63 - 1, 2**64 + 5, 1.0, True])
     def test_lineage_ids_must_be_int64(self, bad):
         schema = LineageSchema.of(["l", "o"])
         rows = (Row((), (2**63 - 1, -2**63), 0.0), Row((), (3, bad), 0.0))
         with pytest.raises(SchemaError, match=r"over \('l', 'o'\) holds a non-int64 id$"):
-            SampleRelation(schema, (), (), rows)
-        assert SampleRelation(schema, (), (), rows[:1]).lineage.dtype == "int64"
+            SampleRelation.from_rows(schema, (), (), rows)
+        assert SampleRelation.from_rows(schema, (), (), rows[:1]).lineage.dtype == "int64"
 
     def test_lineage_length_checked(self):
         schema = LineageSchema.of(["l", "o"])
         with pytest.raises(SchemaError):
-            SampleRelation(schema, (), (), (Row((), (1,), 0.0),))
+            SampleRelation.from_rows(schema, (), (), (Row((), (1,), 0.0),))
 
     def test_total_f_is_order_independent(self):
         schema = LineageSchema.of(["l"])
-        a = SampleRelation(schema, (), (), (Row((), (1,), 0.1), Row((), (2,), 0.2)))
-        b = SampleRelation(schema, (), (), (Row((), (2,), 0.2), Row((), (1,), 0.1)))
+        a = SampleRelation.from_rows(schema, (), (), (Row((), (1,), 0.1), Row((), (2,), 0.2)))
+        b = SampleRelation.from_rows(schema, (), (), (Row((), (2,), 0.2), Row((), (1,), 0.1)))
         assert a.total_f() == b.total_f()
+
+    def test_from_rows_checks_types_before_cells(self):
+        schema = LineageSchema.of(["l"])
+        with pytest.raises(SchemaError, match=r"^unknown column type 'decimal'$"):
+            SampleRelation.from_rows(schema, ("x",), ("decimal",), (Row(("1",), (1,), 0.0),))
+        with pytest.raises(SchemaError, match=r"^columns and column_types must align$"):
+            SampleRelation.from_rows(schema, ("x",), (), ())
+        with pytest.raises(SchemaError, match=r"^value '1' of column 'x' does not match type int64$"):
+            SampleRelation.from_rows(schema, ("x",), ("int64",), (Row(("1",), (1,), 0.0),))
+
+    def test_from_rows_round_trips_through_rows(self):
+        schema = LineageSchema.of(["l", "o"])
+        rows = (Row((2**70, 1.5, "a"), (3, -2**63), 0.25), Row((-4, -0.0, ""), (1, 2), 1.0))
+        rel = SampleRelation.from_rows(schema, ("i", "x", "s"), ("int64", "float64", "string"),
+                                       rows)
+        assert rel.rows == rows
+        assert [c.dtype.kind for c in rel.data] == ["O", "f", "O"]
+
+    def test_arrays_are_checked_for_dtype(self):
+        schema = LineageSchema.of(["l"])
+        ok = SampleRelation(schema, (), (), (), np.array([[1], [2], [3]]),
+                            np.array([1.0, 2.0, 3.0]))
+        assert len(ok) == 3
+        with pytest.raises(SchemaError, match=r"^lineage must be int64 and f float64, "
+                                              r"not float64 and float64$"):
+            SampleRelation(schema, (), (), (), np.array([[1.0], [2.0], [3.0]]), ok.f)
+        with pytest.raises(SchemaError, match=r"^lineage must be int64 and f float64, "
+                                              r"not int64 and int64$"):
+            SampleRelation(schema, (), (), (), ok.lineage, np.array([1, 2, 3]))
+        with pytest.raises(SchemaError, match=r"^unknown column type 'decimal'$"):
+            SampleRelation(schema, ("x",), ("decimal",), (np.zeros(3),), ok.lineage, ok.f)
+
+    def test_take_of_no_positions_is_empty(self):
+        rel = SampleRelation.from_rows(LineageSchema.of(["l"]), ("x",), ("string",),
+                                       (Row(("a",), (1,), 0.5),))
+        empty = rel.take([])
+        assert len(empty) == 0 and empty.lineage.shape == (0, 1) and empty.rows == ()

@@ -26,7 +26,7 @@ from gusbox import (
     execute_full,
     y_sample_terms,
 )
-from gusbox.algebra import gus_of_bernoulli, gus_of_lineage_bernoulli, join_merge, normalize_plan
+from gusbox.algebra import gus_of_lineage_bernoulli, join_merge, normalize_plan, row_bernoulli_gus
 from gusbox.oracle import (
     compare_inclusion_to_gus,
     enumerate_exact_moments,
@@ -216,7 +216,9 @@ class TestSharedRowSeeds:
         return plan, catalog
 
     def test_inclusion_check_sees_the_correlation(self):
-        independent = join_merge(gus_of_bernoulli(0.5, "r"), gus_of_bernoulli(0.5, "t"))
+        independent = join_merge(
+            row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
+            row_bernoulli_gus(0.5, LineageSchema.of(["t"])))
         trials = 5000
         outcomes = {}
         for seeds in ((1, 2), (0, 0)):

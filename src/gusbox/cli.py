@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -256,11 +257,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         check_seed(args.seed)  # before any file is read
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (NotIdentifiableError, DegenerateSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GusboxError, OSError) as exc:  # OSError: a path that cannot be read or written
+    except (GusboxError, OSError) as exc:  # OSError: a path or stdout that cannot be used
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout again at exit; let that succeed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,11 +75,15 @@ def _parse_atom(doc, path: str) -> Comparison:
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: predicate atom must be an object")
     _no_extras(doc, {"col", "cmp", "value", "col2"}, path)
-    col = _need(doc, "col", path)
+    _need(doc, "col", path)
     cmp_op = _need(doc, "cmp", path)
-    other = {"other_col": doc["col2"]} if "col2" in doc else {"value": _need(doc, "value", path)}
+    if "col2" not in doc:
+        _need(doc, "value", path)
     with _at(path):
-        return Comparison(col, cmp_op, **other)
+        col = _string(doc, "col")
+        if "col2" in doc:
+            return Comparison(col, cmp_op, other_col=_string(doc, "col2"))
+        return Comparison(col, cmp_op, value=doc["value"])
 
 
 def _parse_predicate(doc, path: str) -> Predicate:
@@ -176,7 +180,9 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         for i, pair in enumerate(eq_doc):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise PlanError(f"{path}.eq[{i}]: must be a [left, right] column pair")
-            equi.append((pair[0], pair[1]))
+            sides = dict(zip(("left", "right"), pair))
+            with _at(f"{path}.eq[{i}]"):
+                equi.append((_string(sides, "left"), _string(sides, "right")))
         residual = _parse_predicate(doc.get("theta", []), f"{path}.theta")
         return Join(
             JoinSpec(tuple(equi), residual),

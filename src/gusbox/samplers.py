@@ -3,12 +3,13 @@
 All samplers are deterministic functions of (input, parameters, seed),
 and each returns the kept rows of its columnar input in input order.
 Stream-based samplers draw from a PCG64 generator: Bernoulli compares one
-``rng.random(len)`` draw per row with ``p``, and WOR makes one
-``rng.integers(i, m)`` draw per Fisher-Yates step. The lineage-keyed
-Bernoulli derives each decision from a SplitMix-style 64-bit hash of
-(seed, base-tuple id), computed over the whole int64 lineage column in
-wrapping uint64 arithmetic, so a base tuple receives one decision shared
-across every result row that contains it. Seeds lie in ``[0, 2**64)`` and
+``rng.random(len)`` draw per row with ``p``, and WOR draws the swap
+positions of all its Fisher-Yates steps with one
+``rng.integers(np.arange(n), m)``. The lineage-keyed Bernoulli derives
+each decision from a SplitMix-style 64-bit hash of (seed, base-tuple id),
+computed over the whole int64 lineage column in wrapping uint64
+arithmetic, so a base tuple receives one decision shared across every
+result row that contains it. Seeds lie in ``[0, 2**64)`` and
 ids in the int64 range (``plan.check_seed``, ingestion), where ``mix64`` is a
 bijection: distinct seeds, and distinct ids, never alias.
 """
@@ -81,8 +82,9 @@ def wor_sample(r: SampleRelation, n: int, rng: np.random.Generator) -> SampleRel
     if n > m:
         raise SampleSizeError(f"cannot draw {n} rows from a relation of {m}")
     idx = list(range(m))
-    for i in range(n):
-        j = int(rng.integers(i, m))
+    # step i's swap position, drawn for every step at once: the same PCG64
+    # draws, in the same order, as one rng.integers(i, m) per step
+    for i, j in enumerate(rng.integers(np.arange(n), m).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
     return r.take(np.sort(np.array(idx[:n], dtype=np.intp)))
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +239,31 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert "plan.child.child.left.method and plan.child.child.right.method" in err
         assert "share seed 0" in err
+
+    @pytest.mark.parametrize("slot, value, message", [
+        ("col", [1], "plan.child.where[0]: col must be a string, not [1]"),
+        ("col", True, "plan.child.where[0]: col must be a string, not true"),
+        ("col2", [1], "plan.child.where[0]: col2 must be a string, not [1]"),
+        ("left", [1], "plan.child.child.eq[0]: left must be a string, not [1]"),
+        ("right", True, "plan.child.child.eq[0]: right must be a string, not true"),
+    ])
+    def test_column_names_read_before_ingest(self, plan_on_disk, capsys, slot, value, message):
+        # read while the document is parsed, with a path: no CSV is opened
+        doc = json.loads(plan_on_disk.read_text())
+        for table in doc["tables"].values():
+            table["path"] = "missing.csv"
+        atom = doc["plan"]["child"]["where"][0]
+        if slot == "col2":
+            atom.update(cmp="=", col2=value)
+            del atom["value"]
+        elif slot == "col":
+            atom["col"] = value
+        else:
+            doc["plan"]["child"]["child"]["eq"][0][slot == "right"] = value
+        bad = plan_on_disk.parent / "bad_column.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_wor_larger_than_its_input_exits_2(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())
@@ -525,9 +553,6 @@ class TestEstimateCommand:
 
     def test_cross_process_byte_identity(self, plan_on_disk):
         # separate interpreters, separate hash randomization: bytes must match
-        import subprocess
-        import sys
-
         cmd = [sys.executable, "-m", "gusbox.cli", "estimate", str(plan_on_disk),
                "--seed", "9", "--explain"]
         runs = [
@@ -536,6 +561,26 @@ class TestEstimateCommand:
         ]
         assert runs[0] == runs[1]
         assert json.loads(runs[0])
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_closed_stdout_exits_2(self, plan_on_disk, fmt, unbuffered):
+        # stdout is where the report goes, so a reader that has closed it is a
+        # file that cannot be written. With a buffered stdout the write must
+        # fail inside main, not in the interpreter's flush at exit, which
+        # prints "Exception ignored in: ..." and exits 120
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "gusbox.cli", "estimate", str(plan_on_disk),
+                 "--format", fmt], stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 def json_scalars():

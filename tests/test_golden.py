@@ -1,10 +1,12 @@
-"""Byte-identity contract: `gusbox estimate` reports on the desk catalog keep
-the exact bytes recorded for them.
+"""Byte-identity contract: `gusbox estimate` reports on the desk catalog, and
+the CSVs `gusbox generate` writes, keep the exact bytes recorded for them.
 
-Each case runs the CLI in-process on the ``desk_paths`` data (``DESK_SCALE``
-at ``DESK_SEED``) and compares the sha256 of its stdout with the digest
-recorded when the case was added. A digest changes only with an intended
-report change, which CHANGES.md names.
+Each report case runs the CLI in-process on the ``desk_paths`` data
+(``DESK_SCALE`` at ``DESK_SEED``) and compares the sha256 of its stdout with
+the digest recorded when the case was added. Each generator case compares
+the sha256 of every CSV ``generate_tpch_tiny`` writes for a (scale, seed).
+A digest changes only with an intended report or data change, which
+CHANGES.md names.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import json
 import pytest
 
 from gusbox.cli import main
+from gusbox.datagen import DEFAULT_SCALE, generate_tpch_tiny
 
 from conftest import CUSTOMER_TYPES
 from test_dsl_ingest import query1_document
@@ -104,3 +107,40 @@ def test_report_bytes(plan_paths, capsys, document, fmt, seed):
                  *FORMATS[fmt]]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == GOLDEN[document, fmt, seed]
+
+
+SCALES = {
+    "default": DEFAULT_SCALE,
+    "tiny": {"l": 9, "o": 1, "c": 1, "p": 1},
+    # perfbench's tpch-join data; its reference.json holds estimates over it
+    "benchmark": {"l": 200000, "o": 50000, "c": 5000, "p": 10000},
+}
+
+# sha256 of each generated CSV, by (scale, data seed, table)
+GENERATED = {
+    ("default", 0, "customer"): "ffd1edbdf5f491e5cb4daa39bd26d1c3d5233e54b90ed12a5990e09bb0733fb1",
+    ("default", 0, "lineitem"): "f759b9ec7fc5d598e145fe815377144c73d87349175f3d343a6343852bd6f82f",
+    ("default", 0, "orders"): "10053abc86777842174af79885152c2c2f9caddd97f657cedc6abdb047a3a1c6",
+    ("default", 0, "part"): "5ba348256477bfbd4e52df8533d066e6da2bb11ac32751fe0fadd581ba637ce4",
+    ("default", 7, "customer"): "9a8b073f085b0b59c9577f69358c6983895661d5a1e9d006fd64229570530eea",
+    ("default", 7, "lineitem"): "de170002d6d50b6a0334f05593408056417cc1f51a01c6aad31bedb91728eec5",
+    ("default", 7, "orders"): "4f3fa6ca513fdf4abaaf9ad1335fb7e5a77cf9d0f391b6afa8b4ffec6774a416",
+    ("default", 7, "part"): "26de6fefcda8f823bffb7f4db0ad6ef5ce7e846859850205ecc14dd342abb697",
+    ("tiny", 2, "customer"): "c2f2c153b04d250cbd4f6cc16f095d1710e84b3dadd06d6e1ced4c0196dd4c6e",
+    ("tiny", 2, "lineitem"): "e62f39aa6d1f983d808da47636fc84b7841c1596f2e573c7a7cc1aab8afe7bd4",
+    ("tiny", 2, "orders"): "2a05906b8dcac3c05d257c0cd5e9e3adbce9e076e73a3055ae230ca234b2be77",
+    ("tiny", 2, "part"): "932146f9f6f21c0afd870c441d9511cdd7bca46e2cec231ee897e438440cc660",
+    ("benchmark", 3, "customer"): "150ea0829417bbbf362767aed1e9ca65b2478a94a1649157c691b92282befab5",
+    ("benchmark", 3, "lineitem"): "7415f4f85075f2334bb5ac1ad3f23ff3982b6048943f7ecd9e82e64e42610d3f",
+    ("benchmark", 3, "orders"): "42ab19792b9a537a88824d922e1605404ce9f794f8ecb23573bc9d9a9879b3af",
+    ("benchmark", 3, "part"): "b8c9bbcf8edbbed3c69149c0e2ac5db96956698406312f943de58dbec1cfc3ce",
+}
+
+
+@pytest.mark.parametrize("scale,seed", sorted({key[:2] for key in GENERATED}))
+def test_generated_bytes(tmp_path, scale, seed):
+    paths = generate_tpch_tiny(SCALES[scale], seed, tmp_path)
+    assert list(paths) == ["customer", "part", "orders", "lineitem"]
+    for table, path in paths.items():
+        assert path == tmp_path / f"{table}.csv"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED[scale, seed, table]

@@ -129,6 +129,23 @@ class TestWor:
         ids = [r.lineage[0] for r in out.rows]
         assert ids == sorted(ids)
 
+    @pytest.mark.parametrize("m,n", [(30000, 5000), (20, 18), (5, 5), (1, 1), (7, 3),
+                                     (100, 0)])
+    def test_draws_match_one_integers_call_per_step(self, m, n):
+        # the swap positions come from one array-bound rng.integers call; it
+        # must keep the rows, and leave the stream where, one scalar
+        # rng.integers(i, m) per Fisher-Yates step would
+        rel = flat_relation(m)
+        for seed in range(5):
+            rng, scalar_rng = generator(seed, 0), generator(seed, 0)
+            idx = list(range(m))
+            for i in range(n):
+                j = int(scalar_rng.integers(i, m))
+                idx[i], idx[j] = idx[j], idx[i]
+            out = wor_sample(rel, n, rng)
+            assert out.lineage[:, 0].tolist() == sorted(idx[:n])
+            assert rng.random() == scalar_rng.random()
+
     def test_pair_frequencies_match_uniform_subsets(self):
         # 2 of 4: each unordered pair should appear with probability 1/6
         rel = flat_relation(4)

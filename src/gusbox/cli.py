@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import datagen, estimator, oracle, samplers
+from . import estimator, oracle, samplers
 from .algebra import normalize_plan
 from .dsl import parse_plan
 from .engine import execute, execute_full
@@ -214,6 +214,10 @@ def run_estimate(args) -> int:
 
 
 def run_generate(args) -> int:
+    # imported here: `estimate` never needs it, and its import builds the
+    # generator's digit tables
+    from . import datagen
+
     scale = _name_values(args.scale, "scale", "key", "count", int)
     paths = datagen.generate_tpch_tiny(scale, args.seed, args.out)
     for name, path in sorted(paths.items()):
@@ -268,6 +272,9 @@ def main(argv=None) -> int:
             # the interpreter flushes stdout again at exit; let that succeed
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a scale or an input too large for this host
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -3,7 +3,9 @@ tree, and requested quantiles.
 
 Node objects use an ``op`` discriminator: scan, select, join, cross, union,
 sample, sum. A cross is a join with no equality pairs and no residual.
-Errors carry the JSON path to the offending element.
+Errors carry the JSON path to the offending element. Every column name a
+node uses is checked against the ``columnTypes`` declared for the tables
+below it, so a misspelt name fails before any CSV is read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import PlanError, SchemaError
+from .errors import ExpressionError, PlanError, SchemaError
+from .exprs import Arith
 from .model import COLUMN_TYPES
 from .plan import (
     BernoulliSpec,
@@ -209,6 +212,52 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         expr, _parse_node(_need(doc, "child", path), tables, f"{path}.child"))
 
 
+def _known(name: str, columns: Mapping[str, str], path: str) -> None:
+    if name not in columns:
+        raise PlanError(f"{path}: unknown column {name!r}")
+
+
+def _check_predicate(pred: Predicate, columns: Mapping[str, str], path: str) -> None:
+    """Every column ``pred`` names is one of ``columns``."""
+    for i, atom in enumerate(pred.atoms):
+        _known(atom.col, columns, f"{path}[{i}].col")
+        if atom.other_col is not None:
+            _known(atom.other_col, columns, f"{path}[{i}].col2")
+
+
+def _check_columns(node: PlanNode, tables: Mapping[str, TableSpec],
+                   path: str) -> dict[str, str]:
+    """The output columns (name -> type) of ``node``, a plan ``validate_plan``
+    accepted, from the declared ``columnTypes``. Raises ``PlanError`` with
+    the path of the first column name that is not one of its input's."""
+    if isinstance(node, Scan):
+        return dict(tables[node.table].column_types)
+    if isinstance(node, Select):
+        columns = _check_columns(node.child, tables, f"{path}.child")
+        _check_predicate(node.predicate, columns, f"{path}.where")
+        return columns
+    if isinstance(node, Join):
+        left = _check_columns(node.left, tables, f"{path}.left")
+        right = _check_columns(node.right, tables, f"{path}.right")
+        for i, (lc, rc) in enumerate(node.condition.equi):
+            _known(lc, left, f"{path}.eq[{i}].left")
+            _known(rc, right, f"{path}.eq[{i}].right")
+        columns = {**left, **right}
+        _check_predicate(node.condition.residual, columns, f"{path}.theta")
+        return columns
+    if isinstance(node, UnionDedup):  # validate_plan made both sides one relation
+        return _check_columns(node.left, tables, f"{path}.left")
+    if isinstance(node, Sample):
+        return _check_columns(node.child, tables, f"{path}.child")
+    # a sum aggregate, at the root
+    columns = _check_columns(node.child, tables, f"{path}.child")
+    try:
+        Arith(node.expr, tuple(columns), tuple(columns.values()), what=f"{path}.expr")
+    except ExpressionError as exc:  # an unknown or non-numeric column, or bad syntax
+        raise PlanError(str(exc)) from None
+    return columns
+
+
 def parse_plan(text: str) -> PlanDocument:
     """Parse and validate a plan document; raises PlanError with a JSON path
     on anything malformed."""
@@ -256,6 +305,7 @@ def parse_plan(text: str) -> PlanDocument:
         validate_plan(plan)
     except SchemaError as exc:  # self-joins and unions over different relations
         raise PlanError(str(exc)) from exc
+    _check_columns(plan, tables, "plan")
 
     quantiles_doc = doc.get("quantiles", [])
     if not isinstance(quantiles_doc, list):

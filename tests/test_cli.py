@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusbox import PlanError, SumAggregate, cli, engine, errors, oracle
+from gusbox import PlanError, SumAggregate, cli, datagen, engine, errors, oracle
 from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny
 from gusbox.ingest import ingest_csv
@@ -79,6 +80,48 @@ class TestGenerate:
         assert main(["generate", "--out", str(tmp_path / "f" / "sub")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [
+        "c=100000000000000000000",   # past int64: numpy refused the dimension
+        f"o={datagen._MAX_ROWS + 1},l=1",  # numpy refused the array as too big
+        "p=9223372036854775808",
+    ])
+    def test_count_no_column_can_hold_exits_2(self, tmp_path, capsys, scale):
+        # each exited 1 with numpy's ValueError traceback, the second one
+        # after writing customer.csv and part.csv
+        assert main(["generate", "--scale", scale, "--out", str(tmp_path / "d")]) == 2
+        key, _, value = scale.split(",")[0].partition("=")
+        assert capsys.readouterr().err == (
+            f"error: scale {key}={value} must be <= {datagen._MAX_ROWS}, "
+            "the most rows a column can hold\n")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+         "and data type int64", None),
+        ("", "out of memory"),
+    ])
+    def test_draw_out_of_memory_exits_2_before_writing(self, tmp_path, monkeypatch, capsys,
+                                                       message, printed):
+        # the lineitem shuffle is drawn after every other table's columns; a
+        # real allocation this large could reach the OOM killer, so it is faked
+        real = np.random.Generator
+
+        class Exhausted:
+            def __init__(self, bits):
+                self.rng = real(bits)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def permutation(self, n):
+                raise MemoryError(message)
+
+        monkeypatch.setattr(np.random, "Generator", Exhausted)
+        out = tmp_path / "d"
+        assert main(["generate", "--scale", "l=10,o=5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {printed or message}\n"
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -246,6 +289,15 @@ class TestEstimateCommand:
         ("col2", [1], "plan.child.where[0]: col2 must be a string, not [1]"),
         ("left", [1], "plan.child.child.eq[0]: left must be a string, not [1]"),
         ("right", True, "plan.child.child.eq[0]: right must be a string, not true"),
+        # unknown names, checked against the declared columns below each node;
+        # each exited 2 only after ingest, without a path
+        ("col", "nope", "plan.child.where[0].col: unknown column 'nope'"),
+        ("col2", "nope", "plan.child.where[0].col2: unknown column 'nope'"),
+        ("left", "o_orderkey", "plan.child.child.eq[0].left: unknown column 'o_orderkey'"),
+        ("right", "l_orderkey", "plan.child.child.eq[0].right: unknown column 'l_orderkey'"),
+        ("theta", "nope", "plan.child.child.theta[0].col: unknown column 'nope'"),
+        ("expr", "l_discount*nope", "plan.expr: unknown column 'nope'"),
+        ("expr", "l_discount*", "plan.expr: cannot parse 'l_discount*': invalid syntax"),
     ])
     def test_column_names_read_before_ingest(self, plan_on_disk, capsys, slot, value, message):
         # read while the document is parsed, with a path: no CSV is opened
@@ -253,13 +305,18 @@ class TestEstimateCommand:
         for table in doc["tables"].values():
             table["path"] = "missing.csv"
         atom = doc["plan"]["child"]["where"][0]
+        join = doc["plan"]["child"]["child"]
         if slot == "col2":
             atom.update(cmp="=", col2=value)
             del atom["value"]
         elif slot == "col":
             atom["col"] = value
+        elif slot == "theta":
+            join["theta"] = [{"col": value, "cmp": ">", "value": 1.0}]
+        elif slot == "expr":
+            doc["plan"]["expr"] = value
         else:
-            doc["plan"]["child"]["child"]["eq"][0][slot == "right"] = value
+            join["eq"][0][slot == "right"] = value
         bad = plan_on_disk.parent / "bad_column.json"
         bad.write_text(json.dumps(doc))
         assert main(["estimate", str(bad)]) == 2
@@ -527,6 +584,7 @@ class TestEstimateCommand:
         (errors.SchemaError, 2), (errors.SelfJoinError, 2), (errors.SampleSizeError, 2),
         (errors.EnumerationInfeasibleError, 2), (errors.GusboxError, 2),
         (errors.NotIdentifiableError, 3), (errors.DegenerateSamplingError, 3),
+        (MemoryError, 2),
     ], ids=lambda value: value.__name__ if isinstance(value, type) else str(value))
     def test_exit_codes_by_error_type(self, plan_on_disk, monkeypatch, capsys, error, code):
         def fail(args):

@@ -3,9 +3,10 @@ tree, and requested quantiles.
 
 Node objects use an ``op`` discriminator: scan, select, join, cross, union,
 sample, sum. A cross is a join with no equality pairs and no residual.
-Errors carry the JSON path to the offending element. Every column name a
-node uses is checked against the ``columnTypes`` declared for the tables
-below it, so a misspelt name fails before any CSV is read.
+Errors carry the JSON path to the offending element. Every column a node,
+the ``sum`` expression or an ``idColumn`` uses is checked against the
+declared ``columnTypes``, so a misspelt name or a wrong type fails before
+any CSV is read.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .plan import (
     SumAggregate,
     UnionDedup,
     WorSpec,
+    check_columns,
     validate_plan,
 )
 
@@ -212,50 +214,25 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         expr, _parse_node(_need(doc, "child", path), tables, f"{path}.child"))
 
 
-def _known(name: str, columns: Mapping[str, str], path: str) -> None:
-    if name not in columns:
-        raise PlanError(f"{path}: unknown column {name!r}")
-
-
-def _check_predicate(pred: Predicate, columns: Mapping[str, str], path: str) -> None:
-    """Every column ``pred`` names is one of ``columns``."""
-    for i, atom in enumerate(pred.atoms):
-        _known(atom.col, columns, f"{path}[{i}].col")
-        if atom.other_col is not None:
-            _known(atom.other_col, columns, f"{path}[{i}].col2")
-
-
-def _check_columns(node: PlanNode, tables: Mapping[str, TableSpec],
-                   path: str) -> dict[str, str]:
-    """The output columns (name -> type) of ``node``, a plan ``validate_plan``
-    accepted, from the declared ``columnTypes``. Raises ``PlanError`` with
-    the path of the first column name that is not one of its input's."""
-    if isinstance(node, Scan):
-        return dict(tables[node.table].column_types)
-    if isinstance(node, Select):
-        columns = _check_columns(node.child, tables, f"{path}.child")
-        _check_predicate(node.predicate, columns, f"{path}.where")
-        return columns
-    if isinstance(node, Join):
-        left = _check_columns(node.left, tables, f"{path}.left")
-        right = _check_columns(node.right, tables, f"{path}.right")
-        for i, (lc, rc) in enumerate(node.condition.equi):
-            _known(lc, left, f"{path}.eq[{i}].left")
-            _known(rc, right, f"{path}.eq[{i}].right")
-        columns = {**left, **right}
-        _check_predicate(node.condition.residual, columns, f"{path}.theta")
-        return columns
-    if isinstance(node, UnionDedup):  # validate_plan made both sides one relation
-        return _check_columns(node.left, tables, f"{path}.left")
-    if isinstance(node, Sample):
-        return _check_columns(node.child, tables, f"{path}.child")
-    # a sum aggregate, at the root
-    columns = _check_columns(node.child, tables, f"{path}.child")
+def _arith(text: str, columns: Mapping[str, str], what: str,
+           integer: bool = False) -> None:
+    """Build ``text`` as an ``Arith`` over ``columns``: an unknown or
+    non-numeric column, or bad syntax, fails here, before any CSV is read."""
     try:
-        Arith(node.expr, tuple(columns), tuple(columns.values()), what=f"{path}.expr")
-    except ExpressionError as exc:  # an unknown or non-numeric column, or bad syntax
+        Arith(text, tuple(columns), tuple(columns.values()), what=what, integer=integer)
+    except ExpressionError as exc:
         raise PlanError(str(exc)) from None
-    return columns
+
+
+def _check_id_column(id_column: str, columns: Mapping[str, str], path: str) -> None:
+    """``id_column`` as ``ingest_csv`` reads it: ``rowIndex``, a declared
+    int64 column, or an integer expression over the declared columns."""
+    if id_column == "rowIndex":
+        return
+    if id_column not in columns:
+        _arith(id_column, columns, path, integer=True)
+    elif columns[id_column] != "int64":
+        raise PlanError(f"{path}: id column {id_column!r} must be int64")
 
 
 def parse_plan(text: str) -> PlanDocument:
@@ -299,13 +276,16 @@ def parse_plan(text: str) -> PlanDocument:
                 id_column=_string(spec, "idColumn", "rowIndex"),
                 column_types=tuple(types_doc.items()),
             )
+        _check_id_column(tables[name].id_column, types_doc, f"{path}.idColumn")
 
     plan = _parse_node(_need(doc, "plan", "top level"), tables, "plan")
     try:
         validate_plan(plan)
     except SchemaError as exc:  # self-joins and unions over different relations
         raise PlanError(str(exc)) from exc
-    _check_columns(plan, tables, "plan")
+    columns = check_columns(plan, {name: spec.column_types for name, spec in tables.items()})
+    if isinstance(plan, SumAggregate):
+        _arith(plan.expr, columns, "plan.expr")
 
     quantiles_doc = doc.get("quantiles", [])
     if not isinstance(quantiles_doc, list):

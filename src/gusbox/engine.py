@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import samplers
-from .errors import ExpressionError, PlanError, SchemaError
+from .errors import ExpressionError, PlanError, SampleSizeError, SchemaError
 from .exprs import Arith
 from .model import (
     INT64_MAX,
@@ -50,6 +50,7 @@ from .plan import (
     SumAggregate,
     UnionDedup,
     WorSpec,
+    check_columns,
     strip_sampling,
 )
 
@@ -66,15 +67,6 @@ _INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
 
 Catalog = Mapping[str, SampleRelation]  # stored tables by name (see ingest.ingest_csv)
-
-
-def _check_comparable(lhs_type: str, rhs) -> None:
-    if lhs_type == "string":
-        if not isinstance(rhs, str):
-            raise ExpressionError(f"cannot compare string column with {rhs!r}")
-    else:
-        if not isinstance(rhs, (int, float)) or isinstance(rhs, bool):
-            raise ExpressionError(f"cannot compare numeric column with {rhs!r}")
 
 
 def _python_mask(op: str, xs, ys, m: int) -> np.ndarray:
@@ -144,28 +136,19 @@ def _equal_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ok & (as_int == ints)
 
 
-def bind_predicate(pred: Predicate, columns: Sequence[str],
-                   types: Sequence[str]) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
-    """Type-check atoms against the input schema and compile to a function
-    from column arrays to the boolean mask of rows that pass."""
+def bind_predicate(pred: Predicate, columns: Sequence[str]
+                   ) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
+    """Compile ``pred``, whose columns ``plan.check_columns`` has checked
+    against ``columns``, to a function from column arrays to the boolean
+    mask of rows that pass."""
     columns = list(columns)
     compiled = []
     for atom in pred.atoms:
-        if atom.col not in columns:
-            raise ExpressionError(f"predicate references unknown column {atom.col!r}")
         i = columns.index(atom.col)
         if atom.other_col is not None:
-            if atom.other_col not in columns:
-                raise ExpressionError(f"predicate references unknown column {atom.other_col!r}")
             j = columns.index(atom.other_col)
-            lt, rt = types[i], types[j]
-            if (lt == "string") != (rt == "string"):
-                raise ExpressionError(
-                    f"cannot compare {atom.col} ({lt}) with {atom.other_col} ({rt})"
-                )
             compiled.append(lambda data, i=i, j=j: _equal_columns(data[i], data[j]))
         else:
-            _check_comparable(types[i], atom.value)
             compiled.append(
                 lambda data, i=i, op=atom.op, c=atom.value: _compare_const(op, data[i], c))
 
@@ -186,7 +169,7 @@ def scan(table: SampleRelation) -> SampleRelation:
 def select(pred: Predicate, r: SampleRelation) -> SampleRelation:
     if not pred.atoms:
         return r
-    test = bind_predicate(pred, r.columns, r.column_types)
+    test = bind_predicate(pred, r.columns)
     return r.take(test(r.data))
 
 
@@ -293,15 +276,12 @@ def _passing_pairs(residual, left: SampleRelation, right: SampleRelation, blocks
 
 def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
     merged_schema, left_pos, right_pos = _merge_maps(left.schema, right.schema)
-    overlap = set(left.columns) & set(right.columns)
-    if overlap:
-        raise SchemaError(f"join sides share column names {sorted(overlap)}")
     columns = left.columns + right.columns
     types = left.column_types + right.column_types
 
     residual = None
     if cond.residual.atoms:
-        residual = bind_predicate(cond.residual, columns, types)
+        residual = bind_predicate(cond.residual, columns)
 
     if cond.equi:
         li, ri = _equi_pairs([(left.data[left.column_index(lc)],
@@ -346,9 +326,16 @@ def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
 
 
 def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
-    """Evaluate the aggregate expression per row into the ``f`` slot."""
+    """Evaluate the aggregate expression per row into the ``f`` slot. A
+    value that is NaN or infinite, which no estimate could use, raises an
+    ``ExpressionError`` naming the expression and the first such value."""
     arith = Arith(expr, r.columns, r.column_types, what=f"aggregate {expr!r}")
-    return r.with_f(arith.over(r.data, len(r)))
+    f = arith.over(r.data, len(r))
+    bad = ~np.isfinite(f)
+    if bad.any():
+        value = float(f[bad][0])
+        raise ExpressionError(f"{arith.what}: non-finite value {value!r} on a kept row")
+    return r.with_f(f)
 
 
 @dataclass(frozen=True)
@@ -366,14 +353,17 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
     records, by plan path, how many rows each fixed-size (WOR) sampler drew
     from; ``normalize_plan`` reads its population sizes from there. A
     ``PlanError`` starts with the offending node's path, as
-    ``validate_plan``'s do (``plan.child.left: unknown table 'x'``).
+    ``validate_plan``'s do (``plan.child.left: unknown table 'x'``): the
+    plan's columns are checked against the catalog's first
+    (``plan.check_columns``). A WOR sampler asked for more rows than its input
+    holds raises a ``SampleSizeError`` naming its method.
     """
+    check_columns(node, {name: tuple(zip(t.columns, t.column_types))
+                         for name, t in catalog.items()})
     populations: dict[str, int] = {}
 
     def rec(n: PlanNode, path: str) -> SampleRelation:
         if isinstance(n, Scan):
-            if n.table not in catalog:
-                raise PlanError(f"{path}: unknown table {n.table!r}")
             return scan(catalog[n.table])
         if isinstance(n, Select):
             return select(n.predicate, rec(n.child, f"{path}.child"))
@@ -389,8 +379,11 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
                     child, m.p, samplers.generator(master_seed, m.seed))
             if isinstance(m, WorSpec):
                 populations[path] = len(child)
-                return samplers.wor_sample(
-                    child, m.n, samplers.generator(master_seed, m.seed))
+                try:
+                    return samplers.wor_sample(
+                        child, m.n, samplers.generator(master_seed, m.seed))
+                except SampleSizeError as exc:
+                    raise SampleSizeError(f"{path}.method: {exc}") from None
             if isinstance(m, LineageBernoulliSpec):
                 dims = {
                     name: (p, samplers.derive_seed(master_seed, seed))

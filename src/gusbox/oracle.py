@@ -16,6 +16,9 @@ ids, and row samplers (Bernoulli, WOR) with one seed draw from one stream.
 ``enumerate_exact_moments`` and ``monte_carlo_moments`` call it directly
 and take the plan's inclusion probability ``a`` from the caller, while
 ``inclusion_probabilities`` does not validate and still measures such plans.
+``enumerate_exact_moments`` runs the engine's operators itself, so it also
+checks the plan's columns against the catalog (``plan.check_columns``), as
+``execute`` does.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .plan import (
     SumAggregate,
     UnionDedup,
     WorSpec,
+    check_columns,
     validate_plan,
 )
 
@@ -213,6 +217,8 @@ def enumerate_exact_moments(plan: PlanNode, catalog: Catalog, a: float,
     if not isinstance(plan, SumAggregate):
         raise PlanError("exact moments need a plan with a sum aggregate at the root")
     validate_plan(plan)
+    check_columns(plan, {name: tuple(zip(t.columns, t.column_types))
+                         for name, t in catalog.items()})
     if a <= 0.0:
         raise DegenerateSamplingError("inclusion probability a must be positive")
     outcomes = enumerate_outcomes(plan.child, catalog, budget)

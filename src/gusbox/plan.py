@@ -4,15 +4,15 @@ interspersed, plus the predicate and sampler descriptions they carry.
 Plans are immutable; rewriting produces new trees. A sum aggregate may
 appear once, at the root. A cross product is a :class:`Join` with no
 equality pairs and no residual. :func:`validate_plan` holds every structural
-check and reads no data, so a malformed plan fails before any table is
-loaded.
+check and :func:`check_columns` every column check; neither reads data, so a
+malformed plan fails before any table is loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import PlanError, SchemaError, SelfJoinError
 from .model import LineageSchema
@@ -285,3 +285,69 @@ def validate_plan(root: PlanNode,
                 f"subsample relation {name!r} is not in the plan's schema {schema.relations}")
         claim_keyed_seed(seed, f"subsample relation {name!r}")
     return schema
+
+
+def _column_type(name: str, columns: Mapping[str, str], path: str) -> str:
+    if name not in columns:
+        raise PlanError(f"{path}: unknown column {name!r}")
+    return columns[name]
+
+
+def _check_predicate(pred: Predicate, columns: Mapping[str, str], path: str) -> None:
+    for i, atom in enumerate(pred.atoms):
+        where = f"{path}[{i}]"
+        ctype = _column_type(atom.col, columns, f"{where}.col")
+        if atom.other_col is not None:
+            other = _column_type(atom.other_col, columns, f"{where}.col2")
+            if (ctype == "string") != (other == "string"):
+                raise PlanError(f"{where}.col2: cannot compare {atom.col} ({ctype}) "
+                                f"with {atom.other_col} ({other})")
+        elif ctype == "string" and not isinstance(atom.value, str):
+            raise PlanError(f"{where}.value: cannot compare string column with {atom.value!r}")
+        elif ctype != "string" and (isinstance(atom.value, bool)
+                                    or not isinstance(atom.value, (int, float))):
+            raise PlanError(f"{where}.value: cannot compare numeric column with {atom.value!r}")
+
+
+def check_columns(root: PlanNode,
+                  tables: Mapping[str, Iterable[tuple[str, str]]]) -> dict[str, str]:
+    """Every column check a plan needs, in one walk that reads no data.
+
+    ``tables`` maps each table to its ``(column, type)`` pairs. Every scan
+    names one of them; a ``where`` or ``theta`` atom names its input's
+    columns, each ``eq`` side its own side's, and join sides share no name.
+    An atom compares strings with strings and numbers with numbers (a bool
+    is not a number). Each error starts with the offending slot's path
+    (``plan.child.where[0].value: …``). Returns the output columns (name ->
+    type) of ``root``, or of its input if ``root`` is a sum aggregate.
+    """
+
+    def rec(node: PlanNode, path: str) -> dict[str, str]:
+        if isinstance(node, Scan):
+            if node.table not in tables:
+                raise PlanError(f"{path}: unknown table {node.table!r}")
+            return dict(tables[node.table])
+        if isinstance(node, Select):
+            columns = rec(node.child, f"{path}.child")
+            _check_predicate(node.predicate, columns, f"{path}.where")
+            return columns
+        if isinstance(node, Join):
+            left, right = rec(node.left, f"{path}.left"), rec(node.right, f"{path}.right")
+            shared = sorted(left.keys() & right.keys())
+            if shared:
+                raise PlanError(f"{path}: join sides share column names {shared}")
+            for i, (lc, rc) in enumerate(node.condition.equi):
+                _column_type(lc, left, f"{path}.eq[{i}].left")
+                _column_type(rc, right, f"{path}.eq[{i}].right")
+            columns = {**left, **right}
+            _check_predicate(node.condition.residual, columns, f"{path}.theta")
+            return columns
+        if isinstance(node, UnionDedup):
+            columns = rec(node.left, f"{path}.left")
+            rec(node.right, f"{path}.right")
+            return columns
+        if isinstance(node, (Sample, SumAggregate)):
+            return rec(node.child, f"{path}.child")
+        raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
+
+    return rec(root, "plan")

@@ -11,9 +11,10 @@ Relations here are built from ``Row`` tuples with
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
-from gusbox.engine import _CMP_FUNCS, _check_comparable
+from gusbox.engine import _CMP_FUNCS
 from gusbox.errors import ExpressionError, IngestError, PlanError, SampleSizeError, SchemaError
 from gusbox.exprs import Arith
 from gusbox.model import Row, SampleRelation
@@ -32,26 +33,15 @@ from gusbox.plan import (
 from gusbox.samplers import derive_seed, generator, keyed_unit
 
 
-def bind_predicate(pred, columns, types):
+def bind_predicate(pred, columns):
     columns = list(columns)
     compiled = []
     for atom in pred.atoms:
-        if atom.col not in columns:
-            raise ExpressionError(f"predicate references unknown column {atom.col!r}")
         i = columns.index(atom.col)
         fn = _CMP_FUNCS[atom.op]
         if atom.other_col is not None:
-            if atom.other_col not in columns:
-                raise ExpressionError(f"predicate references unknown column {atom.other_col!r}")
-            j = columns.index(atom.other_col)
-            lt, rt = types[i], types[j]
-            if (lt == "string") != (rt == "string"):
-                raise ExpressionError(
-                    f"cannot compare {atom.col} ({lt}) with {atom.other_col} ({rt})"
-                )
-            compiled.append((fn, i, j, True))
+            compiled.append((fn, i, columns.index(atom.other_col), True))
         else:
-            _check_comparable(types[i], atom.value)
             compiled.append((fn, i, atom.value, False))
 
     def test(values: tuple) -> bool:
@@ -77,7 +67,7 @@ def scan(table: SampleRelation) -> SampleRelation:
 def select(pred, r: SampleRelation) -> SampleRelation:
     if not pred.atoms:
         return r
-    test = bind_predicate(pred, r.columns, r.column_types)
+    test = bind_predicate(pred, r.columns)
     return _with_rows(r, [row for row in r.rows if test(row.values)])
 
 
@@ -85,12 +75,9 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
     merged = left.schema.merge_disjoint(right.schema)
     left_pos = [merged.index(name) for name in left.schema.relations]
     right_pos = [merged.index(name) for name in right.schema.relations]
-    overlap = set(left.columns) & set(right.columns)
-    if overlap:
-        raise SchemaError(f"join sides share column names {sorted(overlap)}")
     columns = left.columns + right.columns
     types = left.column_types + right.column_types
-    residual = bind_predicate(cond.residual, columns, types) if cond.residual.atoms else None
+    residual = bind_predicate(cond.residual, columns) if cond.residual.atoms else None
 
     def merge(llin, rlin):
         out = [0] * merged.n
@@ -131,7 +118,11 @@ def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
 
 def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     fn = Arith(expr, r.columns, r.column_types, what=f"aggregate {expr!r}")
-    return _with_rows(r, [Row(row.values, row.lineage, float(fn(row.values))) for row in r.rows])
+    rows = [Row(row.values, row.lineage, float(fn(row.values))) for row in r.rows]
+    for row in rows:
+        if not math.isfinite(row.f):
+            raise ExpressionError(f"aggregate {expr!r}: non-finite value {row.f!r} on a kept row")
+    return _with_rows(r, rows)
 
 
 def total_f(r: SampleRelation) -> float:
@@ -165,32 +156,36 @@ def lineage_bernoulli(r: SampleRelation, dims) -> SampleRelation:
 
 def execute(node, catalog, master_seed: int = 0):
     """(relation, aggregate) of a plan, as ``gusbox.engine.execute`` gives
-    them in an ``ExecutionResult``."""
+    them in an ``ExecutionResult``, for plans whose columns
+    ``plan.check_columns`` accepts."""
 
-    def rec(n) -> SampleRelation:
+    def rec(n, path: str) -> SampleRelation:
         if isinstance(n, Scan):
             return scan(catalog[n.table])
         if isinstance(n, Select):
-            return select(n.predicate, rec(n.child))
+            return select(n.predicate, rec(n.child, f"{path}.child"))
         if isinstance(n, Join):
-            return join(n.condition, rec(n.left), rec(n.right))
+            return join(n.condition, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, UnionDedup):
-            return union_dedup(rec(n.left), rec(n.right))
+            return union_dedup(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, Sample):
-            child, m = rec(n.child), n.method
+            child, m = rec(n.child, f"{path}.child"), n.method
             if isinstance(m, BernoulliSpec):
                 return bernoulli_sample(child, m.p, generator(master_seed, m.seed))
             if isinstance(m, WorSpec):
-                return wor_sample(child, m.n, generator(master_seed, m.seed))
+                try:
+                    return wor_sample(child, m.n, generator(master_seed, m.seed))
+                except SampleSizeError as exc:
+                    raise SampleSizeError(f"{path}.method: {exc}") from None
             if isinstance(m, LineageBernoulliSpec):
                 return lineage_bernoulli(
                     child, {name: (p, derive_seed(master_seed, seed)) for name, p, seed in m.dims})
         raise PlanError(f"unsupported plan node {type(n).__name__}")
 
     if isinstance(node, SumAggregate):
-        relation = bind_aggregate(node.expr, rec(node.child))
+        relation = bind_aggregate(node.expr, rec(node.child, "plan.child"))
         return relation, total_f(relation)
-    return rec(node), None
+    return rec(node, "plan"), None
 
 
 _PARSERS = {"int64": int, "float64": float, "string": str}

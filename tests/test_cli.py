@@ -298,15 +298,35 @@ class TestEstimateCommand:
         ("theta", "nope", "plan.child.child.theta[0].col: unknown column 'nope'"),
         ("expr", "l_discount*nope", "plan.expr: unknown column 'nope'"),
         ("expr", "l_discount*", "plan.expr: cannot parse 'l_discount*': invalid syntax"),
+        # types, join-side overlaps and id expressions, checked on the declared
+        # columns too; each exited 2 only after ingest, without a path
+        ("value", "x", "plan.child.where[0].value: cannot compare numeric column with 'x'"),
+        ("value", True, "plan.child.where[0].value: cannot compare numeric column with True"),
+        ("value", {}, "plan.child.where[0].value: cannot compare numeric column with {}"),
+        ("col2", "l_flag", "plan.child.where[0].col2: cannot compare l_extendedprice "
+                           "(float64) with l_flag (string)"),
+        ("theta", "l_flag", "plan.child.child.theta[0].value: cannot compare string column "
+                            "with 1.0"),
+        ("overlap", "l_tax", "plan.child.child: join sides share column names ['l_tax']"),
+        ("idColumn", "o_orderkey + nope", "tables.o.idColumn: unknown column 'nope'"),
+        ("idColumn", "o_totalprice", "tables.o.idColumn: id column 'o_totalprice' must be int64"),
+        ("idColumn", "o_totalprice*2", "tables.o.idColumn: column 'o_totalprice' must be int64"),
     ])
     def test_column_names_read_before_ingest(self, plan_on_disk, capsys, slot, value, message):
         # read while the document is parsed, with a path: no CSV is opened
         doc = json.loads(plan_on_disk.read_text())
         for table in doc["tables"].values():
             table["path"] = "missing.csv"
+        doc["tables"]["l"]["columnTypes"]["l_flag"] = "string"
         atom = doc["plan"]["child"]["where"][0]
         join = doc["plan"]["child"]["child"]
-        if slot == "col2":
+        if slot == "value":
+            atom["value"] = value
+        elif slot == "overlap":
+            doc["tables"]["o"]["columnTypes"][value] = "float64"
+        elif slot == "idColumn":
+            doc["tables"]["o"]["idColumn"] = value
+        elif slot == "col2":
             atom.update(cmp="=", col2=value)
             del atom["value"]
         elif slot == "col":
@@ -328,7 +348,8 @@ class TestEstimateCommand:
         bad = plan_on_disk.parent / "too_big.json"
         bad.write_text(json.dumps(doc))
         assert main(["estimate", str(bad)]) == 2
-        assert "cannot draw 51 rows from a relation of 50" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: plan.child.child.right.method: cannot draw 51 rows from a relation of 50\n")
 
     def test_wor_of_zero_rows_rejected_before_ingest(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())
@@ -554,6 +575,22 @@ class TestEstimateCommand:
         plan_path = self._tiny_document(tmp_path, **changes)
         assert main(["estimate", str(plan_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_aggregate_exits_2(self, tmp_path, capsys):
+        # exited 0 with "estimate": NaN, which no strict JSON reader accepts
+        plan_path = self._tiny_document(tmp_path, b"k,v,w\n2,nan,1\n4,inf,2\n",
+                                        **{"plan.child.method.p": 0.9})
+        assert main(["estimate", str(plan_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: aggregate 'v': non-finite value nan on a kept row\n")
+
+    def test_non_finite_values_the_plan_drops_are_not_read(self, tmp_path, capsys):
+        plan_path = self._tiny_document(
+            tmp_path, b"k,v,w\n1,1.5,1\n2,nan,1\n4,inf,2\n",
+            **{"plan.child.child": {"op": "select", "child": {"op": "scan", "table": "t"},
+                                    "where": [{"col": "k", "cmp": "<", "value": 2}]}})
+        assert main(["estimate", str(plan_path), "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["sampleRows"] <= 1
 
     @pytest.mark.parametrize("plan_bytes, csv, message", [
         (b"\xff", None, "cannot read {plan}: 'utf-8' codec can't decode byte 0xff in "

@@ -232,7 +232,7 @@ def test_constant_comparisons_match_python(ctype, constant, op):
     """Comparisons that no float conversion gets right, checked against
     Python's own operator on the same values."""
     values = INT_COLUMN if ctype == "int64" else FLOAT_COLUMN
-    test = engine.bind_predicate(Predicate((Comparison("x", op, constant),)), ["x"], [ctype])
+    test = engine.bind_predicate(Predicate((Comparison("x", op, constant),)), ["x"])
     expected = [engine._CMP_FUNCS[op](v, constant) for v in values]
     assert test([np.array(values, dtype=ctype)]).tolist() == expected
 
@@ -280,8 +280,8 @@ def test_residual_joins_test_bounded_blocks(monkeypatch):
     widths = []
     bind = engine.bind_predicate
 
-    def recording_bind(pred, columns, types):
-        test = bind(pred, columns, types)
+    def recording_bind(pred, columns):
+        test = bind(pred, columns)
 
         def recording_test(data):
             widths.append(len(data[0]))

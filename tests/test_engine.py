@@ -11,6 +11,7 @@ from gusbox import (
     ExpressionError,
     Join,
     JoinSpec,
+    PlanError,
     Predicate,
     Sample,
     SampleRelation,
@@ -98,11 +99,22 @@ class TestSelect:
         assert all(row in rel.rows for row in out.rows)
 
     def test_type_mismatch_rejected(self):
-        rel = scan(tiny_table())
-        with pytest.raises(ExpressionError):
-            select(Predicate((Comparison("t_v", ">", "abc"),)), rel)
-        with pytest.raises(ExpressionError):
-            select(Predicate((Comparison("nope", ">", 1.0),)), rel)
+        catalog = {"t": tiny_table()}
+
+        def where(*atoms):
+            return SumAggregate("t_v", Select(Predicate(atoms), Scan("t")))
+
+        cases = [
+            (Comparison("t_v", ">", "abc"),
+             r"^plan\.child\.where\[1\]\.value: cannot compare numeric column with 'abc'$"),
+            (Comparison("t_k", "=", True),
+             r"^plan\.child\.where\[1\]\.value: cannot compare numeric column with True$"),
+            (Comparison("nope", ">", 1.0),
+             r"^plan\.child\.where\[1\]\.col: unknown column 'nope'$"),
+        ]
+        for atom, message in cases:
+            with pytest.raises(PlanError, match=message):
+                execute(where(Comparison("t_k", ">", 0), atom), catalog)
 
 
 class TestJoin:
@@ -178,10 +190,12 @@ class TestJoin:
             join(JoinSpec(), scan(t), scan(t))
 
     def test_column_collision_rejected(self):
-        l = tiny_table("l")
-        other = base_table("x", ("l_k",), ("int64",), ids=(0,), rows=((1,),))
-        with pytest.raises(SchemaError, match="share column"):
-            join(JoinSpec(), scan(l), scan(other))
+        catalog = {"l": tiny_table("l"),
+                   "x": base_table("x", ("l_k",), ("int64",), ids=(0,), rows=((1,),))}
+        plan = SumAggregate("l_v", Join(JoinSpec(), Scan("l"), Scan("x")))
+        with pytest.raises(PlanError, match=r"^plan\.child: join sides share column names "
+                                            r"\['l_k'\]$"):
+            execute(plan, catalog)
 
 
 class TestUnionDedup:
@@ -261,14 +275,10 @@ class TestExecutor:
         assert 0 < len(res.relation) < 300
 
     def test_unknown_table_rejected(self):
-        from gusbox import PlanError
-
         with pytest.raises(PlanError, match="unknown table"):
             execute(Scan("nope"), {})
 
     def test_plan_errors_name_the_node(self):
-        from gusbox import PlanError
-
         catalog = small_join_catalog()
         plan = SumAggregate("l_val", Join(JoinSpec(), Scan("l"), Select(Predicate(), Scan("x"))))
         with pytest.raises(PlanError, match=r"^plan\.child\.right\.child: unknown table 'x'"):

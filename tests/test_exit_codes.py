@@ -10,6 +10,12 @@ each damaged one way at a time, in a fixed order (no randomness):
 - the byte ``0xff`` or a NUL byte inserted at the midpoint of the plan or of
   one CSV;
 - the plan or one CSV truncated at its midpoint, or emptied.
+
+A damaged plan value or a deleted key that exits 2 does so before the first
+CSV is read (a spy on ``gusbox.cli.ingest_csv`` counts the reads): the
+parser checks every name, type and expression against the declared
+``columnTypes``. Only a table's ``path`` needs its file to fail, and the
+cases in ``NEEDS_DATA``, each with its reason.
 """
 
 import copy
@@ -18,12 +24,20 @@ import traceback
 
 import pytest
 
+from gusbox import cli
 from gusbox.cli import main
 
 from test_golden import DOCUMENTS
 
 _INFINITY = "\u0000 1e400 \u0000"  # stands for the literal 1e400, which json.dumps cannot write
 REPLACEMENTS = {"true": True, '"x"': "x", "null": None, "[1]": [1], "{}": {}, "1e400": _INFINITY}
+
+
+# (document, case) whose exit 2 depends on the rows read, and why
+NEEDS_DATA = {
+    ("wor_over_select", "plan.child.child.right.child.where.0.value=1e400"):
+        "the select keeps no row, so the WOR above it draws 20 rows from 0",
+}
 
 
 def _dumps(doc) -> bytes:
@@ -61,32 +75,48 @@ def _damaged(data: bytes):
     }
 
 
+def _reads_no_data(path) -> bool:
+    """Whether damage at ``path`` must fail before any CSV is read: all of
+    the document but a table's ``path``, which names the file to read."""
+    return not (path[0] == "tables" and path[2:] == ("path",))
+
+
 def _cases(doc):
-    """(name, plan bytes, {table: CSV bytes replacing its file}) per damage."""
+    """(name, plan bytes, {table: CSV bytes replacing its file}, whether an
+    exit 2 must come before ingest) per damage."""
     for path in _slots(doc):
         for text, value in REPLACEMENTS.items():
             bad = copy.deepcopy(doc)
             _parent(bad, path)[path[-1]] = value
-            yield f"{'.'.join(map(str, path))}={text}", _dumps(bad), {}
+            yield f"{'.'.join(map(str, path))}={text}", _dumps(bad), {}, _reads_no_data(path)
     for path in _keys(doc):
         bad = copy.deepcopy(doc)
         del _parent(bad, path)[path[-1]]
-        yield f"del {'.'.join(map(str, path))}", _dumps(bad), {}
+        yield f"del {'.'.join(map(str, path))}", _dumps(bad), {}, _reads_no_data(path)
     plan = _dumps(doc)
     for how, data in _damaged(plan).items():
-        yield f"plan {how}", data, {}
+        yield f"plan {how}", data, {}, False
     for table, spec in doc["tables"].items():
         with open(spec["path"], "rb") as handle:
             csv = handle.read()
         for how, data in _damaged(csv).items():
-            yield f"{table} csv {how}", plan, {table: data}
+            yield f"{table} csv {how}", plan, {table: data}, False
 
 
 @pytest.mark.parametrize("document", sorted(DOCUMENTS))
-def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, document):
+def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, monkeypatch,
+                                                 document):
     doc = DOCUMENTS[document](desk_paths)
+    reads = []
+    ingest_csv = cli.ingest_csv
+
+    def spy(path, name, *args):
+        reads.append(name)
+        return ingest_csv(path, name, *args)
+
+    monkeypatch.setattr(cli, "ingest_csv", spy)
     faults, codes = [], {0: 0, 2: 0, 3: 0}
-    for case, (name, plan, csvs) in enumerate(_cases(doc)):
+    for case, (name, plan, csvs, reads_no_data) in enumerate(_cases(doc)):
         where = tmp_path / str(case)
         where.mkdir()
         if csvs:  # point the table at a damaged copy of its file
@@ -96,6 +126,7 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, d
                 parsed["tables"][table]["path"] = str(where / f"{table}.csv")
             plan = _dumps(parsed)
         (where / "plan.json").write_bytes(plan)
+        reads.clear()
         try:
             code = main(["estimate", str(where / "plan.json"), "--out", str(where / "out")])
         except BaseException:  # SystemExit included: only a return counts
@@ -107,6 +138,10 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, d
             faults.append(f"{name}: exit {code}")
         elif code == 0 and err:
             faults.append(f"{name}: exit 0 with stderr {err!r}")
+        elif (document, name) in NEEDS_DATA and not (code == 2 and reads):
+            faults.append(f"{name}: listed in NEEDS_DATA, but exit {code} after reading {reads}")
+        elif code == 2 and reads_no_data and reads and (document, name) not in NEEDS_DATA:
+            faults.append(f"{name}: exit 2 after reading tables {reads}: {err!r}")
         elif code and not (err.startswith("error: ") and err.count("\n") == 1
                            and err.endswith("\n")):
             faults.append(f"{name}: exit {code} with stderr {err!r}")

@@ -5,7 +5,26 @@ sampling into a single parameter table over the relational plan, and turn
 the sampled rows into an unbiased estimate with variance and confidence
 intervals. Verification oracles (exact enumeration, Monte Carlo) ship in
 :mod:`gusbox.oracle`.
+
+gusbox never calls BLAS, so when it is the first to import numpy it loads
+numpy with ``OPENBLAS_NUM_THREADS=1``: OpenBLAS then starts no thread pool,
+which would cost a thread per core at import. The variable is removed again
+once numpy is loaded, so child processes do not inherit it, and a value set
+by the user is left as it is. A host program that wants multi-threaded BLAS
+imports numpy before gusbox, or sets the variable itself.
 """
+
+import os as _os
+import sys as _sys
+
+_ONE_BLAS_THREAD = "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ
+if _ONE_BLAS_THREAD:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as _numpy  # noqa: F401  (OpenBLAS reads the variable as it loads)
+finally:
+    if _ONE_BLAS_THREAD:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .algebra import (
     NormalizedPlan,
@@ -29,6 +48,7 @@ from .errors import (
     GusboxError,
     IngestError,
     NotIdentifiableError,
+    NumericOverflowError,
     PlanError,
     SampleSizeError,
     SchemaError,

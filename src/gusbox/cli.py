@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import estimator, oracle, samplers
@@ -71,15 +73,33 @@ def _parse_subsample(text: str, plan: PlanNode,
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
+def _float_items(doc: dict, separator: str) -> str:
+    """The items of a dict of str keys and float values as ``json.dumps``
+    writes them, each distinct value encoded once: a report's 4096-entry
+    subset tables hold only tens to hundreds of distinct values."""
+    texts = {}
+    items = []
+    for key, value in doc.items():
+        # 0.0 == -0.0, so a zero is cached under its own text; a NaN hits only
+        # itself, and every NaN encodes alike
+        cached = value or repr(value)
+        text = texts.get(cached)
+        if text is None:
+            text = texts[cached] = repr(value) if math.isfinite(value) else json.dumps(value)
+        items.append(encode_basestring_ascii(key) + ": " + text)
+    return separator.join(items)
+
+
 def indented_json(doc, newline: str = "\n") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, but faster on reports.
 
     The standard library encodes with an indent in Python, value by value.
     Here only containers that hold other containers are walked in Python;
-    a container whose values are all scalars (the 2**n-entry subset tables)
-    goes to the C encoder whole, with the indented line break as its item
-    separator. ``newline`` is a line break plus the indent of ``doc``'s own
-    line.
+    a container whose values are all scalars goes to the C encoder whole,
+    with the indented line break as its item separator, except a dict of str
+    keys and float values (the 2**n-entry subset tables), whose distinct
+    values are each encoded once (``_float_items``). ``newline`` is a line
+    break plus the indent of ``doc``'s own line.
     """
     if not isinstance(doc, (dict, list, tuple)):
         return json.dumps(doc)
@@ -88,7 +108,10 @@ def indented_json(doc, newline: str = "\n") -> str:
         return brackets
     inner = newline + "  "
     values = doc.values() if isinstance(doc, dict) else doc
-    if set(map(type, values)) <= _SCALAR_TYPES:
+    types = set(map(type, values))
+    if types == {float} and isinstance(doc, dict) and set(map(type, doc)) == {str}:
+        body = _float_items(doc, "," + inner)
+    elif types <= _SCALAR_TYPES:
         body = json.dumps(doc, separators=("," + inner, ": "))[1:-1]
     elif isinstance(doc, dict):
         # a one-entry dict coerces a non-string key as json.dumps does
@@ -278,5 +301,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The command's entry (``gusbox`` and ``python -m gusbox.cli``): ``main``,
+    then exit without tearing the interpreter down, since the report is
+    already written. ``atexit`` hooks do not run; callers that need them,
+    such as tests and coverage tools, call ``main`` in-process."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

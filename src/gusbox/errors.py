@@ -42,5 +42,9 @@ class NotIdentifiableError(GusboxError):
     cannot be estimated from the sample (e.g. size-1 fixed samples)."""
 
 
+class NumericOverflowError(GusboxError):
+    """The estimate, a variance term or the variance overflowed float64."""
+
+
 class EnumerationInfeasibleError(GusboxError):
     """Exact enumeration would exceed the configured state budget."""

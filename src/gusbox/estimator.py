@@ -10,13 +10,14 @@ coefficients derived from the parameter table.
 ``y_sample_terms`` computes the sample versions ``Y[S]`` with hierarchical
 group ids: the id of a row under ``S`` is the rank of the pair (its id under
 ``S`` minus the highest bit, its rank in that bit's lineage column), so each
-subset costs one ``np.unique`` and one ``np.bincount`` over the rows, and a
-depth-first walk keeps at most ``n + 1`` id arrays alive. Rows are sorted
-by lineage and ranks follow key order, so ``bincount`` adds within each
-group in row order and the squared group totals are then summed
-sequentially in key order: the same additions, in the same order, as the
-sort-based ``gusbox.oracle.exact_y_terms``, which the result matches bit
-for bit. (A pairwise ``np.sum`` would change the last bits.)
+subset costs one ``argsort`` of those pairs (``_sorted_groups``) and one
+``np.bincount`` over the rows, and a depth-first walk keeps at most
+``n + 1`` id arrays alive. Rows are sorted by lineage and ranks follow key
+order, so ``bincount`` adds within each group in row order and the squared
+group totals are then summed sequentially in key order: the same additions,
+in the same order, as the sort-based ``gusbox.oracle.exact_y_terms``, which
+the result matches bit for bit. (A pairwise ``np.sum`` would change the
+last bits.)
 
 The walk adds bits in increasing order, so the subtree below a subset ``s``
 reached with next bit ``lo`` holds the subsets ``s | t`` for ``t`` over the
@@ -27,9 +28,11 @@ subtree sums the same squares in the same order, so it gets ``Y[s]``
 exactly, without a group-by, and the oracle, which sorts by the projected
 key, sums them in that order too. (A bit below ``lo`` could reorder the
 keys; subsets with one lie outside the subtree and get their own group-by.)
-Everything
-reads the relation's int64 lineage matrix and ``f`` array directly; column
-ranks come from ``np.unique``.
+Such an ``s`` shows in the sort that ranks it, as keys that all differ, and
+its squares are those of ``f`` in that sort's order, so it needs neither
+ranks nor a ``bincount``. Everything reads the relation's int64 lineage
+matrix and ``f`` array directly; column ranks come from ``_sorted_groups``
+too.
 
 ``Y[S]`` sums ``f*f'`` over ordered sample pairs agreeing on at least
 ``S``, so it is biased. The correction is two O(n * 2**n) transforms over
@@ -55,7 +58,12 @@ import numpy as np
 
 from . import samplers
 from .algebra import c_coefficients, compact, gus_of_lineage_bernoulli, subset_transform
-from .errors import DegenerateSamplingError, NotIdentifiableError, SchemaError
+from .errors import (
+    DegenerateSamplingError,
+    NotIdentifiableError,
+    NumericOverflowError,
+    SchemaError,
+)
 from .model import GusParams, SampleRelation
 
 _NORMAL = NormalDist()
@@ -68,6 +76,25 @@ def estimate_sum(sample: SampleRelation, a: float) -> float:
     return sample.total_f() / a
 
 
+def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the (non-empty) ``keys``, and the rank of each
+    sorted key among the distinct keys: ``np.unique``'s ranks from one
+    ``argsort`` without the rest of its work."""
+    order = keys.argsort()
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)  # whether a sorted key starts a new group
+    starts[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return order, starts.cumsum(dtype=np.int64)
+
+
+def _ranks(order: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Each key's rank, in the keys' own order, from ``_sorted_groups``."""
+    ranks = np.empty_like(step)
+    ranks[order] = step
+    return ranks
+
+
 def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
     """Per-subset squared group totals of f, grouped by the subset part of
     the lineage, via hierarchical group ids (see the module docstring)."""
@@ -78,23 +105,24 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
     f = ordered.f
     codes = []
     for i in range(n):
-        values, code = np.unique(ordered.lineage[:, i], return_inverse=True)
-        codes.append((code.astype(np.int64), len(values)))
+        order, step = _sorted_groups(ordered.lineage[:, i])
+        codes.append((_ranks(order, step), int(step[-1]) + 1))
     out = [0.0] * (1 << n)
 
     def visit(s: int, gid: np.ndarray, lo: int) -> None:
         g = np.bincount(gid, weights=f)
-        y = float(np.add.accumulate(g * g)[-1])
-        if len(g) == len(f):
-            # every row is its own group: so is it under s | t for every t
-            # over bits lo.., with the same key order (s holds no bit >= lo)
-            out[s::1 << lo] = [y] * (1 << n - lo)
-            return
-        out[s] = y
+        out[s] = float(np.add.accumulate(g * g)[-1])
         for i in range(lo, n):
             code, k = codes[i]
-            _, child = np.unique(gid * k + code, return_inverse=True)
-            visit(s | 1 << i, child, i + 1)
+            order, step = _sorted_groups(gid * k + code)
+            child = s | 1 << i
+            if step[-1] == len(f) - 1:
+                # every row is its own group: so is it under child | t for
+                # every t over bits i+1.., with the same key order
+                g = f[order]
+                out[child::2 << i] = [float(np.add.accumulate(g * g)[-1])] * (1 << n - 1 - i)
+            else:
+                visit(child, _ranks(order, step), i + 1)
 
     visit(0, np.zeros(len(f), dtype=np.int64), 0)
     return dict(enumerate(out))
@@ -121,7 +149,10 @@ def variance_estimate(y_hat: Mapping[int, float], c_table: Mapping[int, float],
     clamping a negative result to 0."""
     a2 = a * a
     terms = [c_table[s] / a2 * y_hat[s] for s in sorted(c_table)]
-    raw = math.fsum(terms) - y_hat[0]
+    try:
+        raw = math.fsum(terms) - y_hat[0]
+    except (OverflowError, ValueError):  # fsum: a partial sum past float64, or inf - inf
+        return math.nan
     if raw < 0.0:
         if diagnostics is not None:
             diagnostics.append(
@@ -222,6 +253,19 @@ class EstimateReport:
         return doc
 
 
+def _require_finite(name: str, values: list[float], keys: Sequence[str] = ()) -> None:
+    """Raise ``NumericOverflowError`` naming the first value that is not
+    finite: the report holds it, and no strict JSON reader reads it. The
+    values come from finite rows, so only float64 overflow makes one."""
+    if math.isfinite(sum(values)):  # an inf or NaN term makes the sum inf or NaN
+        return
+    for i, value in enumerate(values):
+        if not math.isfinite(value):
+            where = f"{name}[{keys[i]!r}]" if keys else name
+            raise NumericOverflowError(
+                f"{where} is {value!r}: the sampled values overflow float64")
+
+
 def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] = (),
             subsample: Optional[Mapping[str, tuple[float, int]]] = None) -> EstimateReport:
     """Full estimation pipeline on a sample whose f values are bound.
@@ -238,7 +282,9 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
             f"sample schema {sample.schema.relations} does not match parameter "
             f"schema {gus.schema.relations}"
         )
+    keys = gus.schema.subset_keys
     estimate = estimate_sum(sample, gus.a)
+    _require_finite("estimate", [estimate])
     diagnostics = [] if len(sample) else ["empty sample: estimate and variance default to 0"]
     terms, terms_gus = sample, gus
     if subsample is not None:
@@ -247,10 +293,15 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
             {name: p for name, (p, _) in subsample.items()}, gus.schema))
         diagnostics.append(f"variance terms estimated from a {len(terms)}-row "
                            f"sub-sample of {len(sample)} sampled rows")
-    y_s = y_sample_terms(terms)
-    y_hat = y_unbiased(y_s, terms_gus)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        y_s = y_sample_terms(terms)
+        _require_finite("ySample", list(y_s.values()), keys)
+        y_hat = y_unbiased(y_s, terms_gus)
+    _require_finite("yHat", list(y_hat.values()), keys)
     c_table = c_coefficients(gus)
     variance = variance_estimate(y_hat, c_table, gus.a, diagnostics)
+    # then sigma < 1.4e154, so no interval or quantile bound can overflow
+    _require_finite("varianceHat", [variance])
     sigma = math.sqrt(variance)
     return EstimateReport(
         estimate=estimate,

@@ -78,6 +78,15 @@ def gus_from_json(text: str) -> GusParams:
     return GusParams(schema, doc["a"], tuple(b))
 
 
+def strict_json(text):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``,
+    which RFC 8259 cannot represent."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def sum_aggregate(expr: str, r: SampleRelation) -> float:
     return bind_aggregate(expr, r).total_f()
 

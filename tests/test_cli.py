@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny
 from gusbox.ingest import ingest_csv
 
-from conftest import LINEITEM_TYPES, ORDERS_TYPES
+from conftest import LINEITEM_TYPES, ORDERS_TYPES, strict_json
 from test_dsl_ingest import query1_document
 
 
@@ -592,6 +593,23 @@ class TestEstimateCommand:
         assert main(["estimate", str(plan_path), "--seed", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["sampleRows"] <= 1
 
+    @pytest.mark.parametrize("csv, p, seed, where", [
+        # exited 0 with "estimate": Infinity, "yHat" NaN and two numpy warnings
+        (b"k,v,w\n2,1e308,1\n4,1e308,2\n6,1e200,1\n", 0.9, 3, "estimate is inf"),
+        (b"k,v,w\n2,1e200,1\n4,1e200,2\n", 0.9, 0, "ySample[''] is inf"),
+        (b"k,v,w\n" + b"".join(b"%d,3e151,1\n" % k for k in range(1, 1001)), 0.001, 1,
+         "yHat[''] is inf"),
+        (b"k,v,w\n" + b"".join(b"%d,3e151,1\n" % k for k in range(1, 1001)), 0.001, 0,
+         "varianceHat is inf"),
+    ], ids=["estimate", "ySample", "yHat", "varianceHat"])
+    def test_overflowing_totals_exit_2(self, tmp_path, capsys, csv, p, seed, where):
+        plan_path = self._tiny_document(tmp_path, csv, **{"plan.child.method.p": p})
+        with warnings.catch_warnings():  # no numpy warning may reach stderr
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["estimate", str(plan_path), "--seed", str(seed)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {where}: the sampled values overflow float64\n")
+
     @pytest.mark.parametrize("plan_bytes, csv, message", [
         (b"\xff", None, "cannot read {plan}: 'utf-8' codec can't decode byte 0xff in "
                         "position 0: invalid start byte"),
@@ -619,7 +637,8 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("error, code", [
         (errors.PlanError, 2), (errors.IngestError, 2), (errors.ExpressionError, 2),
         (errors.SchemaError, 2), (errors.SelfJoinError, 2), (errors.SampleSizeError, 2),
-        (errors.EnumerationInfeasibleError, 2), (errors.GusboxError, 2),
+        (errors.EnumerationInfeasibleError, 2), (errors.NumericOverflowError, 2),
+        (errors.GusboxError, 2),
         (errors.NotIdentifiableError, 3), (errors.DegenerateSamplingError, 3),
         (MemoryError, 2),
     ], ids=lambda value: value.__name__ if isinstance(value, type) else str(value))
@@ -678,6 +697,62 @@ class TestEstimateCommand:
         assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter, without the caller's ``OPENBLAS_NUM_THREADS``
+    unless ``env`` sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**environ, **env})
+
+
+class TestProcess:
+    """``import gusbox`` loads numpy without OpenBLAS's thread pool, and
+    ``python -m gusbox.cli`` runs ``cli.run``, which ends in ``os._exit``."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted in /proc/self/task (Linux)")
+    def test_import_starts_no_blas_threads(self):
+        done = _python("-c", "import os, gusbox; "
+                             "print(len(os.listdir('/proc/self/task')), "
+                             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert (done.stdout, done.stderr) == ("1 None\n", "")
+
+    def test_user_blas_setting_is_kept(self):
+        done = _python("-c", "import os, gusbox; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                       OPENBLAS_NUM_THREADS="2")
+        assert (done.stdout, done.stderr) == ("2\n", "")
+
+    def test_pipe_gives_the_out_file_bytes(self, plan_on_disk, tmp_path):
+        cmd = ["-m", "gusbox.cli", "estimate", str(plan_on_disk), "--seed", "4", "--explain"]
+        piped = _python(*cmd)
+        written = _python(*cmd, "--out", str(tmp_path / "out.json"))
+        assert (piped.returncode, piped.stderr, written.returncode, written.stdout) == (0, "", 0, "")
+        assert piped.stdout == (tmp_path / "out.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("case, code", [("report", 0), ("overflow", 2),
+                                            ("not_identifiable", 3)])
+    def test_exit_codes(self, plan_on_disk, tmp_path, case, code):
+        plan = plan_on_disk
+        if case == "overflow":
+            (tmp_path / "t").mkdir()
+            plan = TestEstimateCommand._tiny_document(
+                tmp_path / "t", b"k,v,w\n2,1e308,1\n4,1e308,2\n6,1e200,1\n",
+                **{"plan.child.method.p": 0.9})
+        elif case == "not_identifiable":
+            doc = json.loads(plan_on_disk.read_text())
+            doc["plan"]["child"]["child"]["right"]["method"]["n"] = 1
+            plan = tmp_path / "n1.json"
+            plan.write_text(json.dumps(doc))
+        done = _python("-m", "gusbox.cli", "estimate", str(plan), "--seed", "3")
+        assert done.returncode == code
+        if code == 0:
+            assert done.stderr == "" and strict_json(done.stdout)["sampleRows"] > 0
+        else:
+            # one line: no numpy warning and no traceback
+            assert done.stdout == "" and done.stderr.startswith("error: ")
+            assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
 def json_scalars():
     return st.one_of(
         st.none(), st.booleans(),
@@ -696,13 +771,14 @@ def json_keys():
 
 
 def json_documents():
-    return st.recursive(
+    # st.deferred instead of st.recursive, whose extend lambda hypothesis
+    # flags as not recursing (HypothesisDeprecationWarning)
+    documents = st.deferred(lambda: st.one_of(
         json_scalars(),
-        lambda inner: st.one_of(
-            st.lists(inner, max_size=5),
-            st.lists(inner, max_size=5).map(tuple),
-            st.dictionaries(json_keys(), inner, max_size=5)),
-        max_leaves=30)
+        st.lists(documents, max_size=5),
+        st.lists(documents, max_size=5).map(tuple),
+        st.dictionaries(json_keys(), documents, max_size=5)))
+    return documents
 
 
 class TestIndentedJson:
@@ -712,9 +788,14 @@ class TestIndentedJson:
         assert indented_json(doc) == json.dumps(doc, indent=2)
 
     def test_fixed_shapes(self):
+        nan = math.nan
         docs = [{}, [], (), {"a": {}}, {"a": []}, [[]], [{}], {"a": [1, [], {}, {"b": None}]},
                 {"t": {str(k): k / 3 for k in range(50)}, "u": [[1, 2], [3.5, "x"]]},
-                {1: {"x": 1.5}, 2.5: [True], None: {}, False: [None]}, 7, "s", None]
+                {1: {"x": 1.5}, 2.5: [True], None: {}, False: [None]}, 7, "s", None,
+                # an all-float table: each distinct value is encoded once
+                {"t": {"a": 0.0, "b": -0.0, "c": 0.0, "d": -0.0, "e": nan, "f": nan,
+                       "g": float("nan"), "h": math.inf, "i": -math.inf, "j": math.inf,
+                       "k": 1.5, "l": 1.5, "\u00e9\n": -1.5, '"q"': 5e-324}}]
         for doc in docs:
             assert indented_json(doc) == json.dumps(doc, indent=2)
 

@@ -12,6 +12,7 @@ from gusbox import (
     DegenerateSamplingError,
     LineageSchema,
     NotIdentifiableError,
+    NumericOverflowError,
     SchemaError,
     analyze,
     confidence_interval,
@@ -340,6 +341,14 @@ class TestVarianceEstimate:
         assert got == 0.0
         assert any("clamped" in d for d in diagnostics)
 
+    @pytest.mark.parametrize("y_hat, c_table, a", [
+        ({0: 0.0, 1: 1e308, 2: 1e308}, {0: 0.0, 1: 1.0, 2: 1.0}, 1.0),  # past float64
+        ({0: 0.0, 1: 1e308, 2: 1e308}, {0: 0.0, 1: 1.0, 2: -1.0}, 1e-10),  # inf - inf
+    ], ids=["overflow", "inf_minus_inf"])
+    def test_sum_that_fsum_rejects_is_nan(self, y_hat, c_table, a):
+        # math.fsum raises on these; analyze reports the NaN as an overflow
+        assert math.isnan(variance_estimate(y_hat, c_table, a))
+
     def test_exact_on_enumerable_instance(self):
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.6, seed=1), WorSpec(2, seed=2))
@@ -401,6 +410,13 @@ class TestAnalyze:
         assert report.variance_hat == 0.0
         assert report.ci_chebyshev == (0.0, 0.0)
         assert any("empty sample" in d for d in report.diagnostics)
+
+    def test_overflowing_square_names_the_term(self):
+        # the estimate 2e200 is finite; its square is not
+        rel = lineage_relation(["r"], [((1,), 1e200)])
+        with pytest.raises(NumericOverflowError,
+                           match=r"^ySample\[''\] is inf: the sampled values overflow float64$"):
+            analyze(rel, row_bernoulli_gus(0.5, LineageSchema.of(["r"])))
 
     def test_schema_mismatch_rejected(self):
         rel = lineage_relation(["r"], [((1,), 1.0)])

@@ -9,7 +9,13 @@ each damaged one way at a time, in a fixed order (no randomness):
 - every key deleted;
 - the byte ``0xff`` or a NUL byte inserted at the midpoint of the plan or of
   one CSV;
-- the plan or one CSV truncated at its midpoint, or emptied.
+- the plan or one CSV truncated at its midpoint, or emptied;
+- one float column of one CSV set to the finite but huge ``1e308`` or
+  ``1e200``, in its middle row or in every row, so that the sums or squares
+  the estimator forms from it overflow float64.
+
+Every exit 0 writes a strict JSON report: no ``NaN`` or ``Infinity``, which
+RFC 8259 cannot represent, and no numpy ``RuntimeWarning`` reaches stderr.
 
 A damaged plan value or a deleted key that exits 2 does so before the first
 CSV is read (a spy on ``gusbox.cli.ingest_csv`` counts the reads): the
@@ -21,12 +27,14 @@ cases in ``NEEDS_DATA``, each with its reason.
 import copy
 import json
 import traceback
+import warnings
 
 import pytest
 
 from gusbox import cli
 from gusbox.cli import main
 
+from conftest import strict_json
 from test_golden import DOCUMENTS
 
 _INFINITY = "\u0000 1e400 \u0000"  # stands for the literal 1e400, which json.dumps cannot write
@@ -75,6 +83,25 @@ def _damaged(data: bytes):
     }
 
 
+def _huge(data: bytes, column: int, rows: slice, value: bytes) -> bytes:
+    """The CSV ``data`` with ``value`` in ``column`` on the data ``rows``."""
+    header, *body = data.splitlines(keepends=True)
+    for i in range(len(body))[rows]:
+        row = body[i].rstrip(b"\r\n")
+        cells = row.split(b",")
+        cells[column] = value
+        body[i] = b",".join(cells) + body[i][len(row):]
+    return header + b"".join(body)
+
+
+def _is_strict_json(text: bytes) -> bool:
+    try:
+        strict_json(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _reads_no_data(path) -> bool:
     """Whether damage at ``path`` must fail before any CSV is read: all of
     the document but a table's ``path``, which names the file to read."""
@@ -101,6 +128,15 @@ def _cases(doc):
             csv = handle.read()
         for how, data in _damaged(csv).items():
             yield f"{table} csv {how}", plan, {table: data}, False
+        header, *body = csv.decode("ascii").splitlines()
+        middle = len(body) // 2
+        for column, name in enumerate(header.split(",")):
+            if spec["columnTypes"].get(name) != "float64":
+                continue
+            for how, rows in (("middle row", slice(middle, middle + 1)), ("every row", slice(None))):
+                for value in ("1e308", "1e200"):
+                    data = _huge(csv, column, rows, value.encode())
+                    yield f"{table} csv {name}={value} in {how}", plan, {table: data}, False
 
 
 @pytest.mark.parametrize("document", sorted(DOCUMENTS))
@@ -128,7 +164,9 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, m
         (where / "plan.json").write_bytes(plan)
         reads.clear()
         try:
-            code = main(["estimate", str(where / "plan.json"), "--out", str(where / "out")])
+            with warnings.catch_warnings():  # a numpy warning would reach stderr
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["estimate", str(where / "plan.json"), "--out", str(where / "out")])
         except BaseException:  # SystemExit included: only a return counts
             faults.append(f"{name}: raised\n{traceback.format_exc()}")
             capsys.readouterr()
@@ -138,6 +176,8 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, m
             faults.append(f"{name}: exit {code}")
         elif code == 0 and err:
             faults.append(f"{name}: exit 0 with stderr {err!r}")
+        elif code == 0 and not _is_strict_json((where / "out").read_bytes()):
+            faults.append(f"{name}: exit 0 with a report that is not strict JSON")
         elif (document, name) in NEEDS_DATA and not (code == 2 and reads):
             faults.append(f"{name}: listed in NEEDS_DATA, but exit {code} after reading {reads}")
         elif code == 2 and reads_no_data and reads and (document, name) not in NEEDS_DATA:

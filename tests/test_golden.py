@@ -3,7 +3,8 @@ the CSVs `gusbox generate` writes, keep the exact bytes recorded for them.
 
 Each report case runs the CLI in-process on the ``desk_paths`` data
 (``DESK_SCALE`` at ``DESK_SEED``) and compares the sha256 of its stdout with
-the digest recorded when the case was added. Each generator case compares
+the digest recorded when the case was added, and parses a JSON report as
+strict JSON (no ``NaN`` or ``Infinity``). Each generator case compares
 the sha256 of every CSV ``generate_tpch_tiny`` writes for a (scale, seed).
 A digest changes only with an intended report or data change, which
 CHANGES.md names.
@@ -17,7 +18,7 @@ import pytest
 from gusbox.cli import main
 from gusbox.datagen import DEFAULT_SCALE, generate_tpch_tiny
 
-from conftest import CUSTOMER_TYPES
+from conftest import CUSTOMER_TYPES, strict_json
 from test_dsl_ingest import query1_document
 
 
@@ -107,6 +108,8 @@ def test_report_bytes(plan_paths, capsys, document, fmt, seed):
                  *FORMATS[fmt]]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == GOLDEN[document, fmt, seed]
+    if not fmt.startswith("text"):
+        strict_json(out)
 
 
 SCALES = {

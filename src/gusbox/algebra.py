@@ -61,12 +61,12 @@ from .plan import (
 
 def identity_gus(schema: LineageSchema) -> GusParams:
     """The do-nothing filter: insertable anywhere without changing anything."""
-    return GusParams(schema, 1.0, (1.0,) * schema.num_subsets)
+    return GusParams(schema, (1.0,) * schema.num_subsets)
 
 
 def null_gus(schema: LineageSchema) -> GusParams:
     """The filter that blocks everything; the additive null of the algebra."""
-    return GusParams(schema, 0.0, (0.0,) * schema.num_subsets)
+    return GusParams(schema, (0.0,) * schema.num_subsets)
 
 
 def row_bernoulli_gus(p: float, schema: LineageSchema) -> GusParams:
@@ -79,7 +79,7 @@ def row_bernoulli_gus(p: float, schema: LineageSchema) -> GusParams:
         raise SchemaError(f"probability {p} outside [0, 1]")
     b = [p * p] * schema.num_subsets
     b[schema.full_mask] = p
-    return GusParams(schema, p, tuple(b))
+    return GusParams(schema, tuple(b))
 
 
 def row_wor_gus(n: int, N: int, schema: LineageSchema) -> GusParams:
@@ -92,7 +92,7 @@ def row_wor_gus(n: int, N: int, schema: LineageSchema) -> GusParams:
     pair = n * (n - 1) / (N * (N - 1)) if N > 1 else a
     b = [pair] * schema.num_subsets
     b[schema.full_mask] = a
-    return GusParams(schema, a, tuple(b))
+    return GusParams(schema, tuple(b))
 
 
 def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
@@ -103,7 +103,7 @@ def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
                  map(g1.b.__getitem__, project_masks(merged, g1.schema).tolist()),
                  map(g2.b.__getitem__, project_masks(merged, g2.schema).tolist())))
     b[merged.full_mask] = a
-    return GusParams(merged, a, tuple(b))
+    return GusParams(merged, tuple(b))
 
 
 def compact(g1: GusParams, g2: GusParams) -> GusParams:
@@ -115,7 +115,7 @@ def compact(g1: GusParams, g2: GusParams) -> GusParams:
     a = g1.a * g2.a
     b = [x * y for x, y in zip(g1.b, g2.b)]
     b[g1.schema.full_mask] = a
-    return GusParams(g1.schema, a, tuple(b))
+    return GusParams(g1.schema, tuple(b))
 
 
 def union_merge(g1: GusParams, g2: GusParams) -> GusParams:
@@ -136,7 +136,7 @@ def union_merge(g1: GusParams, g2: GusParams) -> GusParams:
         for x, y in zip(g1.b, g2.b)
     ]
     b[g1.schema.full_mask] = a
-    return GusParams(g1.schema, a, tuple(b))
+    return GusParams(g1.schema, tuple(b))
 
 
 def gus_of_lineage_bernoulli(dims: Mapping[str, float], schema: LineageSchema) -> GusParams:

@@ -207,7 +207,7 @@ def run_estimate(args) -> int:
         # the variance formula fed with full-data terms instead of sampled
         # estimates; must agree with the enumerated variance
         full = execute_full(doc.plan, catalog)
-        oracle_doc["trueSum"] = full.aggregate
+        oracle_doc["trueSum"] = full.relation.total_f()
         oracle_doc["exactYVariance"] = estimator.variance_estimate(
             oracle.exact_y_terms(full.relation),
             report.c_table, normalized.gus.a)

@@ -42,7 +42,6 @@ _OPS = ("scan", "select", "join", "cross", "union", "sample", "sum")
 
 @dataclass(frozen=True)
 class TableSpec:
-    name: str
     path: str
     id_column: str                      # column name, expression, or "rowIndex"
     column_types: tuple[tuple[str, str], ...]
@@ -271,7 +270,6 @@ def parse_plan(text: str) -> PlanDocument:
         _need(spec, "path", path)
         with _at(path):
             tables[name] = TableSpec(
-                name=name,
                 path=_string(spec, "path"),
                 id_column=_string(spec, "idColumn", "rowIndex"),
                 column_types=tuple(types_doc.items()),

@@ -341,7 +341,6 @@ def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
 @dataclass(frozen=True)
 class ExecutionResult:
     relation: SampleRelation      # pre-aggregate rows, f bound when aggregated
-    aggregate: float | None       # plain sum of f over the rows, if requested
     populations: Mapping[str, int]  # input rows of each WOR sampler, by plan path
 
 
@@ -394,9 +393,9 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
         raise PlanError(f"{path}: unsupported plan node {type(n).__name__}")
 
     if isinstance(node, SumAggregate):
-        relation = bind_aggregate(node.expr, rec(node.child, "plan.child"))
-        return ExecutionResult(relation, relation.total_f(), populations)
-    return ExecutionResult(rec(node, "plan"), None, populations)
+        return ExecutionResult(
+            bind_aggregate(node.expr, rec(node.child, "plan.child")), populations)
+    return ExecutionResult(rec(node, "plan"), populations)
 
 
 def execute_full(node: PlanNode, catalog: Catalog) -> ExecutionResult:

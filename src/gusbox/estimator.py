@@ -208,7 +208,6 @@ class EstimateReport:
     """Everything the estimator knows about one run."""
 
     estimate: float
-    a: float
     gus: GusParams
     y_sample: dict[int, float]
     y_hat: dict[int, float]
@@ -221,6 +220,10 @@ class EstimateReport:
     sample_rows: int = 0
     subsample_rows: Optional[int] = None
     subsample_gus: Optional[GusParams] = None
+
+    @property
+    def a(self) -> float:
+        return self.gus.a
 
     @property
     def sigma_hat(self) -> float:
@@ -305,7 +308,6 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
     sigma = math.sqrt(variance)
     return EstimateReport(
         estimate=estimate,
-        a=gus.a,
         gus=gus,
         y_sample=y_s,
         y_hat=y_hat,

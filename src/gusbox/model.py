@@ -18,8 +18,8 @@ order, so a parameter table indexed "per subset" is a dense array of length
 ``(a, b)``: ``a`` is the inclusion probability of any single tuple, and
 ``b[T]`` is the joint inclusion probability of two tuples that agree exactly
 on the base relations in subset ``T``. Two tuples agreeing everywhere are the
-same tuple, which forces ``b[full] == a``; every constructor in this package
-maintains that identity bit-exactly.
+same tuple, which forces ``b[full] == a``, so :class:`GusParams` stores
+``b`` alone and reads ``a`` from it.
 """
 
 from __future__ import annotations
@@ -123,12 +123,11 @@ def common_lineage(t: Lineage, u: Lineage) -> int:
 class GusParams:
     """Inclusion-probability summary of a uniform sampling process.
 
-    ``b`` is dense over all 2**n subset masks of ``schema``. Entries live in
-    [0, 1] and ``b[full_mask] == a`` exactly.
+    ``b`` is dense over all 2**n subset masks of ``schema``, with entries in
+    [0, 1]; ``a`` is its entry at the full mask.
     """
 
     schema: LineageSchema
-    a: float
     b: tuple[float, ...]
 
     def __post_init__(self):
@@ -136,25 +135,23 @@ class GusParams:
             raise SchemaError(
                 f"b table has {len(self.b)} entries, schema needs {self.schema.num_subsets}"
             )
-        if not 0.0 <= self.a <= 1.0:
-            raise SchemaError(f"a = {self.a} outside [0, 1]")
         for mask, value in enumerate(self.b):
             if not 0.0 <= value <= 1.0:
                 raise SchemaError(
                     f"b[{self.schema.subset_key(mask) or 'empty'}] = {value} outside [0, 1]"
                 )
-        if self.b[self.schema.full_mask] != self.a:
-            raise SchemaError(
-                f"b at the full mask ({self.b[self.schema.full_mask]}) must equal a ({self.a})"
-            )
+
+    @property
+    def a(self) -> float:
+        return self.b[self.schema.full_mask]
 
     @property
     def is_identity(self) -> bool:
-        return self.a == 1.0 and all(v == 1.0 for v in self.b)
+        return all(v == 1.0 for v in self.b)
 
     @property
     def is_null(self) -> bool:
-        return self.a == 0.0 and all(v == 0.0 for v in self.b)
+        return all(v == 0.0 for v in self.b)
 
     def to_json_dict(self) -> dict:
         return {

@@ -247,7 +247,7 @@ def monte_carlo_moments(plan: PlanNode, catalog: Catalog, a: float, trials: int,
     for trial in range(trials):
         master = samplers.derive_seed(seed, trial)
         result = execute(plan, catalog, master_seed=master)
-        values.append(result.aggregate / a)
+        values.append(result.relation.total_f() / a)
     mean = math.fsum(values) / trials
     if trials > 1:
         variance = math.fsum((x - mean) ** 2 for x in values) / (trials - 1)

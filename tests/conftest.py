@@ -75,7 +75,7 @@ def gus_from_json(text: str) -> GusParams:
     b = [0.0] * schema.num_subsets
     for key, value in table.items():
         b[mask_of_key(schema, key)] = value
-    return GusParams(schema, doc["a"], tuple(b))
+    return GusParams(schema, tuple(b))
 
 
 def strict_json(text):
@@ -143,7 +143,7 @@ def gus_tables(draw, names=("x", "y")):
     for _ in range(schema.num_subsets):
         b.append(lo + dyadic(draw) * (a - lo))
     b[schema.full_mask] = a
-    return GusParams(schema, a, tuple(b))
+    return GusParams(schema, tuple(b))
 
 
 def small_join_catalog():

@@ -180,7 +180,7 @@ def test_criterion_2_variance_matches_enumeration():
         if len(full.relation) < 2:
             continue
         norm = normalize_plan(plan, execute(plan, catalog).populations)
-        truth = full.aggregate
+        truth = full.relation.total_f()
         mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
         from_tables = variance_estimate(
             exact_y_terms(full.relation), c_coefficients(norm.gus), norm.gus.a)
@@ -205,7 +205,7 @@ def test_criterion_3_unbiasedness_monte_carlo(desk_catalog):
     plan = query1_plan(p=0.3, n=25)
     norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
     full = execute_full(plan, desk_catalog)
-    truth = full.aggregate
+    truth = full.relation.total_f()
     y_true = exact_y_terms(full.relation)
 
     trials = 20_000
@@ -214,7 +214,7 @@ def test_criterion_3_unbiasedness_monte_carlo(desk_catalog):
     y_sq = {s: 0.0 for s in y_true}
     for t in range(trials):
         res = execute(plan, desk_catalog, master_seed=derive_seed(31_337, t))
-        xs.append(res.aggregate / norm.gus.a)
+        xs.append(res.relation.total_f() / norm.gus.a)
         y_hat = y_unbiased(y_sample_terms(res.relation), norm.gus)
         for s, v in y_hat.items():
             y_sums[s] += v
@@ -308,7 +308,7 @@ def _dyadic_tables(count, seed, names=("x", "y")):
         b = [lo + (int(rng.integers(0, 65)) / 64) * (a - lo)
              for _ in range(schema.num_subsets)]
         b[schema.full_mask] = a
-        out.append(GusParams(schema, a, tuple(b)))
+        out.append(GusParams(schema, tuple(b)))
     return out
 
 
@@ -442,7 +442,7 @@ def test_criterion_6_interval_multipliers_and_coverage(desk_catalog):
 
     plan = query1_plan(p=0.3, n=25)
     norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
-    truth = execute_full(plan, desk_catalog).aggregate
+    truth = execute_full(plan, desk_catalog).relation.total_f()
     trials = 1000
     cheb_hits = normal_hits = 0
     for t in range(trials):

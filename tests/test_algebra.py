@@ -277,7 +277,7 @@ def reference_extend_schema(g, wider):
     positions = reference_positions(wider, g.schema)
     b = [g.b[reference_project(mask, positions)] for mask in range(wider.num_subsets)]
     b[wider.full_mask] = g.a
-    return GusParams(wider, g.a, tuple(b))
+    return GusParams(wider, tuple(b))
 
 
 def reference_join_merge(g1, g2):
@@ -288,7 +288,7 @@ def reference_join_merge(g1, g2):
     b = [g1.b[reference_project(mask, pos1)] * g2.b[reference_project(mask, pos2)]
          for mask in range(merged.num_subsets)]
     b[merged.full_mask] = a
-    return GusParams(merged, a, tuple(b))
+    return GusParams(merged, tuple(b))
 
 
 def exact_bits(g):
@@ -343,8 +343,8 @@ class TestMaskProjection:
 
     def test_interleaved_tables_with_inexact_products(self):
         wide, narrow = self.INTERLEAVED
-        g = GusParams(narrow, 0.3, (0.1 / 3, 0.07, 0.11, 0.3))
-        other = GusParams(LineageSchema.of("ace"), 0.7,
+        g = GusParams(narrow, (0.1 / 3, 0.07, 0.11, 0.3))
+        other = GusParams(LineageSchema.of("ace"),
                           tuple(0.7 * (k + 1) / 9 for k in range(7)) + (0.7,))
         widened = join_merge(g, identity_gus(other.schema))
         assert exact_bits(widened) == exact_bits(reference_extend_schema(g, wide))
@@ -355,8 +355,8 @@ class TestMaskProjection:
         # hand-built tables may hold ints; the gathers must not turn them
         # into floats, or the report would print 1.0 for 1
         _, narrow = self.INTERLEAVED
-        g = GusParams(narrow, 1, (1, 1, 0.5, 1))
-        h = GusParams(LineageSchema.of("ace"), 1, (1,) * 8)
+        g = GusParams(narrow, (1, 1, 0.5, 1))
+        h = GusParams(LineageSchema.of("ace"), (1,) * 8)
         assert exact_bits(join_merge(g, h)) == exact_bits(reference_join_merge(g, h))
 
 

@@ -1,5 +1,6 @@
 """Estimates, variance terms, the unbiased correction, and intervals."""
 
+import dataclasses
 import math
 import time
 
@@ -480,6 +481,7 @@ class TestSubsampleVariance:
             norm.gus, gus_of_lineage_bernoulli({"l": 0.5, "o": 0.5}, norm.gus.schema))
         assert report.subsample_gus == expected
         assert report.a == norm.gus.a
+        assert "a" not in {f.name for f in dataclasses.fields(report)}
         assert report.subsample_rows <= report.sample_rows
         assert any("sub-sample" in d for d in report.diagnostics)
 

@@ -1,5 +1,7 @@
 """Lineage schemas, subset masks, parameter tables, and relations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +16,15 @@ from gusbox import (
     SelfJoinError,
     common_lineage,
 )
-from gusbox.algebra import identity_gus, join_merge, row_bernoulli_gus
+from gusbox.algebra import (
+    compact,
+    identity_gus,
+    join_merge,
+    null_gus,
+    row_bernoulli_gus,
+    row_wor_gus,
+    union_merge,
+)
 
 from conftest import gus_from_json, gus_to_json, mask_of, mask_of_key
 
@@ -89,19 +99,32 @@ class TestGusParams:
     def test_probability_ranges_enforced(self):
         schema = LineageSchema.of(["l"])
         with pytest.raises(SchemaError):
-            GusParams(schema, 1.5, (1.0, 1.5))
+            GusParams(schema, (1.0, 1.5))
         with pytest.raises(SchemaError):
-            GusParams(schema, 0.5, (-0.1, 0.5))
+            GusParams(schema, (-0.1, 0.5))
 
     def test_full_mask_entry_must_equal_a(self):
-        schema = LineageSchema.of(["l"])
-        with pytest.raises(SchemaError):
-            GusParams(schema, 0.5, (0.25, 0.4))
-        GusParams(schema, 0.5, (0.25, 0.5))
+        # a is read from b[full], so the two cannot disagree
+        schema = LineageSchema.of(["l", "o"])
+        g = GusParams(schema, (0.25, 0.3, 0.35, 0.4))
+        assert g.a == g.b[schema.full_mask] == 0.4
+        with pytest.raises(AttributeError):
+            g.a = 0.5
+        assert [f.name for f in dataclasses.fields(GusParams)] == ["schema", "b"]
+        builders = [
+            identity_gus(schema), null_gus(schema), row_bernoulli_gus(0.3, schema),
+            row_wor_gus(3, 7, schema), row_wor_gus(1, 1, schema),
+            join_merge(row_bernoulli_gus(0.3, LineageSchema.of(["l"])),
+                       row_wor_gus(2, 5, LineageSchema.of(["o"]))),
+            compact(row_bernoulli_gus(0.3, schema), row_wor_gus(3, 7, schema)),
+            union_merge(row_bernoulli_gus(0.3, schema), row_wor_gus(3, 7, schema)),
+        ]
+        for built in builders:
+            assert built.a == built.b[built.schema.full_mask]
 
     def test_table_length_checked(self):
         with pytest.raises(SchemaError):
-            GusParams(LineageSchema.of(["l", "o"]), 0.5, (0.25, 0.5))
+            GusParams(LineageSchema.of(["l", "o"]), (0.25, 0.5))
 
     def test_json_shape(self):
         g = row_bernoulli_gus(0.1, LineageSchema.of(["l"]))
@@ -126,7 +149,7 @@ class TestGusParams:
         b = [data.draw(st.floats(0.0, 1.0, allow_nan=False))
              for _ in range(schema.num_subsets)]
         b[schema.full_mask] = a
-        g = GusParams(schema, a, tuple(b))
+        g = GusParams(schema, tuple(b))
         assert gus_from_json(gus_to_json(g)) == g
 
 

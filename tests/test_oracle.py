@@ -77,7 +77,7 @@ class TestEnumeration:
     def test_unsampled_plan_has_zero_variance(self):
         catalog = small_join_catalog()
         plan = small_join_plan()
-        truth = execute_full(plan, catalog).aggregate
+        truth = execute_full(plan, catalog).relation.total_f()
         mean, variance = enumerate_exact_moments(plan, catalog, 1.0)
         assert mean == pytest.approx(truth, rel=1e-12)
         assert variance == pytest.approx(0.0, abs=1e-18)
@@ -95,7 +95,7 @@ class TestEnumeration:
     def test_join_plan_mean_equals_truth(self):
         catalog = small_join_catalog()
         plan = small_join_plan(BernoulliSpec(0.5, seed=1), None)
-        truth = execute_full(plan, catalog).aggregate
+        truth = execute_full(plan, catalog).relation.total_f()
         mean, variance = enumerate_exact_moments(plan, catalog, 0.5)
         assert mean == pytest.approx(truth, rel=1e-12)
         assert variance > 0.0
@@ -373,7 +373,7 @@ class TestVarianceFormulaOnEveryRule:
         norm = normalize_plan(plan, execute(plan, catalog).populations)
         full = execute_full(plan, catalog)
         mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
-        assert mean == pytest.approx(full.aggregate, rel=1e-12)
+        assert mean == pytest.approx(full.relation.total_f(), rel=1e-12)
         from_tables = variance_estimate(
             exact_y_terms(full.relation), c_coefficients(norm.gus), norm.gus.a)
         assert from_tables == pytest.approx(variance, rel=1e-9)

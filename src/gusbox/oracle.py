@@ -65,6 +65,15 @@ from .plan import (
 DEFAULT_STATE_BUDGET = 1 << 20
 
 
+def _fsum(terms) -> float:
+    """``math.fsum``, or NaN where a term or a partial sum overflows
+    float64 (``cli`` rejects the moment that holds it)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a square or a partial sum past float64, or inf - inf
+        return math.nan
+
+
 def exact_y_terms(full_result: SampleRelation) -> dict[int, float]:
     """Per-subset squared group totals on the complete data.
 
@@ -226,8 +235,8 @@ def enumerate_exact_moments(plan: PlanNode, catalog: Catalog, a: float,
     if abs(total_weight - 1.0) > 1e-9:
         raise AssertionError(f"enumeration weights sum to {total_weight!r}, not 1")
     values = [(bind_aggregate(plan.expr, rel).total_f() / a, w) for rel, w in outcomes]
-    mean = math.fsum(x * w for x, w in values)
-    variance = math.fsum((x - mean) ** 2 * w for x, w in values)
+    mean = _fsum(x * w for x, w in values)
+    variance = _fsum((x - mean) ** 2 * w for x, w in values)
     return mean, variance
 
 
@@ -248,9 +257,9 @@ def monte_carlo_moments(plan: PlanNode, catalog: Catalog, a: float, trials: int,
         master = samplers.derive_seed(seed, trial)
         result = execute(plan, catalog, master_seed=master)
         values.append(result.relation.total_f() / a)
-    mean = math.fsum(values) / trials
+    mean = _fsum(values) / trials
     if trials > 1:
-        variance = math.fsum((x - mean) ** 2 for x in values) / (trials - 1)
+        variance = _fsum((x - mean) ** 2 for x in values) / (trials - 1)
     else:
         variance = 0.0
     return mean, variance, math.sqrt(variance / trials)

@@ -189,7 +189,7 @@ class TestEstimateCommand:
         plan_path.write_text(json.dumps(doc))
         assert main(["estimate", str(plan_path), "--oracle",
                      "--oracle-trials", "200"]) == 0
-        body = json.loads(capsys.readouterr().out)
+        body = strict_json(capsys.readouterr().out)
         exact = body["oracle"]["exact"]
         assert exact is not None
         assert body["oracle"]["monteCarlo"]["trials"] == 200
@@ -609,6 +609,27 @@ class TestEstimateCommand:
             assert main(["estimate", str(plan_path), "--seed", str(seed)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {where}: the sampled values overflow float64\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("csv, seed, where", [
+        # seeds 0 and 1 keep only the row 1,1.0 and exited 0 with Infinity
+        # and NaN in the oracle block; seeds 2-7 keep a 1e308 row
+        *((b"k,v,w\n1,1.0,1\n2,1e308,1\n3,1e308,1\n", seed,
+           "oracle.exact.mean is inf: the oracle's sums overflow float64") for seed in (0, 1)),
+        *((b"k,v,w\n1,1.0,1\n2,1e308,1\n3,1e308,1\n", seed,
+           "estimate is inf: the sampled values overflow float64") for seed in range(2, 8)),
+        # finite values whose squared deviations overflow: exited 1 with an
+        # OverflowError traceback
+        (b"k,v,w\n1,1.0,1\n2,5e307,1\n", 0,
+         "oracle.exact.variance is nan: the oracle's sums overflow float64"),
+    ])
+    def test_overflowing_oracle_exits_2(self, tmp_path, capsys, csv, seed, where, fmt):
+        plan_path = self._tiny_document(tmp_path, csv)
+        with warnings.catch_warnings():  # no numpy warning may reach stderr
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["estimate", str(plan_path), "--seed", str(seed), "--oracle",
+                         "--oracle-trials", "50", "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: {where}\n")
 
     @pytest.mark.parametrize("plan_bytes, csv, message", [
         (b"\xff", None, "cannot read {plan}: 'utf-8' codec can't decode byte 0xff in "

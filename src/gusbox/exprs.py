@@ -135,8 +135,9 @@ def _vector(node: ast.AST, data: Sequence[np.ndarray]):
 class Arith:
     """A checked arithmetic expression over named, typed columns.
 
-    With ``integer=True`` every referenced column must be int64 and each
-    row's result must be an int (row ids); otherwise a row's result is a
+    With ``integer=True`` every referenced column must be int64, and ``/``
+    and float literals, which make every row's result a float, are rejected,
+    so each row's result is an int (row ids); otherwise a row's result is a
     float. Calling the object evaluates one row's value tuple; :meth:`over`
     evaluates whole columns. Python's arithmetic errors (a zero divisor, an
     int too large for a float) become an ``ExpressionError`` naming the
@@ -155,6 +156,11 @@ class Arith:
             for name in rewriter.used:
                 if types[list(columns).index(name)] != "int64":
                     raise ExpressionError(f"{what}: column {name!r} must be int64")
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Div):
+                    raise ExpressionError(f"{what}: '/' makes a float; use '//'")
+                if isinstance(node, ast.Constant) and type(node.value) is float:
+                    raise ExpressionError(f"{what}: float literal {node.value!r} makes a float")
         ast.fix_missing_locations(tree)
         self.tree = tree
         self.code = compile(tree, filename=f"<{what}>", mode="eval")
@@ -164,13 +170,9 @@ class Arith:
     def __call__(self, values: tuple):
         try:
             out = eval(self.code, {"__builtins__": {}}, {"v": values})
-            if not self.integer:
-                return float(out)
+            return out if self.integer else float(out)
         except ArithmeticError as exc:  # a zero divisor, or an int too large for a float
             raise ExpressionError(f"{self.what}: {exc}") from None
-        if not isinstance(out, int):
-            raise ExpressionError(f"{self.what}: produced non-integer {out!r}")
-        return out
 
     def over(self, data: Sequence[np.ndarray], m: int) -> np.ndarray:
         """Row ``i`` of the result is ``self(row i)``, as float64 (as int64,
@@ -179,10 +181,8 @@ class Arith:
             try:
                 with np.errstate(all="ignore"):
                     out = np.broadcast_to(_vector(self.tree.body, data), (m,))
-                if not self.integer:
-                    return out.astype(np.float64)
-                if out.dtype == _INT:
-                    return out.copy()
+                # int64 when integer: no '/' or float literal, and int64 columns
+                return out.copy() if self.integer else out.astype(np.float64)
             except _RowPath:
                 pass
         values = [self(v) for v in value_tuples(data, m)]

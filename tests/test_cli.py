@@ -622,7 +622,8 @@ class TestEstimateCommand:
         # OverflowError traceback
         (b"k,v,w\n1,1.0,1\n2,5e307,1\n", 0,
          "oracle.exact.variance is nan: the oracle's sums overflow float64"),
-    ])
+    ], ids=["oracle_seed0", "oracle_seed1", *(f"estimate_seed{s}" for s in range(2, 8)),
+            "oracle_square"])
     def test_overflowing_oracle_exits_2(self, tmp_path, capsys, csv, seed, where, fmt):
         plan_path = self._tiny_document(tmp_path, csv)
         with warnings.catch_warnings():  # no numpy warning may reach stderr

@@ -139,18 +139,23 @@ def _cases(doc):
                     yield f"{table} csv {name}={value} in {how}", plan, {table: data}, False
 
 
-@pytest.mark.parametrize("document", sorted(DOCUMENTS))
-def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, monkeypatch,
-                                                 document):
-    doc = DOCUMENTS[document](desk_paths)
-    reads = []
+@pytest.fixture
+def reads(monkeypatch):
+    """The names of the tables ``gusbox estimate`` ingests, in order."""
+    names = []
     ingest_csv = cli.ingest_csv
 
     def spy(path, name, *args):
-        reads.append(name)
+        names.append(name)
         return ingest_csv(path, name, *args)
 
     monkeypatch.setattr(cli, "ingest_csv", spy)
+    return names
+
+
+@pytest.mark.parametrize("document", sorted(DOCUMENTS))
+def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, reads, document):
+    doc = DOCUMENTS[document](desk_paths)
     faults, codes = [], {0: 0, 2: 0, 3: 0}
     for case, (name, plan, csvs, reads_no_data) in enumerate(_cases(doc)):
         where = tmp_path / str(case)
@@ -189,3 +194,22 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, m
             codes[code] += 1
     assert not faults, "\n".join(faults)
     assert codes[2] > codes[0] > 0  # the damage reaches both parse and run
+
+
+@pytest.mark.parametrize("suffix", ["/1", "*1.0"])
+@pytest.mark.parametrize("document", sorted(DOCUMENTS))
+def test_float_id_expression_exits_before_ingest(desk_paths, tmp_path, capsys, reads,
+                                                 document, suffix):
+    # '/' and a float literal make every id a float; each exited 2 only after
+    # its table was read ("produced non-integer")
+    doc = DOCUMENTS[document](desk_paths)
+    for name, spec in doc["tables"].items():
+        bad = copy.deepcopy(doc)
+        bad["tables"][name]["idColumn"] = spec["idColumn"] + suffix
+        (tmp_path / "plan.json").write_bytes(_dumps(bad))
+        assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+        out, err = capsys.readouterr()
+        what = "'/' makes a float; use '//'" if suffix == "/1" else \
+            "float literal 1.0 makes a float"
+        assert (out, err) == ("", f"error: tables.{name}.idColumn: {what}\n")
+    assert reads == []

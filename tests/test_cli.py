@@ -577,6 +577,31 @@ class TestEstimateCommand:
         assert main(["estimate", str(plan_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("expr, message", [
+        ("v ** 2", "unsupported syntax 'Pow'"),
+        ("abs(v)", "unsupported syntax 'Call'"),
+        ("v < 1", "unsupported syntax 'Compare'"),
+        ("'a'", "literal 'a' is not numeric"),
+    ])
+    def test_unsupported_expression_exits_2(self, tmp_path, capsys, expr, message):
+        plan_path = self._tiny_document(tmp_path, **{"plan.expr": expr})
+        assert main(["estimate", str(plan_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: plan.expr: {message}\n")
+
+    @pytest.mark.parametrize("document, message", [
+        ("[]", "top level: plan document must be an object"),
+        (None, "plan: estimation needs a sum aggregate at the root"),
+    ], ids=["top_level_list", "no_sum"])
+    def test_document_without_a_sum_exits_2(self, tmp_path, capsys, document, message):
+        plan_path = self._tiny_document(tmp_path)
+        if document is None:  # the sum's input as the whole plan
+            doc = json.loads(plan_path.read_text())
+            doc["plan"] = doc["plan"]["child"]
+            document = json.dumps(doc)
+        plan_path.write_text(document)
+        assert main(["estimate", str(plan_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_non_finite_aggregate_exits_2(self, tmp_path, capsys):
         # exited 0 with "estimate": NaN, which no strict JSON reader accepts
         plan_path = self._tiny_document(tmp_path, b"k,v,w\n2,nan,1\n4,inf,2\n",

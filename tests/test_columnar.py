@@ -264,6 +264,44 @@ def test_unary_operators_over_int_columns(expr, values):
     assert [v.hex() for v in out.tolist()] == [float(arith((v,))).hex() for v in values]
 
 
+FLOOR_X = [-7, -1, 0, 5, 9, -2**62, 2**62]
+FLOOR_Y = [2, -3, 4, -5, 7, 3, -1]
+
+
+@pytest.mark.parametrize("expr", ["x // y", "y // (x + 100)", "x // 3", "-7 // y", "x // -2.5"])
+@pytest.mark.parametrize("ytype", ["int64", "float64"])
+def test_floor_division_column_form_matches_row_form(expr, ytype):
+    """No zero divisor and no ``-2**63 // -1``: the column form's ``//``
+    runs, and its numbers are the row form's."""
+    ys = FLOOR_Y if ytype == "int64" else [float(y) for y in FLOOR_Y]
+    data = [np.array(FLOOR_X, dtype=np.int64), np.array(ys, dtype=ytype)]
+    arith = Arith(expr, ["x", "y"], ["int64", ytype])
+    out = arith.over(data, len(ys))
+    assert [v.hex() for v in out.tolist()] == [arith(row).hex() for row in zip(FLOOR_X, ys)]
+    if ytype == "int64" and "." not in expr:
+        ids = Arith(expr, ["x", "y"], ["int64", ytype], integer=True)
+        out = ids.over(data, len(ys))
+        assert out.dtype == np.int64
+        assert out.tolist() == [ids(row) for row in zip(FLOOR_X, ys)]
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_int64_overflowing_floor_division_takes_the_row_form(integer):
+    # numpy's int64 -2**63 // -1 wraps to -2**63; Python's is 2**63
+    arith = Arith("x // y", ["x", "y"], ["int64", "int64"], integer=integer)
+    out = arith.over([np.array([-2**63, 6]), np.array([-1, 4])], 2)
+    assert out.tolist() == ([2**63, 1] if integer else [2.0**63, 1.0])
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_int_literal_past_int64_matches_python(integer):
+    ks = [-3, 0, 2**63 - 1]
+    arith = Arith("k + 99999999999999999999", ["k"], ["int64"], integer=integer)
+    out = arith.over([np.array(ks, dtype=np.int64)], len(ks))
+    expected = [k + 99999999999999999999 for k in ks]
+    assert out.tolist() == (expected if integer else [float(v) for v in expected])
+
+
 def test_residual_joins_test_bounded_blocks(monkeypatch):
     """A theta join and a low-cardinality equi-join with a selective residual
     match the row reference, and the residual never sees more than one block

@@ -26,7 +26,14 @@ from gusbox import (
     execute_full,
     y_sample_terms,
 )
-from gusbox.algebra import gus_of_lineage_bernoulli, join_merge, normalize_plan, row_bernoulli_gus
+from gusbox.algebra import (
+    gus_of_lineage_bernoulli,
+    identity_gus,
+    join_merge,
+    normalize_plan,
+    null_gus,
+    row_bernoulli_gus,
+)
 from gusbox.oracle import (
     compare_inclusion_to_gus,
     enumerate_exact_moments,
@@ -470,3 +477,15 @@ class TestInclusionProbabilities:
         violations, worst = compare_inclusion_to_gus(first, second, wrong, trials)
         assert violations
         assert worst > 5.0
+
+    def test_certain_frequencies_must_match_exactly(self):
+        # expected 0 or 1 has no sampling noise: any other frequency is z = inf
+        schema = LineageSchema.of(["t"])
+        t, u = (0,), (1,)
+        for gus, certain in ((identity_gus(schema), 1.0), (null_gus(schema), 0.0)):
+            assert compare_inclusion_to_gus({t: certain}, {(t, u): certain}, gus, 100) == ([], 0.0)
+            near = abs(certain - 0.01)
+            violations, worst = compare_inclusion_to_gus({t: near}, {(t, u): certain}, gus, 100)
+            assert worst == math.inf
+            assert [(v.kind, v.observed, v.expected) for v in violations] == [
+                ("first-order", near, certain)]

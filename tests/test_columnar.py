@@ -223,6 +223,7 @@ CONSTANT_CASES = [
     ("float64", 2**53 + 1), ("float64", -2**53 - 1),  # ints between two floats
     ("int64", math.inf), ("int64", -math.inf),
     ("int64", -2**63 - 1), ("int64", 2**63),  # ints outside int64
+    ("int64", 1.5), ("int64", -1.5),  # no int equals them
 ]
 
 
@@ -268,7 +269,8 @@ FLOOR_X = [-7, -1, 0, 5, 9, -2**62, 2**62]
 FLOOR_Y = [2, -3, 4, -5, 7, 3, -1]
 
 
-@pytest.mark.parametrize("expr", ["x // y", "y // (x + 100)", "x // 3", "-7 // y", "x // -2.5"])
+@pytest.mark.parametrize("expr", ["x // y", "y // (x + 100)", "x // 3", "-7 // y", "x // -2.5"],
+                         ids=["x_y", "y_x", "x_int", "int_y", "x_float"])
 @pytest.mark.parametrize("ytype", ["int64", "float64"])
 def test_floor_division_column_form_matches_row_form(expr, ytype):
     """No zero divisor and no ``-2**63 // -1``: the column form's ``//``

@@ -87,12 +87,6 @@ class TestSelect:
         assert list(out.rows) == expected
         assert 0 < len(out) < len(rel)
 
-    def test_int_column_against_a_fraction(self):
-        # no int equals 1.5: '=' keeps no row and '!=' keeps every row
-        rel = scan(tiny_table())
-        assert len(select(Predicate((Comparison("t_k", "=", 1.5),)), rel)) == 0
-        assert select(Predicate((Comparison("t_k", "!=", 1.5),)), rel).rows == rel.rows
-
     def test_selects_fuse(self, desk_catalog):
         rel = scan(desk_catalog["l"])
         a = Predicate((Comparison("l_extendedprice", ">", 20000.0),))

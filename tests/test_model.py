@@ -121,6 +121,8 @@ class TestGusParams:
         ]
         for built in builders:
             assert built.a == built.b[built.schema.full_mask]
+        assert [built.a for built in builders] == [
+            1.0, 0.0, 0.3, 3 / 7, 1.0, 0.3 * (2 / 5), 0.3 * (3 / 7), 0.3 + 3 / 7 - 0.3 * (3 / 7)]
 
     def test_table_length_checked(self):
         with pytest.raises(SchemaError):

@@ -75,10 +75,8 @@ from .plan import (
     BernoulliSpec,
     Comparison,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     PlanNode,
-    Predicate,
     Sample,
     Scan,
     Select,

@@ -2,7 +2,7 @@
 tree, and requested quantiles.
 
 Node objects use an ``op`` discriminator: scan, select, join, cross, union,
-sample, sum. A cross is a join with no equality pairs and no residual.
+sample, sum. A cross is a join with no ``eq`` pairs and no ``theta`` atoms.
 Errors carry the JSON path to the offending element. Every column a node,
 the ``sum`` expression or an ``idColumn`` uses is checked against the
 declared ``columnTypes``, so a misspelt name or a wrong type fails before
@@ -23,10 +23,8 @@ from .plan import (
     BernoulliSpec,
     Comparison,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     PlanNode,
-    Predicate,
     Sample,
     Scan,
     Select,
@@ -86,14 +84,14 @@ def _parse_atom(doc, path: str) -> Comparison:
     with _at(path):
         col = _string(doc, "col")
         if "col2" in doc:
-            return Comparison(col, cmp_op, other_col=_string(doc, "col2"))
+            return Comparison(col, cmp_op, col2=_string(doc, "col2"))
         return Comparison(col, cmp_op, value=doc["value"])
 
 
-def _parse_predicate(doc, path: str) -> Predicate:
+def _parse_atoms(doc, path: str) -> tuple[Comparison, ...]:
     if not isinstance(doc, list):
         raise PlanError(f"{path}: predicate must be a list of atoms")
-    return Predicate(tuple(_parse_atom(a, f"{path}[{i}]") for i, a in enumerate(doc)))
+    return tuple(_parse_atom(a, f"{path}[{i}]") for i, a in enumerate(doc))
 
 
 def _integer(doc: Mapping, key: str) -> int:
@@ -172,7 +170,7 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
     if op == "select":
         _no_extras(doc, {"op", "where", "child"}, path)
         return Select(
-            _parse_predicate(_need(doc, "where", path), f"{path}.where"),
+            _parse_atoms(_need(doc, "where", path), f"{path}.where"),
             _parse_node(_need(doc, "child", path), tables, f"{path}.child"),
         )
     if op == "join":
@@ -180,24 +178,24 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         eq_doc = doc.get("eq", [])
         if not isinstance(eq_doc, list):
             raise PlanError(f"{path}.eq: must be a list of [left, right] column pairs")
-        equi = []
+        eq = []
         for i, pair in enumerate(eq_doc):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise PlanError(f"{path}.eq[{i}]: must be a [left, right] column pair")
             sides = dict(zip(("left", "right"), pair))
             with _at(f"{path}.eq[{i}]"):
-                equi.append((_string(sides, "left"), _string(sides, "right")))
-        residual = _parse_predicate(doc.get("theta", []), f"{path}.theta")
+                eq.append((_string(sides, "left"), _string(sides, "right")))
+        theta = _parse_atoms(doc.get("theta", []), f"{path}.theta")
         return Join(
-            JoinSpec(tuple(equi), residual),
             _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
             _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
+            tuple(eq), theta,
         )
     if op in ("cross", "union"):
         _no_extras(doc, {"op", "left", "right"}, path)
         left = _parse_node(_need(doc, "left", path), tables, f"{path}.left")
         right = _parse_node(_need(doc, "right", path), tables, f"{path}.right")
-        return Join(JoinSpec(), left, right) if op == "cross" else UnionDedup(left, right)
+        return Join(left, right) if op == "cross" else UnionDedup(left, right)
     if op == "sample":
         _no_extras(doc, {"op", "method", "child"}, path)
         return Sample(

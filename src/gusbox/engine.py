@@ -6,7 +6,7 @@ scan returns its table as it is. Every operator works on whole columns and
 index vectors: selection builds a boolean mask, an equi-join factorises its
 keys and matches them with ``argsort``/``searchsorted``, and a join without
 equality pairs (a cross product) repeats and tiles row positions. A join's
-residual predicate is tested on blocks of candidate pairs, so memory follows
+``theta`` atoms are tested on blocks of candidate pairs, so memory follows
 the block and the output, not the product of the inputs. Join and union
 outputs are sorted by lineage with ``lexsort``. Output rows carry the
 canonical merge of both lineage vectors. Comparisons and join keys follow
@@ -39,11 +39,10 @@ from .model import (
 )
 from .plan import (
     BernoulliSpec,
+    Comparison,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     PlanNode,
-    Predicate,
     Sample,
     Scan,
     Select,
@@ -136,21 +135,21 @@ def _equal_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ok & (as_int == ints)
 
 
-def bind_predicate(pred: Predicate, columns: Sequence[str]
+def bind_predicate(atoms: Sequence[Comparison], columns: Sequence[str]
                    ) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
-    """Compile ``pred``, whose columns ``plan.check_columns`` has checked
-    against ``columns``, to a function from column arrays to the boolean
-    mask of rows that pass."""
+    """Compile the conjunction of ``atoms``, whose columns
+    ``plan.check_columns`` has checked against ``columns``, to a function
+    from column arrays to the boolean mask of rows that pass."""
     columns = list(columns)
     compiled = []
-    for atom in pred.atoms:
+    for atom in atoms:
         i = columns.index(atom.col)
-        if atom.other_col is not None:
-            j = columns.index(atom.other_col)
+        if atom.col2 is not None:
+            j = columns.index(atom.col2)
             compiled.append(lambda data, i=i, j=j: _equal_columns(data[i], data[j]))
         else:
             compiled.append(
-                lambda data, i=i, op=atom.op, c=atom.value: _compare_const(op, data[i], c))
+                lambda data, i=i, op=atom.cmp, c=atom.value: _compare_const(op, data[i], c))
 
     def test(data: Sequence[np.ndarray]) -> np.ndarray:
         mask = compiled[0](data)
@@ -166,10 +165,10 @@ def scan(table: SampleRelation) -> SampleRelation:
     return table
 
 
-def select(pred: Predicate, r: SampleRelation) -> SampleRelation:
-    if not pred.atoms:
+def select(where: Sequence[Comparison], r: SampleRelation) -> SampleRelation:
+    if not where:
         return r
-    test = bind_predicate(pred, r.columns)
+    test = bind_predicate(where, r.columns)
     return r.take(test(r.data))
 
 
@@ -245,7 +244,7 @@ def _both(a, b):
     return a if b is None else a & b
 
 
-# candidate pairs whose columns a join's residual test gathers at once, so
+# candidate pairs whose columns a join's theta test gathers at once, so
 # that a selective theta join or cross product never holds the full product
 _PAIR_BLOCK = 1 << 16
 
@@ -260,39 +259,38 @@ def _cross_blocks(m_left: int, m_right: int):
                np.tile(np.arange(m_right), stop - start))
 
 
-def _passing_pairs(residual, left: SampleRelation, right: SampleRelation, blocks
+def _passing_pairs(theta, left: SampleRelation, right: SampleRelation, blocks
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of ``blocks`` whose joined row passes ``residual`` (all of
+    """The pairs of ``blocks`` whose joined row passes ``theta`` (all of
     them when it is None), tested one block at a time."""
     kept_l, kept_r = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for li, ri in blocks:
-        if residual is not None:
-            keep = residual([c[li] for c in left.data] + [c[ri] for c in right.data])
+        if theta is not None:
+            keep = theta([c[li] for c in left.data] + [c[ri] for c in right.data])
             li, ri = li[keep], ri[keep]
         kept_l.append(li)
         kept_r.append(ri)
     return np.concatenate(kept_l), np.concatenate(kept_r)
 
 
-def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
+def join(node: Join, left: SampleRelation, right: SampleRelation) -> SampleRelation:
+    """``node`` over its inputs ``left`` and ``right``: reads its ``eq`` and ``theta``."""
     merged_schema, left_pos, right_pos = _merge_maps(left.schema, right.schema)
     columns = left.columns + right.columns
     types = left.column_types + right.column_types
 
-    residual = None
-    if cond.residual.atoms:
-        residual = bind_predicate(cond.residual, columns)
+    theta = bind_predicate(node.theta, columns) if node.theta else None
 
-    if cond.equi:
+    if node.eq:
         li, ri = _equi_pairs([(left.data[left.column_index(lc)],
                                right.data[right.column_index(rc)])
-                              for lc, rc in cond.equi])
-        if residual is not None:
-            li, ri = _passing_pairs(residual, left, right, (
+                              for lc, rc in node.eq])
+        if theta is not None:
+            li, ri = _passing_pairs(theta, left, right, (
                 (li[k:k + _PAIR_BLOCK], ri[k:k + _PAIR_BLOCK])
                 for k in range(0, len(li), _PAIR_BLOCK)))
     else:
-        li, ri = _passing_pairs(residual, left, right, _cross_blocks(len(left), len(right)))
+        li, ri = _passing_pairs(theta, left, right, _cross_blocks(len(left), len(right)))
     lineage = np.empty((len(li), merged_schema.n), dtype=np.int64)
     lineage[:, left_pos] = left.lineage[li]
     lineage[:, right_pos] = right.lineage[ri]
@@ -365,9 +363,9 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
         if isinstance(n, Scan):
             return scan(catalog[n.table])
         if isinstance(n, Select):
-            return select(n.predicate, rec(n.child, f"{path}.child"))
+            return select(n.where, rec(n.child, f"{path}.child"))
         if isinstance(n, Join):
-            return join(n.condition, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
+            return join(n, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, UnionDedup):
             return union_dedup(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, Sample):

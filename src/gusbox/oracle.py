@@ -155,12 +155,12 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
         return [(scan(catalog[node.table]), 1.0)]
     if isinstance(node, Select):
         child = enumerate_outcomes(node.child, catalog, budget)
-        return _merge_outcomes((select(node.predicate, rel), w) for rel, w in child)
+        return _merge_outcomes((select(node.where, rel), w) for rel, w in child)
     if isinstance(node, (Join, UnionDedup)):
         left = enumerate_outcomes(node.left, catalog, budget)
         right = enumerate_outcomes(node.right, catalog, budget)
         guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
-        op = union_dedup if isinstance(node, UnionDedup) else partial(join, node.condition)
+        op = union_dedup if isinstance(node, UnionDedup) else partial(join, node)
         return _merge_outcomes((op(l, r), wl * wr) for l, wl in left for r, wr in right)
     if isinstance(node, Sample):
         child = enumerate_outcomes(node.child, catalog, budget)

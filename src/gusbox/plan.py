@@ -3,7 +3,7 @@ interspersed, plus the predicate and sampler descriptions they carry.
 
 Plans are immutable; rewriting produces new trees. A sum aggregate may
 appear once, at the root. A cross product is a :class:`Join` with no
-equality pairs and no residual. :func:`validate_plan` holds every structural
+``eq`` pairs and no ``theta`` atoms. :func:`validate_plan` holds every structural
 check and :func:`check_columns` every column check; neither reads data, so a
 malformed plan fails before any table is loaded.
 """
@@ -25,36 +25,17 @@ class Comparison:
     """One predicate atom: column vs constant, or column = column."""
 
     col: str
-    op: str
+    cmp: str
     value: Union[int, float, str, None] = None
-    other_col: Union[str, None] = None
+    col2: Union[str, None] = None
 
     def __post_init__(self):
-        if self.op not in _CMP_OPS:
-            raise PlanError(f"unknown comparison operator {self.op!r}")
-        if (self.value is None) == (self.other_col is None):
+        if self.cmp not in _CMP_OPS:
+            raise PlanError(f"unknown comparison operator {self.cmp!r}")
+        if (self.value is None) == (self.col2 is None):
             raise PlanError("comparison needs exactly one of a constant or a second column")
-        if self.other_col is not None and self.op != "=":
+        if self.col2 is not None and self.cmp != "=":
             raise PlanError("column-to-column comparisons support '=' only")
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """Conjunction of comparison atoms; empty conjunction is always true."""
-
-    atoms: tuple[Comparison, ...] = ()
-
-
-ALWAYS_TRUE = Predicate()
-
-
-@dataclass(frozen=True)
-class JoinSpec:
-    """Equality pairs (left column, right column) plus an optional residual
-    predicate evaluated on the concatenated row."""
-
-    equi: tuple[tuple[str, str], ...] = ()
-    residual: Predicate = ALWAYS_TRUE
 
 
 def check_seed(seed: int) -> None:
@@ -123,15 +104,21 @@ class Scan(PlanNode):
 
 @dataclass(frozen=True)
 class Select(PlanNode):
-    predicate: Predicate
+    """Rows of ``child`` that pass every atom of ``where`` (all if empty)."""
+
+    where: tuple[Comparison, ...]
     child: PlanNode
 
 
 @dataclass(frozen=True)
 class Join(PlanNode):
-    condition: JoinSpec
+    """Row pairs equal on every ``eq`` (left column, right column) pair that
+    pass every ``theta`` atom on the concatenated row."""
+
     left: PlanNode
     right: PlanNode
+    eq: tuple[tuple[str, str], ...] = ()
+    theta: tuple[Comparison, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -157,9 +144,9 @@ def strip_sampling(node: PlanNode) -> PlanNode:
     if isinstance(node, Scan):
         return node
     if isinstance(node, Select):
-        return Select(node.predicate, strip_sampling(node.child))
+        return Select(node.where, strip_sampling(node.child))
     if isinstance(node, Join):
-        return Join(node.condition, strip_sampling(node.left), strip_sampling(node.right))
+        return Join(strip_sampling(node.left), strip_sampling(node.right), node.eq, node.theta)
     if isinstance(node, UnionDedup):
         return UnionDedup(strip_sampling(node.left), strip_sampling(node.right))
     if isinstance(node, Sample):
@@ -293,15 +280,15 @@ def _column_type(name: str, columns: Mapping[str, str], path: str) -> str:
     return columns[name]
 
 
-def _check_predicate(pred: Predicate, columns: Mapping[str, str], path: str) -> None:
-    for i, atom in enumerate(pred.atoms):
+def _check_atoms(atoms: tuple[Comparison, ...], columns: Mapping[str, str], path: str) -> None:
+    for i, atom in enumerate(atoms):
         where = f"{path}[{i}]"
         ctype = _column_type(atom.col, columns, f"{where}.col")
-        if atom.other_col is not None:
-            other = _column_type(atom.other_col, columns, f"{where}.col2")
+        if atom.col2 is not None:
+            other = _column_type(atom.col2, columns, f"{where}.col2")
             if (ctype == "string") != (other == "string"):
                 raise PlanError(f"{where}.col2: cannot compare {atom.col} ({ctype}) "
-                                f"with {atom.other_col} ({other})")
+                                f"with {atom.col2} ({other})")
         elif ctype == "string" and not isinstance(atom.value, str):
             raise PlanError(f"{where}.value: cannot compare string column with {atom.value!r}")
         elif ctype != "string" and (isinstance(atom.value, bool)
@@ -329,18 +316,18 @@ def check_columns(root: PlanNode,
             return dict(tables[node.table])
         if isinstance(node, Select):
             columns = rec(node.child, f"{path}.child")
-            _check_predicate(node.predicate, columns, f"{path}.where")
+            _check_atoms(node.where, columns, f"{path}.where")
             return columns
         if isinstance(node, Join):
             left, right = rec(node.left, f"{path}.left"), rec(node.right, f"{path}.right")
             shared = sorted(left.keys() & right.keys())
             if shared:
                 raise PlanError(f"{path}: join sides share column names {shared}")
-            for i, (lc, rc) in enumerate(node.condition.equi):
+            for i, (lc, rc) in enumerate(node.eq):
                 _column_type(lc, left, f"{path}.eq[{i}].left")
                 _column_type(rc, right, f"{path}.eq[{i}].right")
             columns = {**left, **right}
-            _check_predicate(node.condition.residual, columns, f"{path}.theta")
+            _check_atoms(node.theta, columns, f"{path}.theta")
             return columns
         if isinstance(node, UnionDedup):
             columns = rec(node.left, f"{path}.left")

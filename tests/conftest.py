@@ -16,9 +16,7 @@ from gusbox import (
     Comparison,
     GusParams,
     Join,
-    JoinSpec,
     LineageSchema,
-    Predicate,
     Row,
     Sample,
     SampleRelation,
@@ -168,7 +166,7 @@ def small_join_plan(l_sampler=None, o_sampler=None, expr="l_val*o_w"):
         left = Sample(l_sampler, left)
     if o_sampler is not None:
         right = Sample(o_sampler, right)
-    return SumAggregate(expr, Join(JoinSpec(equi=(("l_ok", "o_ok"),)), left, right))
+    return SumAggregate(expr, Join(left, right, eq=(("l_ok", "o_ok"),)))
 
 
 def query1_plan(p=0.3, n=25, price=100.0, bern_seed=1, wor_seed=2):
@@ -177,11 +175,11 @@ def query1_plan(p=0.3, n=25, price=100.0, bern_seed=1, wor_seed=2):
     return SumAggregate(
         "l_discount*(1.0-l_tax)",
         Select(
-            Predicate((Comparison("l_extendedprice", ">", price),)),
+            (Comparison("l_extendedprice", ">", price),),
             Join(
-                JoinSpec(equi=(("l_orderkey", "o_orderkey"),)),
                 Sample(BernoulliSpec(p, seed=bern_seed), Scan("l")),
                 Sample(WorSpec(n, seed=wor_seed), Scan("o")),
+                eq=(("l_orderkey", "o_orderkey"),),
             ),
         ),
     )
@@ -192,17 +190,17 @@ def four_relation_plan(p_l=0.3, n_o=25, p_p=0.5):
     return SumAggregate(
         "l_discount*(1.0-l_tax)",
         Join(
-            JoinSpec(equi=(("l_partkey", "p_partkey"),)),
             Join(
-                JoinSpec(equi=(("o_custkey", "c_custkey"),)),
                 Join(
-                    JoinSpec(equi=(("l_orderkey", "o_orderkey"),)),
                     Sample(BernoulliSpec(p_l, seed=11), Scan("l")),
                     Sample(WorSpec(n_o, seed=12), Scan("o")),
+                    eq=(("l_orderkey", "o_orderkey"),),
                 ),
                 Scan("c"),
+                eq=(("o_custkey", "c_custkey"),),
             ),
             Sample(BernoulliSpec(p_p, seed=13), Scan("p")),
+            eq=(("l_partkey", "p_partkey"),),
         ),
     )
 

@@ -21,7 +21,6 @@ from gusbox.model import Row, SampleRelation
 from gusbox.plan import (
     BernoulliSpec,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     Sample,
     Scan,
@@ -33,14 +32,14 @@ from gusbox.plan import (
 from gusbox.samplers import derive_seed, generator, keyed_unit
 
 
-def bind_predicate(pred, columns):
+def bind_predicate(atoms, columns):
     columns = list(columns)
     compiled = []
-    for atom in pred.atoms:
+    for atom in atoms:
         i = columns.index(atom.col)
-        fn = _CMP_FUNCS[atom.op]
-        if atom.other_col is not None:
-            compiled.append((fn, i, columns.index(atom.other_col), True))
+        fn = _CMP_FUNCS[atom.cmp]
+        if atom.col2 is not None:
+            compiled.append((fn, i, columns.index(atom.col2), True))
         else:
             compiled.append((fn, i, atom.value, False))
 
@@ -64,20 +63,20 @@ def scan(table: SampleRelation) -> SampleRelation:
     return _with_rows(table, table.rows)
 
 
-def select(pred, r: SampleRelation) -> SampleRelation:
-    if not pred.atoms:
+def select(where, r: SampleRelation) -> SampleRelation:
+    if not where:
         return r
-    test = bind_predicate(pred, r.columns)
+    test = bind_predicate(where, r.columns)
     return _with_rows(r, [row for row in r.rows if test(row.values)])
 
 
-def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleRelation:
+def join(node: Join, left: SampleRelation, right: SampleRelation) -> SampleRelation:
     merged = left.schema.merge_disjoint(right.schema)
     left_pos = [merged.index(name) for name in left.schema.relations]
     right_pos = [merged.index(name) for name in right.schema.relations]
     columns = left.columns + right.columns
     types = left.column_types + right.column_types
-    residual = bind_predicate(cond.residual, columns) if cond.residual.atoms else None
+    theta = bind_predicate(node.theta, columns) if node.theta else None
 
     def merge(llin, rlin):
         out = [0] * merged.n
@@ -88,9 +87,9 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
         return tuple(out)
 
     out = []
-    if cond.equi:
-        left_idx = [left.column_index(lc) for lc, _ in cond.equi]
-        right_idx = [right.column_index(rc) for _, rc in cond.equi]
+    if node.eq:
+        left_idx = [left.column_index(lc) for lc, _ in node.eq]
+        right_idx = [right.column_index(rc) for _, rc in node.eq]
         buckets: dict = {}
         for row in left.rows:
             buckets.setdefault(tuple(row.values[i] for i in left_idx), []).append(row)
@@ -100,7 +99,7 @@ def join(cond: JoinSpec, left: SampleRelation, right: SampleRelation) -> SampleR
         pairs = ((lrow, rrow) for lrow in left.rows for rrow in right.rows)
     for lrow, rrow in pairs:
         values = lrow.values + rrow.values
-        if residual is None or residual(values):
+        if theta is None or theta(values):
             out.append(Row(values, merge(lrow.lineage, rrow.lineage), 0.0))
     out.sort(key=lambda row: row.lineage)
     return SampleRelation.from_rows(merged, columns, types, out)
@@ -163,9 +162,9 @@ def execute(node, catalog, master_seed: int = 0):
         if isinstance(n, Scan):
             return scan(catalog[n.table])
         if isinstance(n, Select):
-            return select(n.predicate, rec(n.child, f"{path}.child"))
+            return select(n.where, rec(n.child, f"{path}.child"))
         if isinstance(n, Join):
-            return join(n.condition, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
+            return join(n, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, UnionDedup):
             return union_dedup(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
         if isinstance(n, Sample):

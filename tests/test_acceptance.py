@@ -26,11 +26,9 @@ from gusbox import (
     Comparison,
     GusParams,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     LineageSchema,
     PlanError,
-    Predicate,
     Sample,
     Scan,
     Select,
@@ -163,7 +161,7 @@ def _random_instance(rng: np.random.Generator, idx: int):
         legs[0] = Sample(BernoulliSpec(0.5, seed=100), legs[0])
     tree = legs[0]
     for i in range(1, n_rel):
-        tree = Join(JoinSpec(equi=((f"r0_k", f"r{i}_k"),)), tree, legs[i])
+        tree = Join(tree, legs[i], eq=((f"r0_k", f"r{i}_k"),))
     expr = "*".join(f"r{i}_v" for i in range(n_rel)) if idx % 2 == 0 else \
         "+".join(f"r{i}_v" for i in range(n_rel))
     return SumAggregate(expr, tree), catalog
@@ -257,17 +255,17 @@ def _rule_catalog():
 
 
 def _rule_plans():
-    on_key = JoinSpec(equi=(("r_k", "t_k"),))
+    on_key = (("r_k", "t_k"),)
     return {
         "selection_commute": Select(
-            Predicate((Comparison("r_v", ">", 1.5),)),
+            (Comparison("r_v", ">", 1.5),),
             Sample(BernoulliSpec(0.6, seed=1), Scan("r"))),
         "join_merge": Join(
-            on_key,
             Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
-            Sample(WorSpec(2, seed=2), Scan("t"))),
+            Sample(WorSpec(2, seed=2), Scan("t")),
+            eq=on_key),
         "identity_insertion": Join(
-            on_key, Sample(BernoulliSpec(0.5, seed=1), Scan("r")), Scan("t")),
+            Sample(BernoulliSpec(0.5, seed=1), Scan("r")), Scan("t"), eq=on_key),
         "union_merge": UnionDedup(
             Sample(BernoulliSpec(0.4, seed=1), Scan("r")),
             Sample(BernoulliSpec(0.7, seed=2), Scan("r"))),
@@ -276,7 +274,7 @@ def _rule_plans():
             Sample(BernoulliSpec(0.6, seed=1), Scan("r"))),
         "composition": Sample(
             LineageBernoulliSpec.of({"r": (0.5, 5), "t": (0.6, 6)}),
-            Join(on_key, Sample(BernoulliSpec(0.7, seed=1), Scan("r")), Scan("t"))),
+            Join(Sample(BernoulliSpec(0.7, seed=1), Scan("r")), Scan("t"), eq=on_key)),
     }
 
 

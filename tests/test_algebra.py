@@ -19,7 +19,6 @@ from gusbox import (
     BernoulliSpec,
     GusParams,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     LineageSchema,
     PlanError,
@@ -48,7 +47,7 @@ from gusbox.algebra import (
 from gusbox.dsl import parse_plan
 from gusbox.engine import execute
 from gusbox.model import project_masks
-from gusbox.plan import Predicate, Comparison, strip_sampling
+from gusbox.plan import Comparison, strip_sampling
 
 from conftest import (
     gus_tables,
@@ -444,7 +443,7 @@ class TestNormalizePlan:
             row_bernoulli_gus(0.5, LineageSchema.of(["l"])), LineageSchema.of(["l", "o"]))
 
     def test_selection_commutes_without_changing_parameters(self):
-        pred = Predicate((Comparison("l_val", ">", 2.0),))
+        pred = (Comparison("l_val", ">", 2.0),)
         plan = SumAggregate(
             "l_val", Select(pred, Sample(BernoulliSpec(0.25, seed=1), Scan("l"))))
         norm = normalize_plan(plan)
@@ -472,7 +471,7 @@ class TestNormalizePlan:
         assert norm.gus == row_bernoulli_gus(0.75, LineageSchema.of(["l"]))
 
     def test_union_of_different_relations_rejected(self):
-        pred = Predicate((Comparison("l_val", ">", 2.0),))
+        pred = (Comparison("l_val", ">", 2.0),)
         plan = SumAggregate(
             "l_val",
             UnionDedup(
@@ -498,7 +497,7 @@ class TestNormalizePlan:
 
     def test_wor_population_resolved_through_selection(self):
         catalog = small_join_catalog()
-        pred = Predicate((Comparison("l_val", ">", 2.0),))  # keeps 4 of 6 rows
+        pred = (Comparison("l_val", ">", 2.0),)  # keeps 4 of 6 rows
         plan = SumAggregate(
             "l_val", Sample(WorSpec(2, seed=1), Select(pred, Scan("l"))))
         norm = normalize_plan(plan, execute(plan, catalog).populations)
@@ -509,7 +508,7 @@ class TestNormalizePlan:
             "l_val*o_w",
             Sample(
                 BernoulliSpec(0.5, seed=3),
-                Join(JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o")),
+                Join(Scan("l"), Scan("o"), eq=(("l_ok", "o_ok"),)),
             ),
         )
         norm = normalize_plan(plan)
@@ -536,7 +535,7 @@ class TestNormalizePlan:
 
     def test_keyed_dimensions_sharing_a_seed_rejected(self):
         plan = Sample(LineageBernoulliSpec.of({"r": (0.5, 5), "t": (0.6, 5)}),
-                      Join(JoinSpec(), Scan("r"), Scan("t")))
+                      Join(Scan("r"), Scan("t")))
         with pytest.raises(PlanError, match=r"plan\.method\.dims\.r and "
                                             r"plan\.method\.dims\.t share seed 5"):
             normalize_plan(plan)
@@ -544,20 +543,20 @@ class TestNormalizePlan:
     def test_keyed_plans_with_distinct_seeds_keep_their_tables(self):
         for r_seed, t_seed in ((5, 6), (6, 5), (7, 90)):
             keyed = LineageBernoulliSpec.of({"r": (0.5, r_seed), "t": (0.6, t_seed)})
-            norm = normalize_plan(Sample(keyed, Join(JoinSpec(), Scan("r"), Scan("t"))))
+            norm = normalize_plan(Sample(keyed, Join(Scan("r"), Scan("t"))))
             assert norm.gus == gus_of_lineage_bernoulli(
                 {"r": 0.5, "t": 0.6}, LineageSchema.of(["r", "t"]))
 
     def test_row_samplers_sharing_a_seed_rejected(self):
         # both Bernoulli samplers would draw the same PCG64 stream
-        plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=0), Scan("r")),
+        plan = Join(Sample(BernoulliSpec(0.5, seed=0), Scan("r")),
                     Sample(BernoulliSpec(0.5, seed=0), Scan("t")))
         with pytest.raises(PlanError, match=r"plan\.left\.method and "
                                             r"plan\.right\.method share seed 0"):
             normalize_plan(plan)
 
     def test_row_samplers_with_distinct_seeds_keep_their_table(self):
-        plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
+        plan = Join(Sample(BernoulliSpec(0.5, seed=1), Scan("r")),
                     Sample(BernoulliSpec(0.5, seed=2), Scan("t")))
         assert normalize_plan(plan).gus == join_merge(
             row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
@@ -565,16 +564,14 @@ class TestNormalizePlan:
 
     def test_row_sampler_and_keyed_dimension_may_share_a_number(self):
         keyed = LineageBernoulliSpec.of({"t": (0.6, 3)})
-        plan = Join(JoinSpec(), Sample(BernoulliSpec(0.5, seed=3), Scan("r")),
-                    Sample(keyed, Scan("t")))
+        plan = Join(Sample(BernoulliSpec(0.5, seed=3), Scan("r")), Sample(keyed, Scan("t")))
         assert normalize_plan(plan).gus == join_merge(
             row_bernoulli_gus(0.5, LineageSchema.of(["r"])),
             row_bernoulli_gus(0.6, LineageSchema.of(["t"])))
 
     def test_other_plan_errors_name_the_node(self):
-        plan = SumAggregate("l_val", Join(
-            JoinSpec(), Scan("o"), Sample(WorSpec(2, seed=1), Select(
-                Predicate((Comparison("l_val", ">", 2.0),)), Scan("l")))))
+        plan = SumAggregate("l_val", Join(Scan("o"), Sample(WorSpec(2, seed=1), Select(
+            (Comparison("l_val", ">", 2.0),), Scan("l")))))
         with pytest.raises(PlanError, match=r"^plan\.child\.right: no population size"):
             normalize_plan(plan)
 
@@ -601,23 +598,23 @@ class TestNormalizePlan:
 
     def test_self_join_rejected(self):
         plan = SumAggregate(
-            "l_val", Join(JoinSpec(), Scan("l"), Sample(BernoulliSpec(0.5), Scan("l"))))
+            "l_val", Join(Scan("l"), Sample(BernoulliSpec(0.5), Scan("l"))))
         with pytest.raises(SelfJoinError):
             normalize_plan(plan)
 
 
 
-_OVER_2 = Predicate((Comparison("l_val", ">", 2.0),))  # keeps 4 of the 6 l rows
+_OVER_2 = (Comparison("l_val", ">", 2.0),)  # keeps 4 of the 6 l rows
 
 # plan, and the plan path and full-data population size of each WOR in it
 WOR_PLANS = {
     "under_select": (
         SumAggregate("l_val", Select(_OVER_2, Sample(WorSpec(2, seed=1), Select(
-            Predicate((Comparison("l_val", "<", 7.0),)), Scan("l"))))),
+            (Comparison("l_val", "<", 7.0),), Scan("l"))))),
         {"plan.child.child": 5}),
     "over_join": (
         SumAggregate("l_val*o_w", Sample(WorSpec(4, seed=3), Join(
-            JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o")))),
+            Scan("l"), Scan("o"), eq=(("l_ok", "o_ok"),)))),
         {"plan.child": 6}),
     "join_side": (small_join_plan(BernoulliSpec(0.5, seed=1), WorSpec(2, seed=2)),
                   {"plan.child.right": 3}),

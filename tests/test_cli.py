@@ -415,9 +415,9 @@ class TestEstimateCommand:
         calls = []
         real_select = engine.select
 
-        def counted(predicate, relation):
-            calls.append(predicate.atoms[0].col)
-            return real_select(predicate, relation)
+        def counted(where, relation):
+            calls.append(where[0].col)
+            return real_select(where, relation)
 
         monkeypatch.setattr(engine, "select", counted)
         assert main(["estimate", str(plan_path), "--explain"]) == 0

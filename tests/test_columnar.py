@@ -19,9 +19,7 @@ from gusbox import (
     BernoulliSpec,
     Comparison,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
-    Predicate,
     Sample,
     SampleRelation,
     Scan,
@@ -82,7 +80,7 @@ def atoms(draw, columns):
     col, ctype = draw(st.sampled_from(columns))
     family = [c for c, t in columns if (t == "string") == (ctype == "string") and c != col]
     if family and draw(st.booleans()):
-        return Comparison(col, "=", other_col=draw(st.sampled_from(family)))
+        return Comparison(col, "=", col2=draw(st.sampled_from(family)))
     return Comparison(col, draw(OPS), draw(STRINGS if ctype == "string" else NUMBERS))
 
 
@@ -96,22 +94,22 @@ def relations(draw, names):
         left, right = draw(relations(names[:k])), draw(relations(names[k:]))
         kind = draw(st.sampled_from(["join", "cross", "theta"]))
         if kind == "cross":
-            node = Join(JoinSpec(), left, right)
+            node = Join(left, right)
         else:
-            equi = ()
+            eq = ()
             if kind == "join":
-                equi = ((draw(st.sampled_from(columns_of(names[:k])))[0],
+                eq = ((draw(st.sampled_from(columns_of(names[:k])))[0],
                          draw(st.sampled_from(columns_of(names[k:])))[0]),)
-            residual = Predicate()
+            theta = ()
             if kind == "theta" or draw(st.booleans()):
-                residual = Predicate((draw(atoms(columns_of(names))),))
-            node = Join(JoinSpec(equi, residual), left, right)
+                theta = (draw(atoms(columns_of(names))),)
+            node = Join(left, right, eq, theta)
     for _ in range(draw(st.integers(0, 2))):
         seed = draw(st.integers(0, 9))
         wrap = draw(st.sampled_from(["select", "bernoulli", "wor", "keyed", "union"]))
         if wrap == "select":
-            node = Select(Predicate(tuple(draw(st.lists(atoms(columns_of(names)),
-                                                        min_size=1, max_size=2)))), node)
+            node = Select(tuple(draw(st.lists(atoms(columns_of(names)),
+                                              min_size=1, max_size=2))), node)
         elif wrap == "bernoulli":
             node = Sample(BernoulliSpec(draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])), seed), node)
         elif wrap == "wor":
@@ -182,17 +180,17 @@ def test_fixed_edge_cases():
     r = base_table("r", ("r_i", "r_x", "r_y"), ("int64", "float64", "float64"),
                    ids=(0, 2**63 - 1), rows=((1, 1.0, float("nan")), (2**53, 2.0**53, 0.0)))
     catalog = {"l": l, "r": r}
-    int_to_float = Join(JoinSpec((("l_i", "r_x"),)), Scan("l"), Scan("r"))
-    float_to_float = Join(JoinSpec((("l_x", "r_y"),)), Scan("l"), Scan("r"))
+    int_to_float = Join(Scan("l"), Scan("r"), eq=(("l_i", "r_x"),))
+    float_to_float = Join(Scan("l"), Scan("r"), eq=(("l_x", "r_y"),))
     divide_by_zero = SumAggregate("l_i/l_x", Scan("l"))
     cases = [
         int_to_float,
         float_to_float,
-        Join(JoinSpec((("l_x", "r_y"), ("l_i", "r_i"))), Scan("l"), Scan("r")),
-        Select(Predicate((Comparison("l_i", "<", 2.0**53 + 2.0),)), Scan("l")),
-        Select(Predicate((Comparison("l_i", ">", 9007199254740992.0),)), Scan("l")),
-        Select(Predicate((Comparison("l_x", "<", 2**53 + 1),)), Scan("l")),
-        Select(Predicate((Comparison("l_i", "=", other_col="l_x"),)), Scan("l")),
+        Join(Scan("l"), Scan("r"), eq=(("l_x", "r_y"), ("l_i", "r_i"))),
+        Select((Comparison("l_i", "<", 2.0**53 + 2.0),), Scan("l")),
+        Select((Comparison("l_i", ">", 9007199254740992.0),), Scan("l")),
+        Select((Comparison("l_x", "<", 2**53 + 1),), Scan("l")),
+        Select((Comparison("l_i", "=", col2="l_x"),), Scan("l")),
         SumAggregate("l_i*l_i", Scan("l")),  # int64 overflow
         SumAggregate("l_i/3", Scan("l")),    # int division past 2**53
         divide_by_zero,
@@ -209,7 +207,7 @@ def test_fixed_edge_cases():
     assert [row.lineage for row in execute(float_to_float, catalog).relation.rows] == [
         (-2**63, 2**63 - 1), (5, 2**63 - 1)]
     # int = float columns compare exactly: 2**53 + 1 is not 2.0**53
-    equal = Select(Predicate((Comparison("l_i", "=", other_col="l_x"),)), Scan("l"))
+    equal = Select((Comparison("l_i", "=", col2="l_x"),), Scan("l"))
     assert [row.lineage for row in execute(equal, catalog).relation.rows] == [(9,)]
     with pytest.raises(ExpressionError, match=r"^aggregate 'l_i/l_x': float division by zero$"):
         execute(divide_by_zero, catalog)
@@ -234,7 +232,7 @@ def test_constant_comparisons_match_python(ctype, constant, op):
     """Comparisons that no float conversion gets right, checked against
     Python's own operator on the same values."""
     values = INT_COLUMN if ctype == "int64" else FLOAT_COLUMN
-    test = engine.bind_predicate(Predicate((Comparison("x", op, constant),)), ["x"])
+    test = engine.bind_predicate((Comparison("x", op, constant),), ["x"])
     expected = [engine._CMP_FUNCS[op](v, constant) for v in values]
     assert test([np.array(values, dtype=ctype)]).tolist() == expected
 
@@ -250,7 +248,7 @@ def test_two_pair_equi_joins_match_row_reference(pairs):
     r = base_table("r", ("r_i", "r_j", "r_x"), ("int64", "int64", "float64"), ids=(7, 8, 9),
                    rows=((1, 1, 1.0), (2, 2, 2.0), (3, 0, 3.0)))
     catalog = {"l": l, "r": r}
-    plan = Join(JoinSpec(pairs), Scan("l"), Scan("r"))
+    plan = Join(Scan("l"), Scan("r"), eq=pairs)
     got = _outcome(lambda: _columnar(plan, catalog, 0))
     assert got == _outcome(lambda: row_reference.execute(plan, catalog, 0))
     assert got[4]  # some rows match
@@ -317,12 +315,12 @@ def test_residual_joins_test_bounded_blocks(monkeypatch):
                               rng.integers(0, 3, m), rng.integers(0, 400, m))))
 
     catalog = {"l": table("l", 400), "r": table("r", 500)}
-    selective = Predicate((Comparison("l_v", "=", other_col="r_v"), Comparison("l_k", "<", 2)))
+    selective = (Comparison("l_v", "=", col2="r_v"), Comparison("l_k", "<", 2))
     widths = []
     bind = engine.bind_predicate
 
-    def recording_bind(pred, columns):
-        test = bind(pred, columns)
+    def recording_bind(atoms, columns):
+        test = bind(atoms, columns)
 
         def recording_test(data):
             widths.append(len(data[0]))
@@ -331,9 +329,9 @@ def test_residual_joins_test_bounded_blocks(monkeypatch):
         return recording_test
 
     monkeypatch.setattr(engine, "bind_predicate", recording_bind)
-    for spec in (JoinSpec((), selective), JoinSpec((("l_k", "r_k"),), selective)):
+    for eq in ((), (("l_k", "r_k"),)):
         widths.clear()
-        plan = SumAggregate("l_v+r_k", Join(spec, Scan("l"), Scan("r")))
+        plan = SumAggregate("l_v+r_k", Join(Scan("l"), Scan("r"), eq, selective))
         got = _outcome(lambda: _columnar(plan, catalog, 0))
         assert got == _outcome(lambda: row_reference.execute(plan, catalog, 0))
         assert 0 < len(got[4]) < 2000
@@ -352,11 +350,11 @@ def sampling_free_plans(draw):
             k = draw(st.integers(1, len(group) - 1))
             left, right = build(group[:k]), build(group[k:])
             if draw(st.booleans()):
-                node = Join(JoinSpec(), left, right)
+                node = Join(left, right)
             else:
-                node = Join(JoinSpec(((f"{group[0]}_i", f"{group[k]}_i"),)), left, right)
+                node = Join(left, right, eq=((f"{group[0]}_i", f"{group[k]}_i"),))
         if draw(st.booleans()):
-            node = Select(Predicate((draw(atoms(columns_of(group))),)), node)
+            node = Select((draw(atoms(columns_of(group))),), node)
         return node
 
     return names, build(names)

@@ -11,7 +11,6 @@ from gusbox.ingest import ingest_csv
 from gusbox.plan import (
     BernoulliSpec,
     Join,
-    JoinSpec,
     Sample,
     Scan,
     Select,
@@ -154,7 +153,7 @@ class TestParsePlan:
         doc["plan"]["child"]["child"] = {"op": "cross", "left": join["left"],
                                          "right": join["right"]}
         cross = parse_plan(json.dumps(doc)).plan.child.child
-        assert cross == Join(JoinSpec(), Sample(BernoulliSpec(0.1, seed=1), Scan("l")),
+        assert cross == Join(Sample(BernoulliSpec(0.1, seed=1), Scan("l")),
                              Sample(WorSpec(1000, seed=2), Scan("o")))
         doc["plan"]["child"]["child"]["eq"] = []
         with pytest.raises(PlanError, match=r"^plan\.child\.child: unexpected key\(s\) \['eq'\]"):
@@ -341,7 +340,7 @@ def test_structural_faults_rejected_at_parse(mutate, message):
 
 
 @pytest.mark.parametrize("plan, error", [
-    (Join(JoinSpec(), Scan("l"), Scan("l")), SelfJoinError),
+    (Join(Scan("l"), Scan("l")), SelfJoinError),
     (UnionDedup(Scan("l"), Scan("o")), SchemaError),
 ], ids=["self_join", "union_relations_differ"])
 def test_relation_set_faults_keep_their_type(plan, error):

@@ -10,9 +10,7 @@ from gusbox import (
     Comparison,
     ExpressionError,
     Join,
-    JoinSpec,
     PlanError,
-    Predicate,
     Sample,
     SampleRelation,
     Scan,
@@ -71,16 +69,16 @@ class TestScan:
 class TestSelect:
     def test_always_true_returns_input(self):
         rel = scan(tiny_table())
-        assert select(Predicate(), rel) is rel
+        assert select((), rel) is rel
 
     def test_always_false(self):
         rel = scan(tiny_table())
-        out = select(Predicate((Comparison("t_v", "<", 0.0),)), rel)
+        out = select((Comparison("t_v", "<", 0.0),), rel)
         assert len(out) == 0
 
     def test_matches_naive_filter_on_generated_data(self, desk_catalog):
         rel = scan(desk_catalog["l"])
-        pred = Predicate((Comparison("l_extendedprice", ">", 50000.0),))
+        pred = (Comparison("l_extendedprice", ">", 50000.0),)
         out = select(pred, rel)
         idx = rel.column_index("l_extendedprice")
         expected = [r for r in rel.rows if r.values[idx] > 50000.0]
@@ -89,20 +87,20 @@ class TestSelect:
 
     def test_selects_fuse(self, desk_catalog):
         rel = scan(desk_catalog["l"])
-        a = Predicate((Comparison("l_extendedprice", ">", 20000.0),))
-        b = Predicate((Comparison("l_discount", "<=", 0.05),))
-        assert select(a, select(b, rel)).rows == select(Predicate(a.atoms + b.atoms), rel).rows
+        a = (Comparison("l_extendedprice", ">", 20000.0),)
+        b = (Comparison("l_discount", "<=", 0.05),)
+        assert select(a, select(b, rel)).rows == select(a + b, rel).rows
 
     def test_lineage_unchanged(self, desk_catalog):
         rel = scan(desk_catalog["o"])
-        out = select(Predicate((Comparison("o_orderkey", "<=", 10),)), rel)
+        out = select((Comparison("o_orderkey", "<=", 10),), rel)
         assert all(row in rel.rows for row in out.rows)
 
     def test_type_mismatch_rejected(self):
         catalog = {"t": tiny_table()}
 
         def where(*atoms):
-            return SumAggregate("t_v", Select(Predicate(atoms), Scan("t")))
+            return SumAggregate("t_v", Select(atoms, Scan("t")))
 
         cases = [
             (Comparison("t_v", ">", "abc"),
@@ -121,7 +119,7 @@ class TestJoin:
     def test_single_match_concatenates_lineage(self):
         l = base_table("l", ("l_k",), ("int64",), ids=(7,), rows=((1,),))
         r = base_table("r", ("r_k",), ("int64",), ids=(9,), rows=((1,),))
-        out = join(JoinSpec(equi=(("l_k", "r_k"),)), scan(l), scan(r))
+        out = join(Join(Scan("l"), Scan("r"), eq=(("l_k", "r_k"),)), scan(l), scan(r))
         assert len(out) == 1
         assert out.rows[0].lineage == (7, 9)
         assert out.rows[0].values == (1, 1)
@@ -129,13 +127,13 @@ class TestJoin:
     def test_cross_product_size(self):
         l = tiny_table("l")
         r = tiny_table("r", ids=(5, 6), vals=(1.0, 2.0))
-        out = join(JoinSpec(), scan(l), scan(r))
+        out = join(Join(Scan("l"), Scan("r")), scan(l), scan(r))
         assert len(out) == len(l) * len(r)
 
     def test_matches_nested_loop_reference(self, desk_catalog):
         l = scan(desk_catalog["l"])
         o = scan(desk_catalog["o"])
-        out = join(JoinSpec(equi=(("l_orderkey", "o_orderkey"),)), l, o)
+        out = join(Join(Scan("l"), Scan("o"), eq=(("l_orderkey", "o_orderkey"),)), l, o)
         li = l.column_index("l_orderkey")
         oi = o.column_index("o_orderkey")
         reference = sum(
@@ -146,7 +144,7 @@ class TestJoin:
     def test_output_lineage_restricts_to_inputs(self, desk_catalog):
         l = scan(desk_catalog["l"])
         o = scan(desk_catalog["o"])
-        out = join(JoinSpec(equi=(("l_orderkey", "o_orderkey"),)), l, o)
+        out = join(Join(Scan("l"), Scan("o"), eq=(("l_orderkey", "o_orderkey"),)), l, o)
         l_pos = out.schema.index("l")
         o_pos = out.schema.index("o")
         l_ids = {r.lineage[0] for r in l.rows}
@@ -167,7 +165,7 @@ class TestJoin:
                        ids=tuple(range(len(left_rows))), rows=tuple(left_rows))
         r = base_table("r", ("r_k", "r_v"), ("int64", "float64"),
                        ids=tuple(range(len(right_rows))), rows=tuple(right_rows))
-        out = join(JoinSpec(equi=(("l_k", "r_k"),)), scan(l), scan(r))
+        out = join(Join(Scan("l"), Scan("r"), eq=(("l_k", "r_k"),)), scan(l), scan(r))
         expected = sorted(
             (lrow.values + rrow.values, lrow.lineage + rrow.lineage)
             for lrow in l.rows
@@ -180,19 +178,19 @@ class TestJoin:
     def test_theta_residual(self):
         l = tiny_table("l")
         r = tiny_table("r")
-        spec = JoinSpec(residual=Predicate((Comparison("l_v", "=", other_col="r_v"),)))
-        out = join(spec, scan(l), scan(r))
+        node = Join(Scan("l"), Scan("r"), theta=(Comparison("l_v", "=", col2="r_v"),))
+        out = join(node, scan(l), scan(r))
         assert len(out) == 3
 
     def test_self_join_rejected(self):
         t = tiny_table()
         with pytest.raises(SelfJoinError):
-            join(JoinSpec(), scan(t), scan(t))
+            join(Join(Scan("t"), Scan("t")), scan(t), scan(t))
 
     def test_column_collision_rejected(self):
         catalog = {"l": tiny_table("l"),
                    "x": base_table("x", ("l_k",), ("int64",), ids=(0,), rows=((1,),))}
-        plan = SumAggregate("l_v", Join(JoinSpec(), Scan("l"), Scan("x")))
+        plan = SumAggregate("l_v", Join(Scan("l"), Scan("x")))
         with pytest.raises(PlanError, match=r"^plan\.child: join sides share column names "
                                             r"\['l_k'\]$"):
             execute(plan, catalog)
@@ -248,11 +246,8 @@ class TestExecutor:
         catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val*o_w",
-            Join(
-                JoinSpec(equi=(("l_ok", "o_ok"),)),
-                Sample(BernoulliSpec(0.5, seed=3), Scan("l")),
-                Scan("o"),
-            ),
+            Join(Sample(BernoulliSpec(0.5, seed=3), Scan("l")), Scan("o"),
+                 eq=(("l_ok", "o_ok"),)),
         )
         r1 = execute(plan, catalog, master_seed=11)
         r2 = execute(plan, catalog, master_seed=11)
@@ -263,7 +258,7 @@ class TestExecutor:
         catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val*o_w",
-            Join(JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o")),
+            Join(Scan("l"), Scan("o"), eq=(("l_ok", "o_ok"),)),
         )
         res = execute(plan, catalog)
         assert res.relation.total_f() == pytest.approx(33.5, rel=1e-12)
@@ -280,7 +275,7 @@ class TestExecutor:
 
     def test_plan_errors_name_the_node(self):
         catalog = small_join_catalog()
-        plan = SumAggregate("l_val", Join(JoinSpec(), Scan("l"), Select(Predicate(), Scan("x"))))
+        plan = SumAggregate("l_val", Join(Scan("l"), Select((), Scan("x"))))
         with pytest.raises(PlanError, match=r"^plan\.child\.right\.child: unknown table 'x'"):
             execute(plan, catalog)
         with pytest.raises(PlanError, match=r"^plan: unknown table"):

@@ -12,7 +12,6 @@ from gusbox import (
     BernoulliSpec,
     EnumerationInfeasibleError,
     Join,
-    JoinSpec,
     LineageBernoulliSpec,
     LineageSchema,
     PlanError,
@@ -180,7 +179,7 @@ class TestSharedKeyedSeeds:
                             rows=((1.0,), (1.0,), (2.0,))),
         }
         keyed = LineageBernoulliSpec.of({"r": (0.5, r_seed), "t": (0.6, t_seed)})
-        plan = SumAggregate("r_v*t_v", Sample(keyed, Join(JoinSpec(), Scan("r"), Scan("t"))))
+        plan = SumAggregate("r_v*t_v", Sample(keyed, Join(Scan("r"), Scan("t"))))
         return plan, catalog
 
     def test_inclusion_check_sees_the_correlation(self):
@@ -217,7 +216,6 @@ class TestSharedRowSeeds:
             for name in ("r", "t")
         }
         plan = SumAggregate("r_v*t_v", Join(
-            JoinSpec(),
             Sample(BernoulliSpec(0.5, seed=r_seed), Scan("r")),
             Sample(BernoulliSpec(0.5, seed=t_seed), Scan("t"))))
         return plan, catalog
@@ -293,11 +291,11 @@ class TestExactRewriteSoundness:
             small_join_plan(BernoulliSpec(0.5, seed=1), None).child, catalog)
 
     def test_selection_commutes(self):
-        from gusbox import Comparison, Predicate, Select
+        from gusbox import Comparison, Select
 
         catalog = small_join_catalog()
         node = Select(
-            Predicate((Comparison("l_val", ">", 2.0),)),
+            (Comparison("l_val", ">", 2.0),),
             Sample(BernoulliSpec(0.5, seed=1), Scan("l")),
         )
         self._assert_plan_matches_table(node, catalog)
@@ -319,24 +317,23 @@ class TestExactRewriteSoundness:
         self._assert_plan_matches_table(node, catalog)
 
     def test_keyed_composition_over_sampled_join(self):
-        from gusbox import Join, JoinSpec, LineageBernoulliSpec
+        from gusbox import Join, LineageBernoulliSpec
 
         catalog = small_join_catalog()
         node = Sample(
             LineageBernoulliSpec.of({"l": (0.5, 5), "o": (0.75, 6)}),
-            Join(JoinSpec(equi=(("l_ok", "o_ok"),)),
-                 Sample(BernoulliSpec(0.5, seed=1), Scan("l")),
-                 Scan("o")),
+            Join(Sample(BernoulliSpec(0.5, seed=1), Scan("l")), Scan("o"),
+                 eq=(("l_ok", "o_ok"),)),
         )
         self._assert_plan_matches_table(node, catalog)
 
     def test_wor_above_join_is_row_uniform(self):
-        from gusbox import Join, JoinSpec
+        from gusbox import Join
 
         catalog = small_join_catalog()
         node = Sample(
             WorSpec(2, seed=1),
-            Join(JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o")),
+            Join(Scan("l"), Scan("o"), eq=(("l_ok", "o_ok"),)),
         )
         self._assert_plan_matches_table(node, catalog)
 
@@ -345,9 +342,7 @@ class TestExactRewriteSoundness:
         from gusbox import (
             Comparison,
             Join,
-            JoinSpec,
             LineageBernoulliSpec,
-            Predicate,
             Select,
             UnionDedup,
         )
@@ -360,10 +355,10 @@ class TestExactRewriteSoundness:
         node = Sample(
             LineageBernoulliSpec.of({"o": (0.5, 9)}),
             Select(
-                Predicate((Comparison("l_val", ">", 1.0),)),
-                Join(JoinSpec(equi=(("l_ok", "o_ok"),)),
-                     Sample(BernoulliSpec(0.5, seed=3), unioned),
-                     Sample(WorSpec(2, seed=4), Scan("o"))),
+                (Comparison("l_val", ">", 1.0),),
+                Join(Sample(BernoulliSpec(0.5, seed=3), unioned),
+                     Sample(WorSpec(2, seed=4), Scan("o")),
+                     eq=(("l_ok", "o_ok"),)),
             ),
         )
         self._assert_plan_matches_table(node, catalog)
@@ -409,39 +404,38 @@ class TestVarianceFormulaOnEveryRule:
         self._assert_variance_matches(plan, catalog)
 
     def test_keyed_filter_plan(self):
-        from gusbox import Join, JoinSpec, LineageBernoulliSpec
+        from gusbox import Join, LineageBernoulliSpec
 
         catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val*o_w",
             Sample(
                 LineageBernoulliSpec.of({"l": (0.5, 5), "o": (0.75, 6)}),
-                Join(JoinSpec(equi=(("l_ok", "o_ok"),)),
-                     Sample(BernoulliSpec(0.5, seed=1), Scan("l")),
-                     Scan("o")),
+                Join(Sample(BernoulliSpec(0.5, seed=1), Scan("l")), Scan("o"),
+                     eq=(("l_ok", "o_ok"),)),
             ),
         )
         self._assert_variance_matches(plan, catalog)
 
     def test_wor_over_selection_plan(self):
-        from gusbox import Comparison, Predicate, Select
+        from gusbox import Comparison, Select
 
         catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val",
             Sample(WorSpec(2, seed=1),
-                   Select(Predicate((Comparison("l_val", ">", 2.0),)), Scan("l"))),
+                   Select((Comparison("l_val", ">", 2.0),), Scan("l"))),
         )
         self._assert_variance_matches(plan, catalog)
 
     def test_wor_over_join_plan(self):
-        from gusbox import Join, JoinSpec
+        from gusbox import Join
 
         catalog = small_join_catalog()
         plan = SumAggregate(
             "l_val*o_w",
             Sample(WorSpec(3, seed=1),
-                   Join(JoinSpec(equi=(("l_ok", "o_ok"),)), Scan("l"), Scan("o"))),
+                   Join(Scan("l"), Scan("o"), eq=(("l_ok", "o_ok"),))),
         )
         self._assert_variance_matches(plan, catalog)
 

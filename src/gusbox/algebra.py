@@ -98,12 +98,10 @@ def row_wor_gus(n: int, N: int, schema: LineageSchema) -> GusParams:
 def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
     """Single table covering both sides of a join over disjoint schemas."""
     merged = g1.schema.merge_disjoint(g2.schema)
-    a = g1.a * g2.a
-    b = list(map(operator.mul,
-                 map(g1.b.__getitem__, project_masks(merged, g1.schema).tolist()),
-                 map(g2.b.__getitem__, project_masks(merged, g2.schema).tolist())))
-    b[merged.full_mask] = a
-    return GusParams(merged, tuple(b))
+    b = tuple(map(operator.mul,
+                  map(g1.b.__getitem__, project_masks(merged, g1.schema).tolist()),
+                  map(g2.b.__getitem__, project_masks(merged, g2.schema).tolist())))
+    return GusParams(merged, b)
 
 
 def compact(g1: GusParams, g2: GusParams) -> GusParams:
@@ -112,10 +110,7 @@ def compact(g1: GusParams, g2: GusParams) -> GusParams:
         raise SchemaError(
             f"compaction needs identical schemas: {g1.schema.relations} vs {g2.schema.relations}"
         )
-    a = g1.a * g2.a
-    b = [x * y for x, y in zip(g1.b, g2.b)]
-    b[g1.schema.full_mask] = a
-    return GusParams(g1.schema, tuple(b))
+    return GusParams(g1.schema, tuple(x * y for x, y in zip(g1.b, g2.b)))
 
 
 def union_merge(g1: GusParams, g2: GusParams) -> GusParams:

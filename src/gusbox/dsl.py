@@ -153,7 +153,7 @@ def _parse_method(doc, path: str):
     raise PlanError(f"{path}: unknown sampling method {kind!r}")
 
 
-def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
+def _parse_node(doc, path: str) -> PlanNode:
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: plan node must be an object")
     op = _need(doc, "op", path)
@@ -163,15 +163,12 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
         _no_extras(doc, {"op", "table"}, path)
         _need(doc, "table", path)
         with _at(path):
-            table = _string(doc, "table")
-        if table not in tables:
-            raise PlanError(f"{path}: table {table!r} is not declared")
-        return Scan(table)
+            return Scan(_string(doc, "table"))
     if op == "select":
         _no_extras(doc, {"op", "where", "child"}, path)
         return Select(
             _parse_atoms(_need(doc, "where", path), f"{path}.where"),
-            _parse_node(_need(doc, "child", path), tables, f"{path}.child"),
+            _parse_node(_need(doc, "child", path), f"{path}.child"),
         )
     if op == "join":
         _no_extras(doc, {"op", "eq", "theta", "left", "right"}, path)
@@ -187,20 +184,20 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
                 eq.append((_string(sides, "left"), _string(sides, "right")))
         theta = _parse_atoms(doc.get("theta", []), f"{path}.theta")
         return Join(
-            _parse_node(_need(doc, "left", path), tables, f"{path}.left"),
-            _parse_node(_need(doc, "right", path), tables, f"{path}.right"),
+            _parse_node(_need(doc, "left", path), f"{path}.left"),
+            _parse_node(_need(doc, "right", path), f"{path}.right"),
             tuple(eq), theta,
         )
     if op in ("cross", "union"):
         _no_extras(doc, {"op", "left", "right"}, path)
-        left = _parse_node(_need(doc, "left", path), tables, f"{path}.left")
-        right = _parse_node(_need(doc, "right", path), tables, f"{path}.right")
+        left = _parse_node(_need(doc, "left", path), f"{path}.left")
+        right = _parse_node(_need(doc, "right", path), f"{path}.right")
         return Join(left, right) if op == "cross" else UnionDedup(left, right)
     if op == "sample":
         _no_extras(doc, {"op", "method", "child"}, path)
         return Sample(
             _parse_method(_need(doc, "method", path), f"{path}.method"),
-            _parse_node(_need(doc, "child", path), tables, f"{path}.child"),
+            _parse_node(_need(doc, "child", path), f"{path}.child"),
         )
     # op == "sum"
     _no_extras(doc, {"op", "expr", "child"}, path)
@@ -208,7 +205,7 @@ def _parse_node(doc, tables: Mapping[str, TableSpec], path: str) -> PlanNode:
     with _at(path):
         expr = _string(doc, "expr")
     return SumAggregate(
-        expr, _parse_node(_need(doc, "child", path), tables, f"{path}.child"))
+        expr, _parse_node(_need(doc, "child", path), f"{path}.child"))
 
 
 def _arith(text: str, columns: Mapping[str, str], what: str,
@@ -274,7 +271,7 @@ def parse_plan(text: str) -> PlanDocument:
             )
         _check_id_column(tables[name].id_column, types_doc, f"{path}.idColumn")
 
-    plan = _parse_node(_need(doc, "plan", "top level"), tables, "plan")
+    plan = _parse_node(_need(doc, "plan", "top level"), "plan")
     try:
         validate_plan(plan)
     except SchemaError as exc:  # self-joins and unions over different relations

@@ -32,11 +32,15 @@ _EXACT_INT_DIVISION = 2**53  # int64 operands up to this size convert to float e
 
 
 class _Rewriter(ast.NodeTransformer):
-    def __init__(self, columns: Sequence[str], types: Sequence[str], what: str):
+    """Checks each node in one visit, in source order, so an expression with
+    several faults always names its first."""
+
+    def __init__(self, columns: Sequence[str], types: Sequence[str], what: str,
+                 integer: bool):
         self.columns = list(columns)
         self.types = list(types)
         self.what = what
-        self.used: set[str] = set()
+        self.integer = integer
 
     def visit_Name(self, node: ast.Name):
         if node.id not in self.columns:
@@ -46,7 +50,8 @@ class _Rewriter(ast.NodeTransformer):
             raise ExpressionError(
                 f"{self.what}: column {node.id!r} has type {self.types[idx]}, need a numeric column"
             )
-        self.used.add(node.id)
+        if self.integer and self.types[idx] != "int64":
+            raise ExpressionError(f"{self.what}: column {node.id!r} must be int64")
         return ast.copy_location(
             ast.Subscript(
                 value=ast.Name(id="v", ctx=ast.Load()),
@@ -71,8 +76,12 @@ class _Rewriter(ast.NodeTransformer):
             raise ExpressionError(
                 f"{self.what}: unsupported syntax {type(node).__name__!r}"
             )
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
             raise ExpressionError(f"{self.what}: literal {node.value!r} is not numeric")
+        if self.integer and isinstance(node, ast.Div):
+            raise ExpressionError(f"{self.what}: '/' makes a float; use '//'")
+        if self.integer and isinstance(node, ast.Constant) and type(node.value) is float:
+            raise ExpressionError(f"{self.what}: float literal {node.value!r} makes a float")
         return super().generic_visit(node)
 
 
@@ -146,21 +155,12 @@ class Arith:
 
     def __init__(self, text: str, columns: Sequence[str], types: Sequence[str],
                  what: str = "expression", integer: bool = False):
-        rewriter = _Rewriter(columns, types, what)
+        rewriter = _Rewriter(columns, types, what, integer)
         try:
             tree = ast.parse(text, mode="eval")
         except SyntaxError as exc:
             raise ExpressionError(f"{what}: cannot parse {text!r}: {exc.msg}") from None
         tree = rewriter.visit(tree)
-        if integer:
-            for name in rewriter.used:
-                if types[list(columns).index(name)] != "int64":
-                    raise ExpressionError(f"{what}: column {name!r} must be int64")
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Div):
-                    raise ExpressionError(f"{what}: '/' makes a float; use '//'")
-                if isinstance(node, ast.Constant) and type(node.value) is float:
-                    raise ExpressionError(f"{what}: float literal {node.value!r} makes a float")
         ast.fix_missing_locations(tree)
         self.tree = tree
         self.code = compile(tree, filename=f"<{what}>", mode="eval")

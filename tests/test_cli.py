@@ -572,12 +572,13 @@ class TestEstimateCommand:
         ({"plan.expr": "abs(v)"}, "plan.expr: unsupported syntax 'Call'"),
         ({"plan.expr": "v < 1"}, "plan.expr: unsupported syntax 'Compare'"),
         ({"plan.expr": "'a'"}, "plan.expr: literal 'a' is not numeric"),
+        ({"plan.expr": "v * True"}, "plan.expr: literal True is not numeric"),
         ({"plan": {"op": "scan", "table": "t"}},
          "plan: estimation needs a sum aggregate at the root"),
     ], ids=["p_true", "p_string", "p_int_past_float", "keyed_p_true", "table_list", "path_null", "id_column_int",
             "column_type_list", "expr_int", "aggregate_zero_divisor", "id_zero_divisor",
             "aggregate_int_past_float", "expr_pow", "expr_call", "expr_compare", "expr_string",
-            "no_sum"])
+            "expr_bool", "no_sum"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, changes, message):
         # each exited 1 with a traceback, or ("p": true and "0.5") ran as a probability
         plan_path = self._tiny_document(tmp_path, **changes)

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -302,10 +305,32 @@ def test_int_literal_past_int64_matches_python(integer):
     assert out.tolist() == (expected if integer else [float(v) for v in expected])
 
 
+_FIRST_FAULT = """
+from gusbox.errors import ExpressionError
+from gusbox.exprs import Arith
+try:
+    Arith("a // 1 + b", ["a", "b"], ["float64", "float64"], integer=True)
+except ExpressionError as exc:
+    print(exc)
+"""
+
+
+def test_id_expression_names_its_first_fault_under_every_hash_seed():
+    # the int64 rule once walked a set of column names after the visit, so
+    # 'a // 1 + b' named 'a' or 'b' depending on PYTHONHASHSEED
+    for seed in range(6):
+        done = subprocess.run([sys.executable, "-c", _FIRST_FAULT], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert (done.stdout, done.stderr) == ("expression: column 'a' must be int64\n", ""), seed
+    # the float literal comes before the float column in the source
+    with pytest.raises(ExpressionError, match=r"^expression: float literal 1\.0 makes a float$"):
+        Arith("1.0 + x", ["x"], ["float64"], integer=True)
+
+
 def test_residual_joins_test_bounded_blocks(monkeypatch):
-    """A theta join and a low-cardinality equi-join with a selective residual
-    match the row reference, and the residual never sees more than one block
-    of candidate pairs, however large the product of the inputs."""
+    """A theta join and a low-cardinality equi-join with selective ``theta``
+    atoms match the row reference, and the ``theta`` test never sees more than
+    one block of candidate pairs, however large the product of the inputs."""
     rng = np.random.default_rng(7)
 
     def table(name, m):

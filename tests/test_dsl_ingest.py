@@ -121,7 +121,8 @@ class TestParsePlan:
     def test_undeclared_table_rejected(self):
         doc = query1_document()
         doc["plan"]["child"]["child"]["left"]["child"]["table"] = "x"
-        with pytest.raises(PlanError, match="not declared"):
+        with pytest.raises(PlanError, match=r"^plan\.child\.child\.left\.child: "
+                                            r"unknown table 'x'$"):
             parse_plan(json.dumps(doc))
 
     def test_nested_sum_rejected(self):

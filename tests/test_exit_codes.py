@@ -196,20 +196,31 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, r
     assert codes[2] > codes[0] > 0  # the damage reaches both parse and run
 
 
-@pytest.mark.parametrize("suffix", ["/1", "*1.0"])
+@pytest.mark.parametrize("suffix", ["/1", "*1.0", "+True"])
 @pytest.mark.parametrize("document", sorted(DOCUMENTS))
 def test_float_id_expression_exits_before_ingest(desk_paths, tmp_path, capsys, reads,
                                                  document, suffix):
     # '/' and a float literal make every id a float; each exited 2 only after
-    # its table was read ("produced non-integer")
+    # its table was read ("produced non-integer"). A bool literal passed as a
+    # number: True as an id exited 2 only after ingest, and in a sum exited 0.
     doc = DOCUMENTS[document](desk_paths)
+    what = {"/1": "'/' makes a float; use '//'", "*1.0": "float literal 1.0 makes a float",
+            "+True": "literal True is not numeric"}[suffix]
+    cases = []
     for name, spec in doc["tables"].items():
         bad = copy.deepcopy(doc)
         bad["tables"][name]["idColumn"] = spec["idColumn"] + suffix
+        cases.append((bad, f"tables.{name}.idColumn"))
+    if suffix == "+True":
+        first = next(iter(doc["tables"]))
+        bad = copy.deepcopy(doc)
+        bad["tables"][first]["idColumn"] = "True"
+        cases.append((bad, f"tables.{first}.idColumn"))
+        bad = copy.deepcopy(doc)
+        bad["plan"]["expr"] += suffix
+        cases.append((bad, "plan.expr"))
+    for bad, path in cases:
         (tmp_path / "plan.json").write_bytes(_dumps(bad))
         assert main(["estimate", str(tmp_path / "plan.json")]) == 2
-        out, err = capsys.readouterr()
-        what = "'/' makes a float; use '//'" if suffix == "/1" else \
-            "float literal 1.0 makes a float"
-        assert (out, err) == ("", f"error: tables.{name}.idColumn: {what}\n")
+        assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
     assert reads == []

@@ -9,17 +9,20 @@ equality pairs (a cross product) repeats and tiles row positions. A join's
 ``theta`` atoms are tested on blocks of candidate pairs, so memory follows
 the block and the output, not the product of the inputs. Join and union
 outputs are sorted by lineage with ``lexsort``. Output rows carry the
-canonical merge of both lineage vectors. Comparisons and join keys follow
-Python's exact semantics for mixed ints and floats (an int column against a
-float past 2**53, an int key against a float key), ``-0.0`` equals ``0.0``
-and NaN never matches, so results equal the row-at-a-time reference kept in
-the tests. No NULLs anywhere: ingestion rejects missing values, so operators
-never see them.
+canonical merge of both lineage vectors. Comparisons and join keys give
+Python's exact results for mixed ints and floats by one rule, as expressions
+do (``gusbox.exprs``): numpy where both sides convert to one dtype exactly,
+Python's operator on the rows where they do not (an int64 value past 2**53
+against a float, an int constant outside int64, object columns). Equality
+of two columns shares the join keys' code, so an int meets a float only
+where the float is that integer, ``-0.0`` equals ``0.0`` and NaN never
+matches. Results equal the row-at-a-time reference kept in the tests. No
+NULLs anywhere: ingestion rejects missing values, so operators never see
+them.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,13 +67,14 @@ _CMP_FUNCS = {
 
 _INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
+_EXACT_FLOAT_INT = 2**53  # every int up to this size converts to float64 exactly
 
 Catalog = Mapping[str, SampleRelation]  # stored tables by name (see ingest.ingest_csv)
 
 
-def _python_mask(op: str, xs, ys, m: int) -> np.ndarray:
+def _python_mask(op: str, xs: list, c) -> np.ndarray:
     fn = _CMP_FUNCS[op]
-    return np.fromiter((fn(x, y) for x, y in zip(xs, ys)), dtype=bool, count=m)
+    return np.fromiter((fn(x, c) for x in xs), dtype=bool, count=len(xs))
 
 
 def _float_to_int(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,58 +85,27 @@ def _float_to_int(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return as_int, ok & (as_int == x)
 
 
-def _int_vs_const(op: str, x: np.ndarray, c: int | float) -> np.ndarray:
-    """``x op c`` for an int64 column and a Python number, exactly."""
-    if type(c) is float:
-        if math.isnan(c):
-            return np.full(len(x), op == "!=")
-        if math.isinf(c):
-            c = INT64_MAX + 1 if c > 0 else INT64_MIN - 1
-        elif c != math.floor(c):
-            if op in ("=", "!="):
-                return np.full(len(x), op == "!=")
-            op, c = ("<=", math.floor(c)) if op in ("<", "<=") else (">=", math.ceil(c))
-        else:
-            c = int(c)
-    if c > INT64_MAX:
-        return np.full(len(x), op in ("<", "<=", "!="))
-    if c < INT64_MIN:
-        return np.full(len(x), op in (">", ">=", "!="))
-    return _CMP_FUNCS[op](x, np.int64(c))
-
-
-def _float_vs_int(op: str, x: np.ndarray, c: int) -> np.ndarray:
-    """``x op c`` for a float64 column and a Python int, exactly: an int no
-    float can hold lies strictly between two neighbouring floats."""
-    try:
-        fc = float(c)
-    except OverflowError:
-        fc = math.inf if c > 0 else -math.inf
-    if fc == c:
-        return _CMP_FUNCS[op](x, fc)
-    if op in ("=", "!="):
-        return np.full(len(x), op == "!=")
-    if op in ("<", "<="):
-        return x <= (fc if fc < c else math.nextafter(fc, -math.inf))
-    return x >= (fc if fc > c else math.nextafter(fc, math.inf))
-
-
 def _compare_const(op: str, x: np.ndarray, c) -> np.ndarray:
-    if x.dtype == _INT:
-        return _int_vs_const(op, x, c)
-    if x.dtype == _FLOAT:
-        return _float_vs_int(op, x, c) if type(c) is int else _CMP_FUNCS[op](x, c)
-    return _python_mask(op, x.tolist(), [c] * len(x), len(x))
+    """``x op c`` as Python's operator gives it on every row: numpy where the
+    column and the constant convert to one dtype exactly, Python's operator
+    on the rows where they do not."""
+    fn = _CMP_FUNCS[op]
+    if x.dtype == _FLOAT and (type(c) is float or -_EXACT_FLOAT_INT <= c <= _EXACT_FLOAT_INT):
+        return fn(x, float(c))
+    if x.dtype == _INT and type(c) is int and INT64_MIN <= c <= INT64_MAX:
+        return fn(x, np.int64(c))
+    if x.dtype == _INT and type(c) is float:
+        mask = fn(x, c)
+        far = np.flatnonzero((x < -_EXACT_FLOAT_INT) | (x > _EXACT_FLOAT_INT))
+        mask[far] = _python_mask(op, x[far].tolist(), c)
+        return mask
+    return _python_mask(op, x.tolist(), c)
 
 
 def _equal_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.dtype == object or y.dtype == object:
-        return _python_mask("=", x.tolist(), y.tolist(), len(x))
-    if x.dtype == y.dtype:
-        return x == y
-    ints, floats = (x, y) if x.dtype == _INT else (y, x)
-    as_int, ok = _float_to_int(floats)
-    return ok & (as_int == ints)
+    xk, yk, x_ok, y_ok = _key_values(x, y)
+    ok = _both(x_ok, y_ok)
+    return xk == yk if ok is None else ok & (xk == yk)
 
 
 def bind_predicate(atoms: Sequence[Comparison], columns: Sequence[str]

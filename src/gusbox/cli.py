@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a scale or an input too large for this host
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except RecursionError:  # the JSON reader and the plan walks recurse per level
+        print("error: the plan nests too deeply", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -273,8 +273,10 @@ def parse_plan(text: str) -> PlanDocument:
 
     plan = _parse_node(_need(doc, "plan", "top level"), "plan")
     try:
-        validate_plan(plan)
-    except SchemaError as exc:  # self-joins and unions over different relations
+        # the report keys every subset of the output's relations by their
+        # names, so names such as a, ab and b collide
+        validate_plan(plan).subset_keys
+    except SchemaError as exc:  # self-joins, unions over different relations, ambiguous keys
         raise PlanError(str(exc)) from exc
     columns = check_columns(plan, {name: spec.column_types for name, spec in tables.items()})
     if isinstance(plan, SumAggregate):

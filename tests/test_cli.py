@@ -765,6 +765,28 @@ class TestProcess:
         assert (piped.returncode, piped.stderr, written.returncode, written.stdout) == (0, "", 0, "")
         assert piped.stdout == (tmp_path / "out.json").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("document", ["brackets", "selects", "samplers"])
+    def test_deeply_nested_plan_exits_2(self, tmp_path, document):
+        # each exited 1 with a RecursionError traceback: the first two in the
+        # JSON reader, the chain of samplers in the executor after ingest. A
+        # fresh interpreter runs them at its default recursion limit, and the
+        # text is built by hand, since json.dumps recurses as deeply.
+        if document == "brackets":
+            text = '{"plan": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        else:
+            select = '{"op": "select", "where": [{"col": "v", "cmp": ">", "value": 0.0}], "child": '
+            heads = ([select] * 990 if document == "selects" else
+                     ['{"op": "sample", "method": {"method": "bernoulli", "p": 1.0, '
+                      f'"seed": {seed}}}, "child": ' for seed in range(950)])
+            doc = json.loads(TestEstimateCommand._tiny_document(tmp_path).read_text())
+            doc["plan"]["child"] = None
+            text = json.dumps(doc).replace(
+                "null", "".join(heads) + '{"op": "scan", "table": "t"}' + "}" * len(heads))
+        (tmp_path / "deep.json").write_text(text)
+        done = _python("-m", "gusbox.cli", "estimate", str(tmp_path / "deep.json"))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: the plan nests too deeply\n")
+
     @pytest.mark.parametrize("case, code", [("report", 0), ("overflow", 2),
                                             ("not_identifiable", 3)])
     def test_exit_codes(self, plan_on_disk, tmp_path, case, code):

@@ -216,7 +216,7 @@ def test_fixed_edge_cases():
         execute(divide_by_zero, catalog)
 
 
-INT_COLUMN = [-2**63, -2**53 - 1, -1, 0, 1, 2**53, 2**53 + 1, 2**63 - 1]
+INT_COLUMN = [-2**63, -2**53 - 1, -1, 0, 1, 2**53, 2**53 + 1, 2**60, 2**60 + 1, 2**63 - 1]
 FLOAT_COLUMN = [-math.inf, -1.7e308, -2.0**53, -1.5, -0.0, 0.0, 2.0**53, 2.0**53 + 2.0,
                 1.7e308, math.inf, math.nan]
 CONSTANT_CASES = [
@@ -225,6 +225,7 @@ CONSTANT_CASES = [
     ("int64", math.inf), ("int64", -math.inf),
     ("int64", -2**63 - 1), ("int64", 2**63),  # ints outside int64
     ("int64", 1.5), ("int64", -1.5),  # no int equals them
+    ("int64", 2.0**53), ("int64", 2.0**60),  # 2**53 + 1 and 2**60 + 1 round onto them
 ]
 
 

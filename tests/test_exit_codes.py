@@ -224,3 +224,22 @@ def test_float_id_expression_exits_before_ingest(desk_paths, tmp_path, capsys, r
         assert main(["estimate", str(tmp_path / "plan.json")]) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
     assert reads == []
+
+
+def test_ambiguous_subset_keys_exit_before_ingest(tmp_path, capsys, reads):
+    # the report keys the subset {a, b} and the table ab both "ab"; this
+    # exited 2 only after every table was read and the plan executed
+    tables = {}
+    for name in ("a", "ab", "b"):
+        (tmp_path / f"{name}.csv").write_text(f"{name}_k,{name}_v\n1,1.0\n")
+        tables[name] = {"path": str(tmp_path / f"{name}.csv"), "idColumn": f"{name}_k",
+                        "columnTypes": {f"{name}_k": "int64", f"{name}_v": "float64"}}
+    scan = {name: {"op": "scan", "table": name} for name in tables}
+    doc = {"tables": tables, "plan": {"op": "sum", "expr": "a_v", "child": {
+        "op": "join", "eq": [["a_k", "ab_k"]], "right": scan["ab"],
+        "left": {"op": "join", "eq": [["a_k", "b_k"]], "left": scan["a"], "right": scan["b"]}}}}
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+    assert capsys.readouterr() == ("", "error: schema ('a', 'ab', 'b') has ambiguous subset "
+                                       "keys; rename relations to serialize\n")
+    assert reads == []

@@ -55,7 +55,6 @@ from .errors import (
     SelfJoinError,
 )
 from .estimator import (
-    EstimateReport,
     analyze,
     confidence_interval,
     estimate_sum,

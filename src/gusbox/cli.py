@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import estimator, oracle, samplers
-from .algebra import normalize_plan
+from .algebra import c_coefficients, normalize_plan
 from .dsl import parse_plan
 from .engine import execute, execute_full
 from .errors import (
@@ -128,35 +128,34 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _text_report(report: estimator.EstimateReport, trace, oracle_doc) -> str:
-    schema = report.gus.schema
+def _text_report(doc: dict) -> str:
     lines = [
-        f"estimate        {_fmt(report.estimate)}",
-        f"a               {_fmt(report.a)}",
-        f"variance        {_fmt(report.variance_hat)}",
-        f"sigma           {_fmt(report.sigma_hat)}",
-        f"ci normal 95%   [{_fmt(report.ci_normal[0])}, {_fmt(report.ci_normal[1])}]",
-        f"ci chebyshev    [{_fmt(report.ci_chebyshev[0])}, {_fmt(report.ci_chebyshev[1])}]",
-        f"sample rows     {report.sample_rows}",
+        f"estimate        {_fmt(doc['estimate'])}",
+        f"a               {_fmt(doc['a'])}",
+        f"variance        {_fmt(doc['varianceHat'])}",
+        f"sigma           {_fmt(math.sqrt(doc['varianceHat']))}",
+        f"ci normal 95%   [{_fmt(doc['ciNormal'][0])}, {_fmt(doc['ciNormal'][1])}]",
+        f"ci chebyshev    [{_fmt(doc['ciChebyshev'][0])}, {_fmt(doc['ciChebyshev'][1])}]",
+        f"sample rows     {doc['sampleRows']}",
     ]
-    for q, v in report.quantile_requests:
+    for q, v in doc["quantileRequests"]:
         lines.append(f"quantile {q:<6g} {_fmt(v)}")
     lines.append("subset          b(gus)       c            ySample      yHat")
-    for s, key in enumerate(schema.subset_keys):
-        key = key or "(empty)"
+    for key, b in doc["gus"]["b"].items():
         lines.append(
-            f"{key:<15} {_fmt(report.gus.b[s]):<12} {_fmt(report.c_table[s]):<12} "
-            f"{_fmt(report.y_sample[s]):<12} {_fmt(report.y_hat[s])}"
+            f"{key or '(empty)':<15} {_fmt(b):<12} {_fmt(doc['cTable'][key]):<12} "
+            f"{_fmt(doc['ySample'][key]):<12} {_fmt(doc['yHat'][key])}"
         )
-    if report.subsample_rows is not None:
-        lines.append(f"subsample rows  {report.subsample_rows}")
-    for note in report.diagnostics:
+    if "subsample" in doc:
+        lines.append(f"subsample rows  {doc['subsample']['rows']}")
+    for note in doc["diagnostics"]:
         lines.append(f"note: {note}")
-    if trace is not None:
+    if "trace" in doc:
         lines.append("rewrite trace:")
-        for step in trace:
-            lines.append(f"  {step.rule}: {step.note} -> a={_fmt(step.output.a)}")
-    if oracle_doc is not None:
+        for step in doc["trace"]:
+            lines.append(f"  {step['rule']}: {step['note']} -> a={_fmt(step['after']['a'])}")
+    if "oracle" in doc:
+        oracle_doc = doc["oracle"]
         lines.append(f"oracle truth    {_fmt(oracle_doc['trueSum'])}")
         exact = oracle_doc.get("exact")
         if exact:
@@ -207,8 +206,9 @@ def run_estimate(args) -> int:
 
     report = estimator.analyze(
         executed.relation, normalized.gus, quantiles=doc.quantiles, subsample=subsample)
+    if args.explain:
+        report["trace"] = [step.to_json_dict() for step in normalized.trace]
 
-    oracle_doc = None
     if args.oracle:
         oracle_doc = {"exact": None, "exactYVariance": None, "monteCarlo": None}
         try:
@@ -216,14 +216,14 @@ def run_estimate(args) -> int:
                 doc.plan, catalog, normalized.gus.a)
             oracle_doc["exact"] = {"mean": mean, "variance": variance}
         except EnumerationInfeasibleError as exc:
-            report.diagnostics.append(f"exact oracle skipped: {exc}")
+            report["diagnostics"].append(f"exact oracle skipped: {exc}")
         # the variance formula fed with full-data terms instead of sampled
         # estimates; must agree with the enumerated variance
         full = execute_full(doc.plan, catalog)
         oracle_doc["trueSum"] = full.relation.total_f()
         oracle_doc["exactYVariance"] = estimator.variance_estimate(
             oracle.exact_y_terms(full.relation),
-            report.c_table, normalized.gus.a)
+            c_coefficients(normalized.gus), normalized.gus.a)
         mean, variance, stderr = oracle.monte_carlo_moments(
             doc.plan, catalog, normalized.gus.a, trials=args.oracle_trials, seed=args.seed)
         oracle_doc["monteCarlo"] = {
@@ -231,17 +231,9 @@ def run_estimate(args) -> int:
             "trials": args.oracle_trials,
         }
         _require_finite(oracle_doc, "oracle")
+        report["oracle"] = oracle_doc
 
-    if args.format == "json":
-        body = report.to_json_dict()
-        if args.explain:
-            body["trace"] = [step.to_json_dict() for step in normalized.trace]
-        if oracle_doc is not None:
-            body["oracle"] = oracle_doc
-        output = indented_json(body)
-    else:
-        output = _text_report(
-            report, normalized.trace if args.explain else None, oracle_doc)
+    output = indented_json(report) if args.format == "json" else _text_report(report)
 
     if args.out:
         Path(args.out).write_text(output + "\n", encoding="utf-8")

@@ -229,11 +229,23 @@ def _check_id_column(id_column: str, columns: Mapping[str, str], path: str) -> N
         raise PlanError(f"{path}: id column {id_column!r} must be int64")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object of the document. A key given twice is an error, where
+    ``json.loads`` would keep the last value. The JSON path is not known
+    here, so the message names the key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise PlanError(f"key {key!r} repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_plan(text: str) -> PlanDocument:
     """Parse and validate a plan document; raises PlanError with a JSON path
     on anything malformed."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise PlanError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer past the interpreter's digit limit

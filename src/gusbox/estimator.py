@@ -42,15 +42,16 @@ a pair survives with probability ``b[T]``, so ``Z[T] / b[T]`` is unbiased
 for its full-data counterpart; and ``yHat = superset-zeta(Z / b)`` sums those
 back over the supersets of ``S``.
 
-``analyze`` is the one entry that builds a report. Given a sub-sample spec,
-it takes the y terms from a lineage-keyed sub-sample of the sample, under
-the compaction of the plan's table and the sub-sample filter's table.
+``analyze`` is the one entry that builds a report, and the report is the
+document ``gusbox estimate`` writes: a dict whose subset tables are keyed by
+subset key, in mask order. Given a sub-sample spec, it takes the y terms
+from a lineage-keyed sub-sample of the sample, under the compaction of the
+plan's table and the sub-sample filter's table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
 
@@ -203,59 +204,6 @@ def quantile_bounds(mu: float, sigma: float,
     return out
 
 
-@dataclass
-class EstimateReport:
-    """Everything the estimator knows about one run."""
-
-    estimate: float
-    gus: GusParams
-    y_sample: dict[int, float]
-    y_hat: dict[int, float]
-    c_table: dict[int, float]
-    variance_hat: float
-    ci_normal: tuple[float, float]
-    ci_chebyshev: tuple[float, float]
-    quantile_requests: list[tuple[float, float]]
-    diagnostics: list[str] = field(default_factory=list)
-    sample_rows: int = 0
-    subsample_rows: Optional[int] = None
-    subsample_gus: Optional[GusParams] = None
-
-    @property
-    def a(self) -> float:
-        return self.gus.a
-
-    @property
-    def sigma_hat(self) -> float:
-        return math.sqrt(self.variance_hat)
-
-    def _keyed(self, table: Mapping[int, float]) -> dict[str, float]:
-        keys = self.gus.schema.subset_keys
-        return {keys[s]: table[s] for s in sorted(table)}
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "estimate": self.estimate,
-            "a": self.a,
-            "gus": self.gus.to_json_dict(),
-            "ySample": self._keyed(self.y_sample),
-            "yHat": self._keyed(self.y_hat),
-            "cTable": self._keyed(self.c_table),
-            "varianceHat": self.variance_hat,
-            "ciNormal": list(self.ci_normal),
-            "ciChebyshev": list(self.ci_chebyshev),
-            "quantileRequests": [[q, v] for q, v in self.quantile_requests],
-            "sampleRows": self.sample_rows,
-            "diagnostics": list(self.diagnostics),
-        }
-        if self.subsample_rows is not None:
-            doc["subsample"] = {
-                "rows": self.subsample_rows,
-                "gus": self.subsample_gus.to_json_dict(),
-            }
-        return doc
-
-
 def _require_finite(name: str, values: list[float], keys: Sequence[str] = ()) -> None:
     """Raise ``NumericOverflowError`` naming the first value that is not
     finite: the report holds it, and no strict JSON reader reads it. The
@@ -270,8 +218,9 @@ def _require_finite(name: str, values: list[float], keys: Sequence[str] = ()) ->
 
 
 def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] = (),
-            subsample: Optional[Mapping[str, tuple[float, int]]] = None) -> EstimateReport:
-    """Full estimation pipeline on a sample whose f values are bound.
+            subsample: Optional[Mapping[str, tuple[float, int]]] = None) -> dict:
+    """Full estimation pipeline on a sample whose f values are bound; returns
+    the report document (see the module docstring).
 
     With ``subsample``, a ``{relation: (p, seed)}`` lineage-keyed filter,
     the y terms come from the rows of ``sample`` that filter keeps. That
@@ -306,18 +255,20 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
     # then sigma < 1.4e154, so no interval or quantile bound can overflow
     _require_finite("varianceHat", [variance])
     sigma = math.sqrt(variance)
-    return EstimateReport(
-        estimate=estimate,
-        gus=gus,
-        y_sample=y_s,
-        y_hat=y_hat,
-        c_table=c_table,
-        variance_hat=variance,
-        ci_normal=confidence_interval(estimate, sigma, "normal"),
-        ci_chebyshev=confidence_interval(estimate, sigma, "chebyshev"),
-        quantile_requests=quantile_bounds(estimate, sigma, quantiles),
-        diagnostics=diagnostics,
-        sample_rows=len(sample),
-        subsample_rows=None if subsample is None else len(terms),
-        subsample_gus=None if subsample is None else terms_gus,
-    )
+    doc = {
+        "estimate": estimate,
+        "a": gus.a,
+        "gus": gus.to_json_dict(),
+        "ySample": dict(zip(keys, y_s.values())),
+        "yHat": dict(zip(keys, y_hat.values())),
+        "cTable": dict(zip(keys, c_table.values())),
+        "varianceHat": variance,
+        "ciNormal": list(confidence_interval(estimate, sigma, "normal")),
+        "ciChebyshev": list(confidence_interval(estimate, sigma, "chebyshev")),
+        "quantileRequests": [[q, v] for q, v in quantile_bounds(estimate, sigma, quantiles)],
+        "sampleRows": len(sample),
+        "diagnostics": diagnostics,
+    }
+    if subsample is not None:
+        doc["subsample"] = {"rows": len(terms), "gus": terms_gus.to_json_dict()}
+    return doc

@@ -9,7 +9,10 @@ files with quote or NUL characters), the same file goes through the ``csv``
 module row by row, which finds the first bad field and words the error with
 its line.
 Strings, and ints outside the int64 range, land in object columns; a row id
-outside that range is an error, and so is a file that is not UTF-8.
+outside that range is an error, and so is a file that is not UTF-8. A
+leading UTF-8 byte-order mark, which spreadsheet exports write, is skipped:
+the header and the row path decode with ``utf-8-sig``, and ``np.loadtxt``
+never reads the header line.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _row_columns(path: Path, name: str,
     """The declared columns parsed row by row, and the number of records;
     raises on the first missing or unparsable value."""
     rows = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         for lineno, record in enumerate(reader, start=2):
             values = []
@@ -109,7 +112,7 @@ def ingest_csv(path: Union[str, Path], name: str,
     if not path.exists():
         raise IngestError(f"table {name}: file {path} does not exist")
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             header = next(csv.reader(handle), [])
         missing = [c for c in columns if c not in header]
         if missing:

@@ -446,9 +446,9 @@ def test_criterion_6_interval_multipliers_and_coverage(desk_catalog):
     for t in range(trials):
         res = execute(plan, desk_catalog, master_seed=derive_seed(271_828, t))
         report = analyze(res.relation, norm.gus)
-        if report.ci_chebyshev[0] <= truth <= report.ci_chebyshev[1]:
+        if report["ciChebyshev"][0] <= truth <= report["ciChebyshev"][1]:
             cheb_hits += 1
-        if report.ci_normal[0] <= truth <= report.ci_normal[1]:
+        if report["ciNormal"][0] <= truth <= report["ciNormal"][1]:
             normal_hits += 1
     cheb_rate = cheb_hits / trials
     normal_rate = normal_hits / trials

@@ -12,9 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusbox import PlanError, SumAggregate, cli, datagen, engine, errors, oracle
+from gusbox import (
+    PlanError,
+    SumAggregate,
+    analyze,
+    cli,
+    datagen,
+    engine,
+    errors,
+    execute,
+    normalize_plan,
+    oracle,
+)
 from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny
+from gusbox.dsl import parse_plan
 from gusbox.ingest import ingest_csv
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES, strict_json
@@ -178,6 +190,31 @@ class TestEstimateCommand:
         assert via["varianceHat"] == base["varianceHat"]
         assert via["yHat"] == base["yHat"]
         assert via["subsample"]["rows"] == base["sampleRows"]
+
+    @pytest.mark.parametrize("spec", [None, "l=0.5,o=0.5"])
+    def test_report_is_the_analyze_document(self, desk_paths, desk_catalog, tmp_path, capsys,
+                                            spec):
+        # the command writes the dict analyze returns, with its key order; the
+        # floats survive the round trip because the writer uses repr
+        text = json.dumps(query1_document(
+            str(desk_paths["lineitem"]), str(desk_paths["orders"]), p=0.3, n=25))
+        (tmp_path / "plan.json").write_text(text)
+        args = ["estimate", str(tmp_path / "plan.json"), "--seed", "5"]
+        doc = parse_plan(text)
+        executed = execute(doc.plan, desk_catalog, master_seed=5)
+        normalized = normalize_plan(doc.plan, executed.populations)
+        subsample = None
+        if spec:
+            args += ["--subsample", spec]
+            subsample = cli._parse_subsample(spec, doc.plan, 5)
+        report = analyze(executed.relation, normalized.gus, quantiles=doc.quantiles,
+                         subsample=subsample)
+        assert main(args) == 0
+        written = json.loads(capsys.readouterr().out)
+        assert report == written
+        assert list(report) == list(written)
+        assert json.dumps(report) == json.dumps(written)  # key order at every level
+        assert ("subsample" in written) == bool(spec)
 
     def test_oracle_attachment_on_enumerable_plan(self, tmp_path, capsys):
         # four-row tables keep full enumeration cheap

@@ -403,9 +403,9 @@ def test_identity_sampling_estimate_is_the_sum(data):
     relation = execute(SumAggregate(f"{names[0]}_x", node), catalog).relation
     report = analyze(relation, identity_gus(relation.schema))
     exact = math.fsum(relation.f.tolist())
-    assert report.a == 1.0
-    assert report.variance_hat == 0.0
-    assert abs(report.estimate - exact) <= 1e-12 * abs(exact)
+    assert report["a"] == 1.0
+    assert report["varianceHat"] == 0.0
+    assert abs(report["estimate"] - exact) <= 1e-12 * abs(exact)
 
 
 def test_keyed_units_match_scalar_hash():

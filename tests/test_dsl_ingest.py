@@ -6,6 +6,7 @@ import re
 import pytest
 
 from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError
+from gusbox.cli import main
 from gusbox.dsl import parse_plan
 from gusbox.ingest import ingest_csv
 from gusbox.plan import (
@@ -432,6 +433,24 @@ class TestIngestCsv:
         path.write_text("k,v\n-9223372036854775808,1.0\n9223372036854775807,2.0\n")
         table = ingest_csv(path, "t", {"k": "int64", "v": "float64"}, "k")
         assert table.lineage[:, 0].tolist() == [-2**63, 2**63 - 1]
+
+    @pytest.mark.parametrize("rows", ["1,2.5\n2,3.5\n", '1,"2.5"\n2,3.5\n'],
+                             ids=["loadtxt", "row_parser"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, rows):
+        # spreadsheet "CSV UTF-8" exports start with the mark; the header was
+        # read as '\ufeffk' and the table had no column 'k'
+        reports = []
+        for name, head in (("plain", b"k,v\n"), ("bom", b"\xef\xbb\xbfk,v\n")):
+            (tmp_path / f"{name}.csv").write_bytes(head + rows.encode())
+            doc = {"tables": {"t": {"path": f"{name}.csv", "idColumn": "k",
+                                    "columnTypes": {"k": "int64", "v": "float64"}}},
+                   "plan": {"op": "sum", "expr": "v", "child": {"op": "scan", "table": "t"}}}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            out = tmp_path / f"{name}.out"
+            assert main(["estimate", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0]
+        assert json.loads(reports[0])["estimate"] == 6.0
 
     def test_id_expression_requires_int_columns(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -243,3 +243,33 @@ def test_ambiguous_subset_keys_exit_before_ingest(tmp_path, capsys, reads):
     assert capsys.readouterr() == ("", "error: schema ('a', 'ab', 'b') has ambiguous subset "
                                        "keys; rename relations to serialize\n")
     assert reads == []
+
+
+_REPEATED_KEY_DOCUMENT = (
+    '{"tables": {"t": {"path": "t.csv", "idColumn": "k", '
+    '"columnTypes": {"k": "int64", "v": "float64"%(column)s}}%(table)s}, '
+    '"plan": {"op": "sum", "expr": "v", "child": {"op": "sample", '
+    '"method": {"method": "bernoulli", "p": 0.3%(p)s, "seed": 1}, '
+    '"child": {"op": "scan", "table": "t"}}}}')
+
+
+@pytest.mark.parametrize("slot, text, key", [
+    ("p", ', "p": 1.0', "p"),
+    ("table", ', "t": {"path": "t.csv", "idColumn": "k", "columnTypes": {"k": "int64"}}', "t"),
+    ("column", ', "v": "float64"', "v"),
+], ids=["sampler", "table", "column"])
+def test_repeated_key_exits_before_ingest(tmp_path, capsys, reads, slot, text, key):
+    # json.loads keeps a repeated key's last value: the repeated "p" ran
+    # with p = 1.0 and exited 0 with variance 0
+    (tmp_path / "t.csv").write_text("k,v\n1,1.0\n2,2.0\n")
+    slots = {"column": "", "table": "", "p": ""}
+    (tmp_path / "plan.json").write_text(_REPEATED_KEY_DOCUMENT % slots)
+    assert main(["estimate", str(tmp_path / "plan.json")]) == 0
+    assert reads == ["t"]
+    capsys.readouterr()
+    reads.clear()
+    slots[slot] = text
+    (tmp_path / "plan.json").write_text(_REPEATED_KEY_DOCUMENT % slots)
+    assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: key {key!r} repeated in one object\n")
+    assert reads == []

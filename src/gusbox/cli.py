@@ -187,7 +187,7 @@ def run_estimate(args) -> int:
     if args.oracle_trials < 1:
         raise PlanError(f"--oracle-trials {args.oracle_trials} must be >= 1")
     try:
-        text = plan_path.read_text(encoding="utf-8")
+        text = plan_path.read_text(encoding="utf-8-sig")  # a leading BOM is skipped, as in CSVs
     except (OSError, UnicodeDecodeError) as exc:
         raise PlanError(f"cannot read {plan_path}: {exc}") from None
     doc = parse_plan(text)

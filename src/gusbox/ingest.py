@@ -1,6 +1,9 @@
 """CSV ingestion into stored tables. A stored table is a
 :class:`~gusbox.model.SampleRelation` over the one-name schema of its table:
-its lineage holds a unique int64 id per row, and its ``f`` is zeros.
+its lineage holds a unique int64 id per row, and its ``f`` is zeros: a
+read-only zero-stride view of one float (``np.broadcast_to``) that holds no
+bytes per row. Every operator that keeps rows gathers ``f`` into an ordinary
+array, and ``engine.bind_aggregate`` replaces it.
 
 Each file is parsed into typed numpy columns by numpy's C tokenizer
 (``np.loadtxt``). That parser accepts no field that Python's ``int()`` or
@@ -146,4 +149,4 @@ def ingest_csv(path: Union[str, Path], name: str,
     if np.any(ordered[1:] == ordered[:-1]):
         raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
     return SampleRelation(LineageSchema.of([name]), columns, types, data,
-                          ids.reshape(-1, 1), np.zeros(m, dtype=np.float64))
+                          ids.reshape(-1, 1), np.broadcast_to(np.float64(0.0), (m,)))

@@ -9,7 +9,8 @@ from :class:`Row` tuples of Python scalars and checks each cell. ``rows`` is
 the reverse view, built on first use for the readers that want tuples (the
 oracle, tests, the benchmark harness); the engine and the estimator read the
 arrays. A stored table is a relation too: one over the one-name schema of its
-table, whose lineage is the row ids and whose ``f`` is zeros.
+table, whose lineage is the row ids and whose ``f`` is zeros, held as a
+zero-stride view (see ``gusbox.ingest``).
 
 A lineage schema is the canonically ordered set of base relations feeding an
 expression. Subsets of it are represented as bitmasks over the canonical
@@ -243,8 +244,10 @@ class SampleRelation:
     arrays as ingestion and the engine's operators produce them. It checks
     the column types, the shapes, and that ``lineage`` is int64 and ``f``
     float64, all in O(1) per relation; every operator keeps lineage unique by
-    construction. :meth:`from_rows` builds a relation from :class:`Row`
-    tuples and checks them cell by cell.
+    construction. Arrays may be views: a stored table's ``f`` has stride 0,
+    and :meth:`take` always returns freshly gathered arrays.
+    :meth:`from_rows` builds a relation from :class:`Row` tuples and checks
+    them cell by cell.
     """
 
     def __init__(self, schema: LineageSchema, columns: Sequence[str],
@@ -326,7 +329,11 @@ class SampleRelation:
             raise SchemaError(f"unknown column {name!r}; have {self.columns}") from None
 
     def take(self, index: np.ndarray) -> "SampleRelation":
-        """The rows at ``index`` (positions or a boolean mask), in that order."""
+        """The rows at ``index`` (positions or a boolean mask), in that order.
+        A boolean array becomes positions once, so every column is gathered
+        by position instead of scanning the mask again."""
+        if isinstance(index, np.ndarray) and index.dtype == bool:
+            index = np.flatnonzero(index)
         return SampleRelation(self.schema, self.columns, self.column_types,
                               [c[index] for c in self.data], self.lineage[index], self.f[index])
 

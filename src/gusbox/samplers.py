@@ -5,11 +5,12 @@ and each returns the kept rows of its columnar input in input order.
 Stream-based samplers draw from a PCG64 generator: Bernoulli compares one
 ``rng.random(len)`` draw per row with ``p``, and WOR draws the swap
 positions of all its Fisher-Yates steps with one
-``rng.integers(np.arange(n), m)``. The lineage-keyed Bernoulli derives
-each decision from a SplitMix-style 64-bit hash of (seed, base-tuple id),
-computed over the whole int64 lineage column in wrapping uint64
-arithmetic, so a base tuple receives one decision shared across every
-result row that contains it. Seeds lie in ``[0, 2**64)`` and
+``rng.integers(np.arange(n), m)`` and stores only the positions those
+swaps have displaced, so its state follows ``n``, not the input's ``m``.
+The lineage-keyed Bernoulli derives each decision from a SplitMix-style
+64-bit hash of (seed, base-tuple id), computed over the whole int64 lineage
+column in wrapping uint64 arithmetic, so a base tuple receives one decision
+shared across every result row that contains it. Seeds lie in ``[0, 2**64)`` and
 ids in the int64 range (``plan.check_seed``, ingestion), where ``mix64`` is a
 bijection: distinct seeds, and distinct ids, never alias.
 """
@@ -76,17 +77,18 @@ def bernoulli_sample(r: SampleRelation, p: float, rng: np.random.Generator) -> S
 def wor_sample(r: SampleRelation, n: int, rng: np.random.Generator) -> SampleRelation:
     """Uniform fixed-size subset via a partial Fisher-Yates shuffle.
 
-    The selected rows keep their input order.
+    Only the positions the shuffle has displaced are stored, so the working
+    state is O(n), not O(m). The selected rows keep their input order.
     """
     m = len(r)
     if n > m:
         raise SampleSizeError(f"cannot draw {n} rows from a relation of {m}")
-    idx = list(range(m))
+    moved: dict[int, int] = {}  # position -> row now there; absent: the row itself
     # step i's swap position, drawn for every step at once: the same PCG64
     # draws, in the same order, as one rng.integers(i, m) per step
     for i, j in enumerate(rng.integers(np.arange(n), m).tolist()):
-        idx[i], idx[j] = idx[j], idx[i]
-    return r.take(np.sort(np.array(idx[:n], dtype=np.intp)))
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return r.take(np.sort(np.array([moved.get(i, i) for i in range(n)], dtype=np.intp)))
 
 
 def lineage_bernoulli(r: SampleRelation, dims: Mapping[str, tuple[float, int]]) -> SampleRelation:

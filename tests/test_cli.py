@@ -512,6 +512,17 @@ class TestEstimateCommand:
         assert [line.split()[:2] for line in lines[-4:]] == [
             ["oracle", "truth"], ["oracle", "exact"], ["oracle", "exact-y"], ["oracle", "mc"]]
 
+    def test_plan_with_byte_order_mark_reads_as_without(self, plan_on_disk, capsys):
+        # editors that save "UTF-8 with BOM" start the document with the mark;
+        # it exited 2 with "Unexpected UTF-8 BOM" while its CSVs were accepted
+        bom_path = plan_on_disk.with_name("bom.json")
+        bom_path.write_bytes(b"\xef\xbb\xbf" + plan_on_disk.read_bytes())
+        reports = []
+        for path in (plan_on_disk, bom_path):
+            assert main(["estimate", str(path), "--seed", "3", "--explain"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+
     def test_unreadable_plan_path_exits_2(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")

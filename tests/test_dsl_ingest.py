@@ -3,14 +3,17 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError
 from gusbox.cli import main
 from gusbox.dsl import parse_plan
+from gusbox.engine import bind_aggregate, join, select
 from gusbox.ingest import ingest_csv
 from gusbox.plan import (
     BernoulliSpec,
+    Comparison,
     Join,
     Sample,
     Scan,
@@ -20,6 +23,7 @@ from gusbox.plan import (
     WorSpec,
     validate_plan,
 )
+from gusbox.samplers import bernoulli_sample, generator
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES
 
@@ -451,6 +455,29 @@ class TestIngestCsv:
             reports.append(out.read_bytes())
         assert reports[1] == reports[0]
         assert json.loads(reports[0])["estimate"] == 6.0
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "row_parser"])
+    def test_stored_f_is_a_zero_stride_view(self, tmp_path, quote):
+        # a stored table's f holds no bytes per row; every operator that keeps
+        # rows returns an ordinary array, and the aggregate replaces it
+        (tmp_path / "t.csv").write_text(f"k,v\n1,{quote}1.5{quote}\n2,2.5\n3,3.5\n4,4.5\n")
+        (tmp_path / "u.csv").write_text("j,w\n1,10.0\n3,30.0\n4,40.0\n")
+        t = ingest_csv(tmp_path / "t.csv", "t", {"k": "int64", "v": "float64"}, "k")
+        u = ingest_csv(tmp_path / "u.csv", "u", {"j": "int64", "w": "float64"}, "j")
+        for table in (t, u):
+            assert table.f.strides == (0,) and not table.f.flags.writeable
+            assert table.f.dtype == np.float64 and np.array_equal(table.f, np.zeros(len(table)))
+        derived = {
+            "bernoulli": bernoulli_sample(t, 0.5, generator(1, 2)),
+            "select": select((Comparison("v", ">", 2.0),), t),
+            "join": join(Join(Scan("t"), Scan("u"), eq=(("k", "j"),)), t, u),
+        }
+        assert len(derived["select"]) == 3 and len(derived["join"]) == 3
+        for name, rel in derived.items():
+            assert rel.f.flags.c_contiguous and rel.f.strides == (8,), name
+            assert np.array_equal(rel.f, np.zeros(len(rel))), name
+        bound = bind_aggregate("v*2.0", t)
+        assert bound.f.strides == (8,) and bound.f.tolist() == [3.0, 5.0, 7.0, 9.0]
 
     def test_id_expression_requires_int_columns(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -233,6 +233,37 @@ class TestSampleRelation:
         with pytest.raises(SchemaError, match=r"^unknown column type 'decimal'$"):
             SampleRelation(schema, ("x",), ("decimal",), (np.zeros(3),), ok.lineage, ok.f)
 
+    @staticmethod
+    def _mixed_relation():
+        rows = tuple(Row((i - 3, i * 0.5, f"s{i}", 2**64 + i), (i % 3, i), i / 4.0)
+                     for i in range(7))
+        return SampleRelation.from_rows(LineageSchema.of(["l", "o"]), ("i", "x", "s", "w"),
+                                        ("int64", "float64", "string", "int64"), rows)
+
+    @pytest.mark.parametrize("mask", [
+        [True, False, True, True, False, False, True],
+        [False] * 7,
+        [True] * 7,
+    ], ids=["some", "none", "all"])
+    def test_take_of_a_mask_equals_take_of_its_positions(self, mask):
+        rel = self._mixed_relation()
+        assert [c.dtype.kind for c in rel.data] == ["i", "f", "O", "O"]
+        mask = np.array(mask)
+        by_mask, by_position = rel.take(mask), rel.take(np.flatnonzero(mask))
+        assert by_mask.rows == by_position.rows
+        assert by_mask.lineage.shape == (int(mask.sum()), 2)
+        for a, b in zip(by_mask.data + (by_mask.lineage, by_mask.f),
+                        by_position.data + (by_position.lineage, by_position.f)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    def test_take_of_positions_in_any_form(self):
+        rel = self._mixed_relation()
+        expected = (rel.rows[4], rel.rows[0], rel.rows[6])
+        assert rel.take([4, 0, 6]).rows == expected
+        assert rel.take(np.array([4, 0, 6], dtype=np.int64)).rows == expected
+        assert rel.take(np.array([4, 0, 6], dtype=np.intp)).rows == expected
+        assert rel.take(np.array([], dtype=np.intp)).lineage.shape == (0, 2)
+
     def test_take_of_no_positions_is_empty(self):
         rel = SampleRelation.from_rows(LineageSchema.of(["l"]), ("x",), ("string",),
                                        (Row(("a",), (1,), 0.5),))

@@ -7,7 +7,9 @@ deterministic: a passing seed passes forever.
 
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gusbox import LineageSchema, Row, SampleRelation, SampleSizeError, SchemaError
@@ -26,6 +28,12 @@ from conftest import lineage_relation
 
 def flat_relation(n):
     return lineage_relation(["r"], [((i,), 1.0) for i in range(n)])
+
+
+def array_relation(m):
+    """``flat_relation(m)`` built from arrays, fast enough for a million rows."""
+    return SampleRelation(LineageSchema.of(["r"]), (), (), (),
+                          np.arange(m, dtype=np.int64).reshape(-1, 1), np.ones(m))
 
 
 def grid_relation():
@@ -130,12 +138,12 @@ class TestWor:
         assert ids == sorted(ids)
 
     @pytest.mark.parametrize("m,n", [(30000, 5000), (20, 18), (5, 5), (1, 1), (7, 3),
-                                     (100, 0)])
+                                     (100, 0), (1_000_000, 10)])
     def test_draws_match_one_integers_call_per_step(self, m, n):
         # the swap positions come from one array-bound rng.integers call; it
         # must keep the rows, and leave the stream where, one scalar
-        # rng.integers(i, m) per Fisher-Yates step would
-        rel = flat_relation(m)
+        # rng.integers(i, m) per Fisher-Yates step over a full list would
+        rel = array_relation(m)
         for seed in range(5):
             rng, scalar_rng = generator(seed, 0), generator(seed, 0)
             idx = list(range(m))
@@ -145,6 +153,21 @@ class TestWor:
             out = wor_sample(rel, n, rng)
             assert out.lineage[:, 0].tolist() == sorted(idx[:n])
             assert rng.random() == scalar_rng.random()
+
+    def test_state_follows_n_not_m(self):
+        # a partial shuffle stores only the positions it displaced: drawing
+        # 10 of a million rows must not allocate per input row
+        rel = array_relation(1_000_000)
+        # the untraced draw also absorbs numpy's one-time first-call allocations
+        expected = wor_sample(rel, 10, generator(3, 0)).lineage
+        tracemalloc.start()
+        try:
+            out = wor_sample(rel, 10, generator(3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.lineage.tolist() == expected.tolist()
+        assert peak < 1 << 20, f"wor_sample traced {peak} bytes"
 
     def test_pair_frequencies_match_uniform_subsets(self):
         # 2 of 4: each unordered pair should appear with probability 1/6

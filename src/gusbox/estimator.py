@@ -65,7 +65,7 @@ from .errors import (
     NumericOverflowError,
     SchemaError,
 )
-from .model import GusParams, SampleRelation
+from .model import GusParams, SampleRelation, left_sum
 
 _NORMAL = NormalDist()
 
@@ -112,7 +112,7 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
 
     def visit(s: int, gid: np.ndarray, lo: int) -> None:
         g = np.bincount(gid, weights=f)
-        out[s] = float(np.add.accumulate(g * g)[-1])
+        out[s] = left_sum(g * g)
         for i in range(lo, n):
             code, k = codes[i]
             order, step = _sorted_groups(gid * k + code)
@@ -121,7 +121,7 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
                 # every row is its own group: so is it under child | t for
                 # every t over bits i+1.., with the same key order
                 g = f[order]
-                out[child::2 << i] = [float(np.add.accumulate(g * g)[-1])] * (1 << n - 1 - i)
+                out[child::2 << i] = [left_sum(g * g)] * (1 << n - 1 - i)
             else:
                 visit(child, _ranks(order, step), i + 1)
 

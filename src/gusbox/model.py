@@ -6,11 +6,11 @@ column, an ``m x n`` int64 lineage matrix holding each row's base-tuple ids
 in schema order, and a float64 ``f`` array of per-row aggregate values. Its
 constructor takes those arrays; :meth:`SampleRelation.from_rows` builds one
 from :class:`Row` tuples of Python scalars and checks each cell. ``rows`` is
-the reverse view, built on first use for the readers that want tuples (the
-oracle, tests, the benchmark harness); the engine and the estimator read the
-arrays. A stored table is a relation too: one over the one-name schema of its
-table, whose lineage is the row ids and whose ``f`` is zeros, held as a
-zero-stride view (see ``gusbox.ingest``).
+the reverse view, built on first use for tests and the benchmark harness;
+every gusbox module, the oracle included, reads the arrays. A stored table
+is a relation too: one over the one-name schema of its table, whose lineage
+is the row ids and whose ``f`` is zeros, held as a zero-stride view (see
+``gusbox.ingest``).
 
 A lineage schema is the canonically ordered set of base relations feeding an
 expression. Subsets of it are represented as bitmasks over the canonical
@@ -221,6 +221,13 @@ def value_tuples(data: Sequence[np.ndarray], m: int) -> Iterable[tuple]:
     return zip(*(c.tolist() for c in data)) if data else itertools.repeat((), m)
 
 
+def left_sum(values: np.ndarray) -> float:
+    """Sum of a float64 array added left to right from the int 0: Python 3.11's
+    ``sum`` bit for bit, whatever the Python (3.12's ``sum`` is compensated,
+    ``np.sum`` pairwise). ``+ 0.0`` turns a ``-0.0`` total into ``0.0``."""
+    return float(np.add.accumulate(values)[-1] + 0.0) if len(values) else 0
+
+
 def lineage_order(lineage: np.ndarray) -> np.ndarray:
     """Permutation that sorts the rows of a lineage matrix lexicographically,
     as Python sorts lineage tuples."""
@@ -317,8 +324,8 @@ class SampleRelation:
     @cached_property
     def rows(self) -> tuple[Row, ...]:
         """The relation as :class:`Row` tuples of Python scalars, built on
-        first use. The engine and the estimator read the arrays; the oracle
-        (the spec, kept row-at-a-time) and the benchmark harness read this."""
+        first use. No library code reads it: the engine, the estimator and
+        the oracle read the arrays. Tests and the benchmark harness do."""
         return tuple(Row(v, tuple(lineage), f) for v, lineage, f in zip(
             value_tuples(self.data, len(self)), self.lineage.tolist(), self.f.tolist()))
 
@@ -347,6 +354,7 @@ class SampleRelation:
         return self.take(lineage_order(self.lineage))
 
     def total_f(self) -> float:
-        """Sum of ``f``, added in lineage order so that it does not depend on
-        row order."""
-        return sum(self.in_lineage_order.f.tolist())
+        """Sum of ``f`` in lineage order (:func:`left_sum`), so it does not
+        depend on row order; past float64 it is ``inf``, with no numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return left_sum(self.in_lineage_order.f)

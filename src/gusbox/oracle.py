@@ -1,8 +1,8 @@
 """Ground-truth machinery, independent of the estimator's fast paths.
 
 * exact y terms on the full (unsampled) relational result, via a row-at-a-
-  time sort-based group-by kept deliberately different from the
-  estimator's hierarchical group ids;
+  time sort-based group-by over the lineage and ``f`` arrays as Python
+  lists, kept apart from the estimator's hierarchical group ids;
 * exact estimator moments by enumerating every sampling configuration of a
   plan, weighting each outcome by its probability;
 * seeded Monte Carlo moments and per-tuple inclusion frequencies.
@@ -84,7 +84,7 @@ def exact_y_terms(full_result: SampleRelation) -> dict[int, float]:
     identical input.
     """
     n = full_result.schema.n
-    rows = sorted(((r.lineage, r.f) for r in full_result.rows), key=lambda x: x[0])
+    rows = sorted(zip(full_result.lineage.tolist(), full_result.f.tolist()), key=lambda x: x[0])
     out: dict[int, float] = {}
     for s in range(1 << n):
         positions = [i for i in range(n) if s >> i & 1]
@@ -93,19 +93,10 @@ def exact_y_terms(full_result: SampleRelation) -> dict[int, float]:
             key=lambda x: x[0],
         )
         total = 0.0
-        run_key: object = None
-        run_sum = 0.0
-        started = False
-        for key, f in projected:
-            if started and key == run_key:
+        for _, run in itertools.groupby(projected, key=lambda x: x[0]):
+            run_sum = 0.0
+            for _, f in run:
                 run_sum += f
-            else:
-                if started:
-                    total += run_sum * run_sum
-                run_key = key
-                run_sum = f
-                started = True
-        if started:
             total += run_sum * run_sum
         out[s] = total
     return out
@@ -114,11 +105,9 @@ def exact_y_terms(full_result: SampleRelation) -> dict[int, float]:
 def _merge_outcomes(outcomes) -> list[tuple[SampleRelation, float]]:
     merged: dict = {}
     for rel, weight in outcomes:
-        key = frozenset(row.lineage for row in rel.rows)
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + weight)
-        else:
-            merged[key] = (rel, weight)
+        key = frozenset(map(tuple, rel.lineage.tolist()))
+        first, total = merged.get(key, (rel, 0.0))
+        merged[key] = (first, total + weight)
     return list(merged.values())
 
 
@@ -169,7 +158,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
         if isinstance(method, BernoulliSpec):
             p = method.p
             for rel, w in child:
-                m = len(rel.rows)
+                m = len(rel)
                 guard(len(out), pow2(m), f"2**{m}")
                 for bits in range(1 << m):
                     k = bits.bit_count()
@@ -180,7 +169,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                     out.append((rel.take(positions), weight))
         elif isinstance(method, WorSpec):
             for rel, w in child:
-                m = len(rel.rows)
+                m = len(rel)
                 if method.n > m:
                     raise SampleSizeError(
                         f"cannot draw {method.n} rows from a relation of {m}")
@@ -191,7 +180,8 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
         elif isinstance(method, LineageBernoulliSpec):
             for rel, w in child:
                 positions = [(rel.schema.index(name), p) for name, p, _ in method.dims]
-                keys = sorted({(pos, row.lineage[pos]) for row in rel.rows
+                lineages = rel.lineage.tolist()
+                keys = sorted({(pos, lineage[pos]) for lineage in lineages
                                for pos, _ in positions})
                 probs = {key: p for pos, p in positions
                          for key in keys if key[0] == pos}
@@ -208,8 +198,8 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                             weight *= 1.0 - probs[key]
                     if weight == 0.0:
                         continue
-                    chosen = [i for i, row in enumerate(rel.rows)
-                              if all((pos, row.lineage[pos]) in kept
+                    chosen = [i for i, lineage in enumerate(lineages)
+                              if all((pos, lineage[pos]) in kept
                                      for pos, _ in positions)]
                     out.append((rel.take(chosen), weight))
         else:
@@ -272,13 +262,13 @@ def inclusion_probabilities(plan: PlanNode, catalog: Catalog, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     relational = plan.child if isinstance(plan, SumAggregate) else plan
-    universe = [row.lineage for row in execute_full(relational, catalog).relation.rows]
+    universe = list(map(tuple, execute_full(relational, catalog).relation.lineage.tolist()))
     first = {t: 0 for t in universe}
     second = {pair: 0 for pair in itertools.combinations(sorted(universe), 2)}
     for trial in range(trials):
         master = samplers.derive_seed(seed, trial)
         out = execute(relational, catalog, master_seed=master).relation
-        present = sorted(row.lineage for row in out.rows)
+        present = sorted(map(tuple, out.lineage.tolist()))
         for t in present:
             first[t] += 1
         for pair in itertools.combinations(present, 2):

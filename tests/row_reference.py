@@ -125,7 +125,12 @@ def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
 
 
 def total_f(r: SampleRelation) -> float:
-    return sum(row.f for row in sorted(r.rows, key=lambda row: row.lineage))
+    """Left to right from the int 0, in lineage order: the builtin ``sum``
+    of Python 3.11 and earlier, which 3.12 replaced by a compensated sum."""
+    total = 0
+    for row in sorted(r.rows, key=lambda row: row.lineage):
+        total += row.f
+    return total
 
 
 def bernoulli_sample(r: SampleRelation, p: float, rng) -> SampleRelation:

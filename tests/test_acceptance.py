@@ -49,10 +49,14 @@ from gusbox.algebra import (
     row_wor_gus,
     union_merge,
 )
+from gusbox.engine import bind_aggregate
+from gusbox.errors import NotIdentifiableError
 from gusbox.estimator import variance_estimate, y_sample_terms, y_unbiased
 from gusbox.oracle import (
+    DEFAULT_STATE_BUDGET,
     compare_inclusion_to_gus,
     enumerate_exact_moments,
+    enumerate_outcomes,
     exact_y_terms,
     inclusion_probabilities,
 )
@@ -167,16 +171,24 @@ def _random_instance(rng: np.random.Generator, idx: int):
     return SumAggregate(expr, tree), catalog
 
 
-def test_criterion_2_variance_matches_enumeration():
-    started = time.perf_counter()
+def _criterion_2_instances():
+    """Criterion 2's 12 random instances, as (plan, catalog, full result)."""
     rng = np.random.Generator(np.random.PCG64(20_240_601))
     checked = 0
-    worst = 0.0
     while checked < 12:
         plan, catalog = _random_instance(rng, checked)
         full = execute_full(plan, catalog)
         if len(full.relation) < 2:
             continue
+        yield plan, catalog, full
+        checked += 1
+
+
+def test_criterion_2_variance_matches_enumeration():
+    started = time.perf_counter()
+    checked = 0
+    worst = 0.0
+    for plan, catalog, full in _criterion_2_instances():
         norm = normalize_plan(plan, execute(plan, catalog).populations)
         truth = full.relation.total_f()
         mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
@@ -191,6 +203,39 @@ def test_criterion_2_variance_matches_enumeration():
     ok = checked >= 10 and elapsed < 120.0
     _line("2 exact variance vs enumeration", ok,
           f"{checked} instances, worst rel err {worst:.2e}, {elapsed:.1f}s")
+    assert ok
+
+
+def test_criterion_2_variance_estimate_exactly_unbiased():
+    # weighted over every sampling outcome, the unclamped variance estimate
+    # averages to the estimate's exact variance, and each yHat[S] to the full
+    # data's y term; an instance with a zero in b is not identifiable
+    started = time.perf_counter()
+    ran = skipped = 0
+    worst_var = worst_y = 0.0
+    for plan, catalog, full in _criterion_2_instances():
+        g = normalize_plan(plan, execute(plan, catalog).populations).gus
+        try:
+            outcomes = [(w, y_unbiased(y_sample_terms(bind_aggregate(plan.expr, rel)), g))
+                        for rel, w in enumerate_outcomes(plan.child, catalog,
+                                                         DEFAULT_STATE_BUDGET)]
+        except NotIdentifiableError:
+            skipped += 1
+            continue
+        c, a2 = c_coefficients(g), g.a * g.a
+        mean_var = math.fsum(
+            w * (math.fsum(c[s] / a2 * y_hat[s] for s in c) - y_hat[0]) for w, y_hat in outcomes)
+        _, variance = enumerate_exact_moments(plan, catalog, g.a)
+        worst_var = max(worst_var, abs(mean_var - variance) / abs(variance))
+        for s, expected in exact_y_terms(full.relation).items():
+            mean_y = math.fsum(w * y_hat[s] for w, y_hat in outcomes)
+            worst_y = max(worst_y, abs(mean_y - expected) / abs(expected))
+        ran += 1
+    elapsed = time.perf_counter() - started
+    ok = ran >= 10 and worst_var <= 1e-12 and worst_y <= 1e-12
+    _line("2 variance estimate exactly unbiased", ok,
+          f"{ran} instances ran, {skipped} skipped (a zero in b), worst rel err "
+          f"variance {worst_var:.2e}, yHat {worst_y:.2e}, {elapsed:.2f}s")
     assert ok
 
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from gusbox.plan import (
 )
 
 from conftest import (
+    four_relation_plan,
     gus_from_json,
     gus_tables,
     lineage_relation,
@@ -56,6 +59,8 @@ from conftest import (
     small_join_plan,
 )
 
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Reference implementations: the direct subset sums that the O(n * 2**n)
 # transforms in the estimator and in algebra.c_coefficients replace.
@@ -441,6 +446,22 @@ class TestAnalyze:
         assert doc["ciNormal"][0] <= doc["estimate"] <= doc["ciNormal"][1]
         assert [q for q, _ in doc["quantileRequests"]] == [0.05, 0.95]
         assert doc["gus"]["a"] == norm.gus.a
+
+    @pytest.mark.parametrize("plan", [
+        query1_plan(), query1_plan(p=0.5, n=40, price=500.0), four_relation_plan(),
+    ], ids=["query1", "query1_p05_n40", "four_relations"])
+    def test_what_if_recipe_of_the_readme(self, desk_catalog, plan):
+        # runs the README's code block on reports, then its 99% variant
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        recipe = compile(next(b for b in blocks if 'report["yHat"]' in b), "README.md", "exec")
+        norm = normalize_plan(plan, execute(plan, desk_catalog).populations)
+        for seed in range(10):
+            report = analyze(execute(plan, desk_catalog, master_seed=seed).relation, norm.gus)
+            names = {"report": report, "norm": norm}
+            exec(recipe, names)
+            assert names["own"] == report["varianceHat"] and names["predicted"] >= 0.0
+            g = row_bernoulli_gus(0.99, norm.gus.schema)
+            assert variance_estimate(names["y_hat"], c_coefficients(g), g.a) >= 0.0
 
     def test_wide_lineage_stays_fast(self):
         # n = 14: 16384 subsets. The top-down correction this replaced did

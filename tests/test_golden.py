@@ -12,6 +12,8 @@ CHANGES.md names.
 
 import hashlib
 import json
+import math
+import sys
 
 import pytest
 
@@ -110,6 +112,37 @@ def test_report_bytes(plan_paths, capsys, document, fmt, seed):
     assert hashlib.sha256(out).hexdigest() == GOLDEN[document, fmt, seed]
     if not fmt.startswith("text"):
         strict_json(out)
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of CPython 3.12 and later over ints and floats:
+    from the first float on, Neumaier's compensated summation."""
+    total, c = start, 0.0
+    for x in values:
+        if type(total) is not float:
+            total = total + x
+            continue
+        x = float(x)
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if type(total) is float and c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_report_bytes_under_compensated_sum(plan_paths, capsys, monkeypatch):
+    """Reports do not depend on the Python version: with 3.12's ``sum`` in
+    every gusbox module, every golden report keeps its digest."""
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    for name, module in list(sys.modules.items()):
+        if name == "gusbox" or name.startswith("gusbox."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    for (document, fmt, seed), digest in GOLDEN.items():
+        assert main(["estimate", str(plan_paths[document]), "--seed", str(seed),
+                     *FORMATS[fmt]]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest, (document, fmt, seed)
 
 
 SCALES = {

@@ -202,6 +202,30 @@ class TestSampleRelation:
         b = SampleRelation.from_rows(schema, (), (), (Row((), (2,), 0.2), Row((), (1,), 0.1)))
         assert a.total_f() == b.total_f()
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_total_f_adds_left_to_right_in_lineage_order(self, values, rnd):
+        """Bit for bit the fold of Python 3.11's ``sum``, whatever the Python:
+        3.12's compensated ``sum`` gives 1.0 for ``[1e16, 1.0, -1e16]``."""
+        order = list(range(len(values)))
+        rnd.shuffle(order)
+        rel = SampleRelation.from_rows(
+            LineageSchema.of(["l"]), (), (),
+            [Row((), (order[i],), value) for i, value in enumerate(values)])
+        total = 0
+        for i in sorted(range(len(values)), key=order.__getitem__):
+            total += values[i]
+        got = rel.total_f()
+        assert type(got) is type(total) and repr(got) == repr(total)
+
+    @pytest.mark.parametrize("values,expected", [
+        ([1e16, 1.0, -1e16], "0.0"), ([-0.0, -0.0], "0.0"), ([], "0"),
+        ([1e308, 1e308], "inf")])
+    def test_total_f_edge_cases(self, values, expected):
+        rel = SampleRelation.from_rows(
+            LineageSchema.of(["l"]), (), (), [Row((), (i,), v) for i, v in enumerate(values)])
+        assert repr(rel.total_f()) == expected
+
     def test_from_rows_checks_types_before_cells(self):
         schema = LineageSchema.of(["l"])
         with pytest.raises(SchemaError, match=r"^unknown column type 'decimal'$"):

@@ -193,7 +193,8 @@ def run_estimate(args) -> int:
     doc = parse_plan(text)
     if not isinstance(doc.plan, SumAggregate):
         raise PlanError("plan: estimation needs a sum aggregate at the root")
-    subsample = _parse_subsample(args.subsample, doc.plan, args.seed) if args.subsample else None
+    subsample = (None if args.subsample is None
+                 else _parse_subsample(args.subsample, doc.plan, args.seed))
     catalog = {}
     for name, spec in doc.tables.items():
         path = Path(spec.path)

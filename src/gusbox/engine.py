@@ -12,13 +12,13 @@ outputs are sorted by lineage with ``lexsort``. Output rows carry the
 canonical merge of both lineage vectors. Comparisons and join keys give
 Python's exact results for mixed ints and floats by one rule, as expressions
 do (``gusbox.exprs``): numpy where both sides convert to one dtype exactly,
-Python's operator on the rows where they do not (an int64 value past 2**53
-against a float, an int constant outside int64, object columns). Equality
-of two columns shares the join keys' code, so an int meets a float only
-where the float is that integer, ``-0.0`` equals ``0.0`` and NaN never
-matches. Results equal the row-at-a-time reference kept in the tests. No
-NULLs anywhere: ingestion rejects missing values, so operators never see
-them.
+Python's operator on the rows where they do not (an int64 value past
+``model.EXACT_FLOAT_INT`` against a float, an int constant outside int64,
+object columns). Equality of two columns shares the join keys' code, so an
+int meets a float only where the float is that integer, ``-0.0`` equals
+``0.0`` and NaN never matches. Results equal the row-at-a-time reference
+kept in the tests. No NULLs anywhere: ingestion rejects missing values, so
+operators never see them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from . import samplers
 from .errors import ExpressionError, PlanError, SampleSizeError, SchemaError
 from .exprs import Arith
 from .model import (
+    EXACT_FLOAT_INT,
     INT64_MAX,
     INT64_MIN,
     LineageSchema,
@@ -67,7 +68,6 @@ _CMP_FUNCS = {
 
 _INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
-_EXACT_FLOAT_INT = 2**53  # every int up to this size converts to float64 exactly
 
 Catalog = Mapping[str, SampleRelation]  # stored tables by name (see ingest.ingest_csv)
 
@@ -90,13 +90,13 @@ def _compare_const(op: str, x: np.ndarray, c) -> np.ndarray:
     column and the constant convert to one dtype exactly, Python's operator
     on the rows where they do not."""
     fn = _CMP_FUNCS[op]
-    if x.dtype == _FLOAT and (type(c) is float or -_EXACT_FLOAT_INT <= c <= _EXACT_FLOAT_INT):
+    if x.dtype == _FLOAT and (type(c) is float or -EXACT_FLOAT_INT <= c <= EXACT_FLOAT_INT):
         return fn(x, float(c))
     if x.dtype == _INT and type(c) is int and INT64_MIN <= c <= INT64_MAX:
         return fn(x, np.int64(c))
     if x.dtype == _INT and type(c) is float:
         mask = fn(x, c)
-        far = np.flatnonzero((x < -_EXACT_FLOAT_INT) | (x > _EXACT_FLOAT_INT))
+        far = np.flatnonzero((x < -EXACT_FLOAT_INT) | (x > EXACT_FLOAT_INT))
         mask[far] = _python_mask(op, x[far].tolist(), c)
         return mask
     return _python_mask(op, x.tolist(), c)
@@ -306,7 +306,7 @@ def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     if bad.any():
         value = float(f[bad][0])
         raise ExpressionError(f"{arith.what}: non-finite value {value!r} on a kept row")
-    return r.with_f(f)
+    return SampleRelation(r.schema, r.columns, r.column_types, r.data, r.lineage, f)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from .errors import (
     NumericOverflowError,
     SchemaError,
 )
-from .model import GusParams, SampleRelation, left_sum
+from .model import GusParams, SampleRelation, fsum_or_nan, left_sum
 
 _NORMAL = NormalDist()
 
@@ -150,10 +150,7 @@ def variance_estimate(y_hat: Mapping[int, float], c_table: Mapping[int, float],
     clamping a negative result to 0."""
     a2 = a * a
     terms = [c_table[s] / a2 * y_hat[s] for s in sorted(c_table)]
-    try:
-        raw = math.fsum(terms) - y_hat[0]
-    except (OverflowError, ValueError):  # fsum: a partial sum past float64, or inf - inf
-        return math.nan
+    raw = fsum_or_nan(terms) - y_hat[0]
     if raw < 0.0:
         if diagnostics is not None:
             diagnostics.append(
@@ -162,18 +159,6 @@ def variance_estimate(y_hat: Mapping[int, float], c_table: Mapping[int, float],
             )
         return 0.0
     return raw
-
-
-def _normal_multiplier(level: float) -> float:
-    if level == 0.95:
-        return 1.96
-    return _NORMAL.inv_cdf((1.0 + level) / 2.0)
-
-
-def _chebyshev_multiplier(level: float) -> float:
-    if level == 0.95:
-        return 4.47
-    return 1.0 / math.sqrt(1.0 - level)
 
 
 def confidence_interval(mu: float, sigma: float, method: str,
@@ -185,9 +170,9 @@ def confidence_interval(mu: float, sigma: float, method: str,
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
     if method == "normal":
-        m = _normal_multiplier(level)
+        m = 1.96 if level == 0.95 else _NORMAL.inv_cdf((1.0 + level) / 2.0)
     elif method == "chebyshev":
-        m = _chebyshev_multiplier(level)
+        m = 4.47 if level == 0.95 else 1.0 / math.sqrt(1.0 - level)
     else:
         raise ValueError(f"unknown interval method {method!r}")
     return (mu - m * sigma, mu + m * sigma)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExpressionError
-from .model import INT64_MAX, INT64_MIN, column_array, value_tuples
+from .model import EXACT_FLOAT_INT, INT64_MAX, INT64_MIN, column_array, value_tuples
 
 _NUMERIC_TYPES = {"int64", "float64"}
 
@@ -28,7 +28,6 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv)
 _UNARYOPS = (ast.USub, ast.UAdd)
 
 _INT = np.dtype(np.int64)
-_EXACT_INT_DIVISION = 2**53  # int64 operands up to this size convert to float exactly
 
 
 class _Rewriter(ast.NodeTransformer):
@@ -107,7 +106,7 @@ def _binop(op: ast.operator, a, b):
         out = a * b
     elif isinstance(op, ast.Div):
         # Python divides ints exactly and rounds once; numpy converts first
-        overflow = ints and any(np.any((x < -_EXACT_INT_DIVISION) | (x > _EXACT_INT_DIVISION))
+        overflow = ints and any(np.any((x < -EXACT_FLOAT_INT) | (x > EXACT_FLOAT_INT))
                                 for x in (a, b))
         out = a / b
     else:

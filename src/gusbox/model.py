@@ -26,6 +26,7 @@ same tuple, which forces ``b[full] == a``, so :class:`GusParams` stores
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -186,6 +187,7 @@ class Row(NamedTuple):
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+EXACT_FLOAT_INT = 2**53  # every int of at most this magnitude converts to float64 exactly
 
 # each column type, and the Python type of its values
 COLUMN_TYPES = {"int64": int, "float64": float, "string": str}
@@ -226,6 +228,15 @@ def left_sum(values: np.ndarray) -> float:
     ``sum`` bit for bit, whatever the Python (3.12's ``sum`` is compensated,
     ``np.sum`` pairwise). ``+ 0.0`` turns a ``-0.0`` total into ``0.0``."""
     return float(np.add.accumulate(values)[-1] + 0.0) if len(values) else 0
+
+
+def fsum_or_nan(terms: Iterable[float]) -> float:
+    """``math.fsum``, or NaN where a term or a partial sum overflows float64
+    (callers report the NaN as an overflow)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum past float64, or inf - inf
+        return math.nan
 
 
 def lineage_order(lineage: np.ndarray) -> np.ndarray:
@@ -343,10 +354,6 @@ class SampleRelation:
             index = np.flatnonzero(index)
         return SampleRelation(self.schema, self.columns, self.column_types,
                               [c[index] for c in self.data], self.lineage[index], self.f[index])
-
-    def with_f(self, f: np.ndarray) -> "SampleRelation":
-        return SampleRelation(self.schema, self.columns, self.column_types,
-                              self.data, self.lineage, f)
 
     @cached_property
     def in_lineage_order(self) -> "SampleRelation":

@@ -46,7 +46,7 @@ from .errors import (
     PlanError,
     SampleSizeError,
 )
-from .model import GusParams, SampleRelation, common_lineage
+from .model import GusParams, SampleRelation, common_lineage, fsum_or_nan
 from .plan import (
     BernoulliSpec,
     Join,
@@ -63,15 +63,6 @@ from .plan import (
 )
 
 DEFAULT_STATE_BUDGET = 1 << 20
-
-
-def _fsum(terms) -> float:
-    """``math.fsum``, or NaN where a term or a partial sum overflows
-    float64 (``cli`` rejects the moment that holds it)."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):  # a square or a partial sum past float64, or inf - inf
-        return math.nan
 
 
 def exact_y_terms(full_result: SampleRelation) -> dict[int, float]:
@@ -225,9 +216,18 @@ def enumerate_exact_moments(plan: PlanNode, catalog: Catalog, a: float,
     if abs(total_weight - 1.0) > 1e-9:
         raise AssertionError(f"enumeration weights sum to {total_weight!r}, not 1")
     values = [(bind_aggregate(plan.expr, rel).total_f() / a, w) for rel, w in outcomes]
-    mean = _fsum(x * w for x, w in values)
-    variance = _fsum((x - mean) ** 2 * w for x, w in values)
+    mean = fsum_or_nan(x * w for x, w in values)
+    variance = fsum_or_nan((x - mean) ** 2 * w for x, w in values)
     return mean, variance
+
+
+def _trial_runs(plan: PlanNode, catalog: Catalog, trials: int, seed: int):
+    """The relations that ``trials`` seeded runs of ``plan`` output, each
+    executed as it is read; run ``t`` derives its run seed from ``(seed, t)``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    return (execute(plan, catalog, master_seed=samplers.derive_seed(seed, trial)).relation
+            for trial in range(trials))
 
 
 def monte_carlo_moments(plan: PlanNode, catalog: Catalog, a: float, trials: int,
@@ -235,21 +235,16 @@ def monte_carlo_moments(plan: PlanNode, catalog: Catalog, a: float, trials: int,
     """Seeded sample mean/variance of the estimate (the sum scaled by
     ``1/a``), with the standard error of the mean. Trial streams derive
     from (seed, trial index)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    runs = _trial_runs(plan, catalog, trials, seed)
     if not isinstance(plan, SumAggregate):
         raise PlanError("estimator moments need a plan with a sum aggregate at the root")
     validate_plan(plan)
     if a <= 0.0:
         raise DegenerateSamplingError("inclusion probability a must be positive")
-    values = []
-    for trial in range(trials):
-        master = samplers.derive_seed(seed, trial)
-        result = execute(plan, catalog, master_seed=master)
-        values.append(result.relation.total_f() / a)
-    mean = _fsum(values) / trials
+    values = [relation.total_f() / a for relation in runs]
+    mean = fsum_or_nan(values) / trials
     if trials > 1:
-        variance = _fsum((x - mean) ** 2 for x in values) / (trials - 1)
+        variance = fsum_or_nan((x - mean) ** 2 for x in values) / (trials - 1)
     else:
         variance = 0.0
     return mean, variance, math.sqrt(variance / trials)
@@ -259,15 +254,12 @@ def inclusion_probabilities(plan: PlanNode, catalog: Catalog, trials: int,
                             seed: int):
     """Empirical single and pairwise inclusion frequencies per lineage of
     the full relational result."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     relational = plan.child if isinstance(plan, SumAggregate) else plan
+    runs = _trial_runs(relational, catalog, trials, seed)
     universe = list(map(tuple, execute_full(relational, catalog).relation.lineage.tolist()))
     first = {t: 0 for t in universe}
     second = {pair: 0 for pair in itertools.combinations(sorted(universe), 2)}
-    for trial in range(trials):
-        master = samplers.derive_seed(seed, trial)
-        out = execute(relational, catalog, master_seed=master).relation
+    for out in runs:
         present = sorted(map(tuple, out.lineage.tolist()))
         for t in present:
             first[t] += 1

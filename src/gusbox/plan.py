@@ -156,6 +156,18 @@ def strip_sampling(node: PlanNode) -> PlanNode:
     raise PlanError(f"unsupported plan node {type(node).__name__}")
 
 
+# each kind of seed validate_plan claims: what holds it, and why two of one
+# kind may not share a seed
+_SHARED_SEED = {
+    "keyed": ("lineage-keyed dimensions",
+              "keyed decisions depend only on the seed and the base-tuple id, so the two "
+              "filters are not independent; give each keyed dimension its own seed"),
+    "row": ("row samplers",
+            "both draw the same random stream, so they are not independent; "
+            "give each sampler its own seed"),
+}
+
+
 def validate_plan(root: PlanNode,
                   subsample: Mapping[str, int] = MappingProxyType({})) -> LineageSchema:
     """Every structural check a plan needs, in one walk that reads no data.
@@ -185,28 +197,13 @@ def validate_plan(root: PlanNode,
     output to its seed; its relations must be in that schema, and it claims
     its seeds as keyed dimensions do. Its errors name the relation.
     """
-    keyed_seeds: dict[int, str] = {}
-    row_seeds: dict[int, str] = {}
+    claimed: dict[tuple[str, int], str] = {}  # (kind, seed) -> the first path to claim it
 
-    def claim_keyed_seed(seed: int, where: str) -> None:
-        first = keyed_seeds.setdefault(seed, where)
+    def claim(kind: str, seed: int, where: str) -> None:
+        first = claimed.setdefault((kind, seed), where)
         if first != where:
-            raise PlanError(
-                f"lineage-keyed dimensions {first} and {where} share seed {seed}: "
-                "keyed decisions depend only on the seed and the base-tuple id, "
-                "so the two filters are not independent; give each keyed "
-                "dimension its own seed"
-            )
-
-    def claim_row_seed(method: Union[BernoulliSpec, WorSpec], path: str) -> None:
-        where = f"{path}.method"
-        if method.seed in row_seeds:
-            raise PlanError(
-                f"row samplers {row_seeds[method.seed]} and {where} share seed "
-                f"{method.seed}: both draw the same random stream, so they are "
-                "not independent; give each sampler its own seed"
-            )
-        row_seeds[method.seed] = where
+            what, why = _SHARED_SEED[kind]
+            raise PlanError(f"{what} {first} and {where} share seed {seed}: {why}")
 
     def rec(node: PlanNode, path: str) -> tuple[LineageSchema, bool]:
         """The node's lineage schema, and whether its output is random."""
@@ -236,14 +233,14 @@ def validate_plan(root: PlanNode,
                     f"{path}: join sides share base relation(s) {sorted(overlap)}; "
                     "self-joins are unsupported"
                 )
-            return left.merge_disjoint(right), l_random or r_random
+            return LineageSchema.of(left.relations + right.relations), l_random or r_random
         if isinstance(node, Sample):
             method = node.method
             if isinstance(method, LineageBernoulliSpec):
                 for name, _, seed in method.dims:
-                    claim_keyed_seed(seed, f"{path}.method.dims.{name}")
+                    claim("keyed", seed, f"{path}.method.dims.{name}")
             elif isinstance(method, (BernoulliSpec, WorSpec)):
-                claim_row_seed(method, path)
+                claim("row", method.seed, f"{path}.method")
             else:
                 raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
             schema, randomized = rec(node.child, f"{path}.child")
@@ -270,7 +267,7 @@ def validate_plan(root: PlanNode,
         if name not in schema.relations:
             raise PlanError(
                 f"subsample relation {name!r} is not in the plan's schema {schema.relations}")
-        claim_keyed_seed(seed, f"subsample relation {name!r}")
+        claim("keyed", seed, f"subsample relation {name!r}")
     return schema
 
 

@@ -83,6 +83,16 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: scale key 'l' given more than once\n"
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("scale, message", [
+        ("x=1", "unknown scale key(s) ['x']; expected l, o, c, p"),
+        ("l", "bad scale entry 'l'; expected key=count"),
+        ("l=0", "scale l=0 must be >= 1"),
+    ])
+    def test_bad_scale_exits_2_before_writing(self, tmp_path, capsys, scale, message):
+        assert main(["generate", "--scale", scale, "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "d").exists()
+
     def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys):
         assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err == "error: seed -1 outside [0, 2**64)\n"

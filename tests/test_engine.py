@@ -18,6 +18,7 @@ from gusbox import (
     Select,
     SelfJoinError,
     SumAggregate,
+    UnionDedup,
     execute,
 )
 from gusbox.engine import (
@@ -26,6 +27,7 @@ from gusbox.engine import (
     select,
     union_dedup,
 )
+from gusbox.plan import validate_plan
 
 from conftest import base_table, query1_plan, small_join_catalog, sum_aggregate
 
@@ -217,6 +219,17 @@ class TestUnionDedup:
     def test_schema_mismatch_rejected(self):
         with pytest.raises(SchemaError):
             union_dedup(scan(tiny_table("a")), scan(tiny_table("b")))
+
+    def test_sides_with_columns_in_another_order_rejected(self):
+        # both sides cover r and t, so only the column check tells them apart;
+        # validate_plan rejects the same plan before it runs
+        catalog = {"r": tiny_table("r"), "t": tiny_table("t")}
+        plan = UnionDedup(Join(Scan("r"), Scan("t")), Join(Scan("t"), Scan("r")))
+        with pytest.raises(SchemaError, match=r"^union sides must have identical columns$"):
+            execute(plan, catalog)
+        with pytest.raises(PlanError, match=r"^plan: union sides must compute the same "
+                                            r"relation"):
+            validate_plan(plan)
 
 
 class TestSumAggregate:

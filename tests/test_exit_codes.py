@@ -273,3 +273,20 @@ def test_repeated_key_exits_before_ingest(tmp_path, capsys, reads, slot, text, k
     assert main(["estimate", str(tmp_path / "plan.json")]) == 2
     assert capsys.readouterr() == ("", f"error: key {key!r} repeated in one object\n")
     assert reads == []
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("", "empty subsample spec"),
+    (" ", "empty subsample spec"),
+    (",", "empty subsample spec"),
+    ("l", "bad subsample entry 'l'; expected relation=probability"),
+], ids=["empty", "blank", "comma", "no-value"])
+def test_bad_subsample_spec_exits_before_ingest(tmp_path, capsys, reads, spec, message):
+    # an empty spec, as `--subsample "$SPEC"` passes with SPEC unset, ran
+    # without a sub-sample and exited 0
+    (tmp_path / "t.csv").write_text("k,v\n1,1.0\n2,2.0\n")
+    plan = _REPEATED_KEY_DOCUMENT % {"column": "", "table": "", "p": ""}
+    (tmp_path / "plan.json").write_text(plan)
+    assert main(["estimate", str(tmp_path / "plan.json"), "--subsample", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert reads == []

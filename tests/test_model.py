@@ -226,6 +226,11 @@ class TestSampleRelation:
             LineageSchema.of(["l"]), (), (), [Row((), (i,), v) for i, v in enumerate(values)])
         assert repr(rel.total_f()) == expected
 
+    def test_total_f_over_the_empty_schema(self):
+        # a lineage matrix with no columns has no key to sort by
+        rel = SampleRelation.from_rows(LineageSchema(()), (), (), (Row((), (), 2.5),))
+        assert rel.total_f() == 2.5
+
     def test_from_rows_checks_types_before_cells(self):
         schema = LineageSchema.of(["l"])
         with pytest.raises(SchemaError, match=r"^unknown column type 'decimal'$"):

@@ -18,14 +18,17 @@ from gusbox import (
     Row,
     Sample,
     SampleRelation,
+    SampleSizeError,
     Scan,
     SumAggregate,
+    UnionDedup,
     WorSpec,
     execute,
     execute_full,
     y_sample_terms,
 )
 from gusbox.algebra import (
+    c_coefficients,
     gus_of_lineage_bernoulli,
     identity_gus,
     join_merge,
@@ -33,6 +36,7 @@ from gusbox.algebra import (
     null_gus,
     row_bernoulli_gus,
 )
+from gusbox.estimator import variance_estimate
 from gusbox.oracle import (
     compare_inclusion_to_gus,
     enumerate_exact_moments,
@@ -139,6 +143,62 @@ class TestEnumeration:
         assert mean == pytest.approx(66.0, rel=1e-12)
         with pytest.raises(EnumerationInfeasibleError, match=r"C\(12, 6\)"):
             enumerate_exact_moments(plan, {"t": table}, 0.5, budget=923)
+
+
+class TestDegenerateProbabilities:
+    """Samplers that keep every row or none, whose outcomes of weight 0
+    enumeration skips, give the closed-form moments; a WOR larger than its
+    input cannot be enumerated."""
+
+    @staticmethod
+    def catalog():
+        return {
+            "r": base_table("r", ("r_k", "r_v"), ("int64", "float64"), ids=(0, 1, 2),
+                            rows=((0, 1.5), (1, 2.0), (2, 4.0))),
+            "t": base_table("t", ("t_k", "t_w"), ("int64", "float64"), ids=(0, 1),
+                            rows=((0, 3.0), (1, 5.0))),
+        }
+
+    def moments(self, plan):
+        """The enumerated mean and variance, the full-data total, and the
+        variance from the exact y terms and the plan's coefficients."""
+        catalog = self.catalog()
+        gus = normalize_plan(plan, execute(plan, catalog).populations).gus
+        full = execute_full(plan, catalog).relation
+        mean, variance = enumerate_exact_moments(plan, catalog, gus.a)
+        from_tables = variance_estimate(exact_y_terms(full), c_coefficients(gus), gus.a)
+        return mean, variance, full.total_f(), from_tables
+
+    def test_bernoulli_that_keeps_every_row(self):
+        plan = SumAggregate("r_v", Sample(BernoulliSpec(1.0, seed=1), Scan("r")))
+        mean, variance, truth, _ = self.moments(plan)
+        assert truth == 7.5
+        assert mean == pytest.approx(truth, rel=1e-12)
+        assert variance == 0.0
+
+    def test_union_with_a_bernoulli_that_keeps_no_row(self):
+        plan = SumAggregate("r_v", UnionDedup(
+            Sample(BernoulliSpec(0.0, seed=1), Scan("r")),
+            Sample(BernoulliSpec(0.5, seed=2), Scan("r"))))
+        mean, variance, truth, from_tables = self.moments(plan)
+        assert mean == pytest.approx(truth, rel=1e-12) and truth == 7.5
+        # the union is one Bernoulli(0.5): (1/p - 1) * (1.5**2 + 2**2 + 4**2)
+        assert variance == pytest.approx(22.25, rel=1e-12)
+        assert from_tables == pytest.approx(variance, rel=1e-12)
+
+    def test_keyed_dimension_that_keeps_every_tuple(self):
+        plan = SumAggregate("r_v*t_w", Sample(
+            LineageBernoulliSpec.of({"r": (1.0, 3), "t": (0.5, 4)}), Join(Scan("r"), Scan("t"))))
+        mean, variance, truth, from_tables = self.moments(plan)
+        assert mean == pytest.approx(truth, rel=1e-12) and truth == 60.0
+        # only t's two tuples are drawn: (7.5 / 0.5)**2 * 0.25 * (3**2 + 5**2)
+        assert variance == pytest.approx(1912.5, rel=1e-12)
+        assert from_tables == pytest.approx(1912.5, rel=1e-12)
+
+    def test_wor_larger_than_its_input(self):
+        plan = SumAggregate("r_v", Sample(WorSpec(4, seed=1), Scan("r")))
+        with pytest.raises(SampleSizeError, match=r"^cannot draw 4 rows from a relation of 3$"):
+            enumerate_exact_moments(plan, self.catalog(), 1.0)
 
 
 class TestMonteCarlo:

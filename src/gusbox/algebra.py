@@ -38,14 +38,13 @@ to or from the half with it (subsets) or the other way round (supersets).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import PlanError, SampleSizeError, SchemaError
-from .model import GusParams, LineageSchema, project_masks
+from .model import GusParams, LineageSchema, Record, project_masks
 from .plan import (
     BernoulliSpec,
     Join,
@@ -176,8 +175,7 @@ def c_coefficients(g: GusParams) -> dict[int, float]:
     return dict(enumerate(subset_transform(g.b, supersets=False, inverse=True).tolist()))
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(Record):
     """One applied rewrite, for the --explain trace."""
 
     rule: str
@@ -194,8 +192,7 @@ class RewriteStep:
         }
 
 
-@dataclass(frozen=True)
-class NormalizedPlan:
+class NormalizedPlan(Record):
     gus: GusParams
     trace: tuple[RewriteStep, ...]
 

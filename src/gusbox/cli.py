@@ -10,12 +10,14 @@ Exit codes: 0 success, 2 plan/ingestion/file errors, 3 estimate not identifiable
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 from . import estimator, oracle, samplers
 from .algebra import c_coefficients, normalize_plan
@@ -74,12 +76,19 @@ def _parse_subsample(text: str, plan: PlanNode,
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
-def _float_items(doc: dict, separator: str) -> str:
+# items per piece a subset table is yielded in: small next to the table
+_FLOAT_ITEMS_BLOCK = 512
+
+
+def _float_items(doc: dict, separator: str) -> Iterator[str]:
     """The items of a dict of str keys and float values as ``json.dumps``
-    writes them, each distinct value encoded once: a report's 4096-entry
-    subset tables hold only tens to hundreds of distinct values."""
+    writes them joined by ``separator``, yielded in pieces of
+    ``_FLOAT_ITEMS_BLOCK`` items, each distinct value encoded once: a
+    report's 4096-entry subset tables hold only tens to hundreds of
+    distinct values."""
     texts = {}
     items = []
+    lead = ""
     for key, value in doc.items():
         # 0.0 == -0.0, so a zero is cached under its own text; a NaN hits only
         # itself, and every NaN encodes alike
@@ -88,11 +97,17 @@ def _float_items(doc: dict, separator: str) -> str:
         if text is None:
             text = texts[cached] = repr(value) if math.isfinite(value) else json.dumps(value)
         items.append(encode_basestring_ascii(key) + ": " + text)
-    return separator.join(items)
+        if len(items) == _FLOAT_ITEMS_BLOCK:
+            yield lead + separator.join(items)
+            items.clear()
+            lead = separator
+    if items:
+        yield lead + separator.join(items)
 
 
-def indented_json(doc, newline: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, but faster on reports.
+def indented_json(doc, newline: str = "\n") -> Iterator[str]:
+    """``json.dumps(doc, indent=2)``, byte for byte, yielded in pieces, so a
+    report is written as it is encoded instead of held whole.
 
     The standard library encodes with an indent in Python, value by value.
     Here only containers that hold other containers are walked in Python;
@@ -103,71 +118,70 @@ def indented_json(doc, newline: str = "\n") -> str:
     break plus the indent of ``doc``'s own line.
     """
     if not isinstance(doc, (dict, list, tuple)):
-        return json.dumps(doc)
+        yield json.dumps(doc)
+        return
     brackets = "{}" if isinstance(doc, dict) else "[]"
     if not doc:
-        return brackets
+        yield brackets
+        return
     inner = newline + "  "
     values = doc.values() if isinstance(doc, dict) else doc
     types = set(map(type, values))
     if types == {float} and isinstance(doc, dict) and set(map(type, doc)) == {str}:
-        body = _float_items(doc, "," + inner)
+        yield brackets[0] + inner
+        yield from _float_items(doc, "," + inner)
     elif types <= _SCALAR_TYPES:
-        body = json.dumps(doc, separators=("," + inner, ": "))[1:-1]
-    elif isinstance(doc, dict):
-        # a one-entry dict coerces a non-string key as json.dumps does
-        body = ("," + inner).join(
-            (json.dumps(key) if type(key) is str else json.dumps({key: 0})[1:-4])
-            + ": " + indented_json(value, inner) for key, value in doc.items())
+        yield brackets[0] + inner + json.dumps(doc, separators=("," + inner, ": "))[1:-1]
     else:
-        body = ("," + inner).join(indented_json(value, inner) for value in doc)
-    return brackets[0] + inner + body + newline + brackets[1]
+        # a one-entry dict coerces a non-string key as json.dumps does
+        heads = ((json.dumps(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
+                 for key in doc) if isinstance(doc, dict) else itertools.repeat("")
+        lead = brackets[0] + inner
+        for head, value in zip(heads, values):
+            yield lead + head
+            yield from indented_json(value, inner)
+            lead = "," + inner
+    yield newline + brackets[1]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _text_report(doc: dict) -> str:
-    lines = [
-        f"estimate        {_fmt(doc['estimate'])}",
-        f"a               {_fmt(doc['a'])}",
-        f"variance        {_fmt(doc['varianceHat'])}",
-        f"sigma           {_fmt(math.sqrt(doc['varianceHat']))}",
-        f"ci normal 95%   [{_fmt(doc['ciNormal'][0])}, {_fmt(doc['ciNormal'][1])}]",
-        f"ci chebyshev    [{_fmt(doc['ciChebyshev'][0])}, {_fmt(doc['ciChebyshev'][1])}]",
-        f"sample rows     {doc['sampleRows']}",
-    ]
+def _text_lines(doc: dict) -> Iterator[str]:
+    """The text rendering of a report document, one line at a time, each
+    with its line break."""
+    yield f"estimate        {_fmt(doc['estimate'])}\n"
+    yield f"a               {_fmt(doc['a'])}\n"
+    yield f"variance        {_fmt(doc['varianceHat'])}\n"
+    yield f"sigma           {_fmt(math.sqrt(doc['varianceHat']))}\n"
+    yield f"ci normal 95%   [{_fmt(doc['ciNormal'][0])}, {_fmt(doc['ciNormal'][1])}]\n"
+    yield f"ci chebyshev    [{_fmt(doc['ciChebyshev'][0])}, {_fmt(doc['ciChebyshev'][1])}]\n"
+    yield f"sample rows     {doc['sampleRows']}\n"
     for q, v in doc["quantileRequests"]:
-        lines.append(f"quantile {q:<6g} {_fmt(v)}")
-    lines.append("subset          b(gus)       c            ySample      yHat")
+        yield f"quantile {q:<6g} {_fmt(v)}\n"
+    yield "subset          b(gus)       c            ySample      yHat\n"
     for key, b in doc["gus"]["b"].items():
-        lines.append(
-            f"{key or '(empty)':<15} {_fmt(b):<12} {_fmt(doc['cTable'][key]):<12} "
-            f"{_fmt(doc['ySample'][key]):<12} {_fmt(doc['yHat'][key])}"
-        )
+        yield (f"{key or '(empty)':<15} {_fmt(b):<12} {_fmt(doc['cTable'][key]):<12} "
+               f"{_fmt(doc['ySample'][key]):<12} {_fmt(doc['yHat'][key])}\n")
     if "subsample" in doc:
-        lines.append(f"subsample rows  {doc['subsample']['rows']}")
+        yield f"subsample rows  {doc['subsample']['rows']}\n"
     for note in doc["diagnostics"]:
-        lines.append(f"note: {note}")
+        yield f"note: {note}\n"
     if "trace" in doc:
-        lines.append("rewrite trace:")
+        yield "rewrite trace:\n"
         for step in doc["trace"]:
-            lines.append(f"  {step['rule']}: {step['note']} -> a={_fmt(step['after']['a'])}")
+            yield f"  {step['rule']}: {step['note']} -> a={_fmt(step['after']['a'])}\n"
     if "oracle" in doc:
         oracle_doc = doc["oracle"]
-        lines.append(f"oracle truth    {_fmt(oracle_doc['trueSum'])}")
+        yield f"oracle truth    {_fmt(oracle_doc['trueSum'])}\n"
         exact = oracle_doc.get("exact")
         if exact:
-            lines.append(
-                f"oracle exact    mean={_fmt(exact['mean'])} variance={_fmt(exact['variance'])}")
-        lines.append(f"oracle exact-y  variance={_fmt(oracle_doc['exactYVariance'])}")
+            yield f"oracle exact    mean={_fmt(exact['mean'])} variance={_fmt(exact['variance'])}\n"
+        yield f"oracle exact-y  variance={_fmt(oracle_doc['exactYVariance'])}\n"
         mc = oracle_doc["monteCarlo"]
-        lines.append(
-            f"oracle mc       mean={_fmt(mc['mean'])} variance={_fmt(mc['variance'])} "
-            f"stderr={_fmt(mc['stderr'])} trials={mc['trials']}"
-        )
-    return "\n".join(lines)
+        yield (f"oracle mc       mean={_fmt(mc['mean'])} variance={_fmt(mc['variance'])} "
+               f"stderr={_fmt(mc['stderr'])} trials={mc['trials']}\n")
 
 
 def _require_finite(doc: dict, path: str) -> None:
@@ -234,12 +248,14 @@ def run_estimate(args) -> int:
         _require_finite(oracle_doc, "oracle")
         report["oracle"] = oracle_doc
 
-    output = indented_json(report) if args.format == "json" else _text_report(report)
-
+    # written piece by piece as it is encoded: the whole text is never held
+    chunks = (itertools.chain(indented_json(report), ["\n"]) if args.format == "json"
+              else _text_lines(report))
     if args.out:
-        Path(args.out).write_text(output + "\n", encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        print(output)
+        sys.stdout.writelines(chunks)
     return 0
 
 

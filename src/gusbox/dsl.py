@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ExpressionError, PlanError, SchemaError
 from .exprs import Arith
-from .model import COLUMN_TYPES
+from .model import COLUMN_TYPES, Record
 from .plan import (
     BernoulliSpec,
     Comparison,
@@ -38,15 +37,13 @@ from .plan import (
 _OPS = ("scan", "select", "join", "cross", "union", "sample", "sum")
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(Record):
     path: str
     id_column: str                      # column name, expression, or "rowIndex"
     column_types: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class PlanDocument:
+class PlanDocument(Record):
     tables: dict[str, TableSpec]
     plan: PlanNode
     quantiles: tuple[float, ...]

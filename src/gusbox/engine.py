@@ -24,7 +24,6 @@ operators never see them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .model import (
     INT64_MAX,
     INT64_MIN,
     LineageSchema,
+    Record,
     SampleRelation,
     lineage_order,
 )
@@ -309,8 +309,7 @@ def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     return SampleRelation(r.schema, r.columns, r.column_types, r.data, r.lineage, f)
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(Record):
     relation: SampleRelation      # pre-aggregate rows, f bound when aggregated
     populations: Mapping[str, int]  # input rows of each WOR sampler, by plan path
 

@@ -21,13 +21,16 @@ order, so a parameter table indexed "per subset" is a dense array of length
 on the base relations in subset ``T``. Two tuples agreeing everywhere are the
 same tuple, which forces ``b[full] == a``, so :class:`GusParams` stores
 ``b`` alone and reads ``a`` from it.
+
+Immutable value classes, here and in the plan, algebra, DSL, engine and
+oracle modules, derive from :class:`Record`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -38,8 +41,95 @@ from .errors import SchemaError, SelfJoinError
 Lineage = tuple  # vector of base-tuple ids, positionally aligned to a schema
 
 
-@dataclass(frozen=True)
-class LineageSchema:
+class Record:
+    """Base of gusbox's immutable value classes. A subclass declares its
+    fields as class annotations, in order, with class-level defaults after
+    the fields that have none. One generic implementation serves every
+    subclass (a ``@dataclass`` generates and compiles code per class, which
+    cost about a millisecond of import time each):
+
+    - ``__init__`` takes the fields by position or keyword, fills in the
+      defaults, raises ``TypeError`` on a missing or unknown argument, and
+      then calls ``__post_init__``;
+    - ``==`` and ``hash`` compare the field values, and two objects of
+      different classes are never equal;
+    - ``repr`` is ``Name(field=value, ...)``;
+    - assigning or deleting an attribute raises ``AttributeError``.
+
+    ``_fields`` holds a class's field names, its bases' first, and
+    ``_defaults`` the default values of the last ``len(_defaults)`` of them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    _key = staticmethod(lambda record: ())  # the values ``==`` and ``hash`` compare
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.__annotations__:
+            if name in cls.__dict__:
+                cls._defaults += (cls.__dict__[name],)
+            elif cls._defaults:
+                raise TypeError(f"{cls.__name__}: field {name!r} without a default "
+                                "follows a field with one")
+            cls._fields += (name,)
+        if cls._fields:
+            cls._key = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, for a call that does not pass them all by position."""
+        name, fields = cls.__name__, cls._fields
+        required = len(fields) - len(cls._defaults)
+        if not kwargs and required <= len(args) <= len(fields):
+            return args + cls._defaults[len(args) - required:]
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        for field, default in zip(fields[required:], cls._defaults):
+            values.setdefault(field, default)
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return tuple(values[f] for f in fields)
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LineageSchema(Record):
     """Canonically ordered tuple of distinct base-relation names."""
 
     relations: tuple[str, ...]
@@ -121,8 +211,7 @@ def common_lineage(t: Lineage, u: Lineage) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class GusParams:
+class GusParams(Record):
     """Inclusion-probability summary of a uniform sampling process.
 
     ``b`` is dense over all 2**n subset masks of ``schema``, with entries in

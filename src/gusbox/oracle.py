@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional
 
@@ -46,7 +45,7 @@ from .errors import (
     PlanError,
     SampleSizeError,
 )
-from .model import GusParams, SampleRelation, common_lineage, fsum_or_nan
+from .model import GusParams, Record, SampleRelation, common_lineage, fsum_or_nan
 from .plan import (
     BernoulliSpec,
     Join,
@@ -271,8 +270,7 @@ def inclusion_probabilities(plan: PlanNode, catalog: Catalog, trials: int,
     )
 
 
-@dataclass(frozen=True)
-class BandViolation:
+class BandViolation(Record):
     kind: str
     where: str
     observed: float

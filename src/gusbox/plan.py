@@ -10,18 +10,16 @@ malformed plan fails before any table is loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .errors import PlanError, SchemaError, SelfJoinError
-from .model import LineageSchema
+from .model import LineageSchema, Record
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """One predicate atom: column vs constant, or column = column."""
 
     col: str
@@ -44,8 +42,7 @@ def check_seed(seed: int) -> None:
         raise PlanError(f"seed {seed} outside [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class BernoulliSpec:
+class BernoulliSpec(Record):
     p: float
     seed: int = 0
 
@@ -55,8 +52,7 @@ class BernoulliSpec:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class WorSpec:
+class WorSpec(Record):
     n: int
     seed: int = 0
 
@@ -66,8 +62,7 @@ class WorSpec:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class LineageBernoulliSpec:
+class LineageBernoulliSpec(Record):
     """Per-relation keep probabilities decided by a keyed hash of the
     relation's base-tuple id, so a base tuple gets one decision shared by
     every result row it contributes to."""
@@ -91,18 +86,16 @@ class LineageBernoulliSpec:
 SamplerSpec = Union[BernoulliSpec, WorSpec, LineageBernoulliSpec]
 
 
-class PlanNode:
-    """Base class; concrete nodes are frozen dataclasses."""
+class PlanNode(Record):
+    """Base class of the plan nodes, which are immutable records."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Scan(PlanNode):
     table: str
 
 
-@dataclass(frozen=True)
 class Select(PlanNode):
     """Rows of ``child`` that pass every atom of ``where`` (all if empty)."""
 
@@ -110,7 +103,6 @@ class Select(PlanNode):
     child: PlanNode
 
 
-@dataclass(frozen=True)
 class Join(PlanNode):
     """Row pairs equal on every ``eq`` (left column, right column) pair that
     pass every ``theta`` atom on the concatenated row."""
@@ -121,19 +113,16 @@ class Join(PlanNode):
     theta: tuple[Comparison, ...] = ()
 
 
-@dataclass(frozen=True)
 class UnionDedup(PlanNode):
     left: PlanNode
     right: PlanNode
 
 
-@dataclass(frozen=True)
 class Sample(PlanNode):
     method: SamplerSpec
     child: PlanNode
 
 
-@dataclass(frozen=True)
 class SumAggregate(PlanNode):
     expr: str
     child: PlanNode

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -816,6 +817,12 @@ class TestProcess:
                        OPENBLAS_NUM_THREADS="2")
         assert (done.stdout, done.stderr) == ("2\n", "")
 
+    def test_cli_import_loads_no_dataclasses(self):
+        # the value classes derive from model.Record: a frozen dataclass
+        # costs about a millisecond of import time per class
+        done = _python("-c", "import sys, gusbox.cli; print('dataclasses' in sys.modules)")
+        assert (done.stdout, done.stderr) == ("False\n", "")
+
     def test_pipe_gives_the_out_file_bytes(self, plan_on_disk, tmp_path):
         cmd = ["-m", "gusbox.cli", "estimate", str(plan_on_disk), "--seed", "4", "--explain"]
         piped = _python(*cmd)
@@ -901,7 +908,7 @@ class TestIndentedJson:
     @settings(max_examples=500, deadline=None)
     @given(json_documents())
     def test_same_bytes_as_json_dumps(self, doc):
-        assert indented_json(doc) == json.dumps(doc, indent=2)
+        assert "".join(indented_json(doc)) == json.dumps(doc, indent=2)
 
     def test_fixed_shapes(self):
         nan = math.nan
@@ -913,31 +920,77 @@ class TestIndentedJson:
                        "g": float("nan"), "h": math.inf, "i": -math.inf, "j": math.inf,
                        "k": 1.5, "l": 1.5, "\u00e9\n": -1.5, '"q"': 5e-324}}]
         for doc in docs:
-            assert indented_json(doc) == json.dumps(doc, indent=2)
+            assert "".join(indented_json(doc)) == json.dumps(doc, indent=2)
 
     def test_unserializable_values_raise_like_json_dumps(self):
         for doc in ({"a": {1, 2}}, [object()], {"a": {"b": b"x"}}, {(1, 2): 3}):
             with pytest.raises(TypeError):
                 json.dumps(doc, indent=2)
             with pytest.raises(TypeError):
-                indented_json(doc)
+                "".join(indented_json(doc))
 
     @pytest.mark.parametrize("extra", [
         ["--explain"],
         ["--subsample", "l=0.5,o=0.7"],
         ["--explain", "--oracle", "--oracle-trials", "20"],
     ], ids=["explain", "subsample", "oracle"])
-    def test_cli_reports(self, plan_on_disk, capsys, monkeypatch, extra):
-        seen = []
+    def test_cli_reports(self, plan_on_disk, tmp_path, capsys, monkeypatch, extra):
+        # the bytes written to stdout and to --out are the whole report's
+        # json.dumps and its text rendering
+        reports = []
+        analyze = cli.estimator.analyze
 
-        def checked(doc, *nested):
-            text = indented_json(doc, *nested)
-            if not nested:  # the whole report, not a value inside it
-                assert text == json.dumps(doc, indent=2)
-                seen.append(doc)
-            return text
+        def recorded(*args, **kwargs):
+            reports.append(analyze(*args, **kwargs))  # completed by the CLI after
+            return reports[-1]
 
-        monkeypatch.setattr(cli, "indented_json", checked)
-        assert main(["estimate", str(plan_on_disk), "--seed", "3", *extra]) == 0
-        assert len(seen) == 1
-        assert capsys.readouterr().out == json.dumps(seen[0], indent=2) + "\n"
+        monkeypatch.setattr(cli.estimator, "analyze", recorded)
+        for fmt in ("json", "text"):
+            args = ["estimate", str(plan_on_disk), "--seed", "3", "--format", fmt, *extra]
+            out = tmp_path / f"report.{fmt}"
+            assert main(args) == 0
+            piped = capsys.readouterr().out
+            assert main([*args, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            report = reports[-1]
+            assert reports[-2] == report
+            expected = (json.dumps(report, indent=2) + "\n" if fmt == "json"
+                        else "".join(cli._text_lines(report)))
+            assert piped == out.read_text(encoding="utf-8") == expected
+
+    def test_report_is_written_without_holding_its_text(self, tmp_path, monkeypatch):
+        # a fact table crossed with eleven one-row tables: four subset tables
+        # of 2**12 entries each
+        tables, node = {}, None
+        for name in "abcdefghijkl":
+            rows = "1,1.5\n2,2.5\n3,4.0\n" if node is None else "1,1.5\n"
+            (tmp_path / f"{name}.csv").write_text(f"{name}_k,{name}_v\n{rows}")
+            tables[name] = {"path": f"{name}.csv", "idColumn": f"{name}_k",
+                            "columnTypes": {f"{name}_k": "int64", f"{name}_v": "float64"}}
+            scan = {"op": "scan", "table": name}
+            node = ({"op": "sample", "child": scan,
+                     "method": {"method": "bernoulli", "p": 0.6, "seed": 1}}
+                    if node is None else {"op": "cross", "left": node, "right": scan})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"tables": tables, "plan": {
+            "op": "sum", "expr": "a_v", "child": node}}))
+        analyze = cli.estimator.analyze
+        at_write = []
+
+        def analyze_then_mark(*args, **kwargs):
+            report = analyze(*args, **kwargs)
+            tracemalloc.reset_peak()  # from here on the CLI writes the report
+            at_write.append(tracemalloc.get_traced_memory()[0])
+            return report
+
+        monkeypatch.setattr(cli.estimator, "analyze", analyze_then_mark)
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert main(["estimate", str(plan), "--seed", "3", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(out.read_text())["yHat"]) == 2**12
+        # what writing allocated at its peak, against the report's length
+        assert peak - at_write[0] < out.stat().st_size / 2

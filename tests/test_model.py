@@ -1,6 +1,5 @@
-"""Lineage schemas, subset masks, parameter tables, and relations."""
-
-import dataclasses
+"""Lineage schemas, subset masks, parameter tables, relations, and the
+record base of the value classes."""
 
 import numpy as np
 import pytest
@@ -8,12 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gusbox import (
+    BernoulliSpec,
+    Comparison,
     GusParams,
+    Join,
+    LineageBernoulliSpec,
     LineageSchema,
     Row,
     SampleRelation,
     SchemaError,
+    Sample,
+    Scan,
+    Select,
     SelfJoinError,
+    WorSpec,
     common_lineage,
 )
 from gusbox.algebra import (
@@ -25,6 +32,8 @@ from gusbox.algebra import (
     row_wor_gus,
     union_merge,
 )
+
+from gusbox.model import Record
 
 from conftest import gus_from_json, gus_to_json, mask_of, mask_of_key
 
@@ -110,7 +119,7 @@ class TestGusParams:
         assert g.a == g.b[schema.full_mask] == 0.4
         with pytest.raises(AttributeError):
             g.a = 0.5
-        assert [f.name for f in dataclasses.fields(GusParams)] == ["schema", "b"]
+        assert list(GusParams._fields) == ["schema", "b"]
         builders = [
             identity_gus(schema), null_gus(schema), row_bernoulli_gus(0.3, schema),
             row_wor_gus(3, 7, schema), row_wor_gus(1, 1, schema),
@@ -153,6 +162,84 @@ class TestGusParams:
         b[schema.full_mask] = a
         g = GusParams(schema, tuple(b))
         assert gus_from_json(gus_to_json(g)) == g
+
+
+class TestRecord:
+    """``model.Record`` gives the value classes what ``@dataclass(frozen=True)``
+    gave them."""
+
+    def test_equality_and_hash_are_per_class(self):
+        assert BernoulliSpec(1.0, 0) == BernoulliSpec(1.0, 0)
+        assert hash(BernoulliSpec(1.0, 0)) == hash(BernoulliSpec(1.0, 0))
+        assert BernoulliSpec(1.0, 0) != BernoulliSpec(1.0, 1)
+        # equal field values, different classes
+        assert BernoulliSpec(1.0, 0) != WorSpec(1, 0)
+        assert Scan("l") != Comparison("l", "=", 1) and Scan("l") != ("l",)
+        assert len({Scan("l"), Scan("l"), Scan("o")}) == 2
+        plan = Sample(WorSpec(5, 2), Join(Scan("l"), Scan("o"), (("a", "b"),)))
+        assert plan == Sample(WorSpec(5, 2), Join(Scan("l"), Scan("o"), (("a", "b"),)))
+        assert plan != Sample(WorSpec(5, 2), Join(Scan("l"), Scan("o")))
+
+    def test_repr_is_the_dataclass_text(self):
+        join = Join(Sample(BernoulliSpec(0.5, 3), Scan("l")),
+                    Select((Comparison("o_totalprice", ">", 100.0),), Scan("o")),
+                    (("l_orderkey", "o_orderkey"),))
+        assert repr(join) == (
+            "Join(left=Sample(method=BernoulliSpec(p=0.5, seed=3), child=Scan(table='l')), "
+            "right=Select(where=(Comparison(col='o_totalprice', cmp='>', value=100.0, "
+            "col2=None),), child=Scan(table='o')), eq=(('l_orderkey', 'o_orderkey'),), "
+            "theta=())")
+        sample = Sample(LineageBernoulliSpec.of({"c": (0.9, 4)}), Sample(WorSpec(5, 2), Scan("c")))
+        assert repr(sample) == (
+            "Sample(method=LineageBernoulliSpec(dims=(('c', 0.9, 4),)), "
+            "child=Sample(method=WorSpec(n=5, seed=2), child=Scan(table='c')))")
+        gus = GusParams(LineageSchema(("l", "o")), (0.25, 0.5, 0.5, 0.5))
+        assert repr(gus) == (
+            "GusParams(schema=LineageSchema(relations=('l', 'o')), b=(0.25, 0.5, 0.5, 0.5))")
+
+    def test_keywords_and_defaults(self):
+        assert BernoulliSpec(p=0.5) == BernoulliSpec(0.5, 0) == BernoulliSpec(0.5, seed=0)
+        join = Join(right=Scan("o"), left=Scan("l"))
+        assert (join.left, join.right, join.eq, join.theta) == (Scan("l"), Scan("o"), (), ())
+        assert Comparison("x", "=", col2="y").value is None
+        # __post_init__ runs on keyword construction too
+        with pytest.raises(SchemaError, match="sorted"):
+            LineageSchema(relations=("o", "l"))
+
+    @pytest.mark.parametrize("build", [
+        lambda: BernoulliSpec(),
+        lambda: Join(Scan("l")),
+        lambda: WorSpec(seed=1),
+        lambda: BernoulliSpec(0.5, 1, 2),
+        lambda: Scan("l", table="o"),
+        lambda: Scan(name="l"),
+    ], ids=["none", "missing_positional", "missing_keyword", "extra", "twice", "unknown"])
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_assignment_raises_attribute_error(self):
+        scan = Scan("l")
+        for name in ("table", "other"):
+            with pytest.raises(AttributeError):
+                setattr(scan, name, "o")
+        with pytest.raises(AttributeError):
+            del scan.table
+        assert scan == Scan("l")
+
+    def test_fields_in_declaration_order(self):
+        assert Join._fields == ("left", "right", "eq", "theta")
+        assert Comparison._fields == ("col", "cmp", "value", "col2")
+
+        class Point(Record):
+            x: int
+            y: int = 0
+
+        class Point3(Point):
+            z: int = 0
+
+        assert Point3._fields == ("x", "y", "z")
+        assert Point3(1, z=2) == Point3(1, 0, 2) != Point(1, 0)
 
 
 class TestExtendSchema:

@@ -49,11 +49,11 @@ from .plan import (
     BernoulliSpec,
     Join,
     PlanNode,
+    Sample,
     Scan,
-    Select,
-    SumAggregate,
     UnionDedup,
     WorSpec,
+    fold,
     validate_plan,
 )
 
@@ -225,15 +225,11 @@ def normalize_plan(plan: PlanNode,
     def emit(rule, note, inputs, output):
         steps.append(RewriteStep(rule, note, tuple(inputs), output))
 
-    def rec(node: PlanNode, path: str) -> GusParams:
+    def visit(node: PlanNode, path: str, *inputs: GusParams) -> GusParams:
         if isinstance(node, Scan):
             return identity_gus(LineageSchema.of([node.table]))
-        if isinstance(node, Select):
-            # selection commutes with the filter; parameters unchanged
-            return rec(node.child, f"{path}.child")
         if isinstance(node, Join):
-            gl = rec(node.left, f"{path}.left")
-            gr = rec(node.right, f"{path}.right")
+            gl, gr = inputs
             merged = join_merge(gl, gr)
             if gl.is_identity and not gr.is_identity:
                 emit("identity_gus", f"identity over {gl.schema.relations}", (), gl)
@@ -243,14 +239,17 @@ def normalize_plan(plan: PlanNode,
                 emit("join_gus_merge", "merge across join", (gl, gr), merged)
             return merged
         if isinstance(node, UnionDedup):
-            gl = rec(node.left, f"{path}.left")
-            gr = rec(node.right, f"{path}.right")
+            gl, gr = inputs
             merged = union_merge(gl, gr)
             if not (gl.is_identity and gr.is_identity):
                 emit("union_gus_merge", "merge across union", (gl, gr), merged)
             return merged
+        g_child = inputs[0]
+        if not isinstance(node, Sample):
+            # selection commutes with the filter, and the sum reads the
+            # table of its input; parameters unchanged
+            return g_child
         # a sampling node: its own table, fused onto its input's
-        g_child = rec(node.child, f"{path}.child")
         method = node.method
         if isinstance(method, BernoulliSpec):
             g_s = row_bernoulli_gus(method.p, g_child.schema)
@@ -269,6 +268,4 @@ def normalize_plan(plan: PlanNode,
         emit("gus_compact", "fuse stacked filters", (g_s, g_child), merged)
         return merged
 
-    if isinstance(plan, SumAggregate):
-        return NormalizedPlan(rec(plan.child, "plan.child"), tuple(steps))
-    return NormalizedPlan(rec(plan, "plan"), tuple(steps))
+    return NormalizedPlan(fold(plan, visit), tuple(steps))

@@ -34,7 +34,11 @@ from .plan import (
     validate_plan,
 )
 
-_OPS = ("scan", "select", "join", "cross", "union", "sample", "sum")
+# each op's node class, whose fields are the op's keys besides ``op``; a
+# cross is a join without ``eq`` and ``theta``
+_NODES = {"scan": Scan, "select": Select, "join": Join, "cross": Join,
+          "union": UnionDedup, "sample": Sample, "sum": SumAggregate}
+_OPS = tuple(_NODES)
 
 
 class TableSpec(Record):
@@ -150,25 +154,15 @@ def _parse_method(doc, path: str):
     raise PlanError(f"{path}: unknown sampling method {kind!r}")
 
 
-def _parse_node(doc, path: str) -> PlanNode:
-    if not isinstance(doc, dict):
-        raise PlanError(f"{path}: plan node must be an object")
-    op = _need(doc, "op", path)
-    if op not in _OPS:
-        raise PlanError(f"{path}: unknown op {op!r}; expected one of {_OPS}")
+def _own_fields(op: str, doc: Mapping, path: str) -> dict:
+    """The fields of an ``op`` node other than its inputs."""
     if op == "scan":
-        _no_extras(doc, {"op", "table"}, path)
         _need(doc, "table", path)
         with _at(path):
-            return Scan(_string(doc, "table"))
+            return {"table": _string(doc, "table")}
     if op == "select":
-        _no_extras(doc, {"op", "where", "child"}, path)
-        return Select(
-            _parse_atoms(_need(doc, "where", path), f"{path}.where"),
-            _parse_node(_need(doc, "child", path), f"{path}.child"),
-        )
+        return {"where": _parse_atoms(_need(doc, "where", path), f"{path}.where")}
     if op == "join":
-        _no_extras(doc, {"op", "eq", "theta", "left", "right"}, path)
         eq_doc = doc.get("eq", [])
         if not isinstance(eq_doc, list):
             raise PlanError(f"{path}.eq: must be a list of [left, right] column pairs")
@@ -179,30 +173,28 @@ def _parse_node(doc, path: str) -> PlanNode:
             sides = dict(zip(("left", "right"), pair))
             with _at(f"{path}.eq[{i}]"):
                 eq.append((_string(sides, "left"), _string(sides, "right")))
-        theta = _parse_atoms(doc.get("theta", []), f"{path}.theta")
-        return Join(
-            _parse_node(_need(doc, "left", path), f"{path}.left"),
-            _parse_node(_need(doc, "right", path), f"{path}.right"),
-            tuple(eq), theta,
-        )
-    if op in ("cross", "union"):
-        _no_extras(doc, {"op", "left", "right"}, path)
-        left = _parse_node(_need(doc, "left", path), f"{path}.left")
-        right = _parse_node(_need(doc, "right", path), f"{path}.right")
-        return Join(left, right) if op == "cross" else UnionDedup(left, right)
+        return {"eq": tuple(eq), "theta": _parse_atoms(doc.get("theta", []), f"{path}.theta")}
     if op == "sample":
-        _no_extras(doc, {"op", "method", "child"}, path)
-        return Sample(
-            _parse_method(_need(doc, "method", path), f"{path}.method"),
-            _parse_node(_need(doc, "child", path), f"{path}.child"),
-        )
-    # op == "sum"
-    _no_extras(doc, {"op", "expr", "child"}, path)
-    _need(doc, "expr", path)
-    with _at(path):
-        expr = _string(doc, "expr")
-    return SumAggregate(
-        expr, _parse_node(_need(doc, "child", path), f"{path}.child"))
+        return {"method": _parse_method(_need(doc, "method", path), f"{path}.method")}
+    if op == "sum":
+        _need(doc, "expr", path)
+        with _at(path):
+            return {"expr": _string(doc, "expr")}
+    return {}  # cross, union
+
+
+def _parse_node(doc, path: str) -> PlanNode:
+    if not isinstance(doc, dict):
+        raise PlanError(f"{path}: plan node must be an object")
+    op = _need(doc, "op", path)
+    if op not in _OPS:  # a tuple, so an unhashable op is compared, not hashed
+        raise PlanError(f"{path}: unknown op {op!r}; expected one of {_OPS}")
+    cls = _NODES[op]
+    _no_extras(doc, {"op", *(cls._inputs if op == "cross" else cls._fields)}, path)
+    fields = _own_fields(op, doc, path)
+    for name in cls._inputs:  # a comprehension would add a stack frame per plan level
+        fields[name] = _parse_node(_need(doc, name, path), f"{path}.{name}")
+    return cls(**fields)
 
 
 def _arith(text: str, columns: Mapping[str, str], what: str,

@@ -47,13 +47,13 @@ from .plan import (
     Join,
     LineageBernoulliSpec,
     PlanNode,
-    Sample,
     Scan,
     Select,
     SumAggregate,
     UnionDedup,
     WorSpec,
     check_columns,
+    fold,
     strip_sampling,
 )
 
@@ -331,41 +331,35 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
                          for name, t in catalog.items()})
     populations: dict[str, int] = {}
 
-    def rec(n: PlanNode, path: str) -> SampleRelation:
+    def visit(n: PlanNode, path: str, *inputs: SampleRelation) -> SampleRelation:
         if isinstance(n, Scan):
             return scan(catalog[n.table])
         if isinstance(n, Select):
-            return select(n.where, rec(n.child, f"{path}.child"))
+            return select(n.where, *inputs)
         if isinstance(n, Join):
-            return join(n, rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
+            return join(n, *inputs)
         if isinstance(n, UnionDedup):
-            return union_dedup(rec(n.left, f"{path}.left"), rec(n.right, f"{path}.right"))
-        if isinstance(n, Sample):
-            child = rec(n.child, f"{path}.child")
-            m = n.method
-            if isinstance(m, BernoulliSpec):
-                return samplers.bernoulli_sample(
-                    child, m.p, samplers.generator(master_seed, m.seed))
-            if isinstance(m, WorSpec):
-                populations[path] = len(child)
-                try:
-                    return samplers.wor_sample(
-                        child, m.n, samplers.generator(master_seed, m.seed))
-                except SampleSizeError as exc:
-                    raise SampleSizeError(f"{path}.method: {exc}") from None
-            if isinstance(m, LineageBernoulliSpec):
-                dims = {
-                    name: (p, samplers.derive_seed(master_seed, seed))
-                    for name, p, seed in m.dims
-                }
-                return samplers.lineage_bernoulli(child, dims)
-            raise PlanError(f"{path}.method: unknown sampler spec {type(m).__name__}")
-        raise PlanError(f"{path}: unsupported plan node {type(n).__name__}")
+            return union_dedup(*inputs)
+        if isinstance(n, SumAggregate):
+            return bind_aggregate(n.expr, *inputs)
+        child, m = inputs[0], n.method
+        if isinstance(m, BernoulliSpec):
+            return samplers.bernoulli_sample(child, m.p, samplers.generator(master_seed, m.seed))
+        if isinstance(m, WorSpec):
+            populations[path] = len(child)
+            try:
+                return samplers.wor_sample(child, m.n, samplers.generator(master_seed, m.seed))
+            except SampleSizeError as exc:
+                raise SampleSizeError(f"{path}.method: {exc}") from None
+        if isinstance(m, LineageBernoulliSpec):
+            dims = {
+                name: (p, samplers.derive_seed(master_seed, seed))
+                for name, p, seed in m.dims
+            }
+            return samplers.lineage_bernoulli(child, dims)
+        raise PlanError(f"{path}.method: unknown sampler spec {type(m).__name__}")
 
-    if isinstance(node, SumAggregate):
-        return ExecutionResult(
-            bind_aggregate(node.expr, rec(node.child, "plan.child")), populations)
-    return ExecutionResult(rec(node, "plan"), populations)
+    return ExecutionResult(fold(node, visit), populations)
 
 
 def execute_full(node: PlanNode, catalog: Catalog) -> ExecutionResult:

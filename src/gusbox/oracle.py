@@ -51,13 +51,13 @@ from .plan import (
     Join,
     LineageBernoulliSpec,
     PlanNode,
-    Sample,
     Scan,
     Select,
     SumAggregate,
     UnionDedup,
     WorSpec,
     check_columns,
+    fold,
     validate_plan,
 )
 
@@ -114,6 +114,9 @@ def _comb_capped(m: int, n: int, cap: int) -> Optional[int]:
 
 def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                         budget: int) -> list[tuple[SampleRelation, float]]:
+    """Every outcome of ``node``'s sampling with its probability; a sum binds
+    each outcome's ``f``. Errors name the node's path, as ``execute``'s do."""
+
     def guard(used: int, count: Optional[int], what: str):
         """Raise unless ``used`` states plus ``count`` more fit the budget;
         ``count`` is None when it is already known not to fit. ``what``
@@ -128,22 +131,22 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
         """2**k, or None when it exceeds the budget."""
         return 1 << k if k < budget.bit_length() else None
 
-    if isinstance(node, Scan):
-        if node.table not in catalog:
-            raise PlanError(f"unknown table {node.table!r}")
-        return [(scan(catalog[node.table]), 1.0)]
-    if isinstance(node, Select):
-        child = enumerate_outcomes(node.child, catalog, budget)
-        return _merge_outcomes((select(node.where, rel), w) for rel, w in child)
-    if isinstance(node, (Join, UnionDedup)):
-        left = enumerate_outcomes(node.left, catalog, budget)
-        right = enumerate_outcomes(node.right, catalog, budget)
-        guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
-        op = union_dedup if isinstance(node, UnionDedup) else partial(join, node)
-        return _merge_outcomes((op(l, r), wl * wr) for l, wl in left for r, wr in right)
-    if isinstance(node, Sample):
-        child = enumerate_outcomes(node.child, catalog, budget)
-        method = node.method
+    def visit(n: PlanNode, path: str, *inputs) -> list[tuple[SampleRelation, float]]:
+        if isinstance(n, Scan):
+            if n.table not in catalog:
+                raise PlanError(f"{path}: unknown table {n.table!r}")
+            return [(scan(catalog[n.table]), 1.0)]
+        if isinstance(n, (Join, UnionDedup)):
+            left, right = inputs
+            guard(0, len(left) * len(right), f"{len(left)}*{len(right)}")
+            op = union_dedup if isinstance(n, UnionDedup) else partial(join, n)
+            return _merge_outcomes((op(l, r), wl * wr) for l, wl in left for r, wr in right)
+        child = inputs[0]
+        if isinstance(n, Select):
+            return _merge_outcomes((select(n.where, rel), w) for rel, w in child)
+        if isinstance(n, SumAggregate):
+            return [(bind_aggregate(n.expr, rel), w) for rel, w in child]
+        method = n.method
         out = []
         if isinstance(method, BernoulliSpec):
             p = method.p
@@ -162,7 +165,7 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                 m = len(rel)
                 if method.n > m:
                     raise SampleSizeError(
-                        f"cannot draw {method.n} rows from a relation of {m}")
+                        f"{path}.method: cannot draw {method.n} rows from a relation of {m}")
                 count = _comb_capped(m, method.n, budget)
                 guard(len(out), count, f"C({m}, {method.n})")
                 for chosen in itertools.combinations(range(m), method.n):
@@ -193,9 +196,10 @@ def enumerate_outcomes(node: PlanNode, catalog: Catalog,
                                      for pos, _ in positions)]
                     out.append((rel.take(chosen), weight))
         else:
-            raise PlanError(f"unknown sampler spec {type(method).__name__}")
+            raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
         return _merge_outcomes(out)
-    raise PlanError(f"unsupported plan node {type(node).__name__}")
+
+    return fold(node, visit)
 
 
 def enumerate_exact_moments(plan: PlanNode, catalog: Catalog, a: float,
@@ -210,11 +214,11 @@ def enumerate_exact_moments(plan: PlanNode, catalog: Catalog, a: float,
                          for name, t in catalog.items()})
     if a <= 0.0:
         raise DegenerateSamplingError("inclusion probability a must be positive")
-    outcomes = enumerate_outcomes(plan.child, catalog, budget)
+    outcomes = enumerate_outcomes(plan, catalog, budget)
     total_weight = math.fsum(w for _, w in outcomes)
     if abs(total_weight - 1.0) > 1e-9:
         raise AssertionError(f"enumeration weights sum to {total_weight!r}, not 1")
-    values = [(bind_aggregate(plan.expr, rel).total_f() / a, w) for rel, w in outcomes]
+    values = [(rel.total_f() / a, w) for rel, w in outcomes]
     mean = fsum_or_nan(x * w for x, w in values)
     variance = fsum_or_nan((x - mean) ** 2 * w for x, w in values)
     return mean, variance

@@ -3,15 +3,18 @@ interspersed, plus the predicate and sampler descriptions they carry.
 
 Plans are immutable; rewriting produces new trees. A sum aggregate may
 appear once, at the root. A cross product is a :class:`Join` with no
-``eq`` pairs and no ``theta`` atoms. :func:`validate_plan` holds every structural
-check and :func:`check_columns` every column check; neither reads data, so a
-malformed plan fails before any table is loaded.
+``eq`` pairs and no ``theta`` atoms. Every walk over a plan is a :func:`fold`
+over each node's declared inputs; it names nodes by their path in the plan
+document (``plan.child.left``), as error prefixes and population keys do.
+:func:`validate_plan` holds every structural check and :func:`check_columns`
+every column check; neither reads data, so a malformed plan fails before any
+table is loaded.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import PlanError, SchemaError, SelfJoinError
 from .model import LineageSchema, Record
@@ -90,10 +93,14 @@ class PlanNode(Record):
     """Base class of the plan nodes, which are immutable records."""
 
     __slots__ = ()
+    # a node class's input fields, also its document keys and path segments;
+    # not annotated, since Record makes each annotated name a field
+    _inputs = None
 
 
 class Scan(PlanNode):
     table: str
+    _inputs = ()
 
 
 class Select(PlanNode):
@@ -101,6 +108,7 @@ class Select(PlanNode):
 
     where: tuple[Comparison, ...]
     child: PlanNode
+    _inputs = ("child",)
 
 
 class Join(PlanNode):
@@ -111,38 +119,49 @@ class Join(PlanNode):
     right: PlanNode
     eq: tuple[tuple[str, str], ...] = ()
     theta: tuple[Comparison, ...] = ()
+    _inputs = ("left", "right")
 
 
 class UnionDedup(PlanNode):
     left: PlanNode
     right: PlanNode
+    _inputs = ("left", "right")
 
 
 class Sample(PlanNode):
     method: SamplerSpec
     child: PlanNode
+    _inputs = ("child",)
 
 
 class SumAggregate(PlanNode):
     expr: str
     child: PlanNode
+    _inputs = ("child",)
+
+
+def fold(root: PlanNode, visit: Callable, path: str = "plan"):
+    """``visit(node, path, *inputs)`` for ``root``, after folding each of its
+    ``_inputs`` fields in order at the path ``{path}.{field}``; ``inputs``
+    are those results. A value that is not a plan node raises a
+    ``PlanError`` that names its path."""
+    if not isinstance(root, PlanNode) or root._inputs is None:
+        raise PlanError(f"{path}: unsupported plan node {type(root).__name__}")
+    inputs = []
+    for name in root._inputs:  # a comprehension would add a stack frame per plan level
+        inputs.append(fold(getattr(root, name), visit, f"{path}.{name}"))
+    return visit(root, path, *inputs)
 
 
 def strip_sampling(node: PlanNode) -> PlanNode:
     """The plan with every sampling node removed; what runs on full data."""
-    if isinstance(node, Scan):
-        return node
-    if isinstance(node, Select):
-        return Select(node.where, strip_sampling(node.child))
-    if isinstance(node, Join):
-        return Join(strip_sampling(node.left), strip_sampling(node.right), node.eq, node.theta)
-    if isinstance(node, UnionDedup):
-        return UnionDedup(strip_sampling(node.left), strip_sampling(node.right))
-    if isinstance(node, Sample):
-        return strip_sampling(node.child)
-    if isinstance(node, SumAggregate):
-        return SumAggregate(node.expr, strip_sampling(node.child))
-    raise PlanError(f"unsupported plan node {type(node).__name__}")
+
+    def visit(n: PlanNode, path: str, *inputs: PlanNode) -> PlanNode:
+        if isinstance(n, Sample):
+            return inputs[0]
+        return type(n)(**{**n.__dict__, **dict(zip(n._inputs, inputs))})
+
+    return fold(node, visit)
 
 
 # each kind of seed validate_plan claims: what holds it, and why two of one
@@ -180,7 +199,8 @@ def validate_plan(root: PlanNode,
 
     Every error starts with the offending node's path from the root, in the
     plan document's notation (``plan.child.method.dims.r``); a shared seed
-    names both nodes. Returns the lineage schema of the plan's output.
+    names both nodes. Inputs are checked before their node, so of two faults
+    the one nearer the leaves is named. Returns the output's lineage schema.
 
     ``subsample`` maps each relation of a keyed sub-sample of the plan's
     output to its seed; its relations must be in that schema, and it claims
@@ -194,15 +214,12 @@ def validate_plan(root: PlanNode,
             what, why = _SHARED_SEED[kind]
             raise PlanError(f"{what} {first} and {where} share seed {seed}: {why}")
 
-    def rec(node: PlanNode, path: str) -> tuple[LineageSchema, bool]:
+    def visit(node: PlanNode, path: str, *inputs) -> tuple[LineageSchema, bool]:
         """The node's lineage schema, and whether its output is random."""
         if isinstance(node, Scan):
             return LineageSchema.of([node.table]), False
-        if isinstance(node, Select):
-            return rec(node.child, f"{path}.child")
         if isinstance(node, (Join, UnionDedup)):
-            left, l_random = rec(node.left, f"{path}.left")
-            right, r_random = rec(node.right, f"{path}.right")
+            (left, l_random), (right, r_random) = inputs
             if isinstance(node, UnionDedup):
                 if left != right:
                     raise SchemaError(
@@ -223,35 +240,34 @@ def validate_plan(root: PlanNode,
                     "self-joins are unsupported"
                 )
             return LineageSchema.of(left.relations + right.relations), l_random or r_random
-        if isinstance(node, Sample):
-            method = node.method
-            if isinstance(method, LineageBernoulliSpec):
-                for name, _, seed in method.dims:
-                    claim("keyed", seed, f"{path}.method.dims.{name}")
-            elif isinstance(method, (BernoulliSpec, WorSpec)):
-                claim("row", method.seed, f"{path}.method")
-            else:
-                raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
-            schema, randomized = rec(node.child, f"{path}.child")
-            if isinstance(method, WorSpec) and randomized:
-                raise PlanError(
-                    f"{path}: fixed-size sampling over an already randomized "
-                    "input is not analyzable (its population size is random)"
-                )
-            if isinstance(method, LineageBernoulliSpec):
-                for name, _, _ in method.dims:
-                    if name not in schema.relations:
-                        raise PlanError(
-                            f"{path}.method.dims.{name}: dimension {name!r} not in "
-                            f"schema {schema.relations}"
-                        )
-            return schema, True
-        if isinstance(node, SumAggregate):
+        if isinstance(node, SumAggregate) and node is not root:
             raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
-        raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
+        if not isinstance(node, Sample):  # a select or the sum: its input's
+            return inputs[0]
+        method = node.method
+        if isinstance(method, LineageBernoulliSpec):
+            for name, _, seed in method.dims:
+                claim("keyed", seed, f"{path}.method.dims.{name}")
+        elif isinstance(method, (BernoulliSpec, WorSpec)):
+            claim("row", method.seed, f"{path}.method")
+        else:
+            raise PlanError(f"{path}.method: unknown sampler spec {type(method).__name__}")
+        schema, randomized = inputs[0]
+        if isinstance(method, WorSpec) and randomized:
+            raise PlanError(
+                f"{path}: fixed-size sampling over an already randomized "
+                "input is not analyzable (its population size is random)"
+            )
+        if isinstance(method, LineageBernoulliSpec):
+            for name, _, _ in method.dims:
+                if name not in schema.relations:
+                    raise PlanError(
+                        f"{path}.method.dims.{name}: dimension {name!r} not in "
+                        f"schema {schema.relations}"
+                    )
+        return schema, True
 
-    at_root = isinstance(root, SumAggregate)
-    schema, _ = rec(root.child, "plan.child") if at_root else rec(root, "plan")
+    schema, _ = fold(root, visit)
     for name, seed in subsample.items():
         if name not in schema.relations:
             raise PlanError(
@@ -295,17 +311,17 @@ def check_columns(root: PlanNode,
     type) of ``root``, or of its input if ``root`` is a sum aggregate.
     """
 
-    def rec(node: PlanNode, path: str) -> dict[str, str]:
+    def visit(node: PlanNode, path: str, *inputs: dict[str, str]) -> dict[str, str]:
         if isinstance(node, Scan):
             if node.table not in tables:
                 raise PlanError(f"{path}: unknown table {node.table!r}")
             return dict(tables[node.table])
         if isinstance(node, Select):
-            columns = rec(node.child, f"{path}.child")
+            columns = inputs[0]
             _check_atoms(node.where, columns, f"{path}.where")
             return columns
         if isinstance(node, Join):
-            left, right = rec(node.left, f"{path}.left"), rec(node.right, f"{path}.right")
+            left, right = inputs
             shared = sorted(left.keys() & right.keys())
             if shared:
                 raise PlanError(f"{path}: join sides share column names {shared}")
@@ -315,12 +331,6 @@ def check_columns(root: PlanNode,
             columns = {**left, **right}
             _check_atoms(node.theta, columns, f"{path}.theta")
             return columns
-        if isinstance(node, UnionDedup):
-            columns = rec(node.left, f"{path}.left")
-            rec(node.right, f"{path}.right")
-            return columns
-        if isinstance(node, (Sample, SumAggregate)):
-            return rec(node.child, f"{path}.child")
-        raise PlanError(f"{path}: unsupported plan node {type(node).__name__}")
+        return inputs[0]  # a union's left side's; a sampler's or the sum's input's
 
-    return rec(root, "plan")
+    return fold(root, visit)

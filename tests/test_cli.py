@@ -830,27 +830,43 @@ class TestProcess:
         assert (piped.returncode, piped.stderr, written.returncode, written.stdout) == (0, "", 0, "")
         assert piped.stdout == (tmp_path / "out.json").read_text(encoding="utf-8")
 
+    @staticmethod
+    def _chain(tmp_path, document, depth):
+        """A plan file whose sum reads ``depth`` nested selects or Bernoulli
+        samplers over one scan. The text is built by hand, since json.dumps
+        recurses as deeply."""
+        select = '{"op": "select", "where": [{"col": "v", "cmp": ">", "value": 0.0}], "child": '
+        heads = ([select] * depth if document == "selects" else
+                 ['{"op": "sample", "method": {"method": "bernoulli", "p": 1.0, '
+                  f'"seed": {seed}}}, "child": ' for seed in range(depth)])
+        doc = json.loads(TestEstimateCommand._tiny_document(tmp_path).read_text())
+        doc["plan"]["child"] = None
+        (tmp_path / "deep.json").write_text(json.dumps(doc).replace(
+            "null", "".join(heads) + '{"op": "scan", "table": "t"}' + "}" * len(heads)))
+        return tmp_path / "deep.json"
+
     @pytest.mark.parametrize("document", ["brackets", "selects", "samplers"])
     def test_deeply_nested_plan_exits_2(self, tmp_path, document):
         # each exited 1 with a RecursionError traceback: the first two in the
         # JSON reader, the chain of samplers in the executor after ingest. A
-        # fresh interpreter runs them at its default recursion limit, and the
-        # text is built by hand, since json.dumps recurses as deeply.
+        # fresh interpreter runs them at its default recursion limit.
         if document == "brackets":
-            text = '{"plan": ' + "[" * 100_000 + "]" * 100_000 + "}"
+            plan = tmp_path / "deep.json"
+            plan.write_text('{"plan": ' + "[" * 100_000 + "]" * 100_000 + "}")
         else:
-            select = '{"op": "select", "where": [{"col": "v", "cmp": ">", "value": 0.0}], "child": '
-            heads = ([select] * 990 if document == "selects" else
-                     ['{"op": "sample", "method": {"method": "bernoulli", "p": 1.0, '
-                      f'"seed": {seed}}}, "child": ' for seed in range(950)])
-            doc = json.loads(TestEstimateCommand._tiny_document(tmp_path).read_text())
-            doc["plan"]["child"] = None
-            text = json.dumps(doc).replace(
-                "null", "".join(heads) + '{"op": "scan", "table": "t"}' + "}" * len(heads))
-        (tmp_path / "deep.json").write_text(text)
-        done = _python("-m", "gusbox.cli", "estimate", str(tmp_path / "deep.json"))
+            plan = self._chain(tmp_path, document, 990 if document == "selects" else 950)
+        done = _python("-m", "gusbox.cli", "estimate", str(plan))
         assert (done.returncode, done.stdout, done.stderr) == (
             2, "", "error: the plan nests too deeply\n")
+
+    @pytest.mark.parametrize("document, depth", [("samplers", 900), ("selects", 950)])
+    def test_deep_plan_runs(self, tmp_path, document, depth):
+        # every plan walk takes one stack frame per level: a walk that builds
+        # a node's inputs in a generator or comprehension takes two, and
+        # fails on these chains at the default recursion limit
+        done = _python("-m", "gusbox.cli", "estimate", str(self._chain(tmp_path, document, depth)))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert strict_json(done.stdout)["sampleRows"] > 0
 
     @pytest.mark.parametrize("case, code", [("report", 0), ("overflow", 2),
                                             ("not_identifiable", 3)])

@@ -7,10 +7,14 @@
   nothing from ``engine``, ``cli`` or ``oracle``, so none of them can run a
   plan;
 - ``cli`` imports ``datagen`` only inside ``run_generate``, so ``gusbox
-  estimate`` never builds the generator's tables.
+  estimate`` never builds the generator's tables;
+- only ``plan.fold`` and ``dsl`` build an input's path: no other f-string
+  appends ``.child``, ``.left`` or ``.right`` to a formatted value, so a
+  walker cannot restate the path notation.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -36,21 +40,43 @@ def _targets(node) -> list[str]:
     return [package.split(".")[0]] if package else [a.name for a in node.names]
 
 
-def imports(module: str) -> list[tuple[str, str | None]]:
-    """(imported gusbox module, enclosing top-level function or None) for
-    every import statement in ``gusbox.<module>``."""
-    found = []
+def _each_node(source: str):
+    """(node, enclosing top-level function or None) for every node of ``source``."""
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                yield from visit(child, child.name)
             else:
-                found.extend((target, function) for target in _targets(child))
-                visit(child, function)
+                yield child, function
+                yield from visit(child, function)
 
-    visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), None)
-    return found
+    return visit(ast.parse(source), None)
+
+
+def _source(module: str) -> str:
+    return (SRC / f"{module}.py").read_text(encoding="utf-8")
+
+
+def imports(module: str) -> list[tuple[str, str | None]]:
+    """(imported gusbox module, enclosing top-level function or None) for
+    every import statement in ``gusbox.<module>``."""
+    return [(target, function) for node, function in _each_node(_source(module))
+            for target in _targets(node)]
+
+
+_INPUT_SEGMENT = re.compile(r"\.(child|left|right)\b")
+
+
+def input_paths(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing top-level function or None, line) of every f-string in
+    ``source`` that appends ``.child``, ``.left`` or ``.right`` straight
+    after a formatted value."""
+    return [(function, node.lineno) for node, function in _each_node(source)
+            if isinstance(node, ast.JoinedStr)
+            and any(isinstance(value, ast.FormattedValue) and isinstance(text, ast.Constant)
+                    and _INPUT_SEGMENT.match(text.value)
+                    for value, text in zip(node.values, node.values[1:]))]
 
 
 def test_the_reader_sees_every_import_form():
@@ -58,6 +84,20 @@ def test_the_reader_sees_every_import_form():
     assert ("estimator", None) in imports("cli")       # from . import estimator, ...
     assert ("datagen", "run_generate") in imports("cli")
     assert set(MODULES) >= {"algebra", "cli", "datagen", "dsl", "engine", "oracle", "plan"}
+
+
+def test_the_reader_sees_every_input_path():
+    source = ('def rec(node, path):\n'
+              '    return rec(node.child, f"{path}.child"), f"{path}.left.x", f"{path}.right"\n'
+              'WHERE = f"{__name__}.child[0]"\n'
+              'FINE = (f"{path}.childish", f"{path}.eq[{i}].left", f"{path}.{name}", ".left")\n')
+    assert input_paths(source) == [("rec", 2), ("rec", 2), ("rec", 2), (None, 3)]
+
+
+def test_only_the_fold_and_the_parser_build_input_paths():
+    assert [(module, function, line) for module in MODULES if module != "dsl"
+            for function, line in input_paths(_source(module))
+            if (module, function) != ("plan", "fold")] == []
 
 
 def test_plan_imports_only_errors_and_model():

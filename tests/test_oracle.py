@@ -197,7 +197,8 @@ class TestDegenerateProbabilities:
 
     def test_wor_larger_than_its_input(self):
         plan = SumAggregate("r_v", Sample(WorSpec(4, seed=1), Scan("r")))
-        with pytest.raises(SampleSizeError, match=r"^cannot draw 4 rows from a relation of 3$"):
+        with pytest.raises(SampleSizeError, match=r"^plan\.child\.method: "
+                                                  r"cannot draw 4 rows from a relation of 3$"):
             enumerate_exact_moments(plan, self.catalog(), 1.0)
 
 

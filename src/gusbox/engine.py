@@ -47,6 +47,7 @@ from .plan import (
     Join,
     LineageBernoulliSpec,
     PlanNode,
+    Sample,
     Scan,
     Select,
     SumAggregate,
@@ -309,6 +310,10 @@ def bind_aggregate(expr: str, r: SampleRelation) -> SampleRelation:
     return SampleRelation(r.schema, r.columns, r.column_types, r.data, r.lineage, f)
 
 
+def _has_row_sampler(n: PlanNode, path: str, *inputs: bool) -> bool:
+    return any(inputs) or isinstance(n, Sample) and isinstance(n.method, (BernoulliSpec, WorSpec))
+
+
 class ExecutionResult(Record):
     relation: SampleRelation      # pre-aggregate rows, f bound when aggregated
     populations: Mapping[str, int]  # input rows of each WOR sampler, by plan path
@@ -325,10 +330,14 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
     ``validate_plan``'s do (``plan.child.left: unknown table 'x'``): the
     plan's columns are checked against the catalog's first
     (``plan.check_columns``). A WOR sampler asked for more rows than its input
-    holds raises a ``SampleSizeError`` naming its method.
+    holds raises a ``SampleSizeError`` naming its method. A plan with a
+    Bernoulli or WOR sampler loads ``numpy.random`` before the walk
+    (``samplers.load_numpy_random``).
     """
     check_columns(node, {name: tuple(zip(t.columns, t.column_types))
                          for name, t in catalog.items()})
+    if fold(node, _has_row_sampler):  # here, not at the deepest sampler's stack frame
+        samplers.load_numpy_random()
     populations: dict[str, int] = {}
 
     def visit(n: PlanNode, path: str, *inputs: SampleRelation) -> SampleRelation:

@@ -16,6 +16,9 @@ ids, and row samplers (Bernoulli, WOR) with one seed draw from one stream.
 ``enumerate_exact_moments`` and ``monte_carlo_moments`` call it directly
 and take the plan's inclusion probability ``a`` from the caller, while
 ``inclusion_probabilities`` does not validate and still measures such plans.
+It runs the plan as given, so a sum root is bound on every trial: an
+aggregate that names an unknown column, or is NaN or infinite on a kept
+row, raises the ``ExpressionError`` that ``execute`` raises.
 ``enumerate_exact_moments`` runs the engine's operators itself, so it also
 checks the plan's columns against the catalog (``plan.check_columns``), as
 ``execute`` does.
@@ -257,9 +260,8 @@ def inclusion_probabilities(plan: PlanNode, catalog: Catalog, trials: int,
                             seed: int):
     """Empirical single and pairwise inclusion frequencies per lineage of
     the full relational result."""
-    relational = plan.child if isinstance(plan, SumAggregate) else plan
-    runs = _trial_runs(relational, catalog, trials, seed)
-    universe = list(map(tuple, execute_full(relational, catalog).relation.lineage.tolist()))
+    runs = _trial_runs(plan, catalog, trials, seed)
+    universe = list(map(tuple, execute_full(plan, catalog).relation.lineage.tolist()))
     first = {t: 0 for t in universe}
     second = {pair: 0 for pair in itertools.combinations(sorted(universe), 2)}
     for out in runs:

@@ -143,13 +143,17 @@ class SumAggregate(PlanNode):
 def fold(root: PlanNode, visit: Callable, path: str = "plan"):
     """``visit(node, path, *inputs)`` for ``root``, after folding each of its
     ``_inputs`` fields in order at the path ``{path}.{field}``; ``inputs``
-    are those results. A value that is not a plan node raises a
-    ``PlanError`` that names its path."""
+    are those results. A value that is not a plan node, and a sum aggregate
+    anywhere but the root, raise a ``PlanError`` that names its path; a
+    misplaced sum is folded first, so a fault inside it is met first."""
     if not isinstance(root, PlanNode) or root._inputs is None:
         raise PlanError(f"{path}: unsupported plan node {type(root).__name__}")
     inputs = []
     for name in root._inputs:  # a comprehension would add a stack frame per plan level
-        inputs.append(fold(getattr(root, name), visit, f"{path}.{name}"))
+        node = getattr(root, name)
+        inputs.append(fold(node, visit, f"{path}.{name}"))
+        if isinstance(node, SumAggregate):
+            raise PlanError(f"{path}.{name}: sum aggregate may appear only at the plan root")
     return visit(root, path, *inputs)
 
 
@@ -240,8 +244,6 @@ def validate_plan(root: PlanNode,
                     "self-joins are unsupported"
                 )
             return LineageSchema.of(left.relations + right.relations), l_random or r_random
-        if isinstance(node, SumAggregate) and node is not root:
-            raise PlanError(f"{path}: sum aggregate may appear only at the plan root")
         if not isinstance(node, Sample):  # a select or the sum: its input's
             return inputs[0]
         method = node.method

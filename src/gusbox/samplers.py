@@ -13,10 +13,18 @@ column in wrapping uint64 arithmetic, so a base tuple receives one decision
 shared across every result row that contains it. Seeds lie in ``[0, 2**64)`` and
 ids in the int64 range (``plan.check_seed``, ingestion), where ``mix64`` is a
 bijection: distinct seeds, and distinct ids, never alias.
+
+``numpy.random``, which the stream-based samplers need, is loaded by
+:func:`load_numpy_random` before a plan walk reaches them, and only for a
+plan that has one; its ``bit_generator`` imports ``secrets``, whose
+``hmac`` and ``hashlib`` load OpenSSL (about 3.5 MB resident) through
+``_hashlib``. gusbox seeds every ``SeedSequence`` itself and never calls
+``secrets``, so the loader keeps OpenSSL out where it can.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Mapping
 
 import numpy as np
@@ -48,8 +56,52 @@ def derive_seed(master: int, node_seed: int) -> int:
     return mix64(master * _GOLDEN ^ mix64(node_seed))
 
 
+# numpy.random imports secrets, which imports hmac, hashlib and _hashlib (OpenSSL)
+_SECRETS_CHAIN = ("_hashlib", "hashlib", "hmac", "secrets")
+
+
+def _builtin_hashes() -> bool:
+    """Whether CPython's own hash modules, which ``hashlib`` uses without
+    OpenSSL, are all built. Some builds (FIPS ones) leave them out, and
+    ``hashlib`` then logs an error for each algorithm it cannot provide."""
+    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+    try:
+        for name in ("_md5", "_sha1", *sha2, "_sha3", "_blake2"):
+            __import__(name)
+    except ImportError:
+        return False
+    return True
+
+
+def load_numpy_random() -> None:
+    """Import ``numpy.random``, which :func:`generator` needs.
+
+    When none of ``_hashlib``, ``hashlib``, ``hmac`` and ``secrets`` is
+    loaded yet, ``_hashlib`` is hidden for that one import: ``hashlib`` and
+    ``hmac`` take CPython's built-in branches without OpenSSL. The modules
+    imported that way are then dropped from ``sys.modules``, so a later
+    ``import hashlib`` loads OpenSSL as usual. A process that loaded any of
+    them first, or ``numpy.random`` itself, sees no change, nor does a
+    Python built without those branches' hash modules. The hiding is
+    process-wide: a thread that imports ``hashlib`` during it keeps the
+    module without OpenSSL.
+    """
+    if "numpy.random" in sys.modules:
+        return
+    hide = not any(name in sys.modules for name in _SECRETS_CHAIN) and _builtin_hashes()
+    if hide:
+        sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        if hide:
+            for name in _SECRETS_CHAIN:
+                sys.modules.pop(name, None)
+
+
 def generator(master: int, node_seed: int) -> np.random.Generator:
-    """PCG64 stream for one sampler invocation, keyed by both seeds."""
+    """PCG64 stream for one sampler invocation, keyed by both seeds; see
+    :func:`load_numpy_random`."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, node_seed))))
 
 

@@ -801,7 +801,8 @@ def _python(*args, **env) -> subprocess.CompletedProcess:
 
 
 class TestProcess:
-    """``import gusbox`` loads numpy without OpenBLAS's thread pool, and
+    """``import gusbox`` loads numpy without OpenBLAS's thread pool, an
+    estimate with a row sampler loads numpy.random without OpenSSL, and
     ``python -m gusbox.cli`` runs ``cli.run``, which ends in ``os._exit``."""
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -822,6 +823,46 @@ class TestProcess:
         # costs about a millisecond of import time per class
         done = _python("-c", "import sys, gusbox.cli; print('dataclasses' in sys.modules)")
         assert (done.stdout, done.stderr) == ("False\n", "")
+
+    @staticmethod
+    def _estimate_then(tmp_path, before: str, after: str, **changes) -> subprocess.CompletedProcess:
+        """A fresh interpreter that runs ``before``, estimates the tiny
+        document (after ``changes``) through ``cli.main``, then runs ``after``."""
+        plan = TestEstimateCommand._tiny_document(tmp_path, **changes)
+        argv = ["estimate", str(plan), "--out", str(tmp_path / "out.json")]
+        return _python("-c", f"import sys; {before}; from gusbox import cli; "
+                             f"assert cli.main({argv!r}) == 0; {after}")
+
+    @pytest.mark.parametrize("sampler, loaded", [
+        ({"method": "bernoulli", "p": 0.5, "seed": 1}, "True False False False False"),
+        ({"method": "wor", "n": 2, "seed": 1}, "True False False False False"),
+        ({"method": "lineage_bernoulli", "dims": {"t": {"p": 0.5, "seed": 1}}},
+         "False False False False False"),
+    ])
+    def test_row_sampler_loads_numpy_random_without_openssl(self, tmp_path, sampler, loaded):
+        # numpy.random's bit_generator imports secrets -> hmac -> hashlib,
+        # whose _hashlib loads OpenSSL; gusbox never draws from secrets
+        listed = "print(*(m in sys.modules for m in ('numpy.random', '_hashlib', 'hashlib', " \
+                 "'hmac', 'secrets')))"
+        done = self._estimate_then(tmp_path, listed,
+                                   f"{listed}; import hashlib; print('_hashlib' in sys.modules)",
+                                   **{"plan.child.method": sampler})
+        assert (done.stdout, done.stderr) == (
+            f"False False False False False\n{loaded}\nTrue\n", "")
+
+    def test_python_without_builtin_hashes_keeps_openssl(self, tmp_path):
+        # hashlib without OpenSSL or _md5 would log "code for hash md5 was not found"
+        done = self._estimate_then(tmp_path, "sys.modules['_md5'] = None",
+                                   "print('_hashlib' in sys.modules, 'logging' in sys.modules)")
+        assert (done.stdout, done.stderr) == ("True False\n", "")
+
+    @pytest.mark.parametrize("first", ["hashlib", "numpy.random"])
+    def test_host_import_before_an_estimate_is_kept(self, tmp_path, first):
+        # gusbox then hides nothing: the host's module stays, with OpenSSL
+        done = self._estimate_then(tmp_path, f"import {first}; module = sys.modules[{first!r}]",
+                                   f"print(sys.modules[{first!r}] is module, "
+                                   "'_hashlib' in sys.modules)")
+        assert (done.stdout, done.stderr) == ("True True\n", "")
 
     def test_pipe_gives_the_out_file_bytes(self, plan_on_disk, tmp_path):
         cmd = ["-m", "gusbox.cli", "estimate", str(plan_on_disk), "--seed", "4", "--explain"]
@@ -847,23 +888,27 @@ class TestProcess:
 
     @pytest.mark.parametrize("document", ["brackets", "selects", "samplers"])
     def test_deeply_nested_plan_exits_2(self, tmp_path, document):
-        # each exited 1 with a RecursionError traceback: the first two in the
-        # JSON reader, the chain of samplers in the executor after ingest. A
-        # fresh interpreter runs them at its default recursion limit.
+        # each overflows the stack in the JSON reader, which takes more frames
+        # per plan level than any later walk, and once exited 1 with a
+        # RecursionError traceback. A fresh interpreter runs them at its
+        # default recursion limit.
         if document == "brackets":
             plan = tmp_path / "deep.json"
             plan.write_text('{"plan": ' + "[" * 100_000 + "]" * 100_000 + "}")
         else:
-            plan = self._chain(tmp_path, document, 990 if document == "selects" else 950)
+            plan = self._chain(tmp_path, document, 990 if document == "selects" else 1000)
         done = _python("-m", "gusbox.cli", "estimate", str(plan))
         assert (done.returncode, done.stdout, done.stderr) == (
             2, "", "error: the plan nests too deeply\n")
 
-    @pytest.mark.parametrize("document, depth", [("samplers", 900), ("selects", 950)])
+    @pytest.mark.parametrize("document, depth", [("samplers", 900), ("samplers", 950),
+                                                 ("selects", 950)])
     def test_deep_plan_runs(self, tmp_path, document, depth):
         # every plan walk takes one stack frame per level: a walk that builds
         # a node's inputs in a generator or comprehension takes two, and
-        # fails on these chains at the default recursion limit
+        # fails on these chains at the default recursion limit. execute loads
+        # numpy.random before its walk: a first import at the deepest
+        # sampler's frame overflowed the 950-sampler chain
         done = _python("-m", "gusbox.cli", "estimate", str(self._chain(tmp_path, document, depth)))
         assert (done.returncode, done.stderr) == (0, "")
         assert strict_json(done.stdout)["sampleRows"] > 0

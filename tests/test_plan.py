@@ -5,8 +5,13 @@ import pytest
 
 from gusbox.algebra import normalize_plan
 from gusbox.engine import execute
-from gusbox.errors import GusboxError, PlanError, SampleSizeError
-from gusbox.oracle import enumerate_exact_moments, enumerate_outcomes, monte_carlo_moments
+from gusbox.errors import ExpressionError, GusboxError, PlanError, SampleSizeError
+from gusbox.oracle import (
+    enumerate_exact_moments,
+    enumerate_outcomes,
+    inclusion_probabilities,
+    monte_carlo_moments,
+)
 from gusbox.plan import (
     BernoulliSpec,
     Join,
@@ -35,6 +40,7 @@ WALKERS = {
     "enumerate_outcomes": lambda plan: enumerate_outcomes(plan, CATALOG, 1 << 20),
     "enumerate_exact_moments": lambda plan: enumerate_exact_moments(plan, CATALOG, 1.0),
     "monte_carlo_moments": lambda plan: monte_carlo_moments(plan, CATALOG, 1.0, 1, 0),
+    "inclusion_probabilities": lambda plan: inclusion_probabilities(plan, CATALOG, 1, 0),
 }
 
 
@@ -42,6 +48,29 @@ WALKERS = {
 def test_every_walker_names_a_node_that_is_not_one(walker):
     with pytest.raises(PlanError, match=r"^plan\.child: unsupported plan node str$"):
         WALKERS[walker](SumAggregate("l_val", "oops"))
+
+
+@pytest.mark.parametrize("walker", ["strip_sampling", "validate_plan", "check_columns",
+                                    "execute", "normalize_plan", "enumerate_outcomes",
+                                    "inclusion_probabilities"])
+def test_every_walker_rejects_a_sum_below_the_root(walker):
+    # the join above resets f, so a run of this plan would total 0.0
+    plan = Join(SumAggregate("l_val", Scan("l")), Scan("o"), eq=(("l_ok", "o_ok"),))
+    with pytest.raises(PlanError,
+                       match=r"^plan\.left: sum aggregate may appear only at the plan root$"):
+        WALKERS[walker](plan)
+
+
+@pytest.mark.parametrize("walker", ["execute", "inclusion_probabilities"])
+@pytest.mark.parametrize("expr, message", [
+    ("nope", r"^aggregate 'nope': unknown column 'nope'$"),
+    ("l_val * 1e308 * 10.0",
+     r"^aggregate 'l_val \* 1e308 \* 10\.0': non-finite value inf on a kept row$"),
+])
+def test_a_bad_aggregate_fails_every_run_of_the_sum(walker, expr, message):
+    # inclusion_probabilities runs the plan as given, its sum root included
+    with pytest.raises(ExpressionError, match=message):
+        WALKERS[walker](SumAggregate(expr, Scan("l")))
 
 
 @pytest.mark.parametrize("walker", ["validate_plan", "execute", "normalize_plan",

@@ -7,6 +7,10 @@ Errors carry the JSON path to the offending element. Every column a node,
 the ``sum`` expression or an ``idColumn`` uses is checked against the
 declared ``columnTypes``, so a misspelt name or a wrong type fails before
 any CSV is read.
+
+One reader, ``_read``, takes every value: each key has one JSON kind (a bool
+is none: ``plan.check_kind``, as in the sampler specs) and one default, or
+none if it is required. An object's missing keys come before wrong kinds.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .plan import (
     UnionDedup,
     WorSpec,
     check_columns,
+    check_kind,
     validate_plan,
 )
 
@@ -53,12 +58,6 @@ class PlanDocument(Record):
     quantiles: tuple[float, ...]
 
 
-def _need(obj: Mapping, key: str, path: str):
-    if key not in obj:
-        raise PlanError(f"{path}: missing required key {key!r}")
-    return obj[key]
-
-
 def _no_extras(obj: Mapping, allowed: set, path: str):
     extra = set(obj) - allowed
     if extra:
@@ -74,19 +73,36 @@ def _at(path: str):
         raise PlanError(f"{path}: {exc}") from None
 
 
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _read(obj: Mapping, key: str, path: str, kind: type | None = None, default=_REQUIRED):
+    """``obj[key]``, or ``default`` if the key is absent; without one the key is
+    required. A given value must be of ``kind`` (``str``, ``int`` or ``float``,
+    read as a float), if there is one. Errors start with ``path``."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise PlanError(f"{path}: missing required key {key!r}")
+        return default
+    value = obj[key]
+    if kind is not None:
+        check_kind(value, kind, f"{path}: {key}")
+    if kind is float:
+        with _at(path):  # an integer past the float range
+            return float(value)
+    return value
+
+
 def _parse_atom(doc, path: str) -> Comparison:
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: predicate atom must be an object")
     _no_extras(doc, {"col", "cmp", "value", "col2"}, path)
-    _need(doc, "col", path)
-    cmp_op = _need(doc, "cmp", path)
-    if "col2" not in doc:
-        _need(doc, "value", path)
+    _read(doc, "col", path)  # each key's presence before any key's kind
+    cmp_op = _read(doc, "cmp", path)
+    value = _read(doc, "value", path, default=None if "col2" in doc else _REQUIRED)
+    col, col2 = _read(doc, "col", path, str), _read(doc, "col2", path, str, None)
     with _at(path):
-        col = _string(doc, "col")
-        if "col2" in doc:
-            return Comparison(col, cmp_op, col2=_string(doc, "col2"))
-        return Comparison(col, cmp_op, value=doc["value"])
+        return Comparison(col, cmp_op, value, col2)
 
 
 def _parse_atoms(doc, path: str) -> tuple[Comparison, ...]:
@@ -95,49 +111,23 @@ def _parse_atoms(doc, path: str) -> tuple[Comparison, ...]:
     return tuple(_parse_atom(a, f"{path}[{i}]") for i, a in enumerate(doc))
 
 
-def _integer(doc: Mapping, key: str) -> int:
-    """``doc[key]`` (0 if absent), which must be a JSON integer, not a float,
-    bool or string: ``int()`` would truncate 1.9 and accept ``true``."""
-    value = doc.get(key, 0)
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, not {json.dumps(value)}")
-    return value
-
-
-def _probability(doc: Mapping, key: str) -> float:
-    """``doc[key]``, which must be a JSON number, not a bool or a string:
-    ``float()`` would read ``true`` as 1.0 and ``"0.5"`` as 0.5."""
-    value = doc[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, not {json.dumps(value)}")
-    return float(value)
-
-
-def _string(doc: Mapping, key: str, default: str | None = None) -> str:
-    """``doc[key]`` (``default`` if absent), which must be a JSON string."""
-    value = doc.get(key, default)
-    if type(value) is not str:
-        raise ValueError(f"{key} must be a string, not {json.dumps(value)}")
-    return value
-
-
 def _parse_method(doc, path: str):
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: sampler method must be an object")
-    kind = _need(doc, "method", path)
-    if kind == "bernoulli":
+    method = _read(doc, "method", path)
+    if method == "bernoulli":
         _no_extras(doc, {"method", "p", "seed"}, path)
-        _need(doc, "p", path)
+        p, seed = _read(doc, "p", path, float), _read(doc, "seed", path, int, 0)
         with _at(path):
-            return BernoulliSpec(_probability(doc, "p"), _integer(doc, "seed"))
-    if kind == "wor":
+            return BernoulliSpec(p, seed)
+    if method == "wor":
         _no_extras(doc, {"method", "n", "seed"}, path)
-        _need(doc, "n", path)
+        n, seed = _read(doc, "n", path, int), _read(doc, "seed", path, int, 0)
         with _at(path):
-            return WorSpec(_integer(doc, "n"), _integer(doc, "seed"))
-    if kind == "lineage_bernoulli":
+            return WorSpec(n, seed)
+    if method == "lineage_bernoulli":
         _no_extras(doc, {"method", "dims"}, path)
-        dims_doc = _need(doc, "dims", path)
+        dims_doc = _read(doc, "dims", path)
         if not isinstance(dims_doc, dict) or not dims_doc:
             raise PlanError(f"{path}.dims: need a non-empty object of relations")
         dims = {}
@@ -146,24 +136,20 @@ def _parse_method(doc, path: str):
             if not isinstance(entry, dict):
                 raise PlanError(f"{where}: must be an object")
             _no_extras(entry, {"p", "seed"}, where)
-            _need(entry, "p", where)
-            with _at(where):
-                dims[name] = (_probability(entry, "p"), _integer(entry, "seed"))
+            dims[name] = (_read(entry, "p", where, float), _read(entry, "seed", where, int, 0))
         with _at(path):
             return LineageBernoulliSpec.of(dims)
-    raise PlanError(f"{path}: unknown sampling method {kind!r}")
+    raise PlanError(f"{path}: unknown sampling method {method!r}")
 
 
 def _own_fields(op: str, doc: Mapping, path: str) -> dict:
     """The fields of an ``op`` node other than its inputs."""
     if op == "scan":
-        _need(doc, "table", path)
-        with _at(path):
-            return {"table": _string(doc, "table")}
+        return {"table": _read(doc, "table", path, str)}
     if op == "select":
-        return {"where": _parse_atoms(_need(doc, "where", path), f"{path}.where")}
+        return {"where": _parse_atoms(_read(doc, "where", path), f"{path}.where")}
     if op == "join":
-        eq_doc = doc.get("eq", [])
+        eq_doc = _read(doc, "eq", path, default=[])
         if not isinstance(eq_doc, list):
             raise PlanError(f"{path}.eq: must be a list of [left, right] column pairs")
         eq = []
@@ -171,29 +157,27 @@ def _own_fields(op: str, doc: Mapping, path: str) -> dict:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise PlanError(f"{path}.eq[{i}]: must be a [left, right] column pair")
             sides = dict(zip(("left", "right"), pair))
-            with _at(f"{path}.eq[{i}]"):
-                eq.append((_string(sides, "left"), _string(sides, "right")))
-        return {"eq": tuple(eq), "theta": _parse_atoms(doc.get("theta", []), f"{path}.theta")}
+            eq.append(tuple(_read(sides, side, f"{path}.eq[{i}]", str) for side in sides))
+        theta = _read(doc, "theta", path, default=[])
+        return {"eq": tuple(eq), "theta": _parse_atoms(theta, f"{path}.theta")}
     if op == "sample":
-        return {"method": _parse_method(_need(doc, "method", path), f"{path}.method")}
+        return {"method": _parse_method(_read(doc, "method", path), f"{path}.method")}
     if op == "sum":
-        _need(doc, "expr", path)
-        with _at(path):
-            return {"expr": _string(doc, "expr")}
+        return {"expr": _read(doc, "expr", path, str)}
     return {}  # cross, union
 
 
 def _parse_node(doc, path: str) -> PlanNode:
     if not isinstance(doc, dict):
         raise PlanError(f"{path}: plan node must be an object")
-    op = _need(doc, "op", path)
+    op = _read(doc, "op", path)
     if op not in _OPS:  # a tuple, so an unhashable op is compared, not hashed
         raise PlanError(f"{path}: unknown op {op!r}; expected one of {_OPS}")
     cls = _NODES[op]
     _no_extras(doc, {"op", *(cls._inputs if op == "cross" else cls._fields)}, path)
     fields = _own_fields(op, doc, path)
     for name in cls._inputs:  # a comprehension would add a stack frame per plan level
-        fields[name] = _parse_node(_need(doc, name, path), f"{path}.{name}")
+        fields[name] = _parse_node(_read(doc, name, path), f"{path}.{name}")
     return cls(**fields)
 
 
@@ -243,7 +227,7 @@ def parse_plan(text: str) -> PlanDocument:
         raise PlanError("top level: plan document must be an object")
     _no_extras(doc, {"tables", "plan", "quantiles"}, "top level")
 
-    tables_doc = _need(doc, "tables", "top level")
+    tables_doc = _read(doc, "tables", "top level")
     if not isinstance(tables_doc, dict) or not tables_doc:
         raise PlanError("tables: need a non-empty object of table declarations")
     tables = {}
@@ -252,27 +236,20 @@ def parse_plan(text: str) -> PlanDocument:
         if not isinstance(spec, dict):
             raise PlanError(f"{path}: table declaration must be an object")
         _no_extras(spec, {"path", "idColumn", "columnTypes"}, path)
-        types_doc = _need(spec, "columnTypes", path)
+        types_doc = _read(spec, "columnTypes", path)
         if not isinstance(types_doc, dict) or not types_doc:
             raise PlanError(f"{path}.columnTypes: need a non-empty object")
         for col in types_doc:
-            with _at(f"{path}.columnTypes"):
-                ctype = _string(types_doc, col)
+            ctype = _read(types_doc, col, f"{path}.columnTypes", str)
             if ctype not in COLUMN_TYPES:
-                raise PlanError(
-                    f"{path}.columnTypes.{col}: unknown type {ctype!r}; "
-                    f"expected one of {tuple(COLUMN_TYPES)}"
-                )
-        _need(spec, "path", path)
-        with _at(path):
-            tables[name] = TableSpec(
-                path=_string(spec, "path"),
-                id_column=_string(spec, "idColumn", "rowIndex"),
-                column_types=tuple(types_doc.items()),
-            )
+                raise PlanError(f"{path}.columnTypes.{col}: unknown type {ctype!r}; "
+                                f"expected one of {tuple(COLUMN_TYPES)}")
+        tables[name] = TableSpec(_read(spec, "path", path, str),
+                                 _read(spec, "idColumn", path, str, "rowIndex"),
+                                 tuple(types_doc.items()))
         _check_id_column(tables[name].id_column, types_doc, f"{path}.idColumn")
 
-    plan = _parse_node(_need(doc, "plan", "top level"), "plan")
+    plan = _parse_node(_read(doc, "plan", "top level"), "plan")
     try:
         # the report keys every subset of the output's relations by their
         # names, so names such as a, ab and b collide
@@ -283,7 +260,7 @@ def parse_plan(text: str) -> PlanDocument:
     if isinstance(plan, SumAggregate):
         _arith(plan.expr, columns, "plan.expr")
 
-    quantiles_doc = doc.get("quantiles", [])
+    quantiles_doc = _read(doc, "quantiles", "top level", default=[])
     if not isinstance(quantiles_doc, list):
         raise PlanError("quantiles: must be a list of numbers in (0, 1)")
     quantiles = []

@@ -13,6 +13,7 @@ table is loaded.
 
 from __future__ import annotations
 
+import json
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
@@ -39,8 +40,21 @@ class Comparison(Record):
             raise PlanError("column-to-column comparisons support '=' only")
 
 
+def _is_kind(value, kind: type) -> bool:
+    """The JSON-kind rule: ``float`` admits ints too, and no kind admits a bool."""
+    return isinstance(value, (int, float) if kind is float else kind) and type(value) is not bool
+
+
+def check_kind(value, kind: type, name: str) -> None:
+    """``{name} must be a number, not true`` and the like, unless ``_is_kind``."""
+    if not _is_kind(value, kind):
+        what = {str: "a string", int: "an integer", float: "a number"}[kind]
+        raise PlanError(f"{name} must be {what}, not {json.dumps(value, default=repr)}")
+
+
 def check_seed(seed: int) -> None:
     """Seeds are ints in ``[0, 2**64)``, which the 64-bit keyed hash reads whole."""
+    check_kind(seed, int, "seed")
     if not 0 <= seed < 1 << 64:
         raise PlanError(f"seed {seed} outside [0, 2**64)")
 
@@ -50,6 +64,7 @@ class BernoulliSpec(Record):
     seed: int = 0
 
     def __post_init__(self):
+        check_kind(self.p, float, "p")
         if not 0.0 <= self.p <= 1.0:
             raise PlanError(f"Bernoulli probability {self.p} outside [0, 1]")
         check_seed(self.seed)
@@ -60,6 +75,7 @@ class WorSpec(Record):
     seed: int = 0
 
     def __post_init__(self):
+        check_kind(self.n, int, "n")
         if self.n < 1:
             raise PlanError(f"sample size {self.n} must be >= 1")
         check_seed(self.seed)
@@ -77,6 +93,7 @@ class LineageBernoulliSpec(Record):
         if names != sorted(names) or len(set(names)) != len(names):
             raise PlanError("lineage-Bernoulli dimensions must be sorted and distinct")
         for name, p, seed in self.dims:
+            check_kind(p, float, "p")
             if not 0.0 <= p <= 1.0:
                 raise PlanError(f"probability {p} for {name!r} outside [0, 1]")
             check_seed(seed)
@@ -284,20 +301,25 @@ def _column_type(name: str, columns: Mapping[str, str], path: str) -> str:
     return columns[name]
 
 
+def _check_pair(left: str, right: str, left_columns: Mapping[str, str],
+                right_columns: Mapping[str, str], left_path: str, right_path: str) -> None:
+    """A ``col2`` atom or an ``eq`` pair: both columns exist, and both or neither are strings."""
+    ltype = _column_type(left, left_columns, left_path)
+    rtype = _column_type(right, right_columns, right_path)
+    if (ltype == "string") != (rtype == "string"):
+        raise PlanError(f"{right_path}: cannot compare {left} ({ltype}) with {right} ({rtype})")
+
+
 def _check_atoms(atoms: tuple[Comparison, ...], columns: Mapping[str, str], path: str) -> None:
     for i, atom in enumerate(atoms):
         where = f"{path}[{i}]"
-        ctype = _column_type(atom.col, columns, f"{where}.col")
         if atom.col2 is not None:
-            other = _column_type(atom.col2, columns, f"{where}.col2")
-            if (ctype == "string") != (other == "string"):
-                raise PlanError(f"{where}.col2: cannot compare {atom.col} ({ctype}) "
-                                f"with {atom.col2} ({other})")
-        elif ctype == "string" and not isinstance(atom.value, str):
-            raise PlanError(f"{where}.value: cannot compare string column with {atom.value!r}")
-        elif ctype != "string" and (isinstance(atom.value, bool)
-                                    or not isinstance(atom.value, (int, float))):
-            raise PlanError(f"{where}.value: cannot compare numeric column with {atom.value!r}")
+            _check_pair(atom.col, atom.col2, columns, columns, f"{where}.col", f"{where}.col2")
+            continue
+        numeric = _column_type(atom.col, columns, f"{where}.col") != "string"
+        if not _is_kind(atom.value, float if numeric else str):
+            raise PlanError(f"{where}.value: cannot compare {'numeric' if numeric else 'string'} "
+                            f"column with {atom.value!r}")
 
 
 def check_columns(root: PlanNode,
@@ -307,10 +329,10 @@ def check_columns(root: PlanNode,
     ``tables`` maps each table to its ``(column, type)`` pairs. Every scan
     names one of them; a ``where`` or ``theta`` atom names its input's
     columns, each ``eq`` side its own side's, and join sides share no name.
-    An atom compares strings with strings and numbers with numbers (a bool
-    is not a number). Each error starts with the offending slot's path
-    (``plan.child.where[0].value: …``). Returns the output columns (name ->
-    type) of ``root``, or of its input if ``root`` is a sum aggregate.
+    An atom and an ``eq`` pair compare strings with strings and numbers with
+    numbers (a bool is not a number). Each error starts with the offending
+    slot's path (``plan.child.where[0].value: …``). Returns the output columns
+    (name -> type) of ``root``, or of its input if ``root`` is a sum aggregate.
     """
 
     def visit(node: PlanNode, path: str, *inputs: dict[str, str]) -> dict[str, str]:
@@ -328,8 +350,7 @@ def check_columns(root: PlanNode,
             if shared:
                 raise PlanError(f"{path}: join sides share column names {shared}")
             for i, (lc, rc) in enumerate(node.eq):
-                _column_type(lc, left, f"{path}.eq[{i}].left")
-                _column_type(rc, right, f"{path}.eq[{i}].right")
+                _check_pair(lc, rc, left, right, f"{path}.eq[{i}].left", f"{path}.eq[{i}].right")
             columns = {**left, **right}
             _check_atoms(node.theta, columns, f"{path}.theta")
             return columns

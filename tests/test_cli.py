@@ -360,6 +360,12 @@ class TestEstimateCommand:
         ("idColumn", "o_orderkey + nope", "tables.o.idColumn: unknown column 'nope'"),
         ("idColumn", "o_totalprice", "tables.o.idColumn: id column 'o_totalprice' must be int64"),
         ("idColumn", "o_totalprice*2", "tables.o.idColumn: column 'o_totalprice' must be int64"),
+        # each ran: the constant was dropped and the atom read as a col2 one,
+        # and the int-versus-string join kept no row (estimate 0.0)
+        ("col2_and_value", "l_tax", "plan.child.where[0]: comparison needs exactly one of a "
+                                    "constant or a second column"),
+        ("left", "l_flag", "plan.child.child.eq[0].right: cannot compare l_flag (string) "
+                           "with o_orderkey (int64)"),
     ])
     def test_column_names_read_before_ingest(self, plan_on_disk, capsys, slot, value, message):
         # read while the document is parsed, with a path: no CSV is opened
@@ -378,6 +384,8 @@ class TestEstimateCommand:
         elif slot == "col2":
             atom.update(cmp="=", col2=value)
             del atom["value"]
+        elif slot == "col2_and_value":
+            atom.update(cmp="=", col2=value)
         elif slot == "col":
             atom["col"] = value
         elif slot == "theta":

@@ -100,9 +100,11 @@ def relations(draw, names):
             node = Join(left, right)
         else:
             eq = ()
-            if kind == "join":
-                eq = ((draw(st.sampled_from(columns_of(names[:k])))[0],
-                         draw(st.sampled_from(columns_of(names[k:])))[0]),)
+            if kind == "join":  # comparable sides, as for a col2 atom
+                col, ctype = draw(st.sampled_from(columns_of(names[:k])))
+                family = [c for c, t in columns_of(names[k:])
+                          if (t == "string") == (ctype == "string")]
+                eq = ((col, draw(st.sampled_from(family))),)
             theta = ()
             if kind == "theta" or draw(st.booleans()):
                 theta = (draw(atoms(columns_of(names))),)

@@ -126,6 +126,14 @@ class TestJoin:
         assert out.rows[0].lineage == (7, 9)
         assert out.rows[0].values == (1, 1)
 
+    def test_string_to_number_pair_rejected(self):
+        # ran and kept no row; an eq pair follows a col2 atom's rule
+        l = base_table("l", ("l_k",), ("int64",), ids=(7,), rows=((1,),))
+        r = base_table("r", ("r_s",), ("string",), ids=(9,), rows=(("1",),))
+        with pytest.raises(PlanError, match=r"^plan\.eq\[0\]\.right: cannot compare l_k "
+                                            r"\(int64\) with r_s \(string\)$"):
+            execute(Join(Scan("l"), Scan("r"), eq=(("l_k", "r_s"),)), {"l": l, "r": r})
+
     def test_cross_product_size(self):
         l = tiny_table("l")
         r = tiny_table("r", ids=(5, 6), vals=(1.0, 2.0))

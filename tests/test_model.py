@@ -13,6 +13,7 @@ from gusbox import (
     Join,
     LineageBernoulliSpec,
     LineageSchema,
+    PlanError,
     Row,
     SampleRelation,
     SchemaError,
@@ -217,6 +218,20 @@ class TestRecord:
     def test_bad_arguments_raise_type_error(self, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: WorSpec(2.5, 1), "n must be an integer, not 2.5"),
+        (lambda: BernoulliSpec(True, 1), "p must be a number, not true"),
+        (lambda: BernoulliSpec(0.5, 1.0), "seed must be an integer, not 1.0"),
+        (lambda: LineageBernoulliSpec.of({"l": (0.5, 2.0)}), "seed must be an integer, not 2.0"),
+        (lambda: BernoulliSpec("0.5"), 'p must be a number, not "0.5"'),
+    ], ids=["wor_n_float", "p_bool", "seed_float", "keyed_seed_float", "p_string"])
+    def test_spec_field_kinds_raise_plan_error(self, build, message):
+        # the plan document's kind rule: each ran, or failed with a TypeError
+        # from numpy, mix64 or a comparison
+        with pytest.raises(PlanError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_assignment_raises_attribute_error(self):
         scan = Scan("l")

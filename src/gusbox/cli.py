@@ -28,7 +28,6 @@ from .errors import (
     EnumerationInfeasibleError,
     GusboxError,
     NotIdentifiableError,
-    NumericOverflowError,
     PlanError,
 )
 from .ingest import ingest_csv
@@ -184,18 +183,6 @@ def _text_lines(doc: dict) -> Iterator[str]:
                f"stderr={_fmt(mc['stderr'])} trials={mc['trials']}\n")
 
 
-def _require_finite(doc: dict, path: str) -> None:
-    """Raise ``NumericOverflowError`` naming the first value of ``doc``, in
-    the order it is written, that is NaN or infinite: no strict JSON reader
-    reads it. The data's values are finite, so only float64 overflow makes one."""
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            _require_finite(value, f"{path}.{key}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise NumericOverflowError(
-                f"{path}.{key} is {value!r}: the oracle's sums overflow float64")
-
-
 def run_estimate(args) -> int:
     plan_path = Path(args.plan)
     if args.oracle_trials < 1:
@@ -245,7 +232,7 @@ def run_estimate(args) -> int:
             "mean": mean, "variance": variance, "stderr": stderr,
             "trials": args.oracle_trials,
         }
-        _require_finite(oracle_doc, "oracle")
+        estimator.require_finite(oracle_doc, "the oracle's sums overflow float64", "oracle")
         report["oracle"] = oracle_doc
 
     # written piece by piece as it is encoded: the whole text is never held

@@ -101,6 +101,8 @@ def _parse_atom(doc, path: str) -> Comparison:
     cmp_op = _read(doc, "cmp", path)
     value = _read(doc, "value", path, default=None if "col2" in doc else _REQUIRED)
     col, col2 = _read(doc, "col", path, str), _read(doc, "col2", path, str, None)
+    if "value" in doc and value is None:  # not the absent constant of a col2 atom
+        raise PlanError(f"{path}: value must be a number or a string, not null")
     with _at(path):
         return Comparison(col, cmp_op, value, col2)
 
@@ -214,11 +216,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _no_constant(name: str):
+    """``NaN``, ``Infinity`` and ``-Infinity``, which ``json.loads`` would read
+    as floats: a plan document is strict JSON, as the report is."""
+    raise PlanError(f"{name} is not valid JSON")
+
+
 def parse_plan(text: str) -> PlanDocument:
     """Parse and validate a plan document; raises PlanError with a JSON path
     on anything malformed."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise PlanError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer past the interpreter's digit limit
@@ -265,7 +273,8 @@ def parse_plan(text: str) -> PlanDocument:
         raise PlanError("quantiles: must be a list of numbers in (0, 1)")
     quantiles = []
     for i, q in enumerate(quantiles_doc):
-        if not isinstance(q, (int, float)) or not 0.0 < q < 1.0:
+        check_kind(q, float, f"quantiles[{i}]")
+        if not 0.0 < q < 1.0:
             raise PlanError(f"quantiles[{i}]: {q!r} is not in (0, 1)")
         quantiles.append(float(q))
 

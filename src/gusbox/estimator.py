@@ -189,17 +189,19 @@ def quantile_bounds(mu: float, sigma: float,
     return out
 
 
-def _require_finite(name: str, values: list[float], keys: Sequence[str] = ()) -> None:
-    """Raise ``NumericOverflowError`` naming the first value that is not
-    finite: the report holds it, and no strict JSON reader reads it. The
-    values come from finite rows, so only float64 overflow makes one."""
-    if math.isfinite(sum(values)):  # an inf or NaN term makes the sum inf or NaN
-        return
-    for i, value in enumerate(values):
-        if not math.isfinite(value):
-            where = f"{name}[{keys[i]!r}]" if keys else name
-            raise NumericOverflowError(
-                f"{where} is {value!r}: the sampled values overflow float64")
+def require_finite(doc: dict, cause: str, path: str = "") -> None:
+    """Raise ``NumericOverflowError`` naming the first float of the report
+    document ``doc``, in the order it is written, that is NaN or infinite: no
+    strict JSON reader reads it. The data's values are finite, so only
+    float64 overflow, the ``cause``, makes one. A key extends ``path`` as
+    ``.key`` if it is an identifier and as ``[key!r]`` otherwise; lists are
+    not walked."""
+    for key, value in doc.items():
+        if isinstance(value, dict) or isinstance(value, float) and not math.isfinite(value):
+            where = (f"{path}.{key}" if path else key) if key.isidentifier() else f"{path}[{key!r}]"
+            if isinstance(value, float):
+                raise NumericOverflowError(f"{where} is {value!r}: {cause}")
+            require_finite(value, cause, where)
 
 
 def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] = (),
@@ -221,7 +223,6 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
         )
     keys = gus.schema.subset_keys
     estimate = estimate_sum(sample, gus.a)
-    _require_finite("estimate", [estimate])
     diagnostics = [] if len(sample) else ["empty sample: estimate and variance default to 0"]
     terms, terms_gus = sample, gus
     if subsample is not None:
@@ -232,13 +233,11 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
                            f"sub-sample of {len(sample)} sampled rows")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         y_s = y_sample_terms(terms)
-        _require_finite("ySample", list(y_s.values()), keys)
         y_hat = y_unbiased(y_s, terms_gus)
-    _require_finite("yHat", list(y_hat.values()), keys)
     c_table = c_coefficients(gus)
     variance = variance_estimate(y_hat, c_table, gus.a, diagnostics)
-    # then sigma < 1.4e154, so no interval or quantile bound can overflow
-    _require_finite("varianceHat", [variance])
+    # once varianceHat is finite, sigma < 1.4e154, so no interval or quantile
+    # bound can overflow
     sigma = math.sqrt(variance)
     doc = {
         "estimate": estimate,
@@ -256,4 +255,5 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
     }
     if subsample is not None:
         doc["subsample"] = {"rows": len(terms), "gus": terms_gus.to_json_dict()}
+    require_finite(doc, "the sampled values overflow float64")
     return doc

@@ -289,6 +289,8 @@ def _fits_int64(values: Iterable) -> bool:
 def _check_types(columns: Sequence[str], column_types: Sequence[str]) -> None:
     if len(columns) != len(column_types):
         raise SchemaError("columns and column_types must align")
+    if len(set(columns)) != len(columns):
+        raise SchemaError(f"repeated column name in {tuple(columns)}")
     for ctype in column_types:
         if ctype not in COLUMN_TYPES:
             raise SchemaError(f"unknown column type {ctype!r}")

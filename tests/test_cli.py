@@ -366,6 +366,10 @@ class TestEstimateCommand:
                                     "constant or a second column"),
         ("left", "l_flag", "plan.child.child.eq[0].right: cannot compare l_flag (string) "
                            "with o_orderkey (int64)"),
+        # a null constant beside a col2 ran as a column test
+        ("col2_and_null", "l_tax", "plan.child.where[0]: value must be a number or a string, "
+                                   "not null"),
+        ("value", None, "plan.child.where[0]: value must be a number or a string, not null"),
     ])
     def test_column_names_read_before_ingest(self, plan_on_disk, capsys, slot, value, message):
         # read while the document is parsed, with a path: no CSV is opened
@@ -386,6 +390,8 @@ class TestEstimateCommand:
             del atom["value"]
         elif slot == "col2_and_value":
             atom.update(cmp="=", col2=value)
+        elif slot == "col2_and_null":
+            atom.update(cmp="=", value=None, col2=value)
         elif slot == "col":
             atom["col"] = value
         elif slot == "theta":
@@ -398,6 +404,19 @@ class TestEstimateCommand:
         bad.write_text(json.dumps(doc))
         assert main(["estimate", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_exits_2_before_ingest(self, plan_on_disk, capsys, constant):
+        # json.loads read these as floats: Infinity ran, and NaN kept no row
+        doc = json.loads(plan_on_disk.read_text())
+        for table in doc["tables"].values():
+            table["path"] = "missing.csv"
+        text = json.dumps(doc).replace('"value": 100.0', f'"value": {constant}')
+        assert constant in text
+        bad = plan_on_disk.parent / "constant.json"
+        bad.write_text(text)
+        assert main(["estimate", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {constant} is not valid JSON\n")
 
     def test_wor_larger_than_its_input_exits_2(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())
@@ -642,10 +661,12 @@ class TestEstimateCommand:
         ({"plan.expr": "v * True"}, "plan.expr: literal True is not numeric"),
         ({"plan": {"op": "scan", "table": "t"}},
          "plan: estimation needs a sum aggregate at the root"),
+        # read "quantiles[0]: True is not in (0, 1)"
+        ({"quantiles": [True]}, "quantiles[0] must be a number, not true"),
     ], ids=["p_true", "p_string", "p_int_past_float", "keyed_p_true", "table_list", "path_null", "id_column_int",
             "column_type_list", "expr_int", "aggregate_zero_divisor", "id_zero_divisor",
             "aggregate_int_past_float", "expr_pow", "expr_call", "expr_compare", "expr_string",
-            "expr_bool", "no_sum"])
+            "expr_bool", "no_sum", "quantile_true"])
     def test_malformed_document_exits_2(self, tmp_path, capsys, changes, message):
         # each exited 1 with a traceback, or ("p": true and "0.5") ran as a probability
         plan_path = self._tiny_document(tmp_path, **changes)
@@ -690,6 +711,18 @@ class TestEstimateCommand:
             assert main(["estimate", str(plan_path), "--seed", str(seed)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {where}: the sampled values overflow float64\n")
+
+    def test_unidentifiable_plan_exits_3_before_its_data_overflow(self, tmp_path, capsys):
+        # exited 2 with "estimate is inf": now every value is computed before
+        # the report is checked for overflow
+        plan_path = self._tiny_document(tmp_path, b"k,v,w\n2,1e308,1\n4,1e308,2\n",
+                                        **{"plan.child.method": {"method": "wor", "n": 1}})
+        with warnings.catch_warnings():  # no numpy warning may reach stderr
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["estimate", str(plan_path)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: pair inclusion probability is 0 for subset empty; its variance "
+                "term cannot be estimated from this sample\n")
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("csv, seed, where", [

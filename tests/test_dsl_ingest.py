@@ -392,6 +392,14 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match="duplicate"):
             ingest_csv(path, "t", {"k": "int64"}, "k")
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        # built a table with two k columns: the declared types read k as
+        # float64 and the engine the first, int64, column
+        path = tmp_path / "t.csv"
+        path.write_text("k\n1\n")
+        with pytest.raises(SchemaError, match=r"^repeated column name in \('k', 'k'\)$"):
+            ingest_csv(path, "t", [("k", "int64"), ("k", "float64")])
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("k\n1\n")

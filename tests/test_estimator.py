@@ -425,6 +425,13 @@ class TestAnalyze:
                            match=r"^ySample\[''\] is inf: the sampled values overflow float64$"):
             analyze(rel, row_bernoulli_gus(0.5, LineageSchema.of(["r"])))
 
+    def test_overflowing_subset_term_names_its_key(self):
+        # the estimate and ySample[''] are 0; the squares of ySample.t are not finite
+        rel = lineage_relation(["t"], [((1,), 1e200), ((2,), -1e200)])
+        with pytest.raises(NumericOverflowError,
+                           match=r"^ySample\.t is inf: the sampled values overflow float64$"):
+            analyze(rel, row_bernoulli_gus(0.5, LineageSchema.of(["t"])))
+
     def test_schema_mismatch_rejected(self):
         rel = lineage_relation(["r"], [((1,), 1.0)])
         with pytest.raises(SchemaError):

@@ -342,6 +342,15 @@ class TestSampleRelation:
         with pytest.raises(SchemaError, match=r"^value '1' of column 'x' does not match type int64$"):
             SampleRelation.from_rows(schema, ("x",), ("int64",), (Row(("1",), (1,), 0.0),))
 
+    def test_repeated_column_names_rejected(self):
+        schema = LineageSchema.of(["l"])
+        with pytest.raises(SchemaError, match=r"^repeated column name in \('x', 'x'\)$"):
+            SampleRelation.from_rows(schema, ("x", "x"), ("int64", "float64"), ())
+        with pytest.raises(SchemaError, match=r"^repeated column name in \('x', 'x'\)$"):
+            SampleRelation(schema, ("x", "x"), ("int64", "int64"),
+                           (np.zeros(1, dtype=np.int64),) * 2, np.zeros((1, 1), dtype=np.int64),
+                           np.zeros(1))
+
     def test_from_rows_round_trips_through_rows(self):
         schema = LineageSchema.of(["l", "o"])
         rows = (Row((2**70, 1.5, "a"), (3, -2**63), 0.25), Row((-4, -0.0, ""), (1, 2), 1.0))

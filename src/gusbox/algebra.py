@@ -37,7 +37,6 @@ to or from the half with it (subsets) or the other way round (supersets).
 
 from __future__ import annotations
 
-import operator
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -60,12 +59,12 @@ from .plan import (
 
 def identity_gus(schema: LineageSchema) -> GusParams:
     """The do-nothing filter: insertable anywhere without changing anything."""
-    return GusParams(schema, (1.0,) * schema.num_subsets)
+    return GusParams(schema, np.ones(schema.num_subsets))
 
 
 def null_gus(schema: LineageSchema) -> GusParams:
     """The filter that blocks everything; the additive null of the algebra."""
-    return GusParams(schema, (0.0,) * schema.num_subsets)
+    return GusParams(schema, np.zeros(schema.num_subsets))
 
 
 def row_bernoulli_gus(p: float, schema: LineageSchema) -> GusParams:
@@ -76,9 +75,9 @@ def row_bernoulli_gus(p: float, schema: LineageSchema) -> GusParams:
     """
     if not 0.0 <= p <= 1.0:
         raise SchemaError(f"probability {p} outside [0, 1]")
-    b = [p * p] * schema.num_subsets
+    b = np.full(schema.num_subsets, p * p)
     b[schema.full_mask] = p
-    return GusParams(schema, tuple(b))
+    return GusParams(schema, b)
 
 
 def row_wor_gus(n: int, N: int, schema: LineageSchema) -> GusParams:
@@ -89,18 +88,16 @@ def row_wor_gus(n: int, N: int, schema: LineageSchema) -> GusParams:
         raise SampleSizeError(f"sample size {n} outside [1, {N}]")
     a = n / N
     pair = n * (n - 1) / (N * (N - 1)) if N > 1 else a
-    b = [pair] * schema.num_subsets
+    b = np.full(schema.num_subsets, pair)
     b[schema.full_mask] = a
-    return GusParams(schema, tuple(b))
+    return GusParams(schema, b)
 
 
 def join_merge(g1: GusParams, g2: GusParams) -> GusParams:
     """Single table covering both sides of a join over disjoint schemas."""
     merged = g1.schema.merge_disjoint(g2.schema)
-    b = tuple(map(operator.mul,
-                  map(g1.b.__getitem__, project_masks(merged, g1.schema).tolist()),
-                  map(g2.b.__getitem__, project_masks(merged, g2.schema).tolist())))
-    return GusParams(merged, b)
+    return GusParams(merged, g1.b[project_masks(merged, g1.schema)]
+                     * g2.b[project_masks(merged, g2.schema)])
 
 
 def compact(g1: GusParams, g2: GusParams) -> GusParams:
@@ -109,7 +106,7 @@ def compact(g1: GusParams, g2: GusParams) -> GusParams:
         raise SchemaError(
             f"compaction needs identical schemas: {g1.schema.relations} vs {g2.schema.relations}"
         )
-    return GusParams(g1.schema, tuple(x * y for x, y in zip(g1.b, g2.b)))
+    return GusParams(g1.schema, g1.b * g2.b)
 
 
 def union_merge(g1: GusParams, g2: GusParams) -> GusParams:
@@ -125,12 +122,10 @@ def union_merge(g1: GusParams, g2: GusParams) -> GusParams:
     if g2.is_null:
         return g1
     a = g1.a + g2.a - g1.a * g2.a
-    b = [
-        2.0 * a - 1.0 + (1.0 - 2.0 * g1.a + x) * (1.0 - 2.0 * g2.a + y)
-        for x, y in zip(g1.b, g2.b)
-    ]
+    # each entry's formula, grouped as written: the scalar parts round first
+    b = 2.0 * a - 1.0 + (1.0 - 2.0 * g1.a + g1.b) * (1.0 - 2.0 * g2.a + g2.b)
     b[g1.schema.full_mask] = a
-    return GusParams(g1.schema, tuple(b))
+    return GusParams(g1.schema, b)
 
 
 def gus_of_lineage_bernoulli(dims: Mapping[str, float], schema: LineageSchema) -> GusParams:
@@ -170,9 +165,9 @@ def subset_transform(values: Sequence[float], *, supersets: bool,
     return z
 
 
-def c_coefficients(g: GusParams) -> dict[int, float]:
-    """Alternating subset sums of the pair-inclusion table, one per subset."""
-    return dict(enumerate(subset_transform(g.b, supersets=False, inverse=True).tolist()))
+def c_coefficients(g: GusParams) -> np.ndarray:
+    """Alternating subset sums of the pair-inclusion table, indexed by mask."""
+    return subset_transform(g.b, supersets=False, inverse=True)
 
 
 class RewriteStep(Record):

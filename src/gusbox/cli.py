@@ -224,7 +224,7 @@ def run_estimate(args) -> int:
         full = execute_full(doc.plan, catalog)
         oracle_doc["trueSum"] = full.relation.total_f()
         oracle_doc["exactYVariance"] = estimator.variance_estimate(
-            oracle.exact_y_terms(full.relation),
+            list(oracle.exact_y_terms(full.relation).values()),
             c_coefficients(normalized.gus), normalized.gus.a)
         mean, variance, stderr = oracle.monte_carlo_moments(
             doc.plan, catalog, normalized.gus.a, trials=args.oracle_trials, seed=args.seed)

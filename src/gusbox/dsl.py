@@ -16,6 +16,7 @@ none if it is required. An object's missing keys come before wrong kinds.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from typing import Mapping
 
@@ -222,11 +223,21 @@ def _no_constant(name: str):
     raise PlanError(f"{name} is not valid JSON")
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number with a fraction or an exponent; one past float64, which
+    ``float`` would read as infinity, is an error."""
+    value = float(text)
+    if math.isinf(value):
+        raise PlanError(f"{text} overflows float64")
+    return value
+
+
 def parse_plan(text: str) -> PlanDocument:
     """Parse and validate a plan document; raises PlanError with a JSON path
     on anything malformed."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise PlanError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # an integer past the interpreter's digit limit

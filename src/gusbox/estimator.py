@@ -5,7 +5,8 @@ estimate, variance terms, and confidence intervals.
 The estimate is ``X = (1/a) * sum of f`` over the sample. Its variance
 decomposes into data-dependent terms ``y[S]`` (group by the S part of the
 lineage, sum f within groups, square, sum over groups) weighted by
-coefficients derived from the parameter table.
+coefficients derived from the parameter table; each table of terms or
+coefficients is a float64 array indexed by subset mask.
 
 ``y_sample_terms`` computes the sample versions ``Y[S]`` with hierarchical
 group ids: the id of a row under ``S`` is the rank of the pair (its id under
@@ -96,19 +97,19 @@ def _ranks(order: np.ndarray, step: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
+def y_sample_terms(sample: SampleRelation) -> np.ndarray:
     """Per-subset squared group totals of f, grouped by the subset part of
     the lineage, via hierarchical group ids (see the module docstring)."""
     n = sample.schema.n
+    out = np.zeros(1 << n)
     if not len(sample):
-        return dict.fromkeys(range(1 << n), 0.0)
+        return out
     ordered = sample.in_lineage_order
     f = ordered.f
     codes = []
     for i in range(n):
         order, step = _sorted_groups(ordered.lineage[:, i])
         codes.append((_ranks(order, step), int(step[-1]) + 1))
-    out = [0.0] * (1 << n)
 
     def visit(s: int, gid: np.ndarray, lo: int) -> None:
         g = np.bincount(gid, weights=f)
@@ -121,36 +122,35 @@ def y_sample_terms(sample: SampleRelation) -> dict[int, float]:
                 # every row is its own group: so is it under child | t for
                 # every t over bits i+1.., with the same key order
                 g = f[order]
-                out[child::2 << i] = [left_sum(g * g)] * (1 << n - 1 - i)
+                out[child::2 << i] = left_sum(g * g)
             else:
                 visit(child, _ranks(order, step), i + 1)
 
     visit(0, np.zeros(len(f), dtype=np.int64), 0)
-    return dict(enumerate(out))
+    return out
 
 
-def y_unbiased(y_sample: Mapping[int, float], g: GusParams) -> dict[int, float]:
+def y_unbiased(y_sample: Sequence[float], g: GusParams) -> np.ndarray:
     """Unbiased estimates of the full-data y terms from sample terms."""
-    b = g.b
-    for s, value in enumerate(b):
-        if value <= 0.0:
-            raise NotIdentifiableError(
-                f"pair inclusion probability is 0 for subset "
-                f"{g.schema.subset_key(s) or 'empty'}; its variance term cannot "
-                "be estimated from this sample"
-            )
-    z = subset_transform([y_sample[s] for s in range(len(b))], supersets=True, inverse=True)
-    z /= np.array(b, dtype=np.float64)
-    return dict(enumerate(subset_transform(z, supersets=True, inverse=False).tolist()))
+    zero = np.flatnonzero(g.b <= 0.0)
+    if len(zero):
+        raise NotIdentifiableError(
+            f"pair inclusion probability is 0 for subset "
+            f"{g.schema.subset_key(int(zero[0])) or 'empty'}; its variance term cannot "
+            "be estimated from this sample"
+        )
+    z = subset_transform(y_sample, supersets=True, inverse=True)
+    z /= g.b
+    return subset_transform(z, supersets=True, inverse=False)
 
 
-def variance_estimate(y_hat: Mapping[int, float], c_table: Mapping[int, float],
+def variance_estimate(y_hat: Sequence[float], c_table: Sequence[float],
                       a: float, diagnostics: Optional[list] = None) -> float:
     """Plug the (estimated or exact) y terms into the variance formula,
-    clamping a negative result to 0."""
-    a2 = a * a
-    terms = [c_table[s] / a2 * y_hat[s] for s in sorted(c_table)]
-    raw = fsum_or_nan(terms) - y_hat[0]
+    clamping a negative result to 0; past float64 it is inf or NaN."""
+    with np.errstate(all="ignore"):
+        terms = np.asarray(c_table, dtype=np.float64) / (a * a) * np.asarray(y_hat)
+    raw = fsum_or_nan(terms.tolist()) - float(y_hat[0])
     if raw < 0.0:
         if diagnostics is not None:
             diagnostics.append(
@@ -243,9 +243,9 @@ def analyze(sample: SampleRelation, gus: GusParams, quantiles: Sequence[float] =
         "estimate": estimate,
         "a": gus.a,
         "gus": gus.to_json_dict(),
-        "ySample": dict(zip(keys, y_s.values())),
-        "yHat": dict(zip(keys, y_hat.values())),
-        "cTable": dict(zip(keys, c_table.values())),
+        "ySample": dict(zip(keys, y_s.tolist())),
+        "yHat": dict(zip(keys, y_hat.tolist())),
+        "cTable": dict(zip(keys, c_table.tolist())),
         "varianceHat": variance,
         "ciNormal": list(confidence_interval(estimate, sigma, "normal")),
         "ciChebyshev": list(confidence_interval(estimate, sigma, "chebyshev")),

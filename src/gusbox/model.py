@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -74,7 +75,7 @@ class Record:
                 raise TypeError(f"{cls.__name__}: field {name!r} without a default "
                                 "follows a field with one")
             cls._fields += (name,)
-        if cls._fields:
+        if cls._fields and "_key" not in cls.__dict__:  # a class may define its own
             cls._key = operator.attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
@@ -214,41 +215,54 @@ def common_lineage(t: Lineage, u: Lineage) -> int:
 class GusParams(Record):
     """Inclusion-probability summary of a uniform sampling process.
 
-    ``b`` is dense over all 2**n subset masks of ``schema``, with entries in
-    [0, 1]; ``a`` is its entry at the full mask.
+    ``b`` is dense over all 2**n subset masks of ``schema``: a read-only
+    float64 array, copied from any sequence of real numbers (not bools), with
+    entries in [0, 1]; ``a`` is its entry at the full mask. ``==`` and
+    ``hash`` compare values, as for a tuple: ``0.0`` and ``-0.0`` are equal.
     """
 
     schema: LineageSchema
-    b: tuple[float, ...]
+    b: np.ndarray
+    # no entry is NaN, and ``+ 0.0`` turns -0.0 into 0.0, so equal values give equal bytes
+    _key = staticmethod(lambda g: (g.schema, (g.b + 0.0).tobytes()))
 
     def __post_init__(self):
-        if len(self.b) != self.schema.num_subsets:
-            raise SchemaError(
-                f"b table has {len(self.b)} entries, schema needs {self.schema.num_subsets}"
-            )
-        for mask, value in enumerate(self.b):
-            if not 0.0 <= value <= 1.0:
-                raise SchemaError(
-                    f"b[{self.schema.subset_key(mask) or 'empty'}] = {value} outside [0, 1]"
-                )
+        b, schema = self.b, self.schema
+        if len(b) != schema.num_subsets:
+            raise SchemaError(f"b table has {len(b)} entries, schema needs {schema.num_subsets}")
+        if not (isinstance(b, np.ndarray) and b.dtype.kind in "iuf"):
+            for mask, value in enumerate(b):
+                if not isinstance(value, numbers.Real) or type(value) is bool:
+                    raise SchemaError(f"b[{schema.subset_key(mask) or 'empty'}] must be "
+                                      f"a number, not {value!r}")
+        try:
+            table = np.array(b, dtype=np.float64)
+            inside = (0.0 <= table) & (table <= 1.0)  # False for NaN
+        except OverflowError:  # an int past float64
+            inside = np.array([0.0 <= value <= 1.0 for value in b])
+        if not inside.all():
+            mask = int(inside.argmin())  # the first entry outside
+            raise SchemaError(f"b[{schema.subset_key(mask) or 'empty'}] = {b[mask]} outside [0, 1]")
+        table.flags.writeable = False
+        self.__dict__["b"] = table
 
     @property
     def a(self) -> float:
-        return self.b[self.schema.full_mask]
+        return float(self.b[self.schema.full_mask])
 
     @property
     def is_identity(self) -> bool:
-        return all(v == 1.0 for v in self.b)
+        return bool((self.b == 1.0).all())
 
     @property
     def is_null(self) -> bool:
-        return all(v == 0.0 for v in self.b)
+        return bool((self.b == 0.0).all())
 
     def to_json_dict(self) -> dict:
         return {
             "schema": list(self.schema.relations),
             "a": self.a,
-            "b": dict(zip(self.schema.subset_keys, self.b)),
+            "b": dict(zip(self.schema.subset_keys, self.b.tolist())),
         }
 
 
@@ -257,8 +271,7 @@ def project_masks(wide: LineageSchema, narrow: LineageSchema) -> np.ndarray:
     ``narrow``, of its relations that ``narrow`` holds. Built one bit of
     ``wide`` at a time: the masks with that bit set are the masks without
     it, plus the bit's narrow counterpart (none if ``narrow`` lacks it).
-    ``algebra.join_merge`` gathers each side's table through it in Python,
-    so the gathered entries keep their exact values and types."""
+    ``algebra.join_merge`` gathers each side's table through it."""
     index = np.zeros(1, dtype=np.intp)
     for name in wide.relations:
         bit = 1 << narrow.relations.index(name) if name in narrow.relations else 0

@@ -307,7 +307,7 @@ def compare_inclusion_to_gus(first: Mapping, second: Mapping, gus: GusParams,
 
     for t, freq in first.items():
         check("first-order", repr(t), freq, gus.a)
+    b = gus.b.tolist()
     for (t, u), freq in second.items():
-        mask = common_lineage(t, u)
-        check("second-order", f"{t!r},{u!r}", freq, gus.b[mask])
+        check("second-order", f"{t!r},{u!r}", freq, b[common_lineage(t, u)])
     return violations, worst

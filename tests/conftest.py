@@ -76,6 +76,12 @@ def gus_from_json(text: str) -> GusParams:
     return GusParams(schema, tuple(b))
 
 
+def by_mask(table) -> dict:
+    """A mask-indexed array as the ``{mask: value}`` dict of Python floats
+    that ``oracle.exact_y_terms`` returns."""
+    return dict(enumerate(table.tolist()))
+
+
 def strict_json(text):
     """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``,
     which RFC 8259 cannot represent."""

@@ -193,7 +193,7 @@ def test_criterion_2_variance_matches_enumeration():
         truth = full.relation.total_f()
         mean, variance = enumerate_exact_moments(plan, catalog, norm.gus.a)
         from_tables = variance_estimate(
-            exact_y_terms(full.relation), c_coefficients(norm.gus), norm.gus.a)
+            list(exact_y_terms(full.relation).values()), c_coefficients(norm.gus), norm.gus.a)
         assert _close(mean, truth), (checked, mean, truth)
         assert _close(from_tables, variance), (checked, from_tables, variance)
         if variance > 0:
@@ -224,7 +224,8 @@ def test_criterion_2_variance_estimate_exactly_unbiased():
             continue
         c, a2 = c_coefficients(g), g.a * g.a
         mean_var = math.fsum(
-            w * (math.fsum(c[s] / a2 * y_hat[s] for s in c) - y_hat[0]) for w, y_hat in outcomes)
+            w * (math.fsum(c[s] / a2 * y_hat[s] for s in range(len(c))) - y_hat[0])
+            for w, y_hat in outcomes)
         _, variance = enumerate_exact_moments(plan, catalog, g.a)
         worst_var = max(worst_var, abs(mean_var - variance) / abs(variance))
         for s, expected in exact_y_terms(full.relation).items():
@@ -259,7 +260,7 @@ def test_criterion_3_unbiasedness_monte_carlo(desk_catalog):
         res = execute(plan, desk_catalog, master_seed=derive_seed(31_337, t))
         xs.append(res.relation.total_f() / norm.gus.a)
         y_hat = y_unbiased(y_sample_terms(res.relation), norm.gus)
-        for s, v in y_hat.items():
+        for s, v in enumerate(y_hat.tolist()):
             y_sums[s] += v
             y_sq[s] += v * v
 

@@ -11,6 +11,7 @@ algebraic identities are checked exactly or at 1e-12.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,7 @@ from conftest import (
     small_join_catalog,
     small_join_plan,
 )
+from test_acceptance import _dyadic_tables
 from test_dsl_ingest import query1_document
 from test_estimator import recursion_coefficient, submasks
 
@@ -351,8 +353,8 @@ class TestMaskProjection:
         assert exact_bits(join_merge(other, g)) == exact_bits(reference_join_merge(other, g))
 
     def test_entries_keep_their_types(self):
-        # hand-built tables may hold ints; the gathers must not turn them
-        # into floats, or the report would print 1.0 for 1
+        # hand-built tables may hold ints; the constructor stores them as
+        # float64, so a gathered entry is the reference's, type included
         _, narrow = self.INTERLEAVED
         g = GusParams(narrow, (1, 1, 0.5, 1))
         h = GusParams(LineageSchema.of("ace"), (1,) * 8)
@@ -363,7 +365,7 @@ class TestCoefficients:
     def test_identity_gives_zero_variance_weights(self):
         c = c_coefficients(identity_gus(LineageSchema.of(["l", "o"])))
         assert c[0] == 1.0
-        assert all(c[s] == 0.0 for s in c if s != 0)
+        assert all(c[s] == 0.0 for s in range(1, len(c)))
 
     def test_single_relation_bernoulli(self):
         p = 0.5
@@ -415,6 +417,133 @@ class TestMergeLaws:
     def test_results_keep_full_mask_pinned_to_a(self, g):
         for combined in (union_merge(g, g), compact(g, g)):
             assert combined.b[combined.schema.full_mask] == combined.a
+
+
+# The per-entry formulas of the tuple tables the rules replaced, on Python
+# floats; each takes and returns (schema, list of b). The array rules must
+# give every table bit for bit: ``tobytes`` also tells -0.0 from 0.0. Only
+# inexact tables can show a re-associated formula, so the laws' dyadic
+# tables are joined by ``inexact_tables``.
+
+def tuple_join_merge(s1, b1, s2, b2):
+    merged = s1.merge_disjoint(s2)
+    pos1, pos2 = reference_positions(merged, s1), reference_positions(merged, s2)
+    return merged, [b1[reference_project(m, pos1)] * b2[reference_project(m, pos2)]
+                    for m in range(merged.num_subsets)]
+
+
+def tuple_union_merge(schema, b1, b2):
+    a1, a2 = b1[-1], b2[-1]
+    if not any(b1):
+        return b2
+    if not any(b2):
+        return b1
+    a = a1 + a2 - a1 * a2
+    b = [2.0 * a - 1.0 + (1.0 - 2.0 * a1 + x) * (1.0 - 2.0 * a2 + y) for x, y in zip(b1, b2)]
+    b[schema.full_mask] = a
+    return b
+
+
+def tuple_row_bernoulli(p, schema):
+    b = [p * p] * schema.num_subsets
+    b[schema.full_mask] = p
+    return b
+
+
+def tuple_row_wor(n, N, schema):
+    a = n / N
+    b = [n * (n - 1) / (N * (N - 1)) if N > 1 else a] * schema.num_subsets
+    b[schema.full_mask] = a
+    return b
+
+
+def tuple_lineage_bernoulli(dims, schema):
+    s, b = LineageSchema(()), [1.0]
+    for name in sorted(dims):
+        one = LineageSchema.of([name])
+        s, b = tuple_join_merge(s, b, one, tuple_row_bernoulli(dims[name], one))
+    rest = LineageSchema.of(set(schema.relations) - set(dims))
+    return tuple_join_merge(s, b, rest, [1.0] * rest.num_subsets)[1]
+
+
+def tuple_c(b):
+    """The subset Mobius transform, one bit at a time, in place."""
+    z, bit = list(b), 1
+    while bit < len(z):
+        for m in range(len(z)):
+            if m & bit:
+                z[m] -= z[m ^ bit]
+        bit <<= 1
+    return z
+
+
+def same_bits(table, reference):
+    return table.dtype == np.float64 and table.tobytes() == np.array(reference).tobytes()
+
+
+@st.composite
+def inexact_tables(draw, names=("x", "y")):
+    """Feasible tables whose entries round in every product and sum; ``a``
+    stays below 0.99, so a union's rounding cannot carry an entry past 1."""
+    schema = LineageSchema.of(names)
+    a = draw(st.floats(0.01, 0.99))
+    lo = max(0.0, 2.0 * a - 1.0)
+    b = [lo + draw(st.floats(0.0, 1.0)) * (a - lo) for _ in range(schema.num_subsets)]
+    b[schema.full_mask] = a
+    return GusParams(schema, b)
+
+
+def any_tables(names=("x", "y")):
+    return st.one_of(gus_tables(names=names), inexact_tables(names=names))
+
+
+class TestTablesBitExact:
+    def check_pair(self, g1, g2):
+        b1, b2 = g1.b.tolist(), g2.b.tolist()
+        assert same_bits(compact(g1, g2).b, [x * y for x, y in zip(b1, b2)])
+        assert same_bits(union_merge(g1, g2).b, tuple_union_merge(g1.schema, b1, b2))
+        assert same_bits(c_coefficients(g1), tuple_c(b1))
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")]).flatmap(
+        lambda names: st.tuples(any_tables(names), any_tables(names))))
+    def test_compact_union_and_coefficients(self, pair):
+        self.check_pair(*pair)
+
+    def test_dyadic_tables_of_the_laws(self):
+        tables = _dyadic_tables(50, seed=12, names=("x", "y", "z"))
+        for g1, g2 in zip(tables, tables[1:]):
+            self.check_pair(g1, g2)
+        lefts, rights = _dyadic_tables(20, seed=13, names=("y",)), _dyadic_tables(
+            20, seed=14, names=("x", "z"))
+        for g1, g2 in zip(lefts, rights):
+            expected = tuple_join_merge(g1.schema, g1.b.tolist(), g2.schema, g2.b.tolist())
+            assert same_bits(join_merge(g1, g2).b, expected[1])
+
+    @settings(max_examples=200)
+    @given(split_schemas(), st.data())
+    def test_join_merge(self, schemas, data):
+        left, right = schemas
+        g1, g2 = data.draw(any_tables(left.relations)), data.draw(any_tables(right.relations))
+        merged, expected = tuple_join_merge(g1.schema, g1.b.tolist(), g2.schema, g2.b.tolist())
+        got = join_merge(g1, g2)
+        assert got.schema == merged and same_bits(got.b, expected)
+
+    @given(st.floats(0.0, 1.0), st.integers(1, 60), st.integers(0, 60),
+           st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+    def test_single_sampler_tables(self, p, N, extra, names):
+        schema = LineageSchema.of(names)
+        n = N - extra % N
+        assert same_bits(row_bernoulli_gus(p, schema).b, tuple_row_bernoulli(p, schema))
+        assert same_bits(row_wor_gus(n, N, schema).b, tuple_row_wor(n, N, schema))
+
+    @given(st.lists(st.sampled_from("abcde"), unique=True, min_size=1, max_size=5), st.data())
+    def test_lineage_bernoulli(self, names, data):
+        schema = LineageSchema.of(names)
+        keyed = data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1))
+        dims = {name: data.draw(st.floats(0.0, 1.0)) for name in keyed}
+        assert same_bits(gus_of_lineage_bernoulli(dims, schema).b,
+                         tuple_lineage_bernoulli(dims, schema))
 
 
 class TestNormalizePlan:

@@ -405,9 +405,9 @@ class TestEstimateCommand:
         assert main(["estimate", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
     def test_non_json_constant_exits_2_before_ingest(self, plan_on_disk, capsys, constant):
-        # json.loads read these as floats: Infinity ran, and NaN kept no row
+        # json.loads read these as floats: Infinity and 1e400 ran, and NaN kept no row
         doc = json.loads(plan_on_disk.read_text())
         for table in doc["tables"].values():
             table["path"] = "missing.csv"
@@ -416,7 +416,8 @@ class TestEstimateCommand:
         bad = plan_on_disk.parent / "constant.json"
         bad.write_text(text)
         assert main(["estimate", str(bad)]) == 2
-        assert capsys.readouterr() == ("", f"error: {constant} is not valid JSON\n")
+        fault = "overflows float64" if "e" in constant else "is not valid JSON"
+        assert capsys.readouterr() == ("", f"error: {constant} {fault}\n")
 
     def test_wor_larger_than_its_input_exits_2(self, plan_on_disk, capsys):
         doc = json.loads(plan_on_disk.read_text())

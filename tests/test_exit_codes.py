@@ -20,8 +20,7 @@ RFC 8259 cannot represent, and no numpy ``RuntimeWarning`` reaches stderr.
 A damaged plan value or a deleted key that exits 2 does so before the first
 CSV is read (a spy on ``gusbox.cli.ingest_csv`` counts the reads): the
 parser checks every name, type and expression against the declared
-``columnTypes``. Only a table's ``path`` needs its file to fail, and the
-cases in ``NEEDS_DATA``, each with its reason.
+``columnTypes``. Only a table's ``path`` needs its file to fail.
 """
 
 import copy
@@ -39,13 +38,6 @@ from test_golden import DOCUMENTS
 
 _INFINITY = "\u0000 1e400 \u0000"  # stands for the literal 1e400, which json.dumps cannot write
 REPLACEMENTS = {"true": True, '"x"': "x", "null": None, "[1]": [1], "{}": {}, "1e400": _INFINITY}
-
-
-# (document, case) whose exit 2 depends on the rows read, and why
-NEEDS_DATA = {
-    ("wor_over_select", "plan.child.child.right.child.where.0.value=1e400"):
-        "the select keeps no row, so the WOR above it draws 20 rows from 0",
-}
 
 
 def _dumps(doc) -> bytes:
@@ -183,9 +175,7 @@ def test_damaged_inputs_end_in_a_known_exit_code(desk_paths, tmp_path, capsys, r
             faults.append(f"{name}: exit 0 with stderr {err!r}")
         elif code == 0 and not _is_strict_json((where / "out").read_bytes()):
             faults.append(f"{name}: exit 0 with a report that is not strict JSON")
-        elif (document, name) in NEEDS_DATA and not (code == 2 and reads):
-            faults.append(f"{name}: listed in NEEDS_DATA, but exit {code} after reading {reads}")
-        elif code == 2 and reads_no_data and reads and (document, name) not in NEEDS_DATA:
+        elif code == 2 and reads_no_data and reads:
             faults.append(f"{name}: exit 2 after reading tables {reads}: {err!r}")
         elif code and not (err.startswith("error: ") and err.count("\n") == 1
                            and err.endswith("\n")):

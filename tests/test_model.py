@@ -112,6 +112,8 @@ class TestGusParams:
             GusParams(schema, (1.0, 1.5))
         with pytest.raises(SchemaError):
             GusParams(schema, (-0.1, 0.5))
+        with pytest.raises(SchemaError, match=r"^b\[empty\] = 1000"):
+            GusParams(schema, (10**400, 0.5))  # past float64
 
     def test_full_mask_entry_must_equal_a(self):
         # a is read from b[full], so the two cannot disagree
@@ -133,6 +135,45 @@ class TestGusParams:
             assert built.a == built.b[built.schema.full_mask]
         assert [built.a for built in builders] == [
             1.0, 0.0, 0.3, 3 / 7, 1.0, 0.3 * (2 / 5), 0.3 * (3 / 7), 0.3 + 3 / 7 - 0.3 * (3 / 7)]
+
+    @pytest.mark.parametrize("entry", [True, "0.5", None, np.True_],
+                             ids=["bool", "str", "none", "numpy_bool"])
+    def test_entry_that_is_not_a_number_names_its_subset(self, entry):
+        # True was read as 1 (and written as "a": true), a string or None
+        # failed with a bare TypeError from <=
+        schema = LineageSchema.of(["l"])
+        with pytest.raises(SchemaError, match=r"^b\[l\] must be a number, not "):
+            GusParams(schema, (0.25, entry))
+        with pytest.raises(SchemaError, match=r"^b\[empty\] must be a number, not "):
+            GusParams(schema, [entry, 0.5])
+
+    def test_array_of_bools_rejected(self):
+        with pytest.raises(SchemaError, match=r"^b\[empty\] must be a number"):
+            GusParams(LineageSchema.of(["l"]), np.array([True, True]))
+
+    def test_tuple_list_and_array_make_one_record(self):
+        schema = LineageSchema.of(["l", "o"])
+        values = (0.25, 0.0, 0.5, 0.5)
+        built = [GusParams(schema, values), GusParams(schema, list(values)),
+                 GusParams(schema, np.array(values)), GusParams(schema, (0.25, -0.0, 0.5, 0.5)),
+                 GusParams(schema, np.array([0.25, -0.0, 0.5, 0.5]))]
+        for g in built:
+            assert g == built[0] and hash(g) == hash(built[0])
+            assert g.b.dtype == np.float64 and g.b.tolist() == list(values)
+        assert GusParams(schema, (0.25, 0.0, 0.5, 0.75)) != built[0]
+        assert GusParams(LineageSchema.of(["l", "p"]), values) != built[0]
+        assert len(set(built)) == 1
+
+    def test_table_is_a_read_only_copy(self):
+        schema = LineageSchema.of(["l", "o"])
+        mine = np.array([0.25, 0.5, 0.5, 0.5])
+        g = GusParams(schema, mine)
+        mine[:] = 0.0
+        assert g.b.tolist() == [0.25, 0.5, 0.5, 0.5] and g.a == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            g.b[0] = 0.0
+        assert type(g.a) is float and g.to_json_dict()["b"] == {
+            "": 0.25, "l": 0.5, "o": 0.5, "lo": 0.5}
 
     def test_table_length_checked(self):
         with pytest.raises(SchemaError):
@@ -196,7 +237,7 @@ class TestRecord:
             "child=Sample(method=WorSpec(n=5, seed=2), child=Scan(table='c')))")
         gus = GusParams(LineageSchema(("l", "o")), (0.25, 0.5, 0.5, 0.5))
         assert repr(gus) == (
-            "GusParams(schema=LineageSchema(relations=('l', 'o')), b=(0.25, 0.5, 0.5, 0.5))")
+            "GusParams(schema=LineageSchema(relations=('l', 'o')), b=array([0.25, 0.5 , 0.5 , 0.5 ]))")
 
     def test_keywords_and_defaults(self):
         assert BernoulliSpec(p=0.5) == BernoulliSpec(0.5, 0) == BernoulliSpec(0.5, seed=0)

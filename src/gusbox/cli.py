@@ -15,12 +15,13 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
 from . import estimator, oracle, samplers
-from .algebra import c_coefficients, normalize_plan
+from .algebra import RewriteStep, c_coefficients, normalize_plan
 from .dsl import parse_plan
 from .engine import execute, execute_full
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     PlanError,
 )
 from .ingest import ingest_csv
-from .plan import PlanNode, SumAggregate, check_seed, validate_plan
+from .plan import PlanNode, Scan, SumAggregate, check_seed, fold, validate_plan
 
 _SUBSAMPLE_SEED_SPACE = 0x5B5A11CE
 
@@ -70,6 +71,43 @@ def _parse_subsample(text: str, plan: PlanNode,
     validate_plan(plan, seeds)
     return {name: (p, samplers.derive_seed(master_seed, seeds[name]))
             for name, p in probabilities.items()}
+
+
+def _scan_counts(node: PlanNode, path: str, *inputs: Counter) -> Counter:
+    """How many times the plan under ``node`` scans each table (a
+    ``plan.fold`` visit)."""
+    counts = Counter([node.table] if isinstance(node, Scan) else [])
+    for scans in inputs:
+        counts.update(scans)
+    return counts
+
+
+class _HandedOver(dict):
+    """Stored tables by name, each given up at the plan's last scan of it,
+    so that it is freed once the operator above that scan has read it.
+    ``engine.execute`` looks a table up once per scan and reads schemas
+    through ``items()``; a table no scan reads is never held."""
+
+    def __init__(self, tables: dict, scans: Counter):
+        super().__init__((name, table) for name, table in tables.items() if scans[name])
+        self._left = scans
+
+    def __getitem__(self, name: str):
+        self._left[name] -= 1
+        return self.pop(name) if self._left[name] == 0 else super().__getitem__(name)
+
+
+class _Trace(list):
+    """The ``--explain`` rewrite steps: a list of ``RewriteStep`` records
+    that iterates as their documents (``to_json_dict``), each built only when
+    it is reached, so an encoder holds one step's document at a time. The
+    text format reads the records (``records``)."""
+
+    def __iter__(self):
+        return map(RewriteStep.to_json_dict, super().__iter__())
+
+    def records(self):
+        return super().__iter__()
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
@@ -125,7 +163,8 @@ def indented_json(doc, newline: str = "\n") -> Iterator[str]:
         return
     inner = newline + "  "
     values = doc.values() if isinstance(doc, dict) else doc
-    types = set(map(type, values))
+    # a trace's values are dicts; iterating it would build every step's document
+    types = {dict} if isinstance(doc, _Trace) else set(map(type, values))
     if types == {float} and isinstance(doc, dict) and set(map(type, doc)) == {str}:
         yield brackets[0] + inner
         yield from _float_items(doc, "," + inner)
@@ -169,8 +208,8 @@ def _text_lines(doc: dict) -> Iterator[str]:
         yield f"note: {note}\n"
     if "trace" in doc:
         yield "rewrite trace:\n"
-        for step in doc["trace"]:
-            yield f"  {step['rule']}: {step['note']} -> a={_fmt(step['after']['a'])}\n"
+        for step in doc["trace"].records():
+            yield f"  {step.rule}: {step.note} -> a={_fmt(step.output.a)}\n"
     if "oracle" in doc:
         oracle_doc = doc["oracle"]
         yield f"oracle truth    {_fmt(oracle_doc['trueSum'])}\n"
@@ -202,6 +241,8 @@ def run_estimate(args) -> int:
         if not path.is_absolute():
             path = plan_path.parent / path
         catalog[name] = ingest_csv(path, name, spec.column_types, spec.id_column)
+    if not args.oracle:  # the oracle re-runs the plan on the same tables
+        catalog = _HandedOver(catalog, fold(doc.plan, _scan_counts))
 
     executed = execute(doc.plan, catalog, master_seed=args.seed)
     normalized = normalize_plan(doc.plan, executed.populations)
@@ -209,7 +250,7 @@ def run_estimate(args) -> int:
     report = estimator.analyze(
         executed.relation, normalized.gus, quantiles=doc.quantiles, subsample=subsample)
     if args.explain:
-        report["trace"] = [step.to_json_dict() for step in normalized.trace]
+        report["trace"] = _Trace(normalized.trace)
 
     if args.oracle:
         oracle_doc = {"exact": None, "exactYVariance": None, "monteCarlo": None}

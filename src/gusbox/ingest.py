@@ -6,11 +6,13 @@ bytes per row. Every operator that keeps rows gathers ``f`` into an ordinary
 array, and ``engine.bind_aggregate`` replaces it.
 
 Each file is parsed into typed numpy columns by numpy's C tokenizer
-(``np.loadtxt``). That parser accepts no field that Python's ``int()`` or
+(``np.loadtxt``). The columns are the fields of the one structured block it
+parses, not copies of them: they share that block, which is freed when the
+last of them is. That parser accepts no field that Python's ``int()`` or
 ``float()`` would reject or read differently, so wherever it fails (and for
-files with quote or NUL characters), the same file goes through the ``csv``
-module row by row, which finds the first bad field and words the error with
-its line.
+files with quote or NUL characters, which a check reading the file in
+64 KiB blocks finds), the same file goes through the ``csv`` module row by
+row, which finds the first bad field and words the error with its line.
 Strings, and ints outside the int64 range, land in object columns; a row id
 outside that range is an error, and so is a file that is not UTF-8. A
 leading UTF-8 byte-order mark, which spreadsheet exports write, is skipped:
@@ -34,11 +36,19 @@ from .model import COLUMN_TYPES, LineageSchema, SampleRelation, column_array
 _DTYPES = {"int64": np.int64, "float64": np.float64, "string": object}
 
 
+# bytes per read of the quote and NUL check: small next to a table's file
+_CHECK_BLOCK = 1 << 16
+
+
 def _plain(path: Path) -> bool:
     """Whether the file has no quote and no NUL character, so that splitting
-    lines at commas reads it as the ``csv`` module does."""
-    raw = path.read_bytes()
-    return b'"' not in raw and b"\0" not in raw
+    lines at commas reads it as the ``csv`` module does. Read in blocks of
+    ``_CHECK_BLOCK`` bytes, so the file is never held whole."""
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(_CHECK_BLOCK), b""):
+            if b'"' in block or b"\0" in block:
+                return False
+    return True
 
 
 def _fast_columns(path: Path, header: list[str],
@@ -61,7 +71,7 @@ def _fast_columns(path: Path, header: list[str],
                                encoding="utf-8")
     except (ValueError, DeprecationWarning):  # ValueError includes UnicodeDecodeError
         return None
-    columns = [table[name].copy() for name in dtype.names]
+    columns = [table[name] for name in dtype.names]
     for (_, ctype), column in zip(pairs, columns):
         if ctype == "string" and "" in column.tolist():
             return None

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gusbox import (
     PlanError,
     SumAggregate,
     analyze,
+    c_coefficients,
     cli,
     datagen,
     engine,
@@ -25,6 +27,7 @@ from gusbox import (
     normalize_plan,
     oracle,
 )
+from gusbox.algebra import RewriteStep
 from gusbox.cli import indented_json, main
 from gusbox.datagen import generate_tpch_tiny
 from gusbox.dsl import parse_plan
@@ -32,6 +35,7 @@ from gusbox.ingest import ingest_csv
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES, strict_json
 from test_dsl_ingest import query1_document
+from test_golden import DOCUMENTS
 
 
 class TestGenerate:
@@ -190,6 +194,27 @@ class TestEstimateCommand:
         assert [s["rule"] for s in body["trace"]] == [
             "sampler_to_gus", "sampler_to_gus", "join_gus_merge"]
         assert body["trace"][-1]["after"]["a"] == body["a"]
+
+    @pytest.mark.parametrize("fmt, documents", [("json", 3), ("text", 0)])
+    def test_explain_builds_each_step_document_as_it_is_written(self, plan_on_disk, monkeypatch,
+                                                               capsys, fmt, documents):
+        # JSON builds one step's document at a time, once; text builds none
+        built = []
+        to_json_dict = RewriteStep.to_json_dict
+
+        class Document(dict):  # a dict that takes a weak reference
+            pass
+
+        def tracked(step):
+            assert all(ref() is None for ref in built[:-1])  # all but the one being written
+            document = Document(to_json_dict(step))
+            built.append(weakref.ref(document))
+            return document
+
+        monkeypatch.setattr(RewriteStep, "to_json_dict", tracked)
+        assert main(["estimate", str(plan_on_disk), "--explain", "--format", fmt]) == 0
+        assert "sampler_to_gus" in capsys.readouterr().out
+        assert len(built) == documents
 
     def test_subsample_with_p_one_matches_default(self, plan_on_disk, capsys):
         assert main(["estimate", str(plan_on_disk), "--seed", "5"]) == 0
@@ -832,6 +857,119 @@ class TestEstimateCommand:
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def _union_document(paths) -> dict:
+    """A union of two Bernoulli samples of ``o``, so the plan scans ``o``
+    twice, beside a declared table ``l`` that no scan reads."""
+    doc = query1_document(str(paths["lineitem"]), str(paths["orders"]))
+    sides = [{"op": "sample", "method": {"method": "bernoulli", "p": p, "seed": seed},
+              "child": {"op": "scan", "table": "o"}} for p, seed in ((0.3, 1), (0.5, 2))]
+    doc["plan"] = {"op": "sum", "expr": "o_totalprice",
+                   "child": {"op": "union", "left": sides[0], "right": sides[1]}}
+    return doc
+
+
+class TestTableRelease:
+    """Without ``--oracle``, ``gusbox estimate`` frees each stored table
+    once the operator above its last scan has read it; with it, every
+    table lives for the whole run."""
+
+    @staticmethod
+    def track(monkeypatch, operator: str = "join") -> tuple[dict, list]:
+        """Weak references to the first column of every table the command
+        ingests, by name, and the list that records, at each call of the
+        engine's ``operator``, which of them are still alive."""
+        refs, alive = {}, []
+        ingest, run = cli.ingest_csv, getattr(engine, operator)
+
+        def ingest_tracked(path, name, *args):
+            table = ingest(path, name, *args)
+            refs[name] = weakref.ref(table.data[0])
+            return table
+
+        def run_tracked(*args):
+            alive.append({name: ref() is not None for name, ref in refs.items()})
+            return run(*args)
+
+        monkeypatch.setattr(cli, "ingest_csv", ingest_tracked)
+        monkeypatch.setattr(engine, operator, run_tracked)
+        return refs, alive
+
+    def test_tables_are_freed_after_their_scans(self, desk_paths, tmp_path, monkeypatch,
+                                               capsys):
+        # l's Bernoulli sampler and o's select (under its WOR) have returned
+        # when the join starts
+        (tmp_path / "plan.json").write_text(json.dumps(DOCUMENTS["wor_over_select"](desk_paths)))
+        refs, alive = self.track(monkeypatch)
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5"]) == 0
+        assert alive == [{"l": False, "o": False}]
+        assert strict_json(capsys.readouterr().out)["sampleRows"] > 0
+
+    def test_oracle_keeps_every_table(self, desk_paths, desk_catalog, tmp_path, monkeypatch,
+                                      capsys):
+        text = json.dumps(DOCUMENTS["wor_over_select"](desk_paths))
+        (tmp_path / "plan.json").write_text(text)
+        refs, alive = self.track(monkeypatch)
+        monte_carlo = oracle.monte_carlo_moments
+
+        def monte_carlo_tracked(*args, **kwargs):
+            alive.append({name: ref() is not None for name, ref in refs.items()})
+            return monte_carlo(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "monte_carlo_moments", monte_carlo_tracked)
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5",
+                     "--oracle", "--oracle-trials", "50"]) == 0
+        written = strict_json(capsys.readouterr().out)["oracle"]
+        assert len(alive) > 2 and all(seen == {"l": True, "o": True} for seen in alive)
+        # the block the same calls give on a plain catalog
+        monkeypatch.undo()
+        doc = parse_plan(text)
+        gus = normalize_plan(doc.plan, execute(doc.plan, desk_catalog, master_seed=5).populations).gus
+        full = engine.execute_full(doc.plan, desk_catalog).relation
+        mean, variance, stderr = oracle.monte_carlo_moments(
+            doc.plan, desk_catalog, gus.a, trials=50, seed=5)
+        assert written == {
+            "exact": None,
+            "exactYVariance": cli.estimator.variance_estimate(
+                list(oracle.exact_y_terms(full).values()), c_coefficients(gus), gus.a),
+            "trueSum": full.total_f(),
+            "monteCarlo": {"mean": mean, "variance": variance, "stderr": stderr, "trials": 50},
+        }
+
+    def test_union_over_one_table_matches_a_plain_catalog(self, desk_paths, desk_catalog,
+                                                           tmp_path, monkeypatch, capsys):
+        # o is looked up twice and given up at the second scan; l, never
+        # scanned, is dropped before the plan runs
+        text = json.dumps(_union_document(desk_paths))
+        (tmp_path / "plan.json").write_text(text)
+        refs, alive = self.track(monkeypatch, "union_dedup")
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5", "--explain"]) == 0
+        assert alive == [{"l": False, "o": False}]
+        written = json.loads(capsys.readouterr().out)
+        doc = parse_plan(text)
+        executed = execute(doc.plan, {"o": desk_catalog["o"]}, master_seed=5)
+        normalized = normalize_plan(doc.plan, executed.populations)
+        report = analyze(executed.relation, normalized.gus, quantiles=doc.quantiles)
+        report["trace"] = [step.to_json_dict() for step in normalized.trace]
+        assert json.dumps(written) == json.dumps(report)
+        assert [step["rule"] for step in written["trace"]] == [
+            "sampler_to_gus", "sampler_to_gus", "union_gus_merge"]
+
+    def test_unscanned_table_with_a_broken_csv_exits_2_before_execution(
+            self, desk_paths, tmp_path, monkeypatch, capsys):
+        doc = _union_document(desk_paths)
+        (tmp_path / "broken.csv").write_text("l_orderkey\n1\n")
+        doc["tables"]["l"]["path"] = str(tmp_path / "broken.csv")
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+
+        def never(*args, **kwargs):
+            raise AssertionError("execute ran")
+
+        monkeypatch.setattr(cli, "execute", never)
+        assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: table l: missing column(s) ")
 
 
 def _python(*args, **env) -> subprocess.CompletedProcess:

@@ -2,11 +2,12 @@
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError
+from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError, ingest
 from gusbox.cli import main
 from gusbox.dsl import parse_plan
 from gusbox.engine import bind_aggregate, join, select
@@ -25,7 +26,7 @@ from gusbox.plan import (
 )
 from gusbox.samplers import bernoulli_sample, generator
 
-from conftest import LINEITEM_TYPES, ORDERS_TYPES
+from conftest import CUSTOMER_TYPES, LINEITEM_TYPES, ORDERS_TYPES, PART_TYPES
 
 
 def query1_document(lineitem_path="lineitem.csv", orders_path="orders.csv",
@@ -486,6 +487,48 @@ class TestIngestCsv:
             assert np.array_equal(rel.f, np.zeros(len(rel))), name
         bound = bind_aggregate("v*2.0", t)
         assert bound.f.strides == (8,) and bound.f.tolist() == [3.0, 5.0, 7.0, 9.0]
+
+    @pytest.mark.parametrize("mark", ['"', "\0"])
+    def test_mark_past_the_first_block_takes_the_row_path(self, tmp_path, monkeypatch, mark):
+        # the file's only quote or NUL sits past the first block the check
+        # reads; split at commas, the quoted row would read s as '"a'
+        path = tmp_path / "t.csv"
+        last = '"a,b"' if mark == '"' else "a\0b"
+        path.write_text("k,s\n" + "".join(f"{i},v{i}\n" for i in range(8000))
+                        + f"8000,{last}\n")
+        assert path.read_bytes().index(mark.encode()) > ingest._CHECK_BLOCK
+        row_path = []
+
+        def row_columns(*args):
+            row_path.append(args[0])
+            return real(*args)
+
+        real = ingest._row_columns
+        monkeypatch.setattr(ingest, "_row_columns", row_columns)
+        if mark == "\0" and sys.version_info < (3, 11):  # the csv module reads NUL from 3.11
+            with pytest.raises(IngestError, match="cannot read"):
+                ingest_csv(path, "t", {"k": "int64", "s": "string"}, "k")
+            return
+        table = ingest_csv(path, "t", {"k": "int64", "s": "string"}, "k")
+        assert row_path == [path]
+        assert len(table) == 8001 and table.data[1][0] == "v0"
+        assert table.data[1][-1] == ("a,b" if mark == '"' else "a\0b")
+
+    @pytest.mark.parametrize("table, types", [
+        ("lineitem", LINEITEM_TYPES), ("orders", ORDERS_TYPES),
+        ("customer", CUSTOMER_TYPES), ("part", PART_TYPES)])
+    def test_fast_columns_equal_row_columns(self, desk_paths, table, types):
+        path = desk_paths[table]
+        pairs = list(types.items())
+        header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+        fast = ingest._fast_columns(path, header, pairs)
+        rows, m = ingest._row_columns(path, table, pairs)
+        assert fast is not None and len(fast) == len(rows) == len(pairs)
+        for (col, _), x, y in zip(pairs, fast, rows):
+            assert x.dtype == y.dtype and len(x) == m, col
+            assert x.tolist() == y.tolist(), col
+        # the fields of one parsed block, not copies
+        assert fast[0].base is not None and all(column.base is fast[0].base for column in fast)
 
     def test_id_expression_requires_int_columns(self, tmp_path):
         path = tmp_path / "t.csv"

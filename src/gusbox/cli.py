@@ -5,6 +5,15 @@
     gusbox generate --scale l=1000,o=250,c=50,p=100 --seed 7 --out DIR
 
 Exit codes: 0 success, 2 plan/ingestion/file errors, 3 estimate not identifiable.
+
+Without ``--oracle``, ``gusbox estimate`` samples a table while it reads it
+when the plan scans that table once, directly under a Bernoulli sampler
+(``_sample_at_scan``): the sampler's rows of each block of the CSV are kept
+and the rest are never stored, and ``execute`` runs the plan with the
+sampler replaced by its scan. Every other table is read whole. Each table
+is freed after the plan's last scan of it (``_HandedOver``). With
+``--oracle`` every table is read whole and kept, since the oracle runs the
+plan again.
 """
 
 from __future__ import annotations
@@ -32,7 +41,16 @@ from .errors import (
     PlanError,
 )
 from .ingest import ingest_csv
-from .plan import PlanNode, Scan, SumAggregate, check_seed, fold, validate_plan
+from .plan import (
+    BernoulliSpec,
+    PlanNode,
+    Sample,
+    Scan,
+    SumAggregate,
+    check_seed,
+    fold,
+    validate_plan,
+)
 
 _SUBSAMPLE_SEED_SPACE = 0x5B5A11CE
 
@@ -80,6 +98,34 @@ def _scan_counts(node: PlanNode, path: str, *inputs: Counter) -> Counter:
     for scans in inputs:
         counts.update(scans)
     return counts
+
+
+def _sample_at_scan(plan: PlanNode, scans: Counter) -> tuple[PlanNode, dict[str, BernoulliSpec]]:
+    """``plan`` with each Bernoulli sampler over the only scan of its table
+    replaced by that scan, and those samplers by table: ingestion runs them
+    (``ingest_csv``'s ``sample``). A plan path changes only for such a scan."""
+    pushed = {}
+
+    def visit(n: PlanNode, path: str, *inputs: PlanNode) -> PlanNode:
+        if (isinstance(n, Sample) and isinstance(n.method, BernoulliSpec)
+                and isinstance(n.child, Scan) and scans[n.child.table] == 1):
+            pushed[n.child.table] = n.method
+            return inputs[0]
+        return type(n)(**{**n.__dict__, **dict(zip(n._inputs, inputs))})
+
+    return fold(plan, visit), pushed
+
+
+def _bernoulli_at_scan(spec: BernoulliSpec, master_seed: int):
+    """``ingest_csv``'s ``sample`` for a Bernoulli sampler: each sampler it
+    starts draws the stream ``execute`` would give the sampler node, so the
+    rows kept are the ones the node keeps."""
+
+    def start():
+        rng = samplers.generator(master_seed, spec.seed)
+        return lambda table: samplers.bernoulli_sample(table, spec.p, rng)
+
+    return start
 
 
 class _HandedOver(dict):
@@ -235,16 +281,25 @@ def run_estimate(args) -> int:
         raise PlanError("plan: estimation needs a sum aggregate at the root")
     subsample = (None if args.subsample is None
                  else _parse_subsample(args.subsample, doc.plan, args.seed))
+    # the oracle re-runs the plan on the same tables, so it gets them whole
+    plan, pushed = doc.plan, {}
+    if not args.oracle:
+        scans = fold(doc.plan, _scan_counts)
+        plan, pushed = _sample_at_scan(doc.plan, scans)
+        if pushed:
+            samplers.load_numpy_random()
     catalog = {}
     for name, spec in doc.tables.items():
         path = Path(spec.path)
         if not path.is_absolute():
             path = plan_path.parent / path
-        catalog[name] = ingest_csv(path, name, spec.column_types, spec.id_column)
-    if not args.oracle:  # the oracle re-runs the plan on the same tables
-        catalog = _HandedOver(catalog, fold(doc.plan, _scan_counts))
+        catalog[name] = ingest_csv(
+            path, name, spec.column_types, spec.id_column,
+            _bernoulli_at_scan(pushed[name], args.seed) if name in pushed else None)
+    if not args.oracle:
+        catalog = _HandedOver(catalog, scans)
 
-    executed = execute(doc.plan, catalog, master_seed=args.seed)
+    executed = execute(plan, catalog, master_seed=args.seed)
     normalized = normalize_plan(doc.plan, executed.populations)
 
     report = estimator.analyze(

@@ -24,6 +24,7 @@ from gusbox import (
     engine,
     errors,
     execute,
+    ingest,
     normalize_plan,
     oracle,
 )
@@ -35,7 +36,7 @@ from gusbox.ingest import ingest_csv
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES, strict_json
 from test_dsl_ingest import query1_document
-from test_golden import DOCUMENTS
+from test_golden import DOCUMENTS, FORMATS as GOLDEN_FORMATS
 
 
 class TestGenerate:
@@ -898,9 +899,14 @@ class TestTableRelease:
 
     def test_tables_are_freed_after_their_scans(self, desk_paths, tmp_path, monkeypatch,
                                                capsys):
-        # l's Bernoulli sampler and o's select (under its WOR) have returned
-        # when the join starts
-        (tmp_path / "plan.json").write_text(json.dumps(DOCUMENTS["wor_over_select"](desk_paths)))
+        # l's select (under its Bernoulli sampler) and o's select (under its
+        # WOR) have returned when the join starts; the select keeps l from
+        # being sampled as it is read, so l is ingested whole
+        doc = DOCUMENTS["wor_over_select"](desk_paths)
+        left = doc["plan"]["child"]["child"]["left"]
+        left["child"] = {"op": "select", "child": left["child"],
+                         "where": [{"col": "l_extendedprice", "cmp": ">", "value": 0.0}]}
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
         refs, alive = self.track(monkeypatch)
         assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5"]) == 0
         assert alive == [{"l": False, "o": False}]
@@ -970,6 +976,112 @@ class TestTableRelease:
         assert main(["estimate", str(tmp_path / "plan.json")]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: table l: missing column(s) ")
+
+
+class TestSampleAtScan:
+    """Without ``--oracle``, a table whose one scan sits under a Bernoulli
+    sampler is sampled as it is read, here in blocks of 16 rows, and the
+    report keeps its bytes."""
+
+    @staticmethod
+    def track(monkeypatch) -> dict:
+        """Whether the command hands ``ingest_csv`` a sampler, by table."""
+        sampled, read = {}, cli.ingest_csv
+
+        def ingest_tracked(path, name, *args):
+            sampled[name] = args[2] is not None
+            return read(path, name, *args)
+
+        monkeypatch.setattr(cli, "ingest_csv", ingest_tracked)
+        return sampled
+
+    @staticmethod
+    def plain_report(text: str, catalog: dict, seed: int, options: list) -> str:
+        """The report of the plan document ``text`` run on ``catalog`` in
+        process, as ``gusbox estimate`` with ``options`` writes it."""
+        doc = parse_plan(text)
+        executed = execute(doc.plan, catalog, master_seed=seed)
+        normalized = normalize_plan(doc.plan, executed.populations)
+        subsample = None
+        if "--subsample" in options:
+            spec = options[options.index("--subsample") + 1]
+            subsample = cli._parse_subsample(spec, doc.plan, seed)
+        report = analyze(executed.relation, normalized.gus, quantiles=doc.quantiles,
+                         subsample=subsample)
+        if "--explain" in options:
+            report["trace"] = cli._Trace(normalized.trace)
+        return "".join(cli._text_lines(report) if "text" in options
+                       else [*indented_json(report), "\n"])
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_FORMATS))
+    @pytest.mark.parametrize("document", ["query1", "wor_over_select"])
+    def test_report_matches_a_plain_catalog(self, desk_paths, desk_catalog, tmp_path,
+                                            monkeypatch, capsys, document, fmt):
+        text = json.dumps(DOCUMENTS[document](desk_paths))
+        (tmp_path / "plan.json").write_text(text)
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 16)
+        sampled = self.track(monkeypatch)
+        options = GOLDEN_FORMATS[fmt]
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5", *options]) == 0
+        assert sampled == {"l": True, "o": False}
+        assert capsys.readouterr().out == self.plain_report(text, desk_catalog, 5, options)
+
+    @pytest.mark.parametrize("document, options", [
+        ("union", []), ("query1", ["--oracle", "--oracle-trials", "5"])])
+    def test_table_scanned_twice_or_under_the_oracle_is_read_whole(
+            self, desk_paths, tmp_path, monkeypatch, capsys, document, options):
+        doc = (_union_document(desk_paths) if document == "union"
+               else DOCUMENTS[document](desk_paths))
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        sampled = self.track(monkeypatch)
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5", *options]) == 0
+        assert sampled == {"l": False, "o": False}
+        assert strict_json(capsys.readouterr().out)["sampleRows"] > 0
+
+    def test_bernoulli_sample_gets_three_positional_arguments(self, desk_paths, tmp_path,
+                                                              monkeypatch):
+        # perfbench/spans.py reads a sampler's p from args[1]
+        (tmp_path / "plan.json").write_text(json.dumps(DOCUMENTS["query1"](desk_paths)))
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 16)
+        calls, sample = [], cli.samplers.bernoulli_sample
+
+        def recorded(*args, **kwargs):
+            calls.append((len(args[0]), args[1], kwargs))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli.samplers, "bernoulli_sample", recorded)
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5", "--out",
+                     str(tmp_path / "out.json")]) == 0
+        assert [call[0] for call in calls] == [16] * 18 + [12]  # the 300 rows of l
+        assert {(p, tuple(kwargs)) for _, p, kwargs in calls} == {(0.3, ())}
+
+    @pytest.mark.parametrize("fault", ["unparsable", "not_utf8", "duplicate_id"])
+    def test_ingest_error_exits_2_before_execution(self, tmp_path, monkeypatch, capsys, fault):
+        # the fault sits in the fifth block of rows
+        rows = [f"{i},{i * 0.5}" for i in range(40)]
+        rows[35] = {"unparsable": "35,xyz", "not_utf8": "35,\udcff",
+                    "duplicate_id": "3,1.0"}[fault]
+        path = tmp_path / "t.csv"
+        path.write_bytes("\n".join(["k,v", *rows, ""]).encode("utf-8", "surrogateescape"))
+        doc = {"tables": {"t": {"path": "t.csv", "idColumn": "k",
+                                "columnTypes": {"k": "int64", "v": "float64"}}},
+               "plan": {"op": "sum", "expr": "v",
+                        "child": {"op": "sample", "method": {"method": "bernoulli",
+                                                             "p": 0.5, "seed": 1},
+                                  "child": {"op": "scan", "table": "t"}}}}
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        with pytest.raises(errors.IngestError) as whole:
+            ingest_csv(path, "t", {"k": "int64", "v": "float64"}, "k")
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 8)
+        sampled = self.track(monkeypatch)
+
+        def never(*args, **kwargs):
+            raise AssertionError("execute ran")
+
+        monkeypatch.setattr(cli, "execute", never)
+        assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+        assert sampled == {"t": True}
+        assert capsys.readouterr() == ("", f"error: {whole.value}\n")
 
 
 def _python(*args, **env) -> subprocess.CompletedProcess:

@@ -3,12 +3,14 @@
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError, ingest
+from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError, cli, ingest
 from gusbox.cli import main
+from gusbox.datagen import generate_tpch_tiny
 from gusbox.dsl import parse_plan
 from gusbox.engine import bind_aggregate, join, select
 from gusbox.ingest import ingest_csv
@@ -535,3 +537,170 @@ class TestIngestCsv:
         path.write_text("k,v\n1,1.5\n")
         with pytest.raises(IngestError):
             ingest_csv(path, "t", {"k": "int64", "v": "float64"}, "v*10")
+
+
+# a table sampled as it is read: an int id pair, a float and a string column
+SAMPLED_TYPES = {"k": "int64", "j": "int64", "v": "float64", "s": "string"}
+
+
+def _sampled_lines(n: int) -> list[str]:
+    return ["k,j,v,s"] + [f"{i},{i % 3},{i * 0.5},w{i}" for i in range(n)]
+
+
+def _sampler(p: float, events: list):
+    """``ingest_csv``'s ``sample`` as the CLI builds it for a Bernoulli(p)
+    node with seed 2 in a run with seed 9, recording in ``events`` each
+    sampler it starts ("start") and the row count of each table it samples."""
+    start = cli._bernoulli_at_scan(BernoulliSpec(p, 2), 9)
+
+    def recorded():
+        events.append("start")
+        keep = start()
+
+        def block(table):
+            events.append(len(table))
+            return keep(table)
+
+        return block
+
+    return recorded
+
+
+def _outcome(read) -> object:
+    """What ``read()`` gives: the table's columns, types, dtypes, values,
+    lineage and ``f``, or the text of the ``IngestError`` it raises."""
+    try:
+        table = read()
+    except IngestError as exc:
+        return str(exc)
+    return (table.columns, table.column_types, [c.dtype for c in table.data],
+            [c.tolist() for c in table.data], table.lineage.dtype, table.lineage.tolist(),
+            table.f.tolist())
+
+
+def _whole_then_sampled(path, id_column: str, p: float):
+    """The reference outcome: the table ingested whole, then sampled by the
+    Bernoulli node ``_sampler`` stands for."""
+    return _outcome(lambda: bernoulli_sample(
+        ingest_csv(path, "t", SAMPLED_TYPES, id_column), p, generator(9, 2)))
+
+
+class TestSampledIngest:
+    """``ingest_csv(..., sample)`` parses, numbers and samples the table a
+    block of rows at a time (here 4) and keeps exactly the rows, and raises
+    exactly the errors, of the table ingested whole and then sampled."""
+
+    LINES = _sampled_lines(11)
+    FILES = {
+        "blocks": "\n".join(LINES) + "\n",
+        "byte_order_mark": "\ufeff" + "\n".join(LINES) + "\n",
+        "crlf": "\r\n".join(LINES) + "\r\n",
+        "blank_lines": "\n".join(LINES[:3] + [""] + LINES[3:6] + ["", ""] + LINES[6:]) + "\n\n",
+        "no_final_newline": "\n".join(LINES),
+        "whole_blocks": "\n".join(LINES[:9]) + "\n",
+        "zero_rows": LINES[0] + "\n",
+        "shorter_than_a_block": "\n".join(LINES[:4]) + "\n",
+    }
+
+    @pytest.mark.parametrize("id_column", ["rowIndex", "k", "k*10+j"])
+    @pytest.mark.parametrize("shape", sorted(FILES))
+    def test_equals_the_whole_table_sampled(self, tmp_path, monkeypatch, shape, id_column):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.FILES[shape].encode("utf-8"))
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 4)
+        expected = _whole_then_sampled(path, id_column, 0.5)
+
+        def whole(*args):
+            raise AssertionError("the table was read whole")
+
+        monkeypatch.setattr(ingest, "_fast_columns", whole)
+        monkeypatch.setattr(ingest, "_row_columns", whole)
+        events = []
+        got = _outcome(lambda: ingest_csv(path, "t", SAMPLED_TYPES, id_column,
+                                          _sampler(0.5, events)))
+        assert got == expected
+        rows = len(self.FILES[shape].strip("\ufeff").split()) - 1
+        blocks = [4] * (rows // 4) + [rows % 4]
+        assert events == ["start", *blocks]
+        if rows > 4:
+            assert 0 < len(got[5]) < rows  # some rows kept, some dropped
+
+    @pytest.mark.parametrize("mark", ['"', "\0"])
+    def test_quote_or_nul_takes_the_row_path_before_any_draw(self, tmp_path, monkeypatch,
+                                                             mark):
+        lines = _sampled_lines(11)
+        lines[10] = lines[10].replace("w9", f"w{mark}9" if mark == "\0" else '"w,9"')
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 4)
+        expected = _whole_then_sampled(path, "k", 0.5)
+        events = []
+        row_columns = ingest._row_columns
+
+        def recorded(*args):
+            events.append("row path")
+            return row_columns(*args)
+
+        monkeypatch.setattr(ingest, "_row_columns", recorded)
+        got = _outcome(lambda: ingest_csv(path, "t", SAMPLED_TYPES, "k", _sampler(0.5, events)))
+        assert got == expected
+        # before Python 3.11 the csv module cannot read a NUL
+        assert events == ["row path"] + ([] if isinstance(got, str) else ["start", 11])
+
+    # (id column, the field changed in the file's row 9, which the third block reads)
+    LATE_FAULTS = {
+        "int_past_int64": ("k", "j", str(2**64)),
+        "unparsable": ("k", "v", "xyz"),
+        "missing_float": ("k", "v", ""),
+        "missing_string": ("k", "s", ""),
+        "id_past_int64": ("k", "k", str(2**63)),
+        "id_expression_past_int64": ("k*10+j", "k", str(2**62)),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+    def test_late_block_fault_reads_the_table_whole(self, tmp_path, monkeypatch, fault):
+        id_column, column, value = self.LATE_FAULTS[fault]
+        lines = _sampled_lines(12)
+        fields = lines[10].split(",")
+        fields["kjvs".index(column)] = value
+        lines[10] = ",".join(fields)
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 4)
+        expected = _whole_then_sampled(path, id_column, 0.5)
+        events = []
+        got = _outcome(lambda: ingest_csv(path, "t", SAMPLED_TYPES, id_column,
+                                          _sampler(0.5, events)))
+        assert got == expected
+        if fault == "int_past_int64":
+            assert got[2][1] == object
+        else:
+            assert got.startswith("table t: ")
+        # two blocks drew before the fault; a new sampler gets the whole table
+        assert events == ["start", 4, 4] + ([] if isinstance(got, str) else ["start", 12])
+
+    def test_id_repeated_among_dropped_rows_is_rejected(self, tmp_path, monkeypatch):
+        lines = _sampled_lines(12)
+        lines[10] = lines[10].replace("9,", "1,", 1)
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 4)
+        events = []
+        with pytest.raises(IngestError, match=r"^table t: duplicate row ids from 'k'$"):
+            ingest_csv(path, "t", SAMPLED_TYPES, "k", _sampler(0.0, events))
+        assert events == ["start", 4, 4, 4, 0]
+
+    def test_table_is_never_held_whole(self, tmp_path):
+        # 200k lineitem rows kept at p = 0.1: the whole table's arrays hold
+        # 11.2 MB, and reading it sampled allocates under half of that
+        paths = generate_tpch_tiny({"l": 200_000, "o": 50_000}, 1, tmp_path)
+        tracemalloc.start()
+        try:
+            table = ingest_csv(paths["lineitem"], "l", LINEITEM_TYPES,
+                               "l_orderkey*10+l_linenumber", _sampler(0.1, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = 200_000 * 8 * (len(LINEITEM_TYPES) + 1)  # the columns and the lineage
+        assert 15_000 < len(table) < 25_000
+        assert peak < whole / 2

@@ -48,3 +48,27 @@ def test_traced_run_matches_untraced_and_passes_the_worker_check(
     worker = importlib.import_module("worker")
     checks = worker.check_sample(plan, traced, 5)
     assert checks and all(ok for ok, _what in checks), checks
+
+
+def test_traced_sampler_at_the_scan_runs_inside_its_ingest(desk_paths, tmp_path):
+    # l's Bernoulli sampler runs while l is read: spans.py still finds every
+    # wrapped name, and reads each call's p from its second argument
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(DOCUMENTS["query1"](desk_paths)))
+    spans = tmp_path / "spans.json"
+    src = str(Path(gusbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "spans.py"), "--spans", str(spans),
+         "estimate", str(plan), "--seed", "5", "--out", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    record = json.loads(spans.read_text())
+    assert record["exit"] == 0 and record["missing"] == []
+    names = [span[0] for span in record["spans"]]
+    [bernoulli] = [span for span in record["spans"] if span[0] == "samplers.bernoulli_sample"]
+    assert names[bernoulli[1]] == "ingest.ingest_csv"
+    assert bernoulli[4]["expected"] == 0.3 * 300
+    rows = [span[4]["rows"] for span in record["spans"] if span[0] == "ingest.ingest_csv"]
+    assert rows == [bernoulli[4]["rows_out"], 75]  # l's kept rows, then all of o

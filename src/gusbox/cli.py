@@ -14,18 +14,20 @@ sampler replaced by its scan. Every other table is read whole. Each table
 is freed after the plan's last scan of it (``_HandedOver``). With
 ``--oracle`` every table is read whole and kept, since the oracle runs the
 plan again.
+
+The report is written as it is encoded (``json.dump``, ``_text_lines``); an
+``--explain`` step's document is built only when the encoder reaches it.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import math
 import os
 import sys
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -130,9 +132,9 @@ def _bernoulli_at_scan(spec: BernoulliSpec, master_seed: int):
 
 class _HandedOver(dict):
     """Stored tables by name, each given up at the plan's last scan of it,
-    so that it is freed once the operator above that scan has read it.
-    ``engine.execute`` looks a table up once per scan and reads schemas
-    through ``items()``; a table no scan reads is never held."""
+    so that it is freed once the operator above that scan has read it, as
+    ``engine.execute``'s catalog rule allows. A table no scan reads is never
+    held."""
 
     def __init__(self, tables: dict, scans: Counter):
         super().__init__((name, table) for name, table in tables.items() if scans[name])
@@ -141,91 +143,6 @@ class _HandedOver(dict):
     def __getitem__(self, name: str):
         self._left[name] -= 1
         return self.pop(name) if self._left[name] == 0 else super().__getitem__(name)
-
-
-class _Trace(list):
-    """The ``--explain`` rewrite steps: a list of ``RewriteStep`` records
-    that iterates as their documents (``to_json_dict``), each built only when
-    it is reached, so an encoder holds one step's document at a time. The
-    text format reads the records (``records``)."""
-
-    def __iter__(self):
-        return map(RewriteStep.to_json_dict, super().__iter__())
-
-    def records(self):
-        return super().__iter__()
-
-
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-# items per piece a subset table is yielded in: small next to the table
-_FLOAT_ITEMS_BLOCK = 512
-
-
-def _float_items(doc: dict, separator: str) -> Iterator[str]:
-    """The items of a dict of str keys and float values as ``json.dumps``
-    writes them joined by ``separator``, yielded in pieces of
-    ``_FLOAT_ITEMS_BLOCK`` items, each distinct value encoded once: a
-    report's 4096-entry subset tables hold only tens to hundreds of
-    distinct values."""
-    texts = {}
-    items = []
-    lead = ""
-    for key, value in doc.items():
-        # 0.0 == -0.0, so a zero is cached under its own text; a NaN hits only
-        # itself, and every NaN encodes alike
-        cached = value or repr(value)
-        text = texts.get(cached)
-        if text is None:
-            text = texts[cached] = repr(value) if math.isfinite(value) else json.dumps(value)
-        items.append(encode_basestring_ascii(key) + ": " + text)
-        if len(items) == _FLOAT_ITEMS_BLOCK:
-            yield lead + separator.join(items)
-            items.clear()
-            lead = separator
-    if items:
-        yield lead + separator.join(items)
-
-
-def indented_json(doc, newline: str = "\n") -> Iterator[str]:
-    """``json.dumps(doc, indent=2)``, byte for byte, yielded in pieces, so a
-    report is written as it is encoded instead of held whole.
-
-    The standard library encodes with an indent in Python, value by value.
-    Here only containers that hold other containers are walked in Python;
-    a container whose values are all scalars goes to the C encoder whole,
-    with the indented line break as its item separator, except a dict of str
-    keys and float values (the 2**n-entry subset tables), whose distinct
-    values are each encoded once (``_float_items``). ``newline`` is a line
-    break plus the indent of ``doc``'s own line.
-    """
-    if not isinstance(doc, (dict, list, tuple)):
-        yield json.dumps(doc)
-        return
-    brackets = "{}" if isinstance(doc, dict) else "[]"
-    if not doc:
-        yield brackets
-        return
-    inner = newline + "  "
-    values = doc.values() if isinstance(doc, dict) else doc
-    # a trace's values are dicts; iterating it would build every step's document
-    types = {dict} if isinstance(doc, _Trace) else set(map(type, values))
-    if types == {float} and isinstance(doc, dict) and set(map(type, doc)) == {str}:
-        yield brackets[0] + inner
-        yield from _float_items(doc, "," + inner)
-    elif types <= _SCALAR_TYPES:
-        yield brackets[0] + inner + json.dumps(doc, separators=("," + inner, ": "))[1:-1]
-    else:
-        # a one-entry dict coerces a non-string key as json.dumps does
-        heads = ((json.dumps(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
-                 for key in doc) if isinstance(doc, dict) else itertools.repeat("")
-        lead = brackets[0] + inner
-        for head, value in zip(heads, values):
-            yield lead + head
-            yield from indented_json(value, inner)
-            lead = "," + inner
-    yield newline + brackets[1]
 
 
 def _fmt(x: float) -> str:
@@ -254,7 +171,7 @@ def _text_lines(doc: dict) -> Iterator[str]:
         yield f"note: {note}\n"
     if "trace" in doc:
         yield "rewrite trace:\n"
-        for step in doc["trace"].records():
+        for step in doc["trace"]:
             yield f"  {step.rule}: {step.note} -> a={_fmt(step.output.a)}\n"
     if "oracle" in doc:
         oracle_doc = doc["oracle"]
@@ -305,7 +222,7 @@ def run_estimate(args) -> int:
     report = estimator.analyze(
         executed.relation, normalized.gus, quantiles=doc.quantiles, subsample=subsample)
     if args.explain:
-        report["trace"] = _Trace(normalized.trace)
+        report["trace"] = normalized.trace
 
     if args.oracle:
         oracle_doc = {"exact": None, "exactYVariance": None, "monteCarlo": None}
@@ -332,13 +249,13 @@ def run_estimate(args) -> int:
         report["oracle"] = oracle_doc
 
     # written piece by piece as it is encoded: the whole text is never held
-    chunks = (itertools.chain(indented_json(report), ["\n"]) if args.format == "json"
-              else _text_lines(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        if args.format == "json":
+            json.dump(report, out, indent=2, default=RewriteStep.to_json_dict)
+            out.write("\n")
+        else:
+            out.writelines(_text_lines(report))
     return 0
 
 

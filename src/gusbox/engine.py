@@ -333,6 +333,9 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
     holds raises a ``SampleSizeError`` naming its method. A plan with a
     Bernoulli or WOR sampler loads ``numpy.random`` before the walk
     (``samplers.load_numpy_random``).
+
+    The catalog's schemas are read through ``items()`` only, and a table by one
+    ``catalog[name]`` per scan, so a catalog may free a table at its last scan.
     """
     check_columns(node, {name: tuple(zip(t.columns, t.column_types))
                          for name, t in catalog.items()})

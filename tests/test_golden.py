@@ -58,6 +58,8 @@ DOCUMENTS = {"query1": _query1, "wor_over_select": _wor_over_select, "keyed": _k
 
 FORMATS = {
     "json": [],
+    "json_explain": ["--explain"],
+    "json_oracle": ["--explain", "--oracle", "--oracle-trials", "50"],
     "text_explain": ["--format", "text", "--explain"],
     "subsample": ["--subsample", "l=0.5,o=0.7"],
     "text_subsample": ["--format", "text", "--subsample", "l=0.5,o=0.7"],
@@ -67,6 +69,10 @@ FORMATS = {
 GOLDEN = {
     ("keyed", "json", 0): "70dac0bc9536a7223b3bdcae41e4434253ad74dc929e15cc916c15adc180f2a1",
     ("keyed", "json", 5): "cc7d83298b328695ddc27ebdd295a64296630dc91e3081c5cff44ada024e3316",
+    ("keyed", "json_explain", 0): "6847b9fb42facc6d365ecd5516af45406fe813020192bbf93d641ef518043c14",
+    ("keyed", "json_explain", 5): "25fcd31facc0158944852b08f4663627f4bd41ca49d6a2f568257fd8faffaa69",
+    ("keyed", "json_oracle", 0): "e245457843ba9e9f7d71d2525d4942e09efe9c35cd52303e6c5488a55919330f",
+    ("keyed", "json_oracle", 5): "22e3156ca451cc173d85c1329a2ef57a07dcc255287990bc2437bdc1d44e6048",
     ("keyed", "subsample", 0): "d244b3229fba68eb9e2beaf141812a7fbd23ad149cab4de0c7b4ab4a34e6f434",
     ("keyed", "subsample", 5): "f028f36cdb44947ba7658a0471e47b68d8c23c22b5eb159eb9ca059c6bc0df9b",
     ("keyed", "text_explain", 0): "51cbfaa6f8bfdc42f670730602ee87b75601a9879676bf6d162ab1e6ed5a166b",
@@ -75,6 +81,10 @@ GOLDEN = {
     ("keyed", "text_subsample", 5): "62d019bccd36255bcb1c6b0fcad757c2ef6460ef389e7a1b80bbc07d6527e41c",
     ("query1", "json", 0): "a9c7641b0d6c59e47b486699ae4d611dcd28c06e5e2bb9ab6c9870ba25e396b5",
     ("query1", "json", 5): "bffb1d68e48c7da6d1131f28c9ee4f76d4cb71e078f673778bb7411711a2cdcc",
+    ("query1", "json_explain", 0): "6477e0989ce5a7d9e6f571ec40eecf981c8a867a52e44c71ed8983c53ffe8e9d",
+    ("query1", "json_explain", 5): "8878377b069db2b44b34b82f07589bd5f18aac13c845cea1be826e0157dd9293",
+    ("query1", "json_oracle", 0): "37f7f6c239e83a7d2f052bf99783da30c3bc289da01f05cef701c1c0f35ce3e3",
+    ("query1", "json_oracle", 5): "c26423b114ffecc041430387cc47a9bb2308e6cd7e38e015decf2d76cb56984e",
     ("query1", "subsample", 0): "4aaf0a8ae5b6144216cf878123b5959e7eaa418e2ce0bab7ff98eb249cf162b5",
     ("query1", "subsample", 5): "f858588171c940b4751de2d7461b90bf2c1e35ef1b1e9cfc851f61a33cd32794",
     ("query1", "text_explain", 0): "297ec795ad7abb0bd3f7391d8fa92d22f76fe45ceaaf22448d65fe23d080408c",
@@ -83,6 +93,10 @@ GOLDEN = {
     ("query1", "text_subsample", 5): "d62f9ef326b1262105b43f7f63e686569cc8a4502c4ca9376a311b42aa0ac189",
     ("wor_over_select", "json", 0): "90be9f332a8f0cb981cda0b7f3928a6d87d942b71b354c4a42e4c9d0f32b5c68",
     ("wor_over_select", "json", 5): "c498a043b6c483c557655bebea1533f4f040c8f0f97309bf9e94b9214afa296f",
+    ("wor_over_select", "json_explain", 0): "83122b35850700bb28d698c9c924494bca630780650d7c211c71c87d61228890",
+    ("wor_over_select", "json_explain", 5): "49f392c04804ba90d88445f296ade93c4215546f04cb3640d4f94d3fc72cf835",
+    ("wor_over_select", "json_oracle", 0): "846cf748b702edf785cfb2305037d3b7de2dd72645c6a8259ba1391dc79dd7ef",
+    ("wor_over_select", "json_oracle", 5): "24c4518b5edc0df19849f72afe408d9704500676e4d1716f0a984fe5e0461052",
     ("wor_over_select", "subsample", 0): "06392e380cc7888602d4c7bb558a275e04528ee90877d9b8ac30dbb0ba9897e9",
     ("wor_over_select", "subsample", 5): "44b98a84b3a75674fcff44b2e3bfe4d8b3e52f0f9a9ae54bc1bd25896ef1dae1",
     ("wor_over_select", "text_explain", 0): "04e6af65bb712b396fbbd17f178f7606f9134107aef994ff28dc4f361af86ebb",

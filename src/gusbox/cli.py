@@ -10,10 +10,14 @@ Without ``--oracle``, ``gusbox estimate`` samples a table while it reads it
 when the plan scans that table once, directly under a Bernoulli sampler
 (``_sample_at_scan``): the sampler's rows of each block of the CSV are kept
 and the rest are never stored, and ``execute`` runs the plan with the
-sampler replaced by its scan. Every other table is read whole. Each table
-is freed after the plan's last scan of it (``_HandedOver``). With
-``--oracle`` every table is read whole and kept, since the oracle runs the
-plan again.
+sampler replaced by its scan. When that scan is then a direct input of a
+join with ``eq`` pairs, the table is not read before ``execute``: it is
+handed over as an ``engine.TableReader`` and read when the join runs, after
+the join's other input, and of each block's sampled rows only those the
+join can pair are kept. Every other table is read whole, before
+``execute``. Each table is freed after the plan's last scan of it
+(``_HandedOver``). With ``--oracle`` every table is read whole and kept,
+since the oracle runs the plan again.
 
 The report is written as it is encoded (``json.dump``, ``_text_lines``); an
 ``--explain`` step's document is built only when the encoder reaches it.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -34,7 +39,7 @@ from typing import Iterator
 from . import estimator, oracle, samplers
 from .algebra import RewriteStep, c_coefficients, normalize_plan
 from .dsl import parse_plan
-from .engine import execute, execute_full
+from .engine import TableReader, execute, execute_full
 from .errors import (
     DegenerateSamplingError,
     EnumerationInfeasibleError,
@@ -45,6 +50,7 @@ from .errors import (
 from .ingest import ingest_csv
 from .plan import (
     BernoulliSpec,
+    Join,
     PlanNode,
     Sample,
     Scan,
@@ -102,32 +108,49 @@ def _scan_counts(node: PlanNode, path: str, *inputs: Counter) -> Counter:
     return counts
 
 
-def _sample_at_scan(plan: PlanNode, scans: Counter) -> tuple[PlanNode, dict[str, BernoulliSpec]]:
+def _sample_at_scan(plan: PlanNode, scans: Counter
+                    ) -> tuple[PlanNode, dict[str, BernoulliSpec], set[str]]:
     """``plan`` with each Bernoulli sampler over the only scan of its table
-    replaced by that scan, and those samplers by table: ingestion runs them
-    (``ingest_csv``'s ``sample``). A plan path changes only for such a scan."""
-    pushed = {}
+    replaced by that scan, those samplers by table: ingestion runs them
+    (``ingest_csv``'s ``sample``), and the tables of those scans that are
+    then a direct input of a join with ``eq`` pairs, which ``execute`` reads
+    as the join runs. A plan path changes only for such a scan."""
+    pushed, at_join = {}, set()
 
     def visit(n: PlanNode, path: str, *inputs: PlanNode) -> PlanNode:
         if (isinstance(n, Sample) and isinstance(n.method, BernoulliSpec)
                 and isinstance(n.child, Scan) and scans[n.child.table] == 1):
             pushed[n.child.table] = n.method
             return inputs[0]
+        if isinstance(n, Join) and n.eq:
+            at_join.update(i.table for i in inputs if isinstance(i, Scan) and i.table in pushed)
         return type(n)(**{**n.__dict__, **dict(zip(n._inputs, inputs))})
 
-    return fold(plan, visit), pushed
+    return fold(plan, visit), pushed, at_join
 
 
-def _bernoulli_at_scan(spec: BernoulliSpec, master_seed: int):
+def _bernoulli_at_scan(spec: BernoulliSpec, master_seed: int, partner=None):
     """``ingest_csv``'s ``sample`` for a Bernoulli sampler: each sampler it
     starts draws the stream ``execute`` would give the sampler node, so the
-    rows kept are the ones the node keeps."""
+    rows kept are the ones the node keeps. ``partner``, a join's partner
+    filter (``engine.TableReader``), then cuts them to the rows it keeps;
+    the sampler still draws for every row."""
 
     def start():
         rng = samplers.generator(master_seed, spec.seed)
-        return lambda table: samplers.bernoulli_sample(table, spec.p, rng)
+        if partner is None:
+            return lambda table: samplers.bernoulli_sample(table, spec.p, rng)
+        return lambda table: partner(samplers.bernoulli_sample(table, spec.p, rng))
 
     return start
+
+
+def _ingest(path: Path, name: str, spec, bernoulli, master_seed: int, partner=None):
+    """The declared table ``name``, sampled as it is read when ``bernoulli``
+    is its pushed sampler, and then cut by a join's ``partner`` filter."""
+    return ingest_csv(path, name, spec.column_types, spec.id_column,
+                      None if bernoulli is None
+                      else _bernoulli_at_scan(bernoulli, master_seed, partner))
 
 
 class _HandedOver(dict):
@@ -199,10 +222,10 @@ def run_estimate(args) -> int:
     subsample = (None if args.subsample is None
                  else _parse_subsample(args.subsample, doc.plan, args.seed))
     # the oracle re-runs the plan on the same tables, so it gets them whole
-    plan, pushed = doc.plan, {}
+    plan, pushed, at_join = doc.plan, {}, set()
     if not args.oracle:
         scans = fold(doc.plan, _scan_counts)
-        plan, pushed = _sample_at_scan(doc.plan, scans)
+        plan, pushed, at_join = _sample_at_scan(doc.plan, scans)
         if pushed:
             samplers.load_numpy_random()
     catalog = {}
@@ -210,9 +233,10 @@ def run_estimate(args) -> int:
         path = Path(spec.path)
         if not path.is_absolute():
             path = plan_path.parent / path
-        catalog[name] = ingest_csv(
-            path, name, spec.column_types, spec.id_column,
-            _bernoulli_at_scan(pushed[name], args.seed) if name in pushed else None)
+        read = functools.partial(_ingest, path, name, spec, pushed.get(name), args.seed)
+        catalog[name] = (TableReader(tuple(c for c, _ in spec.column_types),
+                                     tuple(t for _, t in spec.column_types), read)
+                         if name in at_join else read())
     if not args.oracle:
         catalog = _HandedOver(catalog, scans)
 

@@ -1,8 +1,9 @@
 """Deterministic in-memory execution of plans with lineage propagation.
 
 Relations are columnar (see :class:`gusbox.model.SampleRelation`). A catalog
-maps table names to the stored tables ``ingest.ingest_csv`` builds, and a
-scan returns its table as it is. Every operator works on whole columns and
+maps table names to the stored tables ``ingest.ingest_csv`` builds, or to
+readers of them (``TableReader``, see ``execute``), and a scan returns its
+table as it is. Every operator works on whole columns and
 index vectors: selection builds a boolean mask, an equi-join factorises its
 keys and matches them with ``argsort``/``searchsorted``, and a join without
 equality pairs (a cross product) repeats and tiles row positions. A join's
@@ -180,10 +181,12 @@ def _key_values(x: np.ndarray, y: np.ndarray):
     return x, yk, None, y_ok
 
 
-def _equi_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``(i, j)`` of every left row ``i`` and right row ``j``
-    whose keys match on every column pair."""
+def _join_keys(pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """The key rule of an equi-join over its column pairs: one key per left
+    and per right row, of one sortable dtype, and the masks of the rows that
+    can match at all (None: every row), as ``_key_values`` gives them for
+    one pair. Two rows match exactly when their keys are equal on all
+    pairs."""
     lk, rk, l_ok, r_ok = _key_values(*pairs[0])
     if len(pairs) > 1:
         # factorise each pair jointly and fold the codes into one key
@@ -193,6 +196,14 @@ def _equi_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]
             lc, rc = _factorise(lc, rc)
             lk, rk = _factorise(lk * (len(x) + len(y)) + lc, rk * (len(x) + len(y)) + rc)
             l_ok, r_ok = _both(l_ok, lc_ok), _both(r_ok, rc_ok)
+    return lk, rk, l_ok, r_ok
+
+
+def _equi_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` of every left row ``i`` and right row ``j``
+    whose keys match on every column pair."""
+    lk, rk, l_ok, r_ok = _join_keys(pairs)
     left = lk.argsort() if l_ok is None else l_ok.nonzero()[0]
     if l_ok is not None:
         left = left[lk[left].argsort()]
@@ -276,6 +287,56 @@ def join(node: Join, left: SampleRelation, right: SampleRelation) -> SampleRelat
         lineage[order], np.zeros(len(li), dtype=np.float64))
 
 
+def _membership(keys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A test of which values of an array of ``keys``' dtype occur in
+    ``keys``: a lookup table when the keys are ints that span at most 8
+    bytes per key, a binary search of the sorted keys otherwise."""
+    keys = np.sort(keys)  # not np.unique: without return_inverse it imports numpy.ma
+    if not len(keys):
+        return lambda x: np.zeros(len(x), dtype=bool)
+    lo, hi = keys[0], keys[-1]
+    if keys.dtype == _INT and int(hi) - int(lo) < 8 * keys.nbytes:
+        present = np.zeros(int(hi) - int(lo) + 1, dtype=bool)
+        present[keys - lo] = True
+
+        def member(x: np.ndarray) -> np.ndarray:
+            inside = (x >= lo) & (x <= hi)
+            hit = np.zeros(len(x), dtype=bool)
+            hit[inside] = present[x[inside] - lo]
+            return hit
+
+        return member
+    return lambda x: keys[np.minimum(keys.searchsorted(x), len(keys) - 1)] == x
+
+
+def _partner_filter(node: Join, other: SampleRelation, other_side: int
+                    ) -> Callable[[SampleRelation], SampleRelation]:
+    """A function from a block of rows of one input of ``node`` to the rows
+    of it that some row of ``other``, the input on side ``other_side`` (0:
+    left), pairs with by ``_join_keys``' rule: the rows ``join`` gives a
+    partner. With one column pair and no object column, ``other``'s keys do
+    not depend on the block's values, so their test is built once per block
+    dtype; otherwise the pairs are factorised with each block."""
+    other_columns = [other.data[other.column_index(pair[other_side])] for pair in node.eq]
+    block_columns = [pair[1 - other_side] for pair in node.eq]
+    prepared = {}  # the test of other's keys, by the block column's dtype
+
+    def keep(block: SampleRelation) -> SampleRelation:
+        pairs = [(x, block.data[block.column_index(c)])
+                 for x, c in zip(other_columns, block_columns)]
+        ok, bk, o_ok, b_ok = _join_keys(pairs)
+        fixed = len(pairs) == 1 and all(x.dtype != object for x in pairs[0])
+        member = prepared.get(pairs[0][1].dtype) if fixed else None
+        if member is None:
+            member = _membership(ok if o_ok is None else ok[o_ok])
+            if fixed:
+                prepared[pairs[0][1].dtype] = member
+        hit = member(bk)
+        return block.take(hit if b_ok is None else hit & b_ok)
+
+    return keep
+
+
 def union_dedup(left: SampleRelation, right: SampleRelation) -> SampleRelation:
     if left.schema != right.schema:
         raise SchemaError(
@@ -314,6 +375,23 @@ def _has_row_sampler(n: PlanNode, path: str, *inputs: bool) -> bool:
     return any(inputs) or isinstance(n, Sample) and isinstance(n.method, (BernoulliSpec, WorSpec))
 
 
+class TableReader(Record):
+    """A catalog value that reads its stored table only when the plan uses
+    it: the table's declared ``columns`` and ``column_types``, and
+    ``read(partner)``, which returns the table, or with ``partner`` (a
+    function from a block of its rows to the rows of that block to keep)
+    only the rows ``partner`` keeps."""
+
+    columns: tuple[str, ...]
+    column_types: tuple[str, ...]
+    read: Callable[..., SampleRelation]
+
+
+def _read(value, partner=None):
+    """A relation as it is, or the table a ``TableReader`` reads, through ``scan``."""
+    return scan(value.read(partner)) if isinstance(value, TableReader) else value
+
+
 class ExecutionResult(Record):
     relation: SampleRelation      # pre-aggregate rows, f bound when aggregated
     populations: Mapping[str, int]  # input rows of each WOR sampler, by plan path
@@ -336,6 +414,14 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
 
     The catalog's schemas are read through ``items()`` only, and a table by one
     ``catalog[name]`` per scan, so a catalog may free a table at its last scan.
+    A catalog value may also be a ``TableReader``, read only when the
+    operator above its scan runs. A join with ``eq`` pairs runs its other
+    input first and reads the table with a partner filter: each block the
+    reader reads is cut to the rows that the join's key rule pairs with some
+    row of that input, since no other row reaches the join's output. When
+    both inputs of such a join are readers, the left one is read whole
+    first. Every other operator, and a join without ``eq`` pairs, reads the
+    table whole.
     """
     check_columns(node, {name: tuple(zip(t.columns, t.column_types))
                          for name, t in catalog.items()})
@@ -345,7 +431,17 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
 
     def visit(n: PlanNode, path: str, *inputs: SampleRelation) -> SampleRelation:
         if isinstance(n, Scan):
-            return scan(catalog[n.table])
+            table = catalog[n.table]
+            return table if isinstance(table, TableReader) else scan(table)
+        if isinstance(n, Join) and n.eq:
+            left, right = inputs
+            if isinstance(right, TableReader):
+                left = _read(left)
+                right = _read(right, _partner_filter(n, left, 0))
+            elif isinstance(left, TableReader):
+                left = _read(left, _partner_filter(n, right, 1))
+            return join(n, left, right)
+        inputs = [_read(x) for x in inputs]
         if isinstance(n, Select):
             return select(n.where, *inputs)
         if isinstance(n, Join):
@@ -371,7 +467,7 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
             return samplers.lineage_bernoulli(child, dims)
         raise PlanError(f"{path}.method: unknown sampler spec {type(m).__name__}")
 
-    return ExecutionResult(fold(node, visit), populations)
+    return ExecutionResult(_read(fold(node, visit)), populations)
 
 
 def execute_full(node: PlanNode, catalog: Catalog) -> ExecutionResult:

@@ -22,12 +22,15 @@ never reads the header line.
 A table can be sampled as it is read (``ingest_csv``'s ``sample``): the file
 is then parsed ``_ROW_BLOCK`` records at a time from one open handle, each
 block gets its row ids and goes through the sampler, and only the rows the
-sampler keeps are stored, so the table is never held whole; the ids of every
-row are kept for the duplicate check. A file that needs the row path, or a
-block whose ids cannot be read, ends that read before a row is stored: the
-table is then read whole as above and goes through a new sampler, which draws
-from the start of its stream, so the rows kept and every error are the
-whole-table read's.
+sampler keeps are stored, so the table is never held whole. The ids of every
+row are kept for the duplicate check, in one array sized by the file's line
+ends, which the quote and NUL check counts (``_plain_lines``). A sampler may
+keep fewer rows than it draws for, as a join's partner filter after the
+draw does (``engine.TableReader``). A file that needs the row path, a block
+whose ids cannot be read, or records past the line-end count end that read
+before a row is stored: the table is then read whole as above and goes
+through a new sampler, which draws from the start of its stream, so the rows
+kept and every error are the whole-table read's.
 """
 
 from __future__ import annotations
@@ -50,15 +53,28 @@ _DTYPES = {"int64": np.int64, "float64": np.float64, "string": object}
 _CHECK_BLOCK = 1 << 16
 
 
-def _plain(path: Path) -> bool:
-    """Whether the file has no quote and no NUL character, so that splitting
-    lines at commas reads it as the ``csv`` module does. Read in blocks of
-    ``_CHECK_BLOCK`` bytes, so the file is never held whole."""
+def _plain_lines(path: Path) -> Optional[int]:
+    """The number of line ends (LF, CRLF or a lone CR) in the file, a bound
+    on its records, or None when it has a quote or a NUL character: then
+    splitting lines at commas would not read it as the ``csv`` module does.
+    Read in blocks of ``_CHECK_BLOCK`` bytes, so the file is never held
+    whole."""
+    ends, cr_last = 0, False
     with path.open("rb") as handle:
         for block in iter(lambda: handle.read(_CHECK_BLOCK), b""):
             if b'"' in block or b"\0" in block:
-                return False
-    return True
+                return None
+            # numpy counts, since bytes.count reads a byte at a time
+            codes = np.frombuffer(block, dtype=np.uint8)
+            lf = codes == 10
+            # a CR and the LF after it end one line, also across two blocks
+            ends += int(np.count_nonzero(lf)) - (cr_last and bool(lf[0]))
+            cr_last = False
+            if b"\r" in block:
+                cr = codes == 13
+                ends += int(np.count_nonzero(cr[:-1] > lf[1:])) + bool(cr[-1])
+                cr_last = bool(cr[-1])
+    return ends
 
 
 def _loadtxt(source, pairs: list[tuple[str, str]], usecols: list[int], skiprows: int,
@@ -94,7 +110,7 @@ def _fast_columns(path: Path, header: list[str],
                   pairs: list[tuple[str, str]]) -> Optional[list[np.ndarray]]:
     """The declared columns parsed by ``np.loadtxt``, or None when the file
     needs the row-by-row path."""
-    if not pairs or not _plain(path):
+    if not pairs or _plain_lines(path) is None:
         return None
     return _loadtxt(path, pairs, _usecols(header, pairs), skiprows=1)
 
@@ -147,13 +163,10 @@ def _row_ids(name: str, id_column: str, columns: tuple[str, ...], types: tuple[s
     return ids
 
 
-def _require_unique(name: str, id_column: str, pieces: list[np.ndarray]) -> None:
-    """Raise unless the ids in the arrays ``pieces`` are distinct. Empties
-    ``pieces``, so that of their ids only one sorted copy is held."""
-    ordered = np.concatenate(pieces)
-    pieces.clear()
-    ordered.sort()
-    if np.any(ordered[1:] == ordered[:-1]):
+def _require_unique(name: str, id_column: str, ids: np.ndarray) -> None:
+    """Raise unless the ``ids`` are distinct; sorts them in place."""
+    ids.sort()
+    if np.any(ids[1:] == ids[:-1]):
         raise IngestError(f"table {name}: duplicate row ids from {id_column!r}")
 
 
@@ -168,8 +181,10 @@ def _sampled(path: Path, name: str, header: list[str], pairs: list[tuple[str, st
     """The rows a sampler started by ``sample()`` keeps of the table, read
     and sampled ``_ROW_BLOCK`` records at a time; None, before any sampler
     is started, when the file needs the row path, and after it when a block
-    does or a block's ids cannot be read."""
-    if not pairs or not _plain(path):
+    does, a block's ids cannot be read, or the records outgrow the file's
+    line ends (``_plain_lines``), which size the one array of their ids."""
+    lines = _plain_lines(path)
+    if not pairs or lines is None:
         return None
     usecols = _usecols(header, pairs)
     schema = LineageSchema.of([name])
@@ -177,20 +192,21 @@ def _sampled(path: Path, name: str, header: list[str], pairs: list[tuple[str, st
     types = tuple(t for _, t in pairs)
     keep = sample()
     kept = [[] for _ in range(len(pairs) + 1)]  # pieces of each kept column, then of the lineage
-    ids = []
+    ids = np.empty(lines, dtype=np.int64)  # every row's id, for the duplicate check
     m = 0
     with path.open(encoding="utf-8") as handle:
         while True:
-            data = _loadtxt(handle, pairs, usecols, 0 if ids else 1, _ROW_BLOCK)
+            data = _loadtxt(handle, pairs, usecols, 0 if m else 1, _ROW_BLOCK)
             if data is None:
                 return None
             size = len(data[0])
+            if m + size > lines:
+                return None
             try:
                 block_ids = _row_ids(name, id_column, columns, types, data, size, m)
             except (IngestError, ExpressionError):
                 return None
-            # a copy, where the ids are a field of the parsed block, frees the block
-            ids.append(np.ascontiguousarray(block_ids))
+            ids[m:m + size] = block_ids
             rows = keep(SampleRelation(schema, columns, types, data, block_ids.reshape(-1, 1),
                                        np.broadcast_to(np.float64(0.0), (size,))))
             for pieces, array in zip(kept, (*rows.data, rows.lineage)):
@@ -198,7 +214,8 @@ def _sampled(path: Path, name: str, header: list[str], pairs: list[tuple[str, st
             m += size
             if size < _ROW_BLOCK:
                 break
-    _require_unique(name, id_column, ids)
+    _require_unique(name, id_column, ids[:m])
+    del ids  # freed before the kept columns are joined
     arrays = []
     for pieces in kept:  # each column's pieces are freed once it is joined
         arrays.append(np.concatenate(pieces))
@@ -256,7 +273,7 @@ def ingest_csv(path: Union[str, Path], name: str,
         raise IngestError(f"table {name}: cannot read {path}: {exc}") from None
 
     ids = _row_ids(name, id_column, columns, types, data, m)
-    _require_unique(name, id_column, [ids])
+    _require_unique(name, id_column, ids.copy())
     table = SampleRelation(LineageSchema.of([name]), columns, types, data,
                            ids.reshape(-1, 1), np.broadcast_to(np.float64(0.0), (m,)))
     return table if sample is None else sample()(table)

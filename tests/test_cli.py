@@ -1010,10 +1010,11 @@ class TestSampleAtScan:
         return ("".join(cli._text_lines(report)) if "text" in options
                 else json.dumps(report, indent=2, default=RewriteStep.to_json_dict) + "\n")
 
-    # --oracle reads every table whole (test_table_scanned_twice_or_under_the_oracle_...)
+    # --oracle reads every table whole (test_table_scanned_twice_or_under_the_oracle_...);
+    # keyed has no Bernoulli sampler over a scan, so it reads every table whole too
     @pytest.mark.parametrize("fmt", sorted(f for f, options in GOLDEN_FORMATS.items()
                                            if "--oracle" not in options))
-    @pytest.mark.parametrize("document", ["query1", "wor_over_select"])
+    @pytest.mark.parametrize("document", ["query1", "wor_over_select", "keyed"])
     def test_report_matches_a_plain_catalog(self, desk_paths, desk_catalog, tmp_path,
                                             monkeypatch, capsys, document, fmt):
         text = json.dumps(DOCUMENTS[document](desk_paths))
@@ -1022,7 +1023,8 @@ class TestSampleAtScan:
         sampled = self.track(monkeypatch)
         options = GOLDEN_FORMATS[fmt]
         assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5", *options]) == 0
-        assert sampled == {"l": True, "o": False}
+        assert sampled == ({"l": False, "o": False, "c": False} if document == "keyed"
+                           else {"l": True, "o": False})
         assert capsys.readouterr().out == self.plain_report(text, desk_catalog, 5, options)
 
     @pytest.mark.parametrize("document, options", [
@@ -1039,7 +1041,8 @@ class TestSampleAtScan:
 
     def test_bernoulli_sample_gets_three_positional_arguments(self, desk_paths, tmp_path,
                                                               monkeypatch):
-        # perfbench/spans.py reads a sampler's p from args[1]
+        # perfbench/spans.py reads a sampler's p from args[1]; l is read as
+        # its join runs, and the sampler still draws for all of its rows
         (tmp_path / "plan.json").write_text(json.dumps(DOCUMENTS["query1"](desk_paths)))
         monkeypatch.setattr(ingest, "_ROW_BLOCK", 16)
         calls, sample = [], cli.samplers.bernoulli_sample
@@ -1081,6 +1084,233 @@ class TestSampleAtScan:
         assert main(["estimate", str(tmp_path / "plan.json")]) == 2
         assert sampled == {"t": True}
         assert capsys.readouterr() == ("", f"error: {whole.value}\n")
+
+
+A_TYPES = {"a_id": "int64", "a_k": "int64", "a_k2": "int64", "a_j": "int64", "a_v": "float64"}
+B_TYPES = {"b_id": "int64", "b_k": "int64", "b_k2": "int64", "b_w": "float64"}
+
+
+def _a_rows(n: int = 100) -> list[str]:
+    """Rows of table ``a``: ``a_k`` cycles through 0..16, and from row 80
+    on it is a key no row of ``b`` holds."""
+    return [f"{i},{i % 17 if i < 80 else 1000 + i},{i % 3},{i % 5},{i * 0.5 + 1}"
+            for i in range(n)]
+
+
+def _bernoulli(table: str, p: float, seed: int) -> dict:
+    return {"op": "sample", "method": {"method": "bernoulli", "p": p, "seed": seed},
+            "child": {"op": "scan", "table": table}}
+
+
+def _scan(table: str) -> dict:
+    return {"op": "scan", "table": table}
+
+
+class TestReadAtJoin:
+    """Without ``--oracle``, a table sampled as it is read whose scan is a
+    direct input of a join with ``eq`` pairs is read as the join runs, after
+    the join's other input, here in blocks of 16 rows. Of each block's
+    sampled rows only those the join can pair are stored, and the report
+    keeps its bytes. Every table here has at most 100 rows; the class runs
+    in under a second."""
+
+    @staticmethod
+    def track(monkeypatch) -> dict:
+        """For each table the command ingests: whether it gets a sampler,
+        whether ``execute`` is running, and how many rows it stores (None
+        when the read raises)."""
+        reads, read, run, running = {}, cli.ingest_csv, cli.execute, []
+
+        def ingest_tracked(path, name, *args):
+            reads[name] = [args[2] is not None, bool(running), None]
+            table = read(path, name, *args)
+            reads[name][2] = len(table)
+            return table
+
+        def execute_tracked(*args, **kwargs):
+            running.append(True)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(cli, "ingest_csv", ingest_tracked)
+        monkeypatch.setattr(cli, "execute", execute_tracked)
+        return reads
+
+    @staticmethod
+    def write(tmp_path, tables: dict, join: dict, expr: str = "a_v*b_w") -> str:
+        """A plan document over ``tables`` (name: (column types, id
+        column, CSV lines)) summing ``expr`` over ``join``, written with the
+        CSVs to ``tmp_path``; returns its text."""
+        for name, (_, _, lines) in tables.items():
+            (tmp_path / f"{name}.csv").write_bytes(
+                "\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        text = json.dumps({
+            "tables": {name: {"path": f"{name}.csv", "idColumn": id_column,
+                              "columnTypes": types}
+                       for name, (types, id_column, _) in tables.items()},
+            "plan": {"op": "sum", "expr": expr, "child": join}})
+        (tmp_path / "plan.json").write_text(text)
+        return text
+
+    def check(self, tmp_path, monkeypatch, capsys, text: str) -> dict:
+        """Run ``gusbox estimate`` on the written document with blocks of 16
+        rows, check its report against the same plan on the whole tables,
+        and return what ``track`` saw."""
+        doc = parse_plan(text)
+        catalog = {name: ingest_csv(tmp_path / spec.path, name, spec.column_types,
+                                    spec.id_column)
+                   for name, spec in doc.tables.items()}
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 16)
+        reads = self.track(monkeypatch)
+        assert main(["estimate", str(tmp_path / "plan.json"), "--seed", "5"]) == 0
+        assert capsys.readouterr().out == TestSampleAtScan.plain_report(text, catalog, 5, [])
+        return reads
+
+    TABLES = {
+        "a": (A_TYPES, "a_id", ["a_id,a_k,a_k2,a_j,a_v", *_a_rows()]),
+        "b": (B_TYPES, "b_id", ["b_id,b_k,b_k2,b_w"]
+              + [f"{i},{(i * 3) % 40},{i % 2},{1 + i * 0.25}" for i in range(30)]),
+    }
+    EQ = [["a_k", "b_k"]]
+    # (join, {table: (gets a sampler, read while execute runs)})
+    SHAPES = {
+        "left": ({"op": "join", "eq": EQ, "left": _bernoulli("a", 0.5, 1), "right": _scan("b")},
+                 {"a": (True, True), "b": (False, False)}),
+        "right": ({"op": "join", "eq": [["b_k", "a_k"]], "left": _scan("b"),
+                   "right": _bernoulli("a", 0.5, 1)},
+                  {"a": (True, True), "b": (False, False)}),
+        "both": ({"op": "join", "eq": EQ, "left": _bernoulli("a", 0.5, 1),
+                  "right": _bernoulli("b", 0.7, 2)},
+                 {"a": (True, True), "b": (True, True)}),
+        "theta_only": ({"op": "join", "left": _bernoulli("a", 0.5, 1), "right": _scan("b"),
+                        "theta": [{"col": "a_k", "cmp": "=", "col2": "b_k"}]},
+                       {"a": (True, False), "b": (False, False)}),
+        "two_pairs": ({"op": "join", "eq": [["a_k", "b_k"], ["a_k2", "b_k2"]],
+                       "left": _bernoulli("a", 0.5, 1), "right": _scan("b")},
+                      {"a": (True, True), "b": (False, False)}),
+        "empty_other": ({"op": "join", "eq": EQ, "left": _bernoulli("a", 0.5, 1),
+                         "right": {"op": "select", "child": _scan("b"),
+                                   "where": [{"col": "b_w", "cmp": "<", "value": 0.0}]}},
+                        {"a": (True, True), "b": (False, False)}),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_report_matches_a_plain_catalog(self, tmp_path, monkeypatch, capsys, shape):
+        join, expected = self.SHAPES[shape]
+        reads = self.check(tmp_path, monkeypatch, capsys, self.write(tmp_path, self.TABLES, join))
+        assert {name: tuple(seen[:2]) for name, seen in reads.items()} == expected
+        if shape == "left":  # the 80 rows a_k that b holds, at p = 0.5
+            assert 0 < reads["a"][2] < 60
+        if shape == "empty_other":
+            assert reads["a"][2] == 0
+
+    def test_filter_loads_no_masked_arrays(self, tmp_path):
+        # np.unique without return_inverse imports numpy.ma (numpy 2.4), about
+        # 1.4 MB of peak RSS that no estimate needs (about 0.4 s)
+        self.write(tmp_path, self.TABLES, self.SHAPES["left"][0])
+        argv = ["estimate", str(tmp_path / "plan.json"), "--out", str(tmp_path / "out.json")]
+        done = _python("-c", "import sys; from gusbox import cli; "
+                             f"assert cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+        assert (done.stdout, done.stderr) == ("False\n", "")
+
+    INT_KEYS = [0, 1, 2, 3, 5, -1, 2**53 + 1, 7]
+    FLOAT_KEYS = ["-0.0", "0.0", "nan", "1.0", "2.5", "3.0", "9007199254740992.0", "1e300",
+                  "-1.0"]
+
+    @pytest.mark.parametrize("sampled", ["int", "float", "both"])
+    def test_int_keys_meet_float_keys_as_python_compares_them(self, tmp_path, monkeypatch,
+                                                               capsys, sampled):
+        tables = {
+            "i": ({"i_id": "int64", "i_k": "int64", "i_v": "float64"}, "i_id",
+                  ["i_id,i_k,i_v"] + [f"{n},{self.INT_KEYS[n % 8]},{n + 1.5}"
+                                      for n in range(60)]),
+            "x": ({"x_id": "int64", "x_k": "float64", "x_w": "float64"}, "x_id",
+                  ["x_id,x_k,x_w"] + [f"{n},{self.FLOAT_KEYS[n % 9]},{n * 0.5 + 1}"
+                                      for n in range(45)]),
+        }
+        left = _bernoulli("i", 0.6, 1) if sampled != "float" else _scan("i")
+        right = _bernoulli("x", 0.7, 2) if sampled != "int" else _scan("x")
+        join = {"op": "join", "eq": [["i_k", "x_k"]], "left": left, "right": right}
+        reads = self.check(tmp_path, monkeypatch, capsys,
+                           self.write(tmp_path, tables, join, "i_v*x_w"))
+        assert {name: tuple(seen[:2]) for name, seen in reads.items()} == {
+            "i": (sampled != "float",) * 2, "x": (sampled != "int",) * 2}
+
+    @pytest.mark.parametrize("column", ["a_k", "a_j"])
+    def test_late_block_fault_reads_the_table_whole(self, tmp_path, monkeypatch, capsys,
+                                                    column):
+        # a value past int64 in the fifth block: a is read again whole, and
+        # the column lands in an object array, the join key a_k or not
+        a_types, id_column, lines = self.TABLES["a"]
+        lines = list(lines)
+        fields = lines[71].split(",")
+        fields[list(a_types).index(column)] = str(2**64)
+        lines[71] = ",".join(fields)
+        tables = {**self.TABLES, "a": (a_types, id_column, lines)}
+        join, expected = self.SHAPES["left"]
+        seen = []
+        sample = cli.samplers.bernoulli_sample
+
+        def recorded(table, *args):
+            seen.append(len(table))
+            return sample(table, *args)
+
+        monkeypatch.setattr(cli.samplers, "bernoulli_sample", recorded)
+        reads = self.check(tmp_path, monkeypatch, capsys, self.write(tmp_path, tables, join))
+        assert {name: tuple(r[:2]) for name, r in reads.items()} == expected
+        assert seen == [16] * 4 + [100] * 2  # the command's draws, then the plain run's
+
+    def test_repeated_id_among_dropped_rows_exits_2(self, tmp_path, monkeypatch, capsys):
+        # rows 85 and 95 share an id, and no row of b pairs with either
+        a_types, id_column, lines = self.TABLES["a"]
+        lines = list(lines)
+        lines[96] = "85" + lines[96][2:]
+        tables = {**self.TABLES, "a": (a_types, id_column, lines)}
+        join = {**self.SHAPES["left"][0], "left": _bernoulli("a", 1.0, 1)}
+        self.write(tmp_path, tables, join)
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 16)
+        reads = self.track(monkeypatch)
+        assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+        assert reads == {"a": [True, True, None], "b": [False, False, 30]}
+        assert capsys.readouterr() == ("", "error: table a: duplicate row ids from 'a_id'\n")
+
+    @pytest.mark.parametrize("fault", ["unparsable", "not_utf8"])
+    def test_ingest_error_exits_2_with_the_whole_read_text(self, tmp_path, monkeypatch,
+                                                           capsys, fault):
+        a_types, id_column, lines = self.TABLES["a"]
+        lines = list(lines)
+        lines[76] = lines[76].replace(",", {"unparsable": ",xyz", "not_utf8": ",\udcff"}[fault],
+                                      1)
+        tables = {**self.TABLES, "a": (a_types, id_column, lines)}
+        self.write(tmp_path, tables, self.SHAPES["right"][0])
+        with pytest.raises(errors.IngestError) as whole:
+            ingest_csv(tmp_path / "a.csv", "a", a_types, id_column)
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 16)
+        reads = self.track(monkeypatch)
+        assert main(["estimate", str(tmp_path / "plan.json"), "--out",
+                     str(tmp_path / "out.json")]) == 2
+        assert reads == {"a": [True, True, None], "b": [False, False, 30]}
+        assert capsys.readouterr() == ("", f"error: {whole.value}\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_fault_in_the_other_input_is_reported_first(self, tmp_path, monkeypatch, capsys):
+        # the join's other input runs before a is read, so its WOR asking for
+        # more rows than b holds is the error, not a's unparsable value
+        a_types, id_column, lines = self.TABLES["a"]
+        lines = list(lines)
+        lines[5] = lines[5].replace(",", ",xyz", 1)
+        tables = {**self.TABLES, "a": (a_types, id_column, lines)}
+        join = {**self.SHAPES["left"][0], "right": {
+            "op": "sample", "method": {"method": "wor", "n": 31, "seed": 2},
+            "child": _scan("b")}}
+        self.write(tmp_path, tables, join)
+        reads = self.track(monkeypatch)
+        assert main(["estimate", str(tmp_path / "plan.json")]) == 2
+        assert reads == {"b": [False, False, 30]}
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: plan.child.right.method: ")
 
 
 def _python(*args, **env) -> subprocess.CompletedProcess:

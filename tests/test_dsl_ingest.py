@@ -8,7 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gusbox import IngestError, LineageSchema, PlanError, SchemaError, SelfJoinError, cli, ingest
+from gusbox import (
+    IngestError,
+    LineageSchema,
+    PlanError,
+    SampleRelation,
+    SchemaError,
+    SelfJoinError,
+    cli,
+    engine,
+    ingest,
+)
 from gusbox.cli import main
 from gusbox.datagen import generate_tpch_tiny
 from gusbox.dsl import parse_plan
@@ -547,11 +557,12 @@ def _sampled_lines(n: int) -> list[str]:
     return ["k,j,v,s"] + [f"{i},{i % 3},{i * 0.5},w{i}" for i in range(n)]
 
 
-def _sampler(p: float, events: list):
+def _sampler(p: float, events: list, partner=None):
     """``ingest_csv``'s ``sample`` as the CLI builds it for a Bernoulli(p)
-    node with seed 2 in a run with seed 9, recording in ``events`` each
-    sampler it starts ("start") and the row count of each table it samples."""
-    start = cli._bernoulli_at_scan(BernoulliSpec(p, 2), 9)
+    node with seed 2 in a run with seed 9, under a join's ``partner``
+    filter when given, recording in ``events`` each sampler it starts
+    ("start") and the row count of each table it samples."""
+    start = cli._bernoulli_at_scan(BernoulliSpec(p, 2), 9, partner)
 
     def recorded():
         events.append("start")
@@ -595,10 +606,12 @@ class TestSampledIngest:
         "blocks": "\n".join(LINES) + "\n",
         "byte_order_mark": "\ufeff" + "\n".join(LINES) + "\n",
         "crlf": "\r\n".join(LINES) + "\r\n",
+        "cr": "\r".join(LINES) + "\r",
         "blank_lines": "\n".join(LINES[:3] + [""] + LINES[3:6] + ["", ""] + LINES[6:]) + "\n\n",
         "no_final_newline": "\n".join(LINES),
         "whole_blocks": "\n".join(LINES[:9]) + "\n",
         "zero_rows": LINES[0] + "\n",
+        "header_only": LINES[0],
         "shorter_than_a_block": "\n".join(LINES[:4]) + "\n",
     }
 
@@ -679,6 +692,33 @@ class TestSampledIngest:
         # two blocks drew before the fault; a new sampler gets the whole table
         assert events == ["start", 4, 4] + ([] if isinstance(got, str) else ["start", 12])
 
+    # the line ends of each file: at least its records, with a CRLF counted once
+    LINE_ENDS = {"blocks": 12, "byte_order_mark": 12, "crlf": 12, "cr": 12, "blank_lines": 16,
+                 "no_final_newline": 11, "whole_blocks": 9, "zero_rows": 1, "header_only": 0,
+                 "shorter_than_a_block": 4}
+
+    @pytest.mark.parametrize("check_block", [1, 2, 3, 1 << 16])
+    @pytest.mark.parametrize("shape", sorted(FILES))
+    def test_line_ends_bound_the_records(self, tmp_path, monkeypatch, shape, check_block):
+        # a CRLF that a block boundary splits is still one line end
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.FILES[shape].encode("utf-8"))
+        monkeypatch.setattr(ingest, "_CHECK_BLOCK", check_block)
+        assert ingest._plain_lines(path) == self.LINE_ENDS[shape]
+        assert self.LINE_ENDS[shape] >= len(ingest_csv(path, "t", SAMPLED_TYPES))
+
+    def test_records_past_the_bound_read_the_table_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_text(self.FILES["blocks"])
+        monkeypatch.setattr(ingest, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(ingest, "_plain_lines", lambda path: 6)
+        expected = _whole_then_sampled(path, "k", 0.5)
+        events = []
+        got = _outcome(lambda: ingest_csv(path, "t", SAMPLED_TYPES, "k", _sampler(0.5, events)))
+        assert got == expected
+        # the second block would take the ids past 6: a new sampler gets the whole table
+        assert events == ["start", 4, "start", 11]
+
     def test_id_repeated_among_dropped_rows_is_rejected(self, tmp_path, monkeypatch):
         lines = _sampled_lines(12)
         lines[10] = lines[10].replace("9,", "1,", 1)
@@ -690,17 +730,49 @@ class TestSampledIngest:
             ingest_csv(path, "t", SAMPLED_TYPES, "k", _sampler(0.0, events))
         assert events == ["start", 4, 4, 4, 0]
 
-    def test_table_is_never_held_whole(self, tmp_path):
-        # 200k lineitem rows kept at p = 0.1: the whole table's arrays hold
-        # 11.2 MB, and reading it sampled allocates under half of that
-        paths = generate_tpch_tiny({"l": 200_000, "o": 50_000}, 1, tmp_path)
+    @pytest.fixture(scope="class")
+    def lineitem(self, tmp_path_factory):
+        """200k generated lineitem rows, over 50k order keys (about 0.1 s)."""
+        return generate_tpch_tiny({"l": 200_000, "o": 50_000}, 1,
+                                  tmp_path_factory.mktemp("lineitem"))["lineitem"]
+
+    @staticmethod
+    def traced_read(path, sample) -> tuple:
+        """The table read from ``path`` with ``sample``, and the bytes
+        ``tracemalloc`` saw held after the read and at its peak."""
         tracemalloc.start()
         try:
-            table = ingest_csv(paths["lineitem"], "l", LINEITEM_TYPES,
-                               "l_orderkey*10+l_linenumber", _sampler(0.1, []))
-            peak = tracemalloc.get_traced_memory()[1]
+            table = ingest_csv(path, "l", LINEITEM_TYPES, "l_orderkey*10+l_linenumber", sample)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return table, held, peak
+
+    def test_table_is_never_held_whole(self, lineitem):
+        # 200k lineitem rows kept at p = 0.1: the whole table's arrays hold
+        # 11.2 MB, and reading it sampled allocates under half of that
+        table, _, peak = self.traced_read(lineitem, _sampler(0.1, []))
         whole = 200_000 * 8 * (len(LINEITEM_TYPES) + 1)  # the columns and the lineage
         assert 15_000 < len(table) < 25_000
         assert peak < whole / 2
+
+    def test_join_filter_stores_only_the_rows_it_pairs(self, lineitem):
+        # the other input of l's join holds every 100th order key: of the
+        # 20k rows kept at p = 0.1 about 200 are stored, in under 1/20 of
+        # the bytes the unfiltered read stores (about 1 s, most of it the
+        # traced read)
+        keys = np.arange(1, 50_001, 100, dtype=np.int64)
+        orders = SampleRelation(LineageSchema.of(["o"]), ["o_orderkey"], ["int64"], [keys],
+                                keys.reshape(-1, 1), np.zeros(len(keys)))
+        node = Join(Scan("l"), Scan("o"), (("l_orderkey", "o_orderkey"),))
+        partner = engine._partner_filter(node, orders, 1)
+        sampled = ingest_csv(lineitem, "l", LINEITEM_TYPES, "l_orderkey*10+l_linenumber",
+                             _sampler(0.1, []))
+        events = []
+        table, held, peak = self.traced_read(lineitem, _sampler(0.1, events, partner))
+        assert table.lineage[:, 0].tolist() == [
+            i for i, k in zip(sampled.lineage[:, 0].tolist(), sampled.data[0].tolist())
+            if k % 100 == 1]
+        assert 100 < len(table) < 400 and sum(events[1:]) == 200_000
+        assert held < (sum(c.nbytes for c in sampled.data) + sampled.lineage.nbytes) / 20
+        assert peak < 200_000 * 8 * (len(LINEITEM_TYPES) + 1) / 2

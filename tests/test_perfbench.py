@@ -51,8 +51,9 @@ def test_traced_run_matches_untraced_and_passes_the_worker_check(
 
 
 def test_traced_sampler_at_the_scan_runs_inside_its_ingest(desk_paths, tmp_path):
-    # l's Bernoulli sampler runs while l is read: spans.py still finds every
-    # wrapped name, and reads each call's p from its second argument
+    # l's Bernoulli sampler runs while l is read, as its join runs after o:
+    # spans.py still finds every wrapped name, and reads each call's p from
+    # its second argument
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(DOCUMENTS["query1"](desk_paths)))
     spans = tmp_path / "spans.json"
@@ -71,4 +72,8 @@ def test_traced_sampler_at_the_scan_runs_inside_its_ingest(desk_paths, tmp_path)
     assert names[bernoulli[1]] == "ingest.ingest_csv"
     assert bernoulli[4]["expected"] == 0.3 * 300
     rows = [span[4]["rows"] for span in record["spans"] if span[0] == "ingest.ingest_csv"]
-    assert rows == [bernoulli[4]["rows_out"], 75]  # l's kept rows, then all of o
+    [join] = [span for span in record["spans"] if span[0] == "engine.join"]
+    # all of o, then the rows of l the sampler keeps and the join pairs, one
+    # per o_orderkey match
+    assert rows == [75, join[4]["rows_out"]]
+    assert 0 < join[4]["rows_out"] < bernoulli[4]["rows_out"]

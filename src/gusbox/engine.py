@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -181,12 +181,10 @@ def _key_values(x: np.ndarray, y: np.ndarray):
     return x, yk, None, y_ok
 
 
-def _join_keys(pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
-    """The key rule of an equi-join over its column pairs: one key per left
-    and per right row, of one sortable dtype, and the masks of the rows that
-    can match at all (None: every row), as ``_key_values`` gives them for
-    one pair. Two rows match exactly when their keys are equal on all
-    pairs."""
+def _equi_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` of every left row ``i`` and right row ``j``
+    whose keys match on every column pair."""
     lk, rk, l_ok, r_ok = _key_values(*pairs[0])
     if len(pairs) > 1:
         # factorise each pair jointly and fold the codes into one key
@@ -196,14 +194,6 @@ def _join_keys(pairs: Sequence[tuple[np.ndarray, np.ndarray]]):
             lc, rc = _factorise(lc, rc)
             lk, rk = _factorise(lk * (len(x) + len(y)) + lc, rk * (len(x) + len(y)) + rc)
             l_ok, r_ok = _both(l_ok, lc_ok), _both(r_ok, rc_ok)
-    return lk, rk, l_ok, r_ok
-
-
-def _equi_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``(i, j)`` of every left row ``i`` and right row ``j``
-    whose keys match on every column pair."""
-    lk, rk, l_ok, r_ok = _join_keys(pairs)
     left = lk.argsort() if l_ok is None else l_ok.nonzero()[0]
     if l_ok is not None:
         left = left[lk[left].argsort()]
@@ -289,13 +279,14 @@ def join(node: Join, left: SampleRelation, right: SampleRelation) -> SampleRelat
 
 def _membership(keys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A test of which values of an array of ``keys``' dtype occur in
-    ``keys``: a lookup table when the keys are ints that span at most 8
-    bytes per key, a binary search of the sorted keys otherwise."""
+    ``keys``: a lookup table of one byte per value when the keys are ints
+    that span fewer than 8 values per key, a binary search of the sorted
+    keys otherwise."""
     keys = np.sort(keys)  # not np.unique: without return_inverse it imports numpy.ma
     if not len(keys):
         return lambda x: np.zeros(len(x), dtype=bool)
     lo, hi = keys[0], keys[-1]
-    if keys.dtype == _INT and int(hi) - int(lo) < 8 * keys.nbytes:
+    if keys.dtype == _INT and int(hi) - int(lo) < 8 * len(keys):
         present = np.zeros(int(hi) - int(lo) + 1, dtype=bool)
         present[keys - lo] = True
 
@@ -309,30 +300,33 @@ def _membership(keys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: keys[np.minimum(keys.searchsorted(x), len(keys) - 1)] == x
 
 
-def _partner_filter(node: Join, other: SampleRelation, other_side: int
-                    ) -> Callable[[SampleRelation], SampleRelation]:
-    """A function from a block of rows of one input of ``node`` to the rows
-    of it that some row of ``other``, the input on side ``other_side`` (0:
-    left), pairs with by ``_join_keys``' rule: the rows ``join`` gives a
-    partner. With one column pair and no object column, ``other``'s keys do
-    not depend on the block's values, so their test is built once per block
-    dtype; otherwise the pairs are factorised with each block."""
-    other_columns = [other.data[other.column_index(pair[other_side])] for pair in node.eq]
-    block_columns = [pair[1 - other_side] for pair in node.eq]
-    prepared = {}  # the test of other's keys, by the block column's dtype
+def _partner_filter(node: Join, other: SampleRelation, other_side: int, reader: "TableReader"
+                    ) -> Optional[Callable[[SampleRelation], SampleRelation]]:
+    """A function from a block of rows of ``reader``'s table, one input of
+    ``node``, to the rows of it that some row of ``other``, the input on
+    side ``other_side`` (0: left), pairs with by ``_key_values``' rule on
+    the first ``eq`` pair whose column in ``other`` is not an object array
+    (strings, or ints past int64); None when there is no such pair. Of the
+    rows it keeps, ``join`` pairs those that match on every pair. The test
+    of ``other``'s keys is built once."""
+    for pair in node.eq:
+        x = other.data[other.column_index(pair[other_side])]
+        if x.dtype != object:  # then neither column is a string one (plan.check_columns)
+            break
+    else:
+        return None
+    column = pair[1 - other_side]
+    dtype = np.dtype(reader.column_types[reader.columns.index(column)])
+    ok, _, o_ok, _ = _key_values(x, np.empty(0, dtype=dtype))
+    member = _membership(ok if o_ok is None else ok[o_ok])
 
     def keep(block: SampleRelation) -> SampleRelation:
-        pairs = [(x, block.data[block.column_index(c)])
-                 for x, c in zip(other_columns, block_columns)]
-        ok, bk, o_ok, b_ok = _join_keys(pairs)
-        fixed = len(pairs) == 1 and all(x.dtype != object for x in pairs[0])
-        member = prepared.get(pairs[0][1].dtype) if fixed else None
-        if member is None:
-            member = _membership(ok if o_ok is None else ok[o_ok])
-            if fixed:
-                prepared[pairs[0][1].dtype] = member
-        hit = member(bk)
-        return block.take(hit if b_ok is None else hit & b_ok)
+        y = block.data[block.column_index(column)]
+        if y.dtype != dtype:  # an int64 column holding ints past int64, read whole
+            return block
+        _, yk, _, y_ok = _key_values(x[:0], y)
+        hit = member(yk)
+        return block.take(hit if y_ok is None else hit & y_ok)
 
     return keep
 
@@ -418,10 +412,11 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
     operator above its scan runs. A join with ``eq`` pairs runs its other
     input first and reads the table with a partner filter: each block the
     reader reads is cut to the rows that the join's key rule pairs with some
-    row of that input, since no other row reaches the join's output. When
-    both inputs of such a join are readers, the left one is read whole
-    first. Every other operator, and a join without ``eq`` pairs, reads the
-    table whole.
+    row of that input on the first pair with no string column, since no
+    other row reaches the join's output; with a string column in every
+    pair, the join reads it whole. When both inputs of such a join are
+    readers, the left one is read whole first. Every other operator, and a
+    join without ``eq`` pairs, reads the table whole.
     """
     check_columns(node, {name: tuple(zip(t.columns, t.column_types))
                          for name, t in catalog.items()})
@@ -437,9 +432,9 @@ def execute(node: PlanNode, catalog: Catalog, master_seed: int = 0) -> Execution
             left, right = inputs
             if isinstance(right, TableReader):
                 left = _read(left)
-                right = _read(right, _partner_filter(n, left, 0))
+                right = _read(right, _partner_filter(n, left, 0, right))
             elif isinstance(left, TableReader):
-                left = _read(left, _partner_filter(n, right, 1))
+                left = _read(left, _partner_filter(n, right, 1, left))
             return join(n, left, right)
         inputs = [_read(x) for x in inputs]
         if isinstance(n, Select):

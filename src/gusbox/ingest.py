@@ -53,17 +53,20 @@ _DTYPES = {"int64": np.int64, "float64": np.float64, "string": object}
 _CHECK_BLOCK = 1 << 16
 
 
-def _plain_lines(path: Path) -> Optional[int]:
+def _plain_lines(path: Path, count: bool = True) -> Optional[int]:
     """The number of line ends (LF, CRLF or a lone CR) in the file, a bound
     on its records, or None when it has a quote or a NUL character: then
     splitting lines at commas would not read it as the ``csv`` module does.
-    Read in blocks of ``_CHECK_BLOCK`` bytes, so the file is never held
-    whole."""
+    With ``count`` false the line ends are not counted and 0 stands for
+    their number. Read in blocks of ``_CHECK_BLOCK`` bytes, so the file is
+    never held whole."""
     ends, cr_last = 0, False
     with path.open("rb") as handle:
         for block in iter(lambda: handle.read(_CHECK_BLOCK), b""):
             if b'"' in block or b"\0" in block:
                 return None
+            if not count:
+                continue
             # numpy counts, since bytes.count reads a byte at a time
             codes = np.frombuffer(block, dtype=np.uint8)
             lf = codes == 10
@@ -110,7 +113,7 @@ def _fast_columns(path: Path, header: list[str],
                   pairs: list[tuple[str, str]]) -> Optional[list[np.ndarray]]:
     """The declared columns parsed by ``np.loadtxt``, or None when the file
     needs the row-by-row path."""
-    if not pairs or _plain_lines(path) is None:
+    if not pairs or _plain_lines(path, count=False) is None:
         return None
     return _loadtxt(path, pairs, _usecols(header, pairs), skiprows=1)
 

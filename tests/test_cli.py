@@ -30,6 +30,7 @@ from gusbox.cli import main
 from gusbox.datagen import generate_tpch_tiny
 from gusbox.dsl import parse_plan
 from gusbox.ingest import ingest_csv
+from gusbox.plan import BernoulliSpec
 
 from conftest import LINEITEM_TYPES, ORDERS_TYPES, strict_json
 from test_dsl_ingest import query1_document
@@ -1237,6 +1238,33 @@ class TestReadAtJoin:
                            self.write(tmp_path, tables, join, "i_v*x_w"))
         assert {name: tuple(seen[:2]) for name, seen in reads.items()} == {
             "i": (sampled != "float",) * 2, "x": (sampled != "int",) * 2}
+
+    @pytest.mark.parametrize("eq", [[["s_name", "t_name"]],
+                                    [["s_name", "t_name"], ["s_k", "t_k"]]],
+                             ids=["string_pair", "string_then_int_pair"])
+    def test_string_keys_are_not_filtered(self, tmp_path, monkeypatch, capsys, eq):
+        # the filter tests the first pair with no string column: with none,
+        # s stores every row its sampler keeps; with an int pair, only the
+        # rows whose s_k some row of t holds
+        names = ["a", "b", "zz"]
+        tables = {
+            "s": ({"s_id": "int64", "s_name": "string", "s_k": "int64", "s_v": "float64"},
+                  "s_id", ["s_id,s_name,s_k,s_v"] + [f"{i},{names[i % 3]},{i % 20},{i + 0.5}"
+                                                     for i in range(60)]),
+            "t": ({"t_id": "int64", "t_name": "string", "t_k": "int64", "t_w": "float64"},
+                  "t_id", ["t_id,t_name,t_k,t_w"] + [f"{i},{names[i % 2]},{i % 10},{i + 1.0}"
+                                                     for i in range(30)]),
+        }
+        join = {"op": "join", "eq": eq, "left": _bernoulli("s", 0.5, 1), "right": _scan("t")}
+        reads = self.check(tmp_path, monkeypatch, capsys,
+                           self.write(tmp_path, tables, join, "s_v*t_w"))
+        sampled = len(ingest_csv(tmp_path / "s.csv", "s", tables["s"][0], "s_id",
+                                 cli._bernoulli_at_scan(BernoulliSpec(0.5, 1), 5)))
+        assert tuple(reads["s"][:2]) == (True, True)
+        if len(eq) == 1:
+            assert reads["s"][2] == sampled
+        else:
+            assert 0 < reads["s"][2] < sampled
 
     @pytest.mark.parametrize("column", ["a_k", "a_j"])
     def test_late_block_fault_reads_the_table_whole(self, tmp_path, monkeypatch, capsys,

@@ -705,13 +705,14 @@ class TestSampledIngest:
         path.write_bytes(self.FILES[shape].encode("utf-8"))
         monkeypatch.setattr(ingest, "_CHECK_BLOCK", check_block)
         assert ingest._plain_lines(path) == self.LINE_ENDS[shape]
+        assert ingest._plain_lines(path, count=False) == 0  # the whole-table read's check
         assert self.LINE_ENDS[shape] >= len(ingest_csv(path, "t", SAMPLED_TYPES))
 
     def test_records_past_the_bound_read_the_table_whole(self, tmp_path, monkeypatch):
         path = tmp_path / "t.csv"
         path.write_text(self.FILES["blocks"])
         monkeypatch.setattr(ingest, "_ROW_BLOCK", 4)
-        monkeypatch.setattr(ingest, "_plain_lines", lambda path: 6)
+        monkeypatch.setattr(ingest, "_plain_lines", lambda path, count=True: 6 if count else 0)
         expected = _whole_then_sampled(path, "k", 0.5)
         events = []
         got = _outcome(lambda: ingest_csv(path, "t", SAMPLED_TYPES, "k", _sampler(0.5, events)))
@@ -765,7 +766,8 @@ class TestSampledIngest:
         orders = SampleRelation(LineageSchema.of(["o"]), ["o_orderkey"], ["int64"], [keys],
                                 keys.reshape(-1, 1), np.zeros(len(keys)))
         node = Join(Scan("l"), Scan("o"), (("l_orderkey", "o_orderkey"),))
-        partner = engine._partner_filter(node, orders, 1)
+        partner = engine._partner_filter(
+            node, orders, 1, engine.TableReader(*zip(*LINEITEM_TYPES.items()), None))
         sampled = ingest_csv(lineitem, "l", LINEITEM_TYPES, "l_orderkey*10+l_linenumber",
                              _sampler(0.1, []))
         events = []
